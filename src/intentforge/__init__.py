@@ -13,8 +13,8 @@ from .lane_assoc import (AssocConfig, AssociationResult, associate,
 from .map_model import (AgentState, AgentTrack, InvariantViolation,
                         LaneNeighbor, LaneSegment, MalformedScenario,
                         Scenario, ScenarioError, SchemaViolation, VectorMap,
-                        nearest_lane_nodes, parse_scenario,
-                        point_to_polyline_distance, write_scenario)
+                        parse_scenario, point_to_polyline_distance,
+                        write_scenario)
 from .road_graph import (GraphConfig, ReachabilitySet, RoadGraph, build_graph,
                          reach, travel_time)
 from .scenario_gen import GenSpec, generate, generate_suite

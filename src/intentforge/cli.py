@@ -37,6 +37,7 @@ from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suit
 from .analysis import coverage as coverage_of
 
 SEED_ENV = "INTENTFORGE_SEED"
+DEVIATION_MODES = ("node", "polyline")
 
 _DEFAULTS = {
     "heading_threshold": math.pi / 4,
@@ -101,6 +102,8 @@ def _resolve_config(args) -> RunConfig:
         if flag is not None:
             values[key] = flag
     try:
+        if values["deviation_mode"] not in DEVIATION_MODES:
+            raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
         return RunConfig(
             assoc=AssocConfig(values["heading_threshold"],
                               values["proximity_limit"],
@@ -113,7 +116,7 @@ def _resolve_config(args) -> RunConfig:
             deviation_mode=values["deviation_mode"],
             exclude_parked=bool(values["exclude_parked"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"config violation: {exc}") from None
 
 
@@ -467,7 +470,7 @@ def _add_config_flags(p: argparse.ArgumentParser, analysis: bool = False):
     if analysis:
         p.add_argument("--window", type=int)
         p.add_argument("--deviation-mode", dest="deviation_mode",
-                       choices=("node", "polyline"))
+                       choices=DEVIATION_MODES)
         p.add_argument("--exclude-parked", dest="exclude_parked",
                        action="store_const", const=True, default=None)
 

@@ -15,6 +15,7 @@ order (dead-end roads can yield tiny reachable sets).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,8 +35,13 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+                    or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,9 @@ class MixConfig:
     static_weight: float = 1.0
 
     def __post_init__(self):
-        if self.dynamic_weight <= 0 or self.static_weight <= 0:
-            raise ValueError("mix weights must be > 0")
+        if not (0 < self.dynamic_weight < math.inf
+                and 0 < self.static_weight < math.inf):
+            raise ValueError("mix weights must be finite and > 0")
 
 
 @dataclass(eq=False)
@@ -95,34 +102,48 @@ def _d2(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    i = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    return min(i, len(cum) - 1)
+def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw(s): the first index whose cumulative weight exceeds
+    u * total, clipped to the last index against round-off."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                      len(cum) - 1)
 
 
 def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
               rng: np.random.Generator) -> np.ndarray:
     """Weighted k-means++ seeding with greedy local trials.
 
-    The first center is drawn by weight; each further step samples a few
-    candidates with probability proportional to weight times squared
-    distance to the nearest chosen center and keeps the candidate that
-    minimizes the resulting weighted potential.
+    The first center is drawn by weight; each further step samples
+    ``2 + int(ln k)`` candidates with probability proportional to weight
+    times squared distance to the nearest chosen center and keeps the
+    candidate that minimizes the resulting weighted potential. Ties keep
+    the earliest candidate drawn (``argmin`` returns the first minimum).
+
+    Each step scores all its candidates in one ``(n_trials, n)`` block.
+    The candidate-to-point dot products come from a stacked matmul,
+    ``pts[None] @ c[:, :, None]``, which runs one matrix-vector product per
+    candidate, exactly like ``pts @ c.T`` for a single center. A single
+    matrix-matrix product (``pts @ C.T`` or an einsum) takes a different
+    BLAS kernel whose results can differ in the last bit, which is enough
+    to flip which of two near-tied candidates wins.
+    Each potential is a row sum over a contiguous row, so it is summed in
+    the same pairwise order as the 1-D sum of one candidate.
     """
     n_trials = 2 + int(math.log(k)) if k > 1 else 1
-    chosen = [_pick(np.cumsum(weights), rng.random())]
+    pn = np.einsum("ij,ij->i", pts, pts)
+    chosen = [int(_pick(np.cumsum(weights), rng.random()))]
     d2 = _d2(pts, pts[chosen[-1]][None, :])[:, 0]
     for _ in range(k - 1):
-        cum = np.cumsum(weights * d2)
-        candidates = [_pick(cum, rng.random()) for _ in range(n_trials)]
-        best_idx, best_d2, best_pot = None, None, math.inf
-        for c in candidates:
-            cand_d2 = np.minimum(d2, _d2(pts, pts[c][None, :])[:, 0])
-            pot = float((weights * cand_d2).sum())
-            if pot < best_pot:
-                best_idx, best_d2, best_pot = c, cand_d2, pot
-        chosen.append(best_idx)
-        d2 = best_d2
+        cand = _pick(np.cumsum(weights * d2), rng.random(n_trials))
+        c = pts[cand]
+        cn = np.einsum("ij,ij->i", c, c)
+        blk = pn[None, :] + cn[:, None] \
+            - 2.0 * np.matmul(pts[None], c[:, :, None])[:, :, 0]
+        np.maximum(blk, 0.0, out=blk)
+        np.minimum(blk, d2, out=blk)
+        best = int((weights[None, :] * blk).sum(axis=1).argmin())
+        chosen.append(int(cand[best]))
+        d2 = blk[best]
     return pts[np.asarray(chosen)].copy()
 
 

@@ -28,8 +28,8 @@ class AssocConfig:
 
     def __post_init__(self):
         for name in ("heading_threshold", "proximity_limit", "backwards_look"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

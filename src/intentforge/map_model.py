@@ -154,11 +154,15 @@ class _GridIndex:
         self._cell_max = cells.max(axis=0)
 
     def candidates(self, point: np.ndarray, radius: float) -> np.ndarray:
+        # one extra cell each side: a node just outside the radius can still
+        # have a float distance that rounds to it, and the scan keeps it;
         # clamp to occupied cells so huge radii stay cheap
-        lo = np.maximum(np.floor((point - radius) / _GRID_CELL).astype(np.int64),
-                        self._cell_min)
-        hi = np.minimum(np.floor((point + radius) / _GRID_CELL).astype(np.int64),
-                        self._cell_max)
+        lo = np.maximum(
+            np.floor((point - radius) / _GRID_CELL).astype(np.int64) - 1,
+            self._cell_min)
+        hi = np.minimum(
+            np.floor((point + radius) / _GRID_CELL).astype(np.int64) + 1,
+            self._cell_max)
         hits = [self._buckets[key]
                 for cx in range(lo[0], hi[0] + 1)
                 for cy in range(lo[1], hi[1] + 1)
@@ -256,10 +260,6 @@ class VectorMap:
         if not isinstance(other, VectorMap):
             return NotImplemented
         return self.segments == other.segments
-
-
-def nearest_lane_nodes(vmap: VectorMap, point, radius: float):
-    return vmap.nearest_nodes(point, radius)
 
 
 def point_to_polyline_distance(point, nodes) -> float:

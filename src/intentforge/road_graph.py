@@ -10,6 +10,7 @@ is deliberately not modeled.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,10 @@ class GraphConfig:
     speed_offset: float = 6.7056    # m/s (15 mph)
 
     def __post_init__(self):
-        if self.time_budget < 0 or self.speed_offset < 0:
-            raise ValueError("time_budget and speed_offset must be >= 0")
+        if not (0 <= self.time_budget < math.inf
+                and 0 <= self.speed_offset < math.inf):
+            raise ValueError(
+                "time_budget and speed_offset must be finite and >= 0")
 
 
 def travel_time(distance: float, speed_limit: float,

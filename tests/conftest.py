@@ -146,3 +146,35 @@ def point_in_hull(p, hull: np.ndarray, eps=1e-7) -> bool:
         if _cross2(edge, p - a) / np.hypot(*edge) < -eps:
             return False
     return True
+
+
+def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
+    """Greedy weighted k-means++ scored one candidate at a time: the
+    per-candidate loop that ``intention._kmeanspp`` must reproduce bit for
+    bit (same draws, same distances, same potentials, same tie rule)."""
+    def d2_to(center):
+        pn = np.einsum("ij,ij->i", pts, pts)
+        cn = np.einsum("ij,ij->i", center, center)
+        d2 = pn[:, None] + cn[None, :] - 2.0 * (pts @ center.T)
+        np.maximum(d2, 0.0, out=d2)
+        return d2[:, 0]
+
+    def pick(cum, u):
+        return min(int(np.searchsorted(cum, u * cum[-1], side="right")),
+                   len(cum) - 1)
+
+    n_trials = 2 + int(math.log(k)) if k > 1 else 1
+    chosen = [pick(np.cumsum(weights), rng.random())]
+    d2 = d2_to(pts[chosen[-1]][None, :])
+    for _ in range(k - 1):
+        cum = np.cumsum(weights * d2)
+        candidates = [pick(cum, rng.random()) for _ in range(n_trials)]
+        best_idx, best_d2, best_pot = None, None, math.inf
+        for c in candidates:
+            cand_d2 = np.minimum(d2, d2_to(pts[c][None, :]))
+            pot = float((weights * cand_d2).sum())
+            if pot < best_pot:
+                best_idx, best_d2, best_pot = c, cand_d2, pot
+        chosen.append(best_idx)
+        d2 = best_d2
+    return pts[np.asarray(chosen)].copy()

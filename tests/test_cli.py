@@ -195,6 +195,33 @@ def test_intents_bad_config_exits_2(tmp_path):
                  "--config", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    {"k": "64"},
+    ["--time-budget", "nan"],
+    ["--tolerance", "nan"],
+    ["--max-iterations", "0"],
+    ["--dynamic-weight", "inf"],
+    ["--seed", "-1"],
+    ["--proximity-limit", "inf"],
+    {"deviation_mode": "bogus"},
+], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
+        "max_iterations_0", "dynamic_weight_inf", "seed_negative",
+        "proximity_limit_inf", "config_deviation_mode"])
+def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
+                                                        extra):
+    scenes, _ = write_suite(tmp_path, n=1)
+    if isinstance(extra, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra))
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "o.csv"
+    assert main(["intents", str(scenes), "--kind", "mixed", *extra,
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config violation") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- analyze ------------------------------------------------------------------------
 
 def test_analyze_perfect_predictions_zero_curve(tmp_path):

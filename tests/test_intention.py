@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import convex_hull, point_in_hull, vehicle_track
+from conftest import (convex_hull, kmeanspp_reference, point_in_hull,
+                      vehicle_track)
 from intentforge.intention import (IntentionPointSet, KMeansConfig, MixConfig,
                                    _coalesce, _kmeanspp, _lloyd,
                                    dynamic_intents, from_agent_frame,
@@ -246,6 +248,86 @@ def test_objective_descent():
         assert len(objectives) >= 1
         for prev, cur in zip(objectives, objectives[1:]):
             assert cur <= prev * (1 + 1e-9) + 1e-9
+
+
+def _seeding_input(rng, layout, n):
+    """n points laid out uniformly, uniformly then rounded to 0.1 m (which
+    makes _coalesce merge duplicates), or as rotated rows of lane nodes
+    0.5 m apart (regular spacing gives near-tied candidate potentials)."""
+    if layout == "lanes":
+        lanes = int(rng.integers(1, 12))
+        along, across = np.meshgrid(np.arange(max(2, n // lanes)) * 0.5,
+                                    np.arange(lanes) * 3.5)
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(th), -math.sin(th)],
+                        [math.sin(th), math.cos(th)]])
+        local = np.stack([along.ravel(), across.ravel()], axis=1)
+        return local @ rot.T + rng.uniform(-50.0, 50.0, size=2)
+    scale = float(rng.uniform(3.0, 150.0)) if layout == "rounded" else 150.0
+    pts = rng.uniform(-scale, scale, size=(n, 2))
+    return np.round(pts, 1) if layout == "rounded" else pts
+
+
+def test_kmeanspp_matches_per_candidate_reference():
+    """Block-scored seeding picks bit-identical centers to the one-candidate-
+    at-a-time loop, for unit and random weights and k = 1 (one trial per
+    step) up to 64."""
+    rng = np.random.default_rng(0)
+    compared = merged = 0
+    cases = itertools.product((1, 2, 7, 64), (False, True),
+                              ("uniform", "rounded", "lanes"), range(10))
+    for case, (k, weighted, layout, _) in enumerate(cases):
+        pts = _seeding_input(rng, layout, int(rng.integers(65, 3201)))
+        n = pts.shape[0]
+        w = rng.uniform(0.1, 5.0, size=n) if weighted else np.ones(n)
+        pts, w = _coalesce(pts, w)
+        if pts.shape[0] <= k:
+            continue
+        merged += pts.shape[0] < n
+        got = _kmeanspp(pts, w, k, np.random.default_rng(case))
+        want = kmeanspp_reference(pts, w, k, np.random.default_rng(case))
+        assert np.array_equal(got, want), (case, n, k, weighted, layout)
+        compared += 1
+    assert compared >= 200 and merged > 0
+
+
+grid_pts = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+                    min_size=65, max_size=400)
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_pts, st.sampled_from((1, 2, 7, 64)), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_kmeanspp_reference_property(points, k, weighted, seed):
+    # coordinates on a 0.1 m grid: duplicates to merge and tied potentials
+    pts = np.asarray(points, dtype=float) / 10.0
+    n = pts.shape[0]
+    w = np.random.default_rng(seed).uniform(0.1, 5.0, size=n) if weighted \
+        else np.ones(n)
+    pts, w = _coalesce(pts, w)
+    assume(pts.shape[0] > k)
+    assert np.array_equal(
+        _kmeanspp(pts, w, k, np.random.default_rng(seed)),
+        kmeanspp_reference(pts, w, k, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k": 0}, {"k": True}, {"k": 1.5}, {"k": "64"},
+    {"max_iterations": 0}, {"max_iterations": 2.0},
+    {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": -1e-9},
+    {"seed": -1}, {"seed": 1.5},
+], ids=lambda kw: "{}={!r}".format(*next(iter(kw.items()))))
+def test_kmeans_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        KMeansConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_mix_config_rejects_bad_weights(bad):
+    with pytest.raises(ValueError):
+        MixConfig(dynamic_weight=bad)
+    with pytest.raises(ValueError):
+        MixConfig(static_weight=bad)
 
 
 def test_determinism_over_100_randomized_inputs():

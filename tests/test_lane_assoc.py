@@ -169,6 +169,14 @@ def test_branch_node_must_pass_gates():
     assert all(sid != 2 for sid, _, _ in res.candidates)
 
 
+@pytest.mark.parametrize("field", ["heading_threshold", "proximity_limit",
+                                   "backwards_look"])
+def test_assoc_config_rejects_bad_values(field):
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AssocConfig(**{field: bad})
+
+
 def test_fallback_result_invariant():
     with pytest.raises(ValueError):
         AssociationResult((), fallback=False)

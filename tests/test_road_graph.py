@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ def test_travel_time_hand_computed():
 def test_travel_time_rejects_bad_limit():
     with pytest.raises(ValueError):
         travel_time(1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_graph_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        GraphConfig(time_budget=bad)
+    with pytest.raises(ValueError):
+        GraphConfig(speed_offset=bad)
 
 
 # -- build_graph ----------------------------------------------------------------
