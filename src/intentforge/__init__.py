@@ -6,15 +6,14 @@ from .analysis import (DeviationRecord, FilterReport, PredictionSet, coverage,
                        gt_deviation, min_ade, min_fde, miss_rate,
                        moving_average)
 from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
-                        dynamic_intents, from_agent_frame, mixed_intents,
-                        static_intents, to_agent_frame, weighted_kmeans)
+                        dynamic_intents, mixed_intents, static_intents,
+                        to_agent_frame, weighted_kmeans)
 from .lane_assoc import (AssocConfig, AssociationResult, associate,
                          derive_heading, lane_heading_at)
 from .map_model import (AgentState, AgentTrack, InvariantViolation,
                         LaneNeighbor, LaneSegment, MalformedScenario,
                         Scenario, ScenarioError, SchemaViolation, VectorMap,
-                        parse_scenario, point_to_polyline_distance,
-                        write_scenario)
+                        parse_scenario, write_scenario)
 from .road_graph import (GraphConfig, ReachabilitySet, RoadGraph, build_graph,
                          reach, travel_time)
 from .scenario_gen import GenSpec, generate, generate_suite

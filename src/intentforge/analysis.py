@@ -55,6 +55,8 @@ class PredictionSet:
             raise ValueError(f"need 1..{MAX_MODES} modes, got {m}")
         if conf.shape != (m,):
             raise ValueError("one confidence per mode required")
+        if not (np.isfinite(traj).all() and np.isfinite(conf).all()):
+            raise ValueError("trajectories and confidences must be finite")
         if (conf < 0).any() or (conf > 1).any():
             raise ValueError("confidences must lie in [0, 1]")
         if conf.sum() > 1 + 1e-6:

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -27,34 +27,23 @@ import numpy as np
 
 from .analysis import (DeviationRecord, PredictionSet, detect_parked,
                        deviation_curve, filter_dataset, gt_deviation, min_fde)
-from .experiments import agent_frame_endpoint, pooled_static
-from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
-                        dynamic_intents, mixed_intents, static_intents)
-from .lane_assoc import AssocConfig, associate
-from .map_model import ScenarioError, parse_scenario, write_scenario
-from .road_graph import GraphConfig, build_graph, reach
+from .experiments import (DEVIATION_MODES, RunConfig, agent_frame_endpoint,
+                          pooled_static, run_scene)
+from .intention import (IntentionPointSet, dynamic_intents, mixed_intents,
+                        static_intents)
+from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
+from .road_graph import build_graph, reach
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
 from .analysis import coverage as coverage_of
 
 SEED_ENV = "INTENTFORGE_SEED"
-DEVIATION_MODES = ("node", "polyline")
-
-_DEFAULTS = {
-    "heading_threshold": math.pi / 4,
-    "proximity_limit": 5.0,
-    "backwards_look": 10.0,
-    "time_budget": 8.0,
-    "speed_offset": 6.7056,
-    "k": 64,
-    "max_iterations": 100,
-    "tolerance": 1e-6,
-    "seed": 0,
-    "dynamic_weight": 3.0,
-    "static_weight": 1.0,
-    "window": 7500,
-    "deviation_mode": "node",
-    "exclude_parked": False,
-}
+# Config keys and their defaults, from RunConfig's fields: the keys of its
+# config groups, then its own fields, which only analyze reads.
+_ANALYSIS_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
+                      if not is_dataclass(f.default)}
+_DEFAULTS = {g.name: g.default for f in fields(RunConfig)
+             if is_dataclass(f.default)
+             for g in fields(f.default)} | _ANALYSIS_DEFAULTS
 
 
 class UsageError(Exception):
@@ -65,17 +54,6 @@ class DataError(Exception):
     """Unreadable or inconsistent input data; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    assoc: AssocConfig
-    graph: GraphConfig
-    kmeans: KMeansConfig
-    mix: MixConfig
-    window: int
-    deviation_mode: str
-    exclude_parked: bool
-
-
 def _resolve_config(args) -> RunConfig:
     values = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
@@ -84,7 +62,7 @@ def _resolve_config(args) -> RunConfig:
             loaded = json.loads(Path(config_path).read_text())
         except OSError as exc:
             raise DataError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
@@ -92,7 +70,7 @@ def _resolve_config(args) -> RunConfig:
             if key not in _DEFAULTS:
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = val
-    if os.environ.get(SEED_ENV):
+    if os.environ.get(SEED_ENV) and getattr(args, "seed", None) is None:
         try:
             values["seed"] = int(os.environ[SEED_ENV])
         except ValueError:
@@ -102,33 +80,13 @@ def _resolve_config(args) -> RunConfig:
         if flag is not None:
             values[key] = flag
     try:
-        if values["deviation_mode"] not in DEVIATION_MODES:
-            raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
-        return RunConfig(
-            assoc=AssocConfig(values["heading_threshold"],
-                              values["proximity_limit"],
-                              values["backwards_look"]),
-            graph=GraphConfig(values["time_budget"], values["speed_offset"]),
-            kmeans=KMeansConfig(values["k"], values["max_iterations"],
-                                values["tolerance"], values["seed"]),
-            mix=MixConfig(values["dynamic_weight"], values["static_weight"]),
-            window=int(values["window"]),
-            deviation_mode=values["deviation_mode"],
-            exclude_parked=bool(values["exclude_parked"]),
-        )
+        return RunConfig(**{
+            f.name: replace(f.default, **{g.name: values[g.name]
+                                          for g in fields(f.default)})
+            if is_dataclass(f.default) else values[f.name]
+            for f in fields(RunConfig)})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config violation: {exc}") from None
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if os.environ.get(SEED_ENV):
-        try:
-            return int(os.environ[SEED_ENV])
-        except ValueError:
-            raise UsageError(f"{SEED_ENV} must be an integer") from None
-    return 0
 
 
 def _load_scenarios(paths):
@@ -160,11 +118,22 @@ def _load_scenarios(paths):
     return scenarios
 
 
-def _f6(x) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".6f")
+def _csv_lines(path, header: str) -> list[str]:
+    """The lines of a text file whose first line is ``header``."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not lines or lines[0].strip() != header:
+        raise DataError(f"{path}: expected header {header!r}")
+    return lines
+
+
+def _csv_row(path, lineno: int, line: str, width: int) -> list[str]:
+    parts = line.split(",")
+    if len(parts) != width:
+        raise DataError(f"{path}:{lineno}: expected {width} columns")
+    return parts
 
 
 def _write_csv(path, header, rows):
@@ -183,7 +152,7 @@ def _pmap(fn, items, jobs: int):
 # -- gen ---------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
+    seed = _resolve_config(args).kmeans.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.suite is not None:
@@ -212,17 +181,18 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     sets: dict[str, IntentionPointSet] = {}
     if endpoints_file:
         pools: dict[str, list] = {}
-        try:
-            lines = Path(endpoints_file).read_text().splitlines()
-        except OSError as exc:
-            raise DataError(f"cannot read endpoints file: {exc}") from None
-        if not lines or lines[0].strip() != "class,x,y":
-            raise DataError("endpoints file must start with header class,x,y")
-        for ln in lines[1:]:
+        lines = _csv_lines(endpoints_file, "class,x,y")
+        for i, ln in enumerate(lines[1:], start=2):
             if not ln.strip():
                 continue
-            cls, x, y = ln.split(",")
-            pools.setdefault(cls, []).append((float(x), float(y)))
+            cls, x, y = _csv_row(endpoints_file, i, ln, 3)
+            try:
+                x, y = float(x), float(y)
+            except ValueError as exc:
+                raise DataError(f"{endpoints_file}:{i}: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DataError(f"{endpoints_file}:{i}: x and y must be finite")
+            pools.setdefault(cls, []).append((x, y))
         for cls in classes:
             if cls not in pools:
                 raise DataError(f"endpoints file has no rows for class {cls!r}")
@@ -236,42 +206,40 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     return sets
 
 
+def _reach_rows(scenario, results) -> list[tuple]:
+    """Reachability CSV rows of every agent that has a reachable set."""
+    return [(scenario.scenario_id, track.agent_id, _fmt_float(p[0]),
+             _fmt_float(p[1]), _fmt_float(t))
+            for track, _, reach_set in results if reach_set is not None
+            for _, _, p, t in reach_set.entries()]
+
+
+def _write_reach_csv(path, rows):
+    rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]),
+                             float(r[3])))
+    _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"), rows)
+
+
 def _intents_for_scenario(scenario, kind, static_sets, cfg: RunConfig):
-    rows, dump_rows = [], []
-    graph = None
-    for agent_id in scenario.tracks_to_predict:
-        track = scenario.track(agent_id)
-        fallback = False
-        if kind == "static":
-            points = static_sets[track.object_class]
-            kind_out = "static"
-        else:
-            assoc = None
-            if track.object_class == "vehicle":
-                assoc = associate(scenario.vector_map, track, cfg.assoc)
-            if assoc is None or assoc.fallback:
-                fallback = True
-                points = static_sets[track.object_class]
-                kind_out = "static"
-            else:
-                if graph is None:
-                    graph = build_graph(scenario.vector_map, cfg.graph)
-                reach_set = reach(graph, assoc, cfg.graph)
-                dump_rows.extend(
-                    (scenario.scenario_id, agent_id, _f6(p[0]), _f6(p[1]),
-                     _f6(t))
-                    for _, _, p, t in reach_set.entries())
-                dyn = dynamic_intents(reach_set, track, cfg.kmeans)
-                if kind == "dynamic":
-                    points, kind_out = dyn, "dynamic"
-                else:
-                    points = mixed_intents(dyn, static_sets["vehicle"],
-                                           cfg.mix, cfg.kmeans)
-                    kind_out = "mixed"
-        for idx, (x, y) in enumerate(points.points):
-            rows.append((agent_id, kind_out, str(idx), _f6(x), _f6(y),
-                         "1" if fallback else "0"))
-    return rows, dump_rows
+    if kind == "static":
+        results = [(scenario.track(a), None, None)
+                   for a in scenario.tracks_to_predict]
+    else:
+        results = run_scene(scenario, cfg)
+    rows = []
+    for track, _, reach_set in results:
+        points, kind_out = static_sets[track.object_class], "static"
+        if reach_set is not None:
+            points = dynamic_intents(reach_set, track, cfg.kmeans)
+            kind_out = kind
+            if kind == "mixed":
+                points = mixed_intents(points, static_sets["vehicle"],
+                                       cfg.mix, cfg.kmeans)
+        fallback = "1" if kind != "static" and reach_set is None else "0"
+        rows.extend((track.agent_id, kind_out, str(idx), _fmt_float(x),
+                     _fmt_float(y), fallback)
+                    for idx, (x, y) in enumerate(points.points))
+    return rows, _reach_rows(scenario, results)
 
 
 def cmd_intents(args) -> int:
@@ -287,36 +255,37 @@ def cmd_intents(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
     _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"), rows)
     if args.dump_roadgraph:
-        dump = [d for _, dump_i in results for d in dump_i]
-        dump.sort(key=lambda d: (d[0], d[1], float(d[4]), float(d[2]),
-                                 float(d[3])))
-        _write_csv(args.dump_roadgraph,
-                   ("scenario_id", "agent_id", "x", "y", "arrival_s"), dump)
+        _write_reach_csv(args.dump_roadgraph,
+                         [d for _, dump_i in results for d in dump_i])
     return 0
 
 
 # -- analyze -----------------------------------------------------------------
 
 def _load_prediction_csv(path) -> dict[str, PredictionSet]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read predictions: {exc}") from None
-    header = "agent_id,mode_idx,confidence,step,x,y"
-    if not lines or lines[0].strip() != header:
-        raise DataError(f"{path}: expected header {header!r}")
+    lines = _csv_lines(path, "agent_id,mode_idx,confidence,step,x,y")
     acc: dict[str, dict[int, dict]] = {}
     for i, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise DataError(f"{path}:{i}: expected 6 columns")
-        aid, mode, conf, step, x, y = parts
-        mode, step = int(mode), int(step)
-        modes = acc.setdefault(aid, {})
-        slot = modes.setdefault(mode, {"conf": float(conf), "pts": {}})
-        slot["pts"][step] = (float(x), float(y))
+        aid, mode, conf, step, x, y = _csv_row(path, i, ln, 6)
+        try:
+            mode, step = int(mode), int(step)
+            # a dict, not a tuple: a tuple here raised analyze's peak RSS
+            # by ~10 MB (allocator fragmentation), for the same contents
+            slot = acc.setdefault(aid, {}).setdefault(
+                mode, {"text": conf, "conf": float(conf), "pts": {}})
+            xy = (float(x), float(y))
+        except ValueError as exc:
+            raise DataError(f"{path}:{i}: {exc}") from None
+        if step in slot["pts"]:
+            raise DataError(f"{path}:{i}: duplicate row for agent {aid} "
+                            f"mode {mode} step {step}")
+        if conf != slot["text"]:
+            raise DataError(f"{path}:{i}: confidence {conf} differs from "
+                            f"{slot['text']} on earlier rows of agent {aid} "
+                            f"mode {mode}")
+        slot["pts"][step] = xy
     out = {}
     for aid, modes in acc.items():
         traj, conf = [], []
@@ -347,7 +316,7 @@ def _analyze_scenario(bundle, model_names, cfg: RunConfig, static_set):
         for kind, pts in (("static", static_set), ("dynamic", dyn),
                           ("mixed", mixed)):
             cov_rows.append((track.agent_id, kind,
-                             _f6(coverage_of(pts, endpoint))))
+                             _fmt_float(coverage_of(pts, endpoint))))
         if preds is None or any(m not in preds for m in model_names):
             skipped += 1
             continue
@@ -409,7 +378,7 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "deviation_curve.csv",
                ("rank", "deviation_m", *(f"minfde_{m}" for m in models)),
-               [(str(rank), _f6(dev), *map(_f6, fdes))
+               [(str(rank), _fmt_float(dev), *map(_fmt_float, fdes))
                 for rank, dev, *fdes in rows])
     _write_csv(out_dir / "filter_report.csv",
                ("total", "excluded_non_vehicle", "excluded_no_dynamic",
@@ -426,28 +395,23 @@ def cmd_analyze(args) -> int:
 
 # -- dump-roadgraph ----------------------------------------------------------
 
+def _reach_for_scenario(scenario, cfg: RunConfig):
+    results = run_scene(scenario, cfg)
+    skipped = [track.agent_id for track, assoc, _ in results
+               if assoc is not None and assoc.fallback]
+    return _reach_rows(scenario, results), skipped
+
+
 def cmd_dump_roadgraph(args) -> int:
     cfg = _resolve_config(args)
     scenarios = _load_scenarios(args.scenarios)
-    rows = []
-    for scenario in scenarios:
-        graph = build_graph(scenario.vector_map, cfg.graph)
-        for agent_id in scenario.tracks_to_predict:
-            track = scenario.track(agent_id)
-            if track.object_class != "vehicle":
-                continue
-            assoc = associate(scenario.vector_map, track, cfg.assoc)
-            if assoc.fallback:
-                print(f"note: {agent_id} has no lane association; skipped",
-                      file=sys.stderr)
-                continue
-            reach_set = reach(graph, assoc, cfg.graph)
-            rows.extend(
-                (scenario.scenario_id, agent_id, _f6(p[0]), _f6(p[1]), _f6(t))
-                for _, _, p, t in reach_set.entries())
-    rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]), float(r[3])))
-    _write_csv(args.out, ("scenario_id", "agent_id", "x", "y", "arrival_s"),
-               rows)
+    results = _pmap(partial(_reach_for_scenario, cfg=cfg), scenarios,
+                    args.jobs)
+    for _, skipped in results:
+        for agent_id in skipped:
+            print(f"note: {agent_id} has no lane association; skipped",
+                  file=sys.stderr)
+    _write_reach_csv(args.out, [row for rows, _ in results for row in rows])
     return 0
 
 
@@ -455,24 +419,16 @@ def cmd_dump_roadgraph(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser, analysis: bool = False):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--heading-threshold", dest="heading_threshold", type=float)
-    p.add_argument("--proximity-limit", dest="proximity_limit", type=float)
-    p.add_argument("--backwards-look", dest="backwards_look", type=float)
-    p.add_argument("--time-budget", dest="time_budget", type=float)
-    p.add_argument("--speed-offset", dest="speed_offset", type=float)
-    p.add_argument("--dynamic-weight", dest="dynamic_weight", type=float)
-    p.add_argument("--static-weight", dest="static_weight", type=float)
     p.add_argument("--jobs", type=int, default=1)
-    if analysis:
-        p.add_argument("--window", type=int)
-        p.add_argument("--deviation-mode", dest="deviation_mode",
-                       choices=DEVIATION_MODES)
-        p.add_argument("--exclude-parked", dest="exclude_parked",
-                       action="store_const", const=True, default=None)
+    for key, default in _DEFAULTS.items():
+        if key in _ANALYSIS_DEFAULTS and not analysis:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            p.add_argument(flag, dest=key, action="store_const", const=True)
+        else:
+            p.add_argument(flag, dest=key, type=type(default), choices=(
+                DEVIATION_MODES if key == "deviation_mode" else None))
 
 
 def build_parser() -> argparse.ArgumentParser:

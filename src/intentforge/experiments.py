@@ -1,12 +1,18 @@
-"""Runnable experiment pipelines over synthetic scenario suites.
+"""The per-scene pipeline and the experiments built on it.
 
-These back the scripts in scripts/: the mixed-ratio coverage table
-(how strongly to weight scene-conditioned points against statistical
-ones when pooling) and the coverage proxy comparing static, dynamic,
-and mixed intention sets against ground-truth endpoints.
+``run_scene`` runs lane association and reachability for one scene under
+a ``RunConfig``; the CLI and both experiments use it. The experiments
+back the scripts in scripts/: the mixed-ratio coverage table (how
+strongly to weight scene-conditioned points against statistical ones
+when pooling) and the coverage proxy comparing static, dynamic, and
+mixed intention sets against ground-truth endpoints.
 """
 
 from __future__ import annotations
+
+import numbers
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,9 +20,9 @@ from .analysis import coverage
 from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
                         dynamic_intents, mixed_intents, static_intents,
                         to_agent_frame)
-from .lane_assoc import AssocConfig, associate
+from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario
-from .road_graph import GraphConfig, build_graph, reach
+from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
 from .scenario_gen import generate_suite
 
 
@@ -46,22 +52,58 @@ def pooled_static(scenarios, object_class: str = "vehicle",
     return static_intents(np.asarray(endpoints), object_class, cfg)
 
 
-def scene_dynamic(scenario: Scenario, track: AgentTrack,
-                  assoc_cfg: AssocConfig | None = None,
-                  graph_cfg: GraphConfig | None = None,
-                  kmeans_cfg: KMeansConfig | None = None):
-    """Association -> reachability -> dynamic points for one agent.
+DEVIATION_MODES = ("node", "polyline")
 
-    Returns (association, reach_set, dynamic_set); the latter two are
-    None when the association falls back.
-    """
-    assoc = associate(scenario.vector_map, track, assoc_cfg or AssocConfig())
-    if assoc.fallback:
-        return assoc, None, None
-    graph = build_graph(scenario.vector_map, graph_cfg or GraphConfig())
-    reach_set = reach(graph, assoc, graph_cfg or GraphConfig())
-    dyn = dynamic_intents(reach_set, track, kmeans_cfg or KMeansConfig())
-    return assoc, reach_set, dyn
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every setting of the per-scene pipeline and the analysis; the one
+    place their defaults live."""
+
+    assoc: AssocConfig = AssocConfig()
+    graph: GraphConfig = GraphConfig()
+    kmeans: KMeansConfig = KMeansConfig()
+    mix: MixConfig = MixConfig()
+    window: int = 7500
+    deviation_mode: str = "node"
+    exclude_parked: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.window, bool) or not isinstance(self.window,
+                                                           numbers.Integral):
+            raise ValueError("window must be an integer")
+        if self.deviation_mode not in DEVIATION_MODES:
+            raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
+        if not isinstance(self.exclude_parked, bool):
+            raise ValueError("exclude_parked must be true or false")
+
+
+class AgentResult(NamedTuple):
+    """One prediction target after association and reachability."""
+
+    track: AgentTrack
+    assoc: AssociationResult | None     # None for non-vehicles
+    reach_set: ReachabilitySet | None   # None when the agent falls back
+
+
+def run_scene(scenario: Scenario,
+              cfg: RunConfig = RunConfig()) -> list[AgentResult]:
+    """Association -> reachability for every target of one scene, in
+    ``tracks_to_predict`` order. The road graph is built at most once,
+    and only when some target has a lane association."""
+    graph = None
+    out = []
+    for agent_id in scenario.tracks_to_predict:
+        track = scenario.track(agent_id)
+        assoc = reach_set = None
+        if track.object_class == "vehicle":
+            assoc = associate(scenario.vector_map, track, cfg.assoc)
+            if not assoc.fallback:
+                if graph is None:
+                    graph = build_graph(scenario.vector_map, cfg.graph)
+                reach_set = reach(graph, assoc, cfg.graph)
+        out.append(AgentResult(track, assoc, reach_set))
+    return out
 
 
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
@@ -79,13 +121,11 @@ def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
     sums = {r: 0.0 for r in ratios}
     used = 0
     for scenario in suite:
-        track = scenario.track(scenario.tracks_to_predict[0])
+        track, _, reach_set = run_scene(scenario)[0]
         endpoint = agent_frame_endpoint(track)
-        if endpoint is None:
+        if endpoint is None or reach_set is None:
             continue
-        _, _, dyn = scene_dynamic(scenario, track, kmeans_cfg=kmeans_cfg)
-        if dyn is None:
-            continue
+        dyn = dynamic_intents(reach_set, track, kmeans_cfg)
         used += 1
         for r in ratios:
             mixed = mixed_intents(dyn, stat, MixConfig(r, 1.0), kmeans_cfg)
@@ -107,15 +147,12 @@ def coverage_proxy(n_scenes: int = 1000, seed: int = 0,
     out = {"static": [], "dynamic": [], "mixed": []}
     skipped = 0
     for scenario in suite:
-        track = scenario.track(scenario.tracks_to_predict[0])
+        track, _, reach_set = run_scene(scenario)[0]
         endpoint = agent_frame_endpoint(track)
-        if endpoint is None:
+        if endpoint is None or reach_set is None:
             skipped += 1
             continue
-        _, _, dyn = scene_dynamic(scenario, track, kmeans_cfg=kmeans_cfg)
-        if dyn is None:
-            skipped += 1
-            continue
+        dyn = dynamic_intents(reach_set, track, kmeans_cfg)
         mixed = mixed_intents(dyn, stat, mix_cfg, kmeans_cfg)
         out["static"].append(coverage(stat, endpoint))
         out["dynamic"].append(coverage(dyn, endpoint))

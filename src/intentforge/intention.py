@@ -228,13 +228,6 @@ def to_agent_frame(point, track: AgentTrack) -> np.ndarray:
     return np.array([c * dx + s * dy, -s * dx + c * dy])
 
 
-def from_agent_frame(point, track: AgentTrack) -> np.ndarray:
-    cur = track.current_state
-    c, s = math.cos(cur.heading), math.sin(cur.heading)
-    x, y = float(point[0]), float(point[1])
-    return np.array([cur.x + c * x - s * y, cur.y + s * x + c * y])
-
-
 def _frame_matrix(track: AgentTrack):
     cur = track.current_state
     c, s = math.cos(cur.heading), math.sin(cur.heading)

@@ -262,23 +262,6 @@ class VectorMap:
         return self.segments == other.segments
 
 
-def point_to_polyline_distance(point, nodes) -> float:
-    """Minimal distance from ``point`` to the polyline through ``nodes``."""
-    p = np.asarray(point, dtype=np.float64)
-    pts = np.asarray(nodes, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("polyline needs at least 2 nodes")
-    a, b = pts[:-1], pts[1:]
-    ab = b - a
-    denom = (ab * ab).sum(axis=1)
-    t = np.zeros(len(a))
-    nz = denom > 0
-    t[nz] = ((p - a[nz]) * ab[nz]).sum(axis=1) / denom[nz]
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.hypot(*(closest - p).T).min())
-
-
 @dataclass(frozen=True)
 class AgentState:
     timestamp_index: int

@@ -65,17 +65,8 @@ class RoadGraph:
     def n_nodes(self) -> int:
         return int(self.positions.shape[0])
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency)
-
     def index_of(self, segment_id: int, node_index: int) -> int:
         return self._index[(segment_id, node_index)]
-
-    def edges(self):
-        for u, nbrs in enumerate(self.adjacency):
-            for v, w in nbrs:
-                yield u, v, w
 
 
 def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:

@@ -69,6 +69,42 @@ def scenario_of(vmap, tracks, predict=None, scenario_id="s0") -> Scenario:
 
 # -- independent oracles -----------------------------------------------------
 
+def point_to_polyline_distance(point, nodes) -> float:
+    """Minimal distance from ``point`` to the polyline through ``nodes``."""
+    p = np.asarray(point, dtype=np.float64)
+    pts = np.asarray(nodes, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 2:
+        raise ValueError("polyline needs at least 2 nodes")
+    a, b = pts[:-1], pts[1:]
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    t = np.zeros(len(a))
+    nz = denom > 0
+    t[nz] = ((p - a[nz]) * ab[nz]).sum(axis=1) / denom[nz]
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    return float(np.hypot(*(closest - p).T).min())
+
+
+def from_agent_frame(point, track: AgentTrack) -> np.ndarray:
+    """Agent frame -> global point: the inverse of ``to_agent_frame``."""
+    cur = track.current_state
+    c, s = math.cos(cur.heading), math.sin(cur.heading)
+    x, y = float(point[0]), float(point[1])
+    return np.array([cur.x + c * x - s * y, cur.y + s * x + c * y])
+
+
+def graph_edges(graph: RoadGraph):
+    """Every (source, target, travel time) edge of a road graph."""
+    for u, nbrs in enumerate(graph.adjacency):
+        for v, w in nbrs:
+            yield u, v, w
+
+
+def n_edges(graph: RoadGraph) -> int:
+    return sum(len(a) for a in graph.adjacency)
+
+
 def reach_oracle(adjacency, starts, budget) -> dict[int, float]:
     """Exhaustive path exploration with budget and improvement pruning;
     no priority queue, so it is independent of the Dijkstra code path."""

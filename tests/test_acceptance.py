@@ -20,7 +20,7 @@ from test_cli import perfect_predictions, write_suite
 from intentforge.analysis import (DeviationRecord, deviation_curve,
                                   filter_dataset, gt_deviation, moving_average)
 from intentforge.cli import main as cli_main
-from intentforge.experiments import coverage_proxy, scene_dynamic
+from intentforge.experiments import coverage_proxy, run_scene
 from intentforge.intention import (KMeansConfig, _coalesce, _kmeanspp,
                                    _lloyd, dynamic_intents, weighted_kmeans)
 from intentforge.lane_assoc import AssocConfig, associate
@@ -254,7 +254,7 @@ def test_criterion_8_deviation_mode_bound():
             track = scenario.track(scenario.tracks_to_predict[0])
             if track.gt_endpoint() is None:
                 continue
-            _, rset, _ = scene_dynamic(scenario, track)
+            _, _, rset = run_scene(scenario)[0]
             if rset is None:
                 continue
             node_d = gt_deviation(track, rset, "node")

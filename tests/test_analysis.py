@@ -60,6 +60,19 @@ def test_min_fde_invalid_horizon_state():
     assert min_fde(pred, track, 5) == 0.0
 
 
+@pytest.mark.parametrize("where", ["trajectory", "confidence"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prediction_set_rejects_non_finite(where, bad):
+    traj = np.zeros((2, 80, 2))
+    conf = np.array([0.5, 0.25])
+    if where == "trajectory":
+        traj[1, 40, 0] = bad
+    else:
+        conf[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PredictionSet("a0", traj, conf)
+
+
 def test_min_fde_matches_exhaustive_scan():
     rng = np.random.default_rng(0)
     track = vehicle_track((0, 0), speed=6.0)

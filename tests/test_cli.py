@@ -1,12 +1,15 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import from_agent_frame, point_to_polyline_distance
+from intentforge import cli
 from intentforge.cli import main
-from intentforge.intention import from_agent_frame
-from intentforge.map_model import (parse_scenario, point_to_polyline_distance,
-                                   write_scenario)
+from intentforge.map_model import parse_scenario, write_scenario
 from intentforge.scenario_gen import generate_suite
 
 
@@ -62,13 +65,25 @@ def test_gen_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("INTENTFORGE_SEED", "7")
     assert main(["gen", "--template", "straight", "-o",
                  str(tmp_path / "env")]) == 0
-    monkeypatch.delenv("INTENTFORGE_SEED")
+    monkeypatch.setenv("INTENTFORGE_SEED", "ignored when --seed is given")
     assert main(["gen", "--template", "straight", "--seed", "7", "-o",
                  str(tmp_path / "flag")]) == 0
     env_files = sorted((tmp_path / "env").glob("*.json"))
     flag_files = sorted((tmp_path / "flag").glob("*.json"))
     assert [f.name for f in env_files] == [f.name for f in flag_files]
     assert env_files[0].read_bytes() == flag_files[0].read_bytes()
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["flag", "env"])
+def test_gen_negative_seed_exits_2(tmp_path, monkeypatch, capsys, env):
+    argv = ["gen", "--suite", "1", "-o", str(tmp_path / "s")]
+    if env:
+        monkeypatch.setenv("INTENTFORGE_SEED", "-1")
+    else:
+        argv[1:1] = ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config violation") and err.count("\n") == 1
 
 
 def test_gen_suite(tmp_path):
@@ -204,9 +219,12 @@ def test_intents_bad_config_exits_2(tmp_path):
     ["--seed", "-1"],
     ["--proximity-limit", "inf"],
     {"deviation_mode": "bogus"},
+    {"exclude_parked": "false"},
+    {"window": 7500.9},
 ], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
         "max_iterations_0", "dynamic_weight_inf", "seed_negative",
-        "proximity_limit_inf", "config_deviation_mode"])
+        "proximity_limit_inf", "config_deviation_mode",
+        "config_exclude_parked_string", "config_window_float"])
 def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                                                         extra):
     scenes, _ = write_suite(tmp_path, n=1)
@@ -220,6 +238,20 @@ def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: config violation") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("row", [
+    "vehicle,1.0", "vehicle,east,0.0", "vehicle,nan,0.0",
+], ids=["two_columns", "non_numeric_x", "non_finite_x"])
+def test_intents_malformed_endpoints_row_exits_1(tmp_path, capsys, row):
+    scenes, _ = write_suite(tmp_path, n=1)
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text(f"class,x,y\nvehicle,5.0,0.0\n{row}\n")
+    assert main(["intents", str(scenes), "--kind", "static",
+                 "--endpoints", str(endpoints),
+                 "-o", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{endpoints}:3: " in err and err.count("\n") == 1
 
 
 # -- analyze ------------------------------------------------------------------------
@@ -287,6 +319,110 @@ def test_analyze_deterministic_outputs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _edit_row(path, row, column, value):
+    lines = path.read_text().splitlines()
+    parts = lines[row].split(",")
+    parts[column] = value
+    lines[row] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, "1.5", ":3: invalid literal for int()"),
+    (None, None, ":3: duplicate row"),
+    (2, "0.5", ":3: confidence 0.5 differs from 1.0"),
+], ids=["mode_idx_fraction", "duplicate_row", "confidence_changes"])
+def test_analyze_malformed_prediction_row_exits_1(tmp_path, capsys, column,
+                                                  value, message):
+    scenes, suite = write_suite(tmp_path, n=1)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    if column is None:  # step 0 of mode 0 again, on line 3
+        lines = pred.read_text().splitlines()
+        lines.insert(2, lines[1])
+        pred.write_text("\n".join(lines) + "\n")
+    else:
+        _edit_row(pred, 2, column, value)
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}{message}" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("column, rows", [(2, range(1, 81)), (4, [5])],
+                         ids=["confidence", "x"])
+def test_analyze_non_finite_prediction_exits_1(tmp_path, capsys, column, rows):
+    scenes, suite = write_suite(tmp_path, n=1)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    for row in rows:
+        _edit_row(pred, row, column, "nan")
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"agent {suite[0].tracks_to_predict[0]}: " in err
+    assert "finite" in err and err.count("\n") == 1
+
+
+# Each mutation leaves one data row malformed in a way the reader rejects.
+_JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                              blacklist_characters=","), max_size=6).filter(
+    lambda s: not _parses_as_float(s))
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _malformed(draw, lines, numeric_columns, duplicates_rejected):
+    lines = list(lines)
+    row = draw(st.integers(1, len(lines) - 1))
+    parts = lines[row].split(",")
+    kinds = ["drop", "extra", "junk", "non_finite", "bad_byte"]
+    kind = draw(st.sampled_from(kinds + ["duplicate"] * duplicates_rejected))
+    if kind == "drop":
+        del parts[draw(st.integers(0, len(parts) - 1))]
+    elif kind == "extra":
+        parts.insert(draw(st.integers(0, len(parts))), draw(_JUNK))
+    elif kind in ("junk", "non_finite"):
+        value = draw(_JUNK if kind == "junk" else
+                     st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        parts[draw(st.sampled_from(numeric_columns))] = value
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    lines[row] = ",".join(parts)
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "bad_byte":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + b"\xff" + data[at + 1:]
+    return data
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_csv_exits_1_and_never_raises(tmp_path, data):
+    scenes, suite = write_suite(tmp_path, n=1)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text("class,x,y\n" + "".join(
+        f"vehicle,{x:.1f},{x / 10:.1f}\n" for x in range(10, 20)))
+    if data.draw(st.booleans(), label="predictions"):
+        path, columns, duplicates = pred, [1, 2, 3, 4, 5], True
+        argv = ["analyze", str(scenes), "--predictions", f"m={pred}",
+                "--window", "1", "-o", str(tmp_path / "out")]
+    else:
+        path, columns, duplicates = endpoints, [1, 2], False
+        argv = ["intents", str(scenes), "--kind", "static", "--endpoints",
+                str(endpoints), "-o", str(tmp_path / "o.csv")]
+    lines = path.read_text().splitlines()
+    path.write_bytes(data.draw(_malformed(lines, columns, duplicates)))
+    assert main(argv) == 1
+
+
 # -- dump-roadgraph -------------------------------------------------------------------
 
 def test_dump_roadgraph_subcommand(tmp_path):
@@ -298,3 +434,69 @@ def test_dump_roadgraph_subcommand(tmp_path):
     assert len(rows) > 100
     keys = [(r["scenario_id"], r["agent_id"], float(r["arrival_s"])) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_dump_roadgraph_matches_intents_dump(tmp_path):
+    scenes, _ = write_suite(tmp_path, n=6, seed=1,
+                            behaviors=("follow_lane", "offroad_parking"))
+    dump, intents_dump = tmp_path / "rg.csv", tmp_path / "intents_rg.csv"
+    assert main(["dump-roadgraph", str(scenes), "-o", str(dump)]) == 0
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "--dump-roadgraph", str(intents_dump),
+                 "-o", str(tmp_path / "i.csv")]) == 0
+    assert dump.read_bytes() == intents_dump.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
+def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
+    # one off-road scene, so dump-roadgraph writes a note, and one scene
+    # without predictions, so analyze writes a warning
+    scenes, suite = write_suite(tmp_path, n=6, seed=1,
+                                behaviors=("follow_lane", "offroad_parking"))
+    pred = perfect_predictions(tmp_path, suite[:-1], "m")
+    seen = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        out.mkdir()
+        argv = {"intents": ["intents", str(scenes), "--kind", "mixed",
+                            "-o", str(out / "i.csv")],
+                "analyze": ["analyze", str(scenes), "--predictions",
+                            f"m={pred}", "--window", "1", "-o", str(out)],
+                "dump-roadgraph": ["dump-roadgraph", str(scenes),
+                                   "-o", str(out / "rg.csv")]}[command]
+        assert main([*argv, "--jobs", jobs]) == 0
+        seen.append((capsys.readouterr().err,
+                     {f.name: f.read_bytes() for f in out.iterdir()}))
+    assert seen[0] == seen[1]
+    assert seen[0][0] or command == "intents"
+
+
+_CONFIG_FLAGS = {"--config", "--jobs", "--seed", "--k", "--max-iterations",
+                 "--tolerance", "--heading-threshold", "--proximity-limit",
+                 "--backwards-look", "--time-budget", "--speed-offset",
+                 "--dynamic-weight", "--static-weight"}
+
+
+def test_option_strings_and_config_keys_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               for name, p in sub.choices.items()}
+    common = {"-h", "--help", "-o", "--out"}
+    assert options == {
+        "gen": common | {"--template", "--behavior", "--seed",
+                         "--speed-limit", "--suite"},
+        "intents": common | _CONFIG_FLAGS | {"--kind", "--endpoints",
+                                             "--dump-roadgraph"},
+        "analyze": common | _CONFIG_FLAGS | {"--predictions", "--window",
+                                             "--deviation-mode",
+                                             "--exclude-parked"},
+        "dump-roadgraph": common | _CONFIG_FLAGS,
+    }
+    assert cli._DEFAULTS == {
+        "heading_threshold": np.pi / 4, "proximity_limit": 5.0,
+        "backwards_look": 10.0, "time_budget": 8.0, "speed_offset": 6.7056,
+        "k": 64, "max_iterations": 100, "tolerance": 1e-6, "seed": 0,
+        "dynamic_weight": 3.0, "static_weight": 1.0, "window": 7500,
+        "deviation_mode": "node", "exclude_parked": False,
+    }

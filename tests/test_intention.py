@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (convex_hull, kmeanspp_reference, point_in_hull,
-                      vehicle_track)
+from conftest import (convex_hull, from_agent_frame, kmeanspp_reference,
+                      point_in_hull, vehicle_track)
 from intentforge.intention import (IntentionPointSet, KMeansConfig, MixConfig,
                                    _coalesce, _kmeanspp, _lloyd,
-                                   dynamic_intents, from_agent_frame,
-                                   mixed_intents, static_intents,
-                                   to_agent_frame, weighted_kmeans)
+                                   dynamic_intents, mixed_intents,
+                                   static_intents, to_agent_frame,
+                                   weighted_kmeans)
 from intentforge.road_graph import ReachabilitySet
 
 

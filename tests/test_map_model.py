@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_nodes, scenario_of, seg, vehicle_track
+from conftest import (line_nodes, point_to_polyline_distance, scenario_of,
+                      seg, vehicle_track)
 from intentforge.map_model import (InvariantViolation, LaneNeighbor,
                                    MalformedScenario, SchemaViolation,
-                                   VectorMap, parse_scenario,
-                                   point_to_polyline_distance, write_scenario)
+                                   VectorMap, parse_scenario, write_scenario)
 from intentforge.scenario_gen import GenSpec, generate
 
 MINIMAL = {

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import line_nodes, random_road_graph, reach_oracle, seg
+from conftest import (graph_edges, line_nodes, n_edges, random_road_graph,
+                      reach_oracle, scenario_of, seg, stationary_track,
+                      straight_map, vehicle_track)
+from intentforge import experiments
+from intentforge.experiments import run_scene
 from intentforge.lane_assoc import AssociationResult
 from intentforge.map_model import LaneNeighbor, VectorMap
 from intentforge.road_graph import (GraphConfig, build_graph, reach,
@@ -50,7 +54,7 @@ def test_graph_config_rejects_bad_values(bad):
 
 def test_single_two_node_segment_one_edge():
     graph = build_graph(VectorMap([seg(0, [[0, 0], [1, 0]])]))
-    assert graph.n_edges == 1
+    assert n_edges(graph) == 1
     assert graph.adjacency[0] == [(1, travel_time(1.0, MPS_30MPH))]
 
 
@@ -75,9 +79,9 @@ def test_parallel_lanes_lane_change_edges():
     assert a.n_nodes == n and b.n_nodes == n
     graph = build_graph(VectorMap([a, b]))
     intra = 2 * (n - 1)
-    change_edges = [(u, v, w) for u, v, w in graph.edges()
+    change_edges = [(u, v, w) for u, v, w in graph_edges(graph)
                     if graph.seg_ids[u] != graph.seg_ids[v]]
-    assert graph.n_edges == intra + 2 * n
+    assert n_edges(graph) == intra + 2 * n
     assert len(change_edges) == 2 * n
     # every lane-change edge targets the brute-force nearest neighbor node
     for u, v, w in change_edges:
@@ -165,3 +169,21 @@ def test_offset_monotonicity():
     slow_set = set(zip(slow.seg_ids, slow.node_indices))
     fast_set = set(zip(fast.seg_ids, fast.node_indices))
     assert slow_set <= fast_set and len(fast_set) > len(slow_set)
+
+
+def test_run_scene_builds_graph_once_and_only_when_needed(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "build_graph",
+                        lambda *a: built.append(1) or build_graph(*a))
+    vm = straight_map()
+    tracks = [vehicle_track((10, 0), agent_id="a"),
+              stationary_track((50, 30), agent_id="off_road"),
+              vehicle_track((40, 0), agent_id="b"),
+              vehicle_track((60, 0), agent_id="p", object_class="pedestrian")]
+    results = run_scene(scenario_of(vm, tracks))
+    assert len(built) == 1
+    assert [r.track.agent_id for r in results] == ["a", "b", "off_road", "p"]
+    assert [r.assoc is None for r in results] == [False, False, False, True]
+    assert [r.reach_set is None for r in results] == [False, False, True, True]
+    run_scene(scenario_of(vm, tracks[1:2] + tracks[3:]))
+    assert len(built) == 1

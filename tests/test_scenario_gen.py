@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import point_to_polyline_distance
 from intentforge.analysis import gt_deviation
-from intentforge.experiments import scene_dynamic
-from intentforge.map_model import parse_scenario, point_to_polyline_distance, write_scenario
+from intentforge.experiments import run_scene
+from intentforge.map_model import parse_scenario, write_scenario
 from intentforge.scenario_gen import SUPPORTED, GenSpec, generate, generate_suite
 
 
@@ -82,7 +83,7 @@ def test_behavior_labels_are_faithful():
             scenario = generate(GenSpec(template, seed=17,
                                         agent_behavior=behavior))
             track = scenario.track(scenario.tracks_to_predict[0])
-            assoc, rset, _ = scene_dynamic(scenario, track)
+            _, assoc, rset = run_scene(scenario)[0]
             if behavior == "offroad_parking":
                 assert assoc.fallback
                 continue
