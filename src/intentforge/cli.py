@@ -220,7 +220,8 @@ def _write_reach_csv(path, rows):
     _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"), rows)
 
 
-def _intents_for_scenario(scenario, kind, static_sets, cfg: RunConfig):
+def _intents_for_scenario(scenario, kind, static_sets, cfg: RunConfig,
+                          dump: bool):
     if kind == "static":
         results = [(scenario.track(a), None, None)
                    for a in scenario.tracks_to_predict]
@@ -239,7 +240,7 @@ def _intents_for_scenario(scenario, kind, static_sets, cfg: RunConfig):
         rows.extend((track.agent_id, kind_out, str(idx), _fmt_float(x),
                      _fmt_float(y), fallback)
                     for idx, (x, y) in enumerate(points.points))
-    return rows, _reach_rows(scenario, results)
+    return rows, _reach_rows(scenario, results) if dump else []
 
 
 def cmd_intents(args) -> int:
@@ -249,7 +250,8 @@ def cmd_intents(args) -> int:
                       for s in scenarios for a in s.tracks_to_predict})
     static_sets = _static_sets(scenarios, classes, args.endpoints, cfg)
     worker = partial(_intents_for_scenario, kind=args.kind,
-                     static_sets=static_sets, cfg=cfg)
+                     static_sets=static_sets, cfg=cfg,
+                     dump=bool(args.dump_roadgraph))
     results = _pmap(worker, scenarios, args.jobs)
     rows = [r for rows_i, _ in results for r in rows_i]
     rows.sort(key=lambda r: (r[0], r[1], int(r[2])))

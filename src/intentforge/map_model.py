@@ -27,6 +27,21 @@ Positions are meters in a shared global frame, headings are radians in
 Invalid states (valid == 0) carry no numeric guarantees and must be
 skipped by consumers.
 
+The parser also accepts a few odd but legal values, and its array path
+and its per-field path agree on them:
+
+- a timestamp may be any JSON integer, kept exactly, or a bool (written
+  back as 0 or 1);
+- a valid flag may be 0 or 1 written as an int, a float or a bool;
+- the x, y, heading and speed of an invalid state may be anything: a
+  finite number is kept (a bool as 0.0 or 1.0), and a non-numeric or
+  non-finite value becomes 0.0.
+
+An integer beyond float range in a number field, invalid states
+included, is a SchemaViolation; a segment id beyond 64 bits is an
+InvariantViolation; an integer literal beyond Python's int-string digit
+limit is a MalformedScenario.
+
 Parsing validates the schema and the structural invariants (symmetric
 segment connectivity, mutual neighbor references, node spacing in
 (0, 2] m). Scenarios are normalized on construction (segments keyed and
@@ -40,7 +55,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -146,10 +162,12 @@ class _GridIndex:
     def __init__(self, positions: np.ndarray):
         self._positions = positions
         cells = np.floor(positions / _GRID_CELL).astype(np.int64)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i, key in enumerate(map(tuple, cells)):
-            buckets.setdefault(key, []).append(i)
-        self._buckets = {k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()}
+        # a stable sort by cell keeps each bucket's indices ascending
+        order = np.lexsort((cells[:, 1], cells[:, 0]))
+        cells = cells[order]
+        starts = np.flatnonzero((cells[1:] != cells[:-1]).any(axis=1)) + 1
+        keys = map(tuple, cells[np.concatenate(([0], starts))].tolist())
+        self._buckets = dict(zip(keys, np.split(order, starts)))
         self._cell_min = cells.min(axis=0)
         self._cell_max = cells.max(axis=0)
 
@@ -183,6 +201,9 @@ class VectorMap:
             by_id[seg.id] = seg
         self.segments: dict[int, LaneSegment] = dict(sorted(by_id.items()))
         self._validate_connectivity()
+        for sid in self.segments:
+            if not -2**63 <= sid < 2**63:
+                raise InvariantViolation(f"segment id {sid} exceeds 64 bits")
 
         seg_ids, node_idx, pos = [], [], []
         for sid, seg in self.segments.items():
@@ -276,61 +297,115 @@ class AgentState:
         return np.array([self.x, self.y])
 
 
-@dataclass
 class AgentTrack:
-    """One agent: class, dimensions, 11-step history, 80-step future."""
+    """One agent: class, dimensions, 11-step history, 80-step future.
 
-    agent_id: str
-    object_class: str
-    length_m: float
-    width_m: float
-    history: list[AgentState]
-    future: list[AgentState]
+    The 91 states are held as ``timestamps`` (the 91 timestamp indices,
+    exactly as given) and ``states``, a read-only (91, 5) float64 array
+    with columns x, y, heading, speed and valid (1.0 or 0.0); the first
+    HISTORY_LEN rows are the history, the last of them the current state.
+    ``history`` and ``future`` are given, and read back, as lists of
+    AgentState; the parser builds tracks with ``from_arrays`` instead.
+    """
 
-    def __post_init__(self):
-        if self.object_class not in OBJECT_CLASSES:
+    def __init__(self, agent_id: str, object_class: str, length_m: float,
+                 width_m: float, history: Sequence[AgentState],
+                 future: Sequence[AgentState]):
+        def rows(states):
+            return [(s.x, s.y, s.heading, s.speed, bool(s.valid))
+                    for s in states]
+
+        self._setup(agent_id, object_class, length_m, width_m,
+                    [s.timestamp_index for s in (*history, *future)],
+                    rows(history), rows(future))
+
+    @classmethod
+    def from_arrays(cls, agent_id: str, object_class: str, length_m: float,
+                    width_m: float, timestamps: Sequence[int],
+                    history: np.ndarray, future: np.ndarray) -> AgentTrack:
+        """A track from its 91 timestamps and the (11, 5) history and
+        (80, 5) future blocks laid out like ``states``."""
+        track = cls.__new__(cls)
+        track._setup(agent_id, object_class, length_m, width_m, timestamps,
+                     history, future)
+        return track
+
+    def _setup(self, agent_id, object_class, length_m, width_m, timestamps,
+               history, future):
+        if object_class not in OBJECT_CLASSES:
             raise SchemaViolation(
-                f"track {self.agent_id}: class must be one of "
-                f"{'|'.join(OBJECT_CLASSES)}, got {self.object_class!r}")
-        if len(self.history) != HISTORY_LEN:
+                f"track {agent_id}: class must be one of "
+                f"{'|'.join(OBJECT_CLASSES)}, got {object_class!r}")
+        if len(history) != HISTORY_LEN:
             raise InvariantViolation(
-                f"track {self.agent_id}: history must have {HISTORY_LEN} states")
-        if len(self.future) != FUTURE_LEN:
+                f"track {agent_id}: history must have {HISTORY_LEN} states")
+        if len(future) != FUTURE_LEN:
             raise InvariantViolation(
-                f"track {self.agent_id}: future must have {FUTURE_LEN} states")
-        if not self.history[-1].valid:
+                f"track {agent_id}: future must have {FUTURE_LEN} states")
+        states = np.concatenate((history, future), dtype=np.float64)
+        if not states[HISTORY_LEN - 1, 4]:
             raise InvariantViolation(
-                f"track {self.agent_id}: current state (last history entry) "
+                f"track {agent_id}: current state (last history entry) "
                 f"must be valid")
-        for st in (*self.history, *self.future):
-            if not st.valid:
-                continue
-            vals = (st.x, st.y, st.heading, st.speed)
-            if not all(math.isfinite(v) for v in vals):
-                raise InvariantViolation(
-                    f"track {self.agent_id}: non-finite value in valid state "
-                    f"at t={st.timestamp_index}")
-            if not (-math.pi < st.heading <= math.pi):
-                raise InvariantViolation(
-                    f"track {self.agent_id}: heading out of (-pi, pi] at "
-                    f"t={st.timestamp_index}")
+        finite = np.isfinite(states[:, :4]).all(axis=1)
+        heading = states[:, 2]
+        bad = (states[:, 4] != 0) & ~(finite & (-math.pi < heading)
+                                      & (heading <= math.pi))
+        if bad.any():
+            i = int(bad.argmax())
+            reason = ("non-finite value in valid state" if not finite[i]
+                      else "heading out of (-pi, pi]")
+            raise InvariantViolation(
+                f"track {agent_id}: {reason} at t={timestamps[i]}")
+        states.flags.writeable = False
+        self.agent_id = agent_id
+        self.object_class = object_class
+        self.length_m = length_m
+        self.width_m = width_m
+        self.timestamps = tuple(timestamps)
+        self.states = states
+
+    def _state_list(self, rows: slice) -> list[AgentState]:
+        return [AgentState(t, x, y, h, v, ok != 0.0)
+                for t, (x, y, h, v, ok) in zip(self.timestamps[rows],
+                                               self.states[rows].tolist())]
+
+    @cached_property
+    def history(self) -> list[AgentState]:
+        return self._state_list(slice(HISTORY_LEN))
+
+    @cached_property
+    def future(self) -> list[AgentState]:
+        return self._state_list(slice(HISTORY_LEN, None))
 
     @property
     def current_state(self) -> AgentState:
         return self.history[-1]
 
-    @cached_property
+    @property
     def future_xy(self) -> np.ndarray:
-        return np.array([[s.x, s.y] for s in self.future])
+        return self.states[HISTORY_LEN:, :2]
 
     @cached_property
     def future_valid(self) -> np.ndarray:
-        return np.array([s.valid for s in self.future], dtype=bool)
+        return self.states[HISTORY_LEN:, 4] != 0.0
 
     def gt_endpoint(self) -> Optional[np.ndarray]:
         """Ground-truth position at the 8 s horizon, or None if invalid."""
-        last = self.future[-1]
-        return last.position if last.valid else None
+        return self.states[-1, :2].copy() if self.states[-1, 4] else None
+
+    def __eq__(self, other):
+        if not isinstance(other, AgentTrack):
+            return NotImplemented
+        return (self.agent_id == other.agent_id
+                and self.object_class == other.object_class
+                and self.length_m == other.length_m
+                and self.width_m == other.width_m
+                and self.timestamps == other.timestamps
+                and np.array_equal(self.states, other.states))
+
+    def __repr__(self):
+        return f"AgentTrack({self.agent_id!r}, {self.object_class!r})"
 
 
 @dataclass(eq=False)
@@ -372,10 +447,43 @@ def _expect(cond: bool, path: str, reason: str):
         raise SchemaViolation(f"{path}: {reason}")
 
 
+def _float(value, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise SchemaViolation(f"{path}: number out of float range") from None
+
+
 def _num(value, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value), path, "expected finite number")
-    return float(value)
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+            path, "expected finite number")
+    value = _float(value, path)
+    _expect(math.isfinite(value), path, "expected finite number")
+    return value
+
+
+def _invalid_field(value, path: str) -> float:
+    # invalid states carry no guarantees; normalize non-numeric and
+    # non-finite fields so canonical re-serialization stays valid JSON
+    if not isinstance(value, (int, float)):
+        return 0.0
+    value = _float(value, path)
+    return value if math.isfinite(value) else 0.0
+
+
+def _plain_block(rows: list, width: int) -> Optional[np.ndarray]:
+    """``rows`` as an (N, width) float64 array if it is a list of
+    ``width``-element lists of plain JSON numbers (int or float, no bool)
+    within float range, else None. The type checks run over whole blocks
+    at C level; a block that fails them takes the per-field walk, which
+    alone builds error messages and handles the odd-but-legal values."""
+    if (set(map(type, rows)) != {list} or set(map(len, rows)) != {width}
+            or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        return None
+    try:
+        return np.array(rows, dtype=np.float64)
+    except OverflowError:
+        return None
 
 
 def _parse_neighbor(obj, path: str) -> Optional[LaneNeighbor]:
@@ -398,19 +506,21 @@ def _parse_segment(obj, path: str) -> LaneSegment:
     nodes = obj["nodes"]
     _expect(isinstance(nodes, list) and len(nodes) >= 2, f"{path}.nodes",
             "expected array of at least 2 points")
-    parsed = []
-    for i, pt in enumerate(nodes):
-        _expect(isinstance(pt, list) and len(pt) == 2, f"{path}.nodes[{i}]",
-                "expected [x, y]")
-        parsed.append([_num(pt[0], f"{path}.nodes[{i}][0]"),
-                       _num(pt[1], f"{path}.nodes[{i}][1]")])
+    parsed = _plain_block(nodes, 2)
+    if parsed is None or not np.isfinite(parsed).all():
+        parsed = []
+        for i, pt in enumerate(nodes):
+            _expect(isinstance(pt, list) and len(pt) == 2,
+                    f"{path}.nodes[{i}]", "expected [x, y]")
+            parsed.append([_num(pt[0], f"{path}.nodes[{i}][0]"),
+                           _num(pt[1], f"{path}.nodes[{i}][1]")])
     for key in ("exits", "entries"):
         refs = obj[key]
         _expect(isinstance(refs, list) and all(isinstance(r, int) for r in refs),
                 f"{path}.{key}", "expected array of segment ids")
     return LaneSegment(
         id=obj["id"],
-        nodes=np.array(parsed),
+        nodes=np.asarray(parsed, dtype=np.float64),
         speed_limit_mps=_num(obj["speed_limit_mps"], f"{path}.speed_limit_mps"),
         exit_ids=tuple(obj["exits"]),
         entry_ids=tuple(obj["entries"]),
@@ -419,10 +529,23 @@ def _parse_segment(obj, path: str) -> LaneSegment:
     )
 
 
-def _parse_states(rows, path: str, expected_len: int) -> list[AgentState]:
+def _parse_states(rows, path: str, expected_len: int
+                  ) -> tuple[list, np.ndarray]:
+    """The timestamps and the (expected_len, 5) block of x, y, heading,
+    speed and valid of a history or future array."""
     _expect(isinstance(rows, list) and len(rows) == expected_len, path,
             f"expected array of {expected_len} states")
-    out = []
+    block = _plain_block(rows, 6)
+    if block is not None:
+        timestamps = [row[0] for row in rows]
+        values, flags = block[:, 1:5], block[:, 5]
+        valid = flags == 1.0
+        finite = np.isfinite(values)
+        if (set(map(type, timestamps)) == {int}
+                and (valid | (flags == 0.0)).all() and finite[valid].all()):
+            values[~finite] = 0.0
+            return timestamps, block[:, 1:]
+    timestamps, out = [], []
     for i, row in enumerate(rows):
         rpath = f"{path}[{i}]"
         _expect(isinstance(row, list) and len(row) == 6, rpath,
@@ -430,16 +553,11 @@ def _parse_states(rows, path: str, expected_len: int) -> list[AgentState]:
         t, x, y, h, v, ok = row
         _expect(isinstance(t, int), f"{rpath}[0]", "expected integer timestamp")
         _expect(ok in (0, 1), f"{rpath}[5]", "expected valid flag 0 or 1")
-        if ok:
-            out.append(AgentState(t, _num(x, rpath), _num(y, rpath),
-                                  _num(h, rpath), _num(v, rpath), True))
-        else:
-            # invalid states carry no guarantees; normalize non-finite
-            # fields so canonical re-serialization stays valid JSON
-            vals = [float(f) if isinstance(f, (int, float))
-                    and math.isfinite(f) else 0.0 for f in (x, y, h, v)]
-            out.append(AgentState(t, *vals, False))
-    return out
+        read = _num if ok else _invalid_field
+        timestamps.append(t)
+        out.append([read(f, rpath) for f in (x, y, h, v)]
+                   + [1.0 if ok else 0.0])
+    return timestamps, np.array(out, dtype=np.float64)
 
 
 def _parse_track(obj, path: str) -> AgentTrack:
@@ -448,14 +566,15 @@ def _parse_track(obj, path: str) -> AgentTrack:
         _expect(key in obj, path, f"missing field {key!r}")
     _expect(isinstance(obj["agent_id"], str), f"{path}.agent_id",
             "expected string")
-    return AgentTrack(
-        agent_id=obj["agent_id"],
-        object_class=obj["class"],
-        length_m=_num(obj["length_m"], f"{path}.length_m"),
-        width_m=_num(obj["width_m"], f"{path}.width_m"),
-        history=_parse_states(obj["history"], f"{path}.history", HISTORY_LEN),
-        future=_parse_states(obj["future"], f"{path}.future", FUTURE_LEN),
-    )
+    length_m = _num(obj["length_m"], f"{path}.length_m")
+    width_m = _num(obj["width_m"], f"{path}.width_m")
+    history_t, history = _parse_states(obj["history"], f"{path}.history",
+                                       HISTORY_LEN)
+    future_t, future = _parse_states(obj["future"], f"{path}.future",
+                                     FUTURE_LEN)
+    return AgentTrack.from_arrays(obj["agent_id"], obj["class"], length_m,
+                                  width_m, history_t + future_t, history,
+                                  future)
 
 
 def parse_scenario(data: bytes | str) -> Scenario:
@@ -467,7 +586,9 @@ def parse_scenario(data: bytes | str) -> Scenario:
             raise MalformedScenario(f"not UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals beyond
+        # Python's int-string digit limit
         raise MalformedScenario(f"invalid JSON: {exc}") from None
     _expect(isinstance(obj, dict), "$", "expected top-level object")
     for key in ("scenario_id", "map", "tracks", "tracks_to_predict"):
@@ -501,8 +622,18 @@ def _fmt_float(x: float) -> str:
     return format(x, ".6f")
 
 
+class _Raw(str):
+    """Text that ``_emit`` writes as it is."""
+
+
+def _rows(fmt: str, rows) -> _Raw:
+    return _Raw("[" + ",".join(fmt % row for row in rows) + "]")
+
+
 def _emit(value, out: list[str]):
-    if value is None:
+    if type(value) is _Raw:
+        out.append(value)
+    elif value is None:
         out.append("null")
     elif isinstance(value, bool):
         out.append("1" if value else "0")
@@ -532,8 +663,11 @@ def _emit(value, out: list[str]):
         raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _state_row(s: AgentState) -> list:
-    return [s.timestamp_index, s.x, s.y, s.heading, s.speed, 1 if s.valid else 0]
+def _state_rows(track: AgentTrack, rows: slice) -> _Raw:
+    # adding 0.0 turns -0.0 into 0.0, as _fmt_float does
+    values = (track.states[rows] + 0.0).tolist()
+    return _rows("[%d,%.6f,%.6f,%.6f,%.6f,%d]",
+                 ((t, *v) for t, v in zip(track.timestamps[rows], values)))
 
 
 def _neighbor_obj(n: Optional[LaneNeighbor]):
@@ -548,7 +682,8 @@ def write_scenario(scenario: Scenario) -> bytes:
             {
                 "id": seg.id,
                 "speed_limit_mps": float(seg.speed_limit_mps),
-                "nodes": [[float(x), float(y)] for x, y in seg.nodes],
+                "nodes": _rows("[%.6f,%.6f]",
+                               map(tuple, (seg.nodes + 0.0).tolist())),
                 "exits": list(seg.exit_ids),
                 "entries": list(seg.entry_ids),
                 "left": _neighbor_obj(seg.left),
@@ -562,8 +697,8 @@ def write_scenario(scenario: Scenario) -> bytes:
                 "class": t.object_class,
                 "length_m": float(t.length_m),
                 "width_m": float(t.width_m),
-                "history": [_state_row(s) for s in t.history],
-                "future": [_state_row(s) for s in t.future],
+                "history": _state_rows(t, slice(HISTORY_LEN)),
+                "future": _state_rows(t, slice(HISTORY_LEN, None)),
             }
             for t in scenario.tracks
         ],

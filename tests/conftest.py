@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from intentforge.map_model import (AgentState, AgentTrack, LaneSegment,
-                                   Scenario, VectorMap)
+from intentforge.map_model import (FUTURE_LEN, HISTORY_LEN, AgentState,
+                                   AgentTrack, InvariantViolation,
+                                   LaneNeighbor, LaneSegment,
+                                   MalformedScenario, Scenario,
+                                   SchemaViolation, VectorMap,
+                                   write_scenario)
 from intentforge.road_graph import RoadGraph
+from intentforge.scenario_gen import GenSpec, generate
 
 
 def line_nodes(p0, p1, spacing=0.5) -> np.ndarray:
@@ -214,3 +221,219 @@ def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
         chosen.append(best_idx)
         d2 = best_d2
     return pts[np.asarray(chosen)].copy()
+
+
+# -- per-field scenario parser -------------------------------------------------
+# The parser that checks one field at a time, with the per-state track
+# checks: ``parse_scenario`` must return the same scenario or raise the same
+# error. It leaves two faults as they were: a JSON integer beyond float
+# range ends in OverflowError, and one beyond Python's int-string digit
+# limit in ValueError, where ``parse_scenario`` raises a ScenarioError.
+
+def _expect(cond: bool, path: str, reason: str):
+    if not cond:
+        raise SchemaViolation(f"{path}: {reason}")
+
+
+def _num(value, path: str) -> float:
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value), path, "expected finite number")
+    return float(value)
+
+
+def _parse_neighbor(obj, path: str):
+    if obj is None:
+        return None
+    _expect(isinstance(obj, dict), path, "expected object or null")
+    _expect("id" in obj and "change_ok" in obj, path,
+            "neighbor needs fields id, change_ok")
+    _expect(isinstance(obj["id"], int), f"{path}.id", "expected integer")
+    _expect(obj["change_ok"] in (0, 1), f"{path}.change_ok", "expected 0 or 1")
+    return LaneNeighbor(obj["id"], bool(obj["change_ok"]))
+
+
+def _parse_segment(obj, path: str) -> LaneSegment:
+    _expect(isinstance(obj, dict), path, "expected object")
+    for key in ("id", "speed_limit_mps", "nodes", "exits", "entries",
+                "left", "right"):
+        _expect(key in obj, path, f"missing field {key!r}")
+    _expect(isinstance(obj["id"], int), f"{path}.id", "expected integer")
+    nodes = obj["nodes"]
+    _expect(isinstance(nodes, list) and len(nodes) >= 2, f"{path}.nodes",
+            "expected array of at least 2 points")
+    parsed = []
+    for i, pt in enumerate(nodes):
+        _expect(isinstance(pt, list) and len(pt) == 2, f"{path}.nodes[{i}]",
+                "expected [x, y]")
+        parsed.append([_num(pt[0], f"{path}.nodes[{i}][0]"),
+                       _num(pt[1], f"{path}.nodes[{i}][1]")])
+    for key in ("exits", "entries"):
+        refs = obj[key]
+        _expect(isinstance(refs, list) and all(isinstance(r, int) for r in refs),
+                f"{path}.{key}", "expected array of segment ids")
+    return LaneSegment(
+        id=obj["id"],
+        nodes=np.array(parsed),
+        speed_limit_mps=_num(obj["speed_limit_mps"], f"{path}.speed_limit_mps"),
+        exit_ids=tuple(obj["exits"]),
+        entry_ids=tuple(obj["entries"]),
+        left=_parse_neighbor(obj["left"], f"{path}.left"),
+        right=_parse_neighbor(obj["right"], f"{path}.right"),
+    )
+
+
+def _parse_states(rows, path: str, expected_len: int) -> list[AgentState]:
+    _expect(isinstance(rows, list) and len(rows) == expected_len, path,
+            f"expected array of {expected_len} states")
+    out = []
+    for i, row in enumerate(rows):
+        rpath = f"{path}[{i}]"
+        _expect(isinstance(row, list) and len(row) == 6, rpath,
+                "expected [t, x, y, heading, speed, valid]")
+        t, x, y, h, v, ok = row
+        _expect(isinstance(t, int), f"{rpath}[0]", "expected integer timestamp")
+        _expect(ok in (0, 1), f"{rpath}[5]", "expected valid flag 0 or 1")
+        if ok:
+            out.append(AgentState(t, _num(x, rpath), _num(y, rpath),
+                                  _num(h, rpath), _num(v, rpath), True))
+        else:
+            vals = [float(f) if isinstance(f, (int, float))
+                    and math.isfinite(f) else 0.0 for f in (x, y, h, v)]
+            out.append(AgentState(t, *vals, False))
+    return out
+
+
+def _check_track(agent_id, object_class, history, future):
+    if object_class not in ("vehicle", "pedestrian", "cyclist"):
+        raise SchemaViolation(
+            f"track {agent_id}: class must be one of "
+            f"vehicle|pedestrian|cyclist, got {object_class!r}")
+    if not history[-1].valid:
+        raise InvariantViolation(
+            f"track {agent_id}: current state (last history entry) "
+            f"must be valid")
+    for st in (*history, *future):
+        if not st.valid:
+            continue
+        if not all(math.isfinite(v) for v in (st.x, st.y, st.heading,
+                                               st.speed)):
+            raise InvariantViolation(
+                f"track {agent_id}: non-finite value in valid state "
+                f"at t={st.timestamp_index}")
+        if not (-math.pi < st.heading <= math.pi):
+            raise InvariantViolation(
+                f"track {agent_id}: heading out of (-pi, pi] at "
+                f"t={st.timestamp_index}")
+
+
+def _parse_track(obj, path: str) -> AgentTrack:
+    _expect(isinstance(obj, dict), path, "expected object")
+    for key in ("agent_id", "class", "length_m", "width_m", "history", "future"):
+        _expect(key in obj, path, f"missing field {key!r}")
+    _expect(isinstance(obj["agent_id"], str), f"{path}.agent_id",
+            "expected string")
+    fields = dict(
+        agent_id=obj["agent_id"],
+        object_class=obj["class"],
+        length_m=_num(obj["length_m"], f"{path}.length_m"),
+        width_m=_num(obj["width_m"], f"{path}.width_m"),
+        history=_parse_states(obj["history"], f"{path}.history", HISTORY_LEN),
+        future=_parse_states(obj["future"], f"{path}.future", FUTURE_LEN),
+    )
+    _check_track(fields["agent_id"], fields["object_class"],
+                 fields["history"], fields["future"])
+    return AgentTrack(**fields)
+
+
+def parse_scenario_reference(data: bytes) -> Scenario:
+    try:
+        data = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedScenario(f"not UTF-8: {exc}") from None
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedScenario(f"invalid JSON: {exc}") from None
+    _expect(isinstance(obj, dict), "$", "expected top-level object")
+    for key in ("scenario_id", "map", "tracks", "tracks_to_predict"):
+        _expect(key in obj, "$", f"missing field {key!r}")
+    _expect(isinstance(obj["scenario_id"], str), "scenario_id", "expected string")
+    _expect(isinstance(obj["map"], dict) and "segments" in obj["map"],
+            "map", "expected object with field 'segments'")
+    segs_raw = obj["map"]["segments"]
+    _expect(isinstance(segs_raw, list), "map.segments", "expected array")
+    segments = [_parse_segment(s, f"map.segments[{i}]")
+                for i, s in enumerate(segs_raw)]
+    tracks_raw = obj["tracks"]
+    _expect(isinstance(tracks_raw, list), "tracks", "expected array")
+    tracks = [_parse_track(t, f"tracks[{i}]") for i, t in enumerate(tracks_raw)]
+    ttp = obj["tracks_to_predict"]
+    _expect(isinstance(ttp, list) and all(isinstance(a, str) for a in ttp),
+            "tracks_to_predict", "expected array of agent id strings")
+    return Scenario(
+        scenario_id=obj["scenario_id"],
+        vector_map=VectorMap(segments),
+        tracks=tracks,
+        tracks_to_predict=tuple(ttp),
+    )
+
+
+# -- scenario mutations ---------------------------------------------------------
+
+HUGE = 10 ** 400      # an integer beyond float range
+# an integer literal beyond Python's 4,300-digit int-string limit
+OVER_DIGIT_LIMIT = "1" + "0" * 4400
+
+# values to put where a scenario file holds a number
+JUNK = [True, False, "1", None, float("nan"), float("inf"), float("-inf"),
+        HUGE, OVER_DIGIT_LIMIT, 0, 1, 2, 0.0, 1.0, -0.0, 3.5, -1e300, [1.0],
+        math.pi, -math.pi]
+
+
+def _canonical_scene() -> dict:
+    return json.loads(write_scenario(
+        generate(GenSpec("merge", seed=2, agent_behavior="lane_merge_violation"))))
+
+
+@st.composite
+def mutated_scene(draw):
+    """The bytes of a canonical scene with one field or row changed,
+    and whether the change used an integer beyond float range or beyond
+    the digit limit."""
+    obj = _canonical_scene()
+    segs, tracks = obj["map"]["segments"], obj["tracks"]
+    track = draw(st.sampled_from(tracks))
+    block = track[draw(st.sampled_from(["history", "future"]))]
+    row = block[draw(st.integers(0, len(block) - 1))]
+    segment = draw(st.sampled_from(segs))
+    node = segment["nodes"][draw(st.integers(0, len(segment["nodes"]) - 1))]
+    kind = draw(st.sampled_from(["node", "segment", "track", "state",
+                                 "flag", "timestamp", "invalid_state",
+                                 "width"]))
+    value = draw(st.sampled_from(JUNK))
+    if kind == "node":
+        node[draw(st.integers(0, 1))] = value
+    elif kind == "segment":
+        segment[draw(st.sampled_from(["id", "speed_limit_mps"]))] = value
+    elif kind == "track":
+        track[draw(st.sampled_from(["length_m", "width_m"]))] = value
+    elif kind == "state":
+        row[draw(st.integers(1, 4))] = value
+    elif kind == "flag":
+        row[5] = draw(st.sampled_from([0, 1, 0.0, 1.0, -0.0, 2, True, False,
+                                       0.5, None, "1"]))
+    elif kind == "timestamp":
+        row[0] = draw(st.sampled_from([True, False, 3.0, -7, 2 ** 70, HUGE,
+                                       OVER_DIGIT_LIMIT, None]))
+    elif kind == "invalid_state":
+        row[5] = draw(st.sampled_from([0, 0.0, False]))
+        for col in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+            row[col] = draw(st.sampled_from(JUNK))
+    else:
+        target = draw(st.sampled_from([row, node]))
+        if draw(st.booleans()):
+            target.append(0.0)
+        else:
+            target.pop()
+    text = json.dumps(obj).replace(f'"{OVER_DIGIT_LIMIT}"', OVER_DIGIT_LIMIT)
+    return text.encode(), str(HUGE) in text

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_agent_frame, point_to_polyline_distance
+from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
+                      point_to_polyline_distance)
 from intentforge import cli
 from intentforge.cli import main
-from intentforge.map_model import parse_scenario, write_scenario
+from intentforge.map_model import ScenarioError, parse_scenario, write_scenario
 from intentforge.scenario_gen import generate_suite
 
 
@@ -421,6 +422,73 @@ def test_mutated_csv_exits_1_and_never_raises(tmp_path, data):
     lines = path.read_text().splitlines()
     path.write_bytes(data.draw(_malformed(lines, columns, duplicates)))
     assert main(argv) == 1
+
+
+# -- malformed scenario files -----------------------------------------------------
+
+def _scene_argv(command, scenes, tmp_path, endpoints=None):
+    argv = [command, str(scenes), "-o", str(tmp_path / "out.csv")]
+    if command == "intents":
+        argv += ["--kind", "dynamic"]
+        if endpoints:
+            argv += ["--endpoints", str(endpoints)]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
+@pytest.mark.parametrize("field, where", [
+    ("node", "map.segments[0].nodes[0][0]"),
+    ("length_m", "tracks[0].length_m"),
+])
+def test_integer_beyond_float_range_exits_1_with_one_line(
+        tmp_path, capsys, command, field, where):
+    scenes, _ = write_suite(tmp_path, n=1)
+    path = next(scenes.glob("*.json"))
+    obj = json.loads(path.read_bytes())
+    if field == "node":
+        obj["map"]["segments"][0]["nodes"][0][0] = HUGE
+    else:
+        obj["tracks"][0]["length_m"] = HUGE
+    path.write_text(json.dumps(obj))
+    assert main(_scene_argv(command, scenes, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: {where}: number out of float range")
+
+
+@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
+def test_integer_beyond_digit_limit_exits_1_with_one_line(tmp_path, capsys,
+                                                           command):
+    scenes, _ = write_suite(tmp_path, n=1)
+    path = next(scenes.glob("*.json"))
+    obj = json.loads(path.read_bytes())
+    obj["tracks"][0]["width_m"] = "@"
+    path.write_text(json.dumps(obj).replace('"@"', OVER_DIGIT_LIMIT))
+    assert main(_scene_argv(command, scenes, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: invalid JSON: ")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_scene())
+def test_mutated_scenario_exits_1_and_never_raises(tmp_path, case):
+    data, _ = case
+    scenes = tmp_path / "scenes"
+    scenes.mkdir(exist_ok=True)
+    (scenes / "scene.json").write_bytes(data)
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text("class,x,y\n" + "".join(
+        f"vehicle,{x:.1f},{x / 10:.1f}\n" for x in range(10, 20)))
+    try:
+        parse_scenario(data)
+        expected = 0
+    except ScenarioError:
+        expected = 1
+    for command in ("dump-roadgraph", "intents"):
+        assert main(_scene_argv(command, scenes, tmp_path, endpoints)) \
+            == expected
 
 
 # -- dump-roadgraph -------------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (line_nodes, point_to_polyline_distance, scenario_of,
-                      seg, vehicle_track)
-from intentforge.map_model import (InvariantViolation, LaneNeighbor,
-                                   MalformedScenario, SchemaViolation,
-                                   VectorMap, parse_scenario, write_scenario)
-from intentforge.scenario_gen import GenSpec, generate
+from conftest import (HUGE, JUNK, OVER_DIGIT_LIMIT, line_nodes, mutated_scene,
+                      parse_scenario_reference, point_to_polyline_distance,
+                      scenario_of, seg, stationary_track, vehicle_track)
+from intentforge.map_model import (AgentState, AgentTrack, InvariantViolation,
+                                   LaneNeighbor, MalformedScenario,
+                                   ScenarioError, SchemaViolation, VectorMap,
+                                   parse_scenario, write_scenario)
+from intentforge.scenario_gen import GenSpec, generate, generate_suite
 
 MINIMAL = {
     "scenario_id": "mini",
@@ -130,6 +132,166 @@ def test_mutual_neighbor_required():
             seg(0, [[0, 0], [1, 0]], left=LaneNeighbor(1, True)),
             seg(1, [[0, 3.5], [1, 3.5]]),  # missing right back-reference
         ])
+
+
+# -- array ingest against the per-field parser ----------------------------------
+
+def _outcome(parse, data):
+    try:
+        return "ok", write_scenario(parse(data))
+    except ScenarioError as exc:
+        return type(exc), str(exc)
+    except (OverflowError, ValueError) as exc:
+        return "crash", type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_scene())
+def test_parse_matches_per_field_reference_on_mutated_scenes(case):
+    data, beyond = case
+    expected = _outcome(parse_scenario_reference, data)
+    got = _outcome(parse_scenario, data)
+    if expected[0] == "crash":
+        assert beyond, expected
+        assert got[0] in (SchemaViolation, MalformedScenario)
+    else:
+        assert got == expected
+
+
+_SITES = {
+    "node": lambda o: (o["map"]["segments"][0]["nodes"][1], 0),
+    "speed_limit": lambda o: (o["map"]["segments"][0], "speed_limit_mps"),
+    "segment_id": lambda o: (o["map"]["segments"][0], "id"),
+    "length_m": lambda o: (o["tracks"][0], "length_m"),
+    "timestamp": lambda o: (o["tracks"][0]["future"][4], 0),
+    "x": lambda o: (o["tracks"][0]["future"][4], 1),
+    "heading": lambda o: (o["tracks"][0]["future"][4], 3),
+    "flag": lambda o: (o["tracks"][0]["future"][4], 5),
+    "current_flag": lambda o: (o["tracks"][0]["history"][10], 5),
+    "invalid_x": lambda o: (o["tracks"][0]["future"][4], 1),
+    "invalid_heading": lambda o: (o["tracks"][0]["future"][4], 3),
+}
+
+
+def test_parse_matches_per_field_reference_at_each_site():
+    for site, locate in _SITES.items():
+        for value in JUNK:
+            obj = json.loads(json.dumps(MINIMAL))
+            container, key = locate(obj)
+            if site.startswith("invalid_"):
+                container[5] = 0
+            container[key] = value
+            text = json.dumps(obj).replace(f'"{OVER_DIGIT_LIMIT}"',
+                                           OVER_DIGIT_LIMIT)
+            expected = _outcome(parse_scenario_reference, text.encode())
+            got = _outcome(parse_scenario, text.encode())
+            if expected[0] == "crash":
+                assert value in (HUGE, OVER_DIGIT_LIMIT), (site, value)
+                assert got[0] in (SchemaViolation, MalformedScenario)
+            else:
+                assert got == expected, (site, value)
+
+
+def test_parse_matches_per_field_reference_on_generated_suite():
+    for scenario in generate_suite(20, seed=4):
+        data = write_scenario(scenario)
+        assert write_scenario(parse_scenario(data)) == data
+        assert parse_scenario(data) == parse_scenario_reference(data)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda o: o["map"]["segments"][0]["nodes"][1].__setitem__(0, HUGE),
+     "map.segments[0].nodes[1][0]: number out of float range"),
+    (lambda o: o["tracks"][0].__setitem__("length_m", HUGE),
+     "tracks[0].length_m: number out of float range"),
+    (lambda o: o["tracks"][0]["future"][3].__setitem__(5, 0)
+     or o["tracks"][0]["future"][3].__setitem__(2, HUGE),
+     "tracks[0].future[3]: number out of float range"),
+], ids=["node", "length_m", "invalid_state"])
+def test_parse_integer_beyond_range_is_schema_violation(mutate, message):
+    obj = json.loads(json.dumps(MINIMAL))
+    mutate(obj)
+    with pytest.raises(SchemaViolation) as err:
+        parse_scenario(json.dumps(obj).encode())
+    assert str(err.value) == message
+
+
+def test_segment_id_beyond_64_bits_is_invariant_violation():
+    obj = json.loads(json.dumps(MINIMAL))
+    obj["map"]["segments"][0]["id"] = 2 ** 63
+    with pytest.raises(InvariantViolation) as err:
+        parse_scenario(json.dumps(obj).encode())
+    assert str(err.value) == f"segment id {2 ** 63} exceeds 64 bits"
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(MINIMAL).replace('"length_m": 4.5',
+                                f'"length_m": {OVER_DIGIT_LIMIT}'),
+    "[" * 100_000,
+], ids=["digit_limit", "nesting"])
+def test_parse_json_beyond_decoder_limits_is_malformed(text):
+    with pytest.raises(MalformedScenario) as err:
+        parse_scenario(text.encode())
+    assert str(err.value).startswith("invalid JSON: ")
+
+
+def test_parse_accepts_odd_but_legal_state_values():
+    obj = json.loads(json.dumps(MINIMAL))
+    history = obj["tracks"][0]["history"]
+    history[0][0] = True               # bool timestamp
+    history[1][5] = 1.0                # float flag
+    history[2][5] = True               # bool flag
+    history[3] = [3, "x", None, float("nan"), True, 0.0]   # invalid state
+    scenario = parse_scenario(json.dumps(obj).encode())
+    states = scenario.tracks[0].history
+    assert states[0].timestamp_index is True
+    assert states[1].valid and states[2].valid
+    assert (states[3].x, states[3].y, states[3].heading, states[3].speed,
+            states[3].valid) == (0.0, 0.0, 0.0, 1.0, False)
+    assert b"[1,0.000000,0.000000,0.000000,1.000000,1]" \
+        in write_scenario(scenario)
+    assert scenario == parse_scenario_reference(json.dumps(obj).encode())
+
+
+# -- AgentTrack ------------------------------------------------------------------
+
+def test_track_arrays_match_agent_states():
+    track = vehicle_track((3.0, -1.0), heading=0.5, speed=4.0,
+                          future_valid=np.arange(80) % 7 != 3)
+    assert track.states.shape == (91, 5) and not track.states.flags.writeable
+    assert track.timestamps == tuple(range(91))
+    rebuilt = AgentTrack(track.agent_id, track.object_class, track.length_m,
+                         track.width_m, track.history, track.future)
+    assert rebuilt == track
+    assert np.array_equal(track.future_xy,
+                          [[s.x, s.y] for s in track.future])
+    assert np.array_equal(track.future_valid,
+                          [s.valid for s in track.future])
+    assert track.current_state == track.history[-1]
+    assert np.array_equal(track.gt_endpoint(), track.future[-1].position)
+    assert stationary_track((1, 2), heading=math.pi).gt_endpoint().tolist() \
+        == [1.0, 2.0]
+    invalid_end = vehicle_track((0, 0), future_valid=np.arange(80) < 79)
+    assert invalid_end.gt_endpoint() is None
+
+
+@pytest.mark.parametrize("index, state, message", [
+    (10, AgentState(10, 0.0, 0.0, 0.0, 1.0, False),
+     "track a0: current state (last history entry) must be valid"),
+    (20, AgentState(20, float("nan"), 0.0, 4.0, 1.0, True),
+     "track a0: non-finite value in valid state at t=20"),
+    (30, AgentState(30, 0.0, 0.0, 4.0, 1.0, True),
+     "track a0: heading out of (-pi, pi] at t=30"),
+    (40, AgentState(40, 0.0, 0.0, -math.pi, 1.0, True),
+     "track a0: heading out of (-pi, pi] at t=40"),
+])
+def test_track_rejects_bad_states(index, state, message):
+    states = stationary_track((0, 0)).history + stationary_track((0, 0)).future
+    states[index] = state
+    states[50] = AgentState(50, 0.0, 0.0, 9.0, 1.0, True)   # a later error
+    with pytest.raises(InvariantViolation) as err:
+        AgentTrack("a0", "vehicle", 4.8, 2.1, states[:11], states[11:])
+    assert str(err.value) == message
 
 
 # -- nearest_nodes -----------------------------------------------------------

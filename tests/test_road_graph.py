@@ -10,8 +10,8 @@ from intentforge import experiments
 from intentforge.experiments import run_scene
 from intentforge.lane_assoc import AssociationResult
 from intentforge.map_model import LaneNeighbor, VectorMap
-from intentforge.road_graph import (GraphConfig, build_graph, reach,
-                                    travel_time)
+from intentforge.road_graph import (GraphConfig, RoadGraph, build_graph,
+                                    reach, travel_time)
 
 MPS_30MPH = 13.4112
 OFFSET_15MPH = 6.7056
@@ -69,6 +69,21 @@ def test_exit_connector_is_one_way():
     weights = dict(graph.adjacency[last_a])
     assert weights.get(first_b) == 0.0  # coincident endpoints
     assert all(v != last_a for v, _ in graph.adjacency[first_b])
+
+
+def test_index_of_finds_every_node_and_rejects_unknown():
+    vm = VectorMap([seg(3, line_nodes((0, 0), (5, 0))),
+                    seg(1, line_nodes((0, 3.5), (4, 3.5)))])
+    graph = build_graph(vm)
+    perm = np.random.default_rng(0).permutation(graph.n_nodes)
+    shuffled = RoadGraph(graph.seg_ids[perm], graph.node_indices[perm],
+                         graph.positions[perm], [[] for _ in perm])
+    for g in (graph, shuffled):
+        for i, (s, n) in enumerate(zip(g.seg_ids, g.node_indices)):
+            assert g.index_of(int(s), int(n)) == i
+        for key in [(0, 0), (1, -1), (1, 9), (2, 0), (3, 11), (4, 0)]:
+            with pytest.raises(KeyError):
+                g.index_of(*key)
 
 
 def test_parallel_lanes_lane_change_edges():
