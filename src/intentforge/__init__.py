@@ -1,10 +1,10 @@
 """Scene-conditioned, statistical, and hybrid trajectory intention points
 over vectorized lane maps, plus map-conformance analysis tooling."""
 
-from .analysis import (DeviationRecord, FilterReport, PredictionSet, coverage,
-                       detect_parked, deviation_curve, filter_dataset,
-                       gt_deviation, min_ade, min_fde, miss_rate,
-                       moving_average)
+from .analysis import (DeviationRecord, PredictionSet, coverage,
+                       detect_parked, deviation_curve, gt_deviation, min_ade,
+                       min_fde, miss_rate, moving_average)
+from .experiments import FilterReport, filter_dataset
 from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
                         dynamic_intents, mixed_intents, static_intents,
                         to_agent_frame, weighted_kmeans)

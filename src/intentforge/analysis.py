@@ -1,8 +1,8 @@
 """Prediction-quality analysis over externally supplied prediction files.
 
-Covers dataset filtering, displacement metrics (minADE / minFDE / miss
-rate), ground-truth deviation from the legal road graph, sliding-window
-smoothing, and the deviation-vs-minFDE curve.
+Covers displacement metrics (minADE / minFDE / miss rate), ground-truth
+deviation from the legal road graph, sliding-window smoothing, the
+deviation-vs-minFDE curve, and coverage.
 
 Miss-rate thresholds follow the Waymo Open Motion benchmark definition:
 lateral / longitudinal boxes of (1.0, 2.0) m at 3 s, (1.8, 3.6) m at
@@ -15,12 +15,10 @@ inclusive (a mode exactly on the threshold counts as a hit).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lane_assoc import AssocConfig, associate
 from .map_model import FUTURE_LEN, AgentTrack
 from .road_graph import ReachabilitySet
 
@@ -31,7 +29,6 @@ MR_LONGITUDINAL = {3: 2.0, 5: 3.6, 8: 6.0}
 MR_SPEED_LOW, MR_SPEED_HIGH = 1.4, 11.0
 MR_SCALE_LOW, MR_SCALE_HIGH = 0.5, 1.0
 
-MAX_PLAUSIBLE_SPEED = 60.0   # m/s between consecutive valid GT samples
 PARKED_DISPLACEMENT = 1.0    # m of total GT path length over 8 s
 MAX_MODES = 6
 
@@ -170,69 +167,6 @@ def detect_parked(track: AgentTrack) -> bool:
         return True
     steps = np.hypot(*(xy[1:] - xy[:-1]).T)
     return float(steps.sum()) < PARKED_DISPLACEMENT
-
-
-def _implausible_gt(track: AgentTrack) -> bool:
-    idx = np.nonzero(track.future_valid)[0]
-    if idx.size < 2:
-        return False
-    xy = track.future_xy[idx]
-    dt = np.diff(idx) / 10.0
-    speed = np.hypot(*(xy[1:] - xy[:-1]).T) / dt
-    return bool((speed > MAX_PLAUSIBLE_SPEED).any())
-
-
-@dataclass
-class FilterReport:
-    total: int = 0
-    excluded_non_vehicle: int = 0
-    excluded_no_dynamic: int = 0
-    excluded_invalid_gt: int = 0
-    remaining: int = 0
-
-    def consistent(self) -> bool:
-        return self.total == (self.remaining + self.excluded_non_vehicle
-                              + self.excluded_no_dynamic
-                              + self.excluded_invalid_gt)
-
-
-FilteredItem = namedtuple("FilteredItem",
-                          ["scenario", "track", "association", "prediction"])
-
-
-def filter_dataset(scenarios, predictions=None,
-                   assoc_cfg: AssocConfig | None = None):
-    """Keep prediction targets suitable for scene-conditioned intents.
-
-    Walks every track in tracks_to_predict and drops, in order:
-    non-vehicles, vehicles without a valid lane association, and tracks
-    with an invalid 8 s endpoint or implausible GT (inter-step speed
-    above 60 m/s). ``predictions`` optionally maps agent_id to a
-    per-model dict and is attached to the surviving items.
-    """
-    assoc_cfg = assoc_cfg or AssocConfig()
-    predictions = predictions or {}
-    report = FilterReport()
-    kept: list[FilteredItem] = []
-    for scenario in scenarios:
-        for agent_id in scenario.tracks_to_predict:
-            track = scenario.track(agent_id)
-            report.total += 1
-            if track.object_class != "vehicle":
-                report.excluded_non_vehicle += 1
-                continue
-            assoc = associate(scenario.vector_map, track, assoc_cfg)
-            if assoc.fallback:
-                report.excluded_no_dynamic += 1
-                continue
-            if track.gt_endpoint() is None or _implausible_gt(track):
-                report.excluded_invalid_gt += 1
-                continue
-            report.remaining += 1
-            kept.append(FilteredItem(scenario, track, assoc,
-                                     predictions.get(agent_id)))
-    assert report.consistent()
-    return kept, report
 
 
 def moving_average(values, window: int) -> np.ndarray:

@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (DeviationRecord, PredictionSet, detect_parked,
-                       deviation_curve, filter_dataset, gt_deviation, min_fde)
+                       deviation_curve, gt_deviation, min_fde)
 from .experiments import (DEVIATION_MODES, RunConfig, agent_frame_endpoint,
-                          pooled_static, run_scene)
+                          filter_dataset, pooled_static, run_scene)
 from .intention import (IntentionPointSet, dynamic_intents, mixed_intents,
                         static_intents)
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
-from .road_graph import build_graph, reach
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
 from .analysis import coverage as coverage_of
 
@@ -55,6 +54,8 @@ class DataError(Exception):
 
 
 def _resolve_config(args) -> RunConfig:
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError("--jobs must be >= 1")
     values = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -143,9 +144,12 @@ def _write_csv(path, header, rows):
 
 
 def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
+    # the pool forks all its workers at the first submit: start no more
+    # than there are items
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -208,10 +212,11 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
 
 def _reach_rows(scenario, results) -> list[tuple]:
     """Reachability CSV rows of every agent that has a reachable set."""
-    return [(scenario.scenario_id, track.agent_id, _fmt_float(p[0]),
-             _fmt_float(p[1]), _fmt_float(t))
+    return [(scenario.scenario_id, track.agent_id, _fmt_float(x),
+             _fmt_float(y), _fmt_float(t))
             for track, _, reach_set in results if reach_set is not None
-            for _, _, p, t in reach_set.entries()]
+            for (x, y), t in zip(reach_set.positions.tolist(),
+                                 reach_set.arrival_times.tolist())]
 
 
 def _write_reach_csv(path, rows):
@@ -305,28 +310,23 @@ def _load_prediction_csv(path) -> dict[str, PredictionSet]:
     return out
 
 
-def _analyze_scenario(bundle, model_names, cfg: RunConfig, static_set):
-    scenario, entries = bundle
-    graph = build_graph(scenario.vector_map, cfg.graph)
-    records, cov_rows, skipped = [], [], 0
-    for track, assoc, preds in entries:
-        reach_set = reach(graph, assoc, cfg.graph)
-        deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
-        endpoint = agent_frame_endpoint(track)
-        dyn = dynamic_intents(reach_set, track, cfg.kmeans)
-        mixed = mixed_intents(dyn, static_set, cfg.mix, cfg.kmeans)
-        for kind, pts in (("static", static_set), ("dynamic", dyn),
-                          ("mixed", mixed)):
-            cov_rows.append((track.agent_id, kind,
-                             _fmt_float(coverage_of(pts, endpoint))))
-        if preds is None or any(m not in preds for m in model_names):
-            skipped += 1
-            continue
-        records.append(DeviationRecord(
-            track.agent_id, deviation,
-            {m: min_fde(preds[m], track, 8) for m in model_names},
-            detect_parked(track)))
-    return records, cov_rows, skipped
+def _analyze_agent(agent, model_names, cfg: RunConfig, static_set):
+    """(deviation record, coverage rows) of one kept agent; the record is
+    None when some model has no prediction for it."""
+    track, reach_set, preds = agent
+    deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
+    endpoint = agent_frame_endpoint(track)
+    dyn = dynamic_intents(reach_set, track, cfg.kmeans)
+    mixed = mixed_intents(dyn, static_set, cfg.mix, cfg.kmeans)
+    cov_rows = [(track.agent_id, kind, _fmt_float(coverage_of(pts, endpoint)))
+                for kind, pts in (("static", static_set), ("dynamic", dyn),
+                                  ("mixed", mixed))]
+    if preds is None or any(m not in preds for m in model_names):
+        return None, cov_rows
+    return DeviationRecord(
+        track.agent_id, deviation,
+        {m: min_fde(preds[m], track, 8) for m in model_names},
+        detect_parked(track)), cov_rows
 
 
 def cmd_analyze(args) -> int:
@@ -348,26 +348,21 @@ def cmd_analyze(args) -> int:
         for aid, ps in preds.items():
             merged.setdefault(aid, {})[name] = ps
 
-    items, report = filter_dataset(scenarios, merged, cfg.assoc)
+    items, report = filter_dataset(scenarios, merged, cfg)
     try:
         static_set = pooled_static(scenarios, "vehicle", cfg.kmeans)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
-    by_scenario: dict[str, tuple] = {}
-    for item in items:
-        by_scenario.setdefault(item.scenario.scenario_id,
-                               (item.scenario, []))[1].append(
-            (item.track, item.association, item.prediction))
-    bundles = [by_scenario[sid] for sid in sorted(by_scenario)]
-    worker = partial(_analyze_scenario, model_names=model_names, cfg=cfg,
+    worker = partial(_analyze_agent, model_names=model_names, cfg=cfg,
                      static_set=static_set)
-    results = _pmap(worker, bundles, args.jobs)
+    results = _pmap(worker, [(it.track, it.reach_set, it.prediction)
+                             for it in items], args.jobs)
 
-    records = [r for recs, _, _ in results for r in recs]
-    cov_rows = sorted((c for _, covs, _ in results for c in covs),
+    records = [r for r, _ in results if r is not None]
+    cov_rows = sorted((c for _, covs in results for c in covs),
                       key=lambda c: (c[0], c[1]))
-    skipped = sum(s for _, _, s in results)
+    skipped = len(results) - len(records)
     if skipped:
         print(f"warning: skipped {skipped} agent(s) lacking predictions "
               f"for every model", file=sys.stderr)

@@ -1,16 +1,19 @@
 """The per-scene pipeline and the experiments built on it.
 
 ``run_scene`` runs lane association and reachability for one scene under
-a ``RunConfig``; the CLI and both experiments use it. The experiments
-back the scripts in scripts/: the mixed-ratio coverage table (how
-strongly to weight scene-conditioned points against statistical ones
-when pooling) and the coverage proxy comparing static, dynamic, and
-mixed intention sets against ground-truth endpoints.
+a ``RunConfig``; the CLI and both experiments use it, and
+``filter_dataset`` sorts its results into the targets that ``analyze``
+keeps and the ones it excludes. The experiments back the scripts in
+scripts/: the mixed-ratio coverage table (how strongly to weight
+scene-conditioned points against statistical ones when pooling) and the
+coverage proxy comparing static, dynamic, and mixed intention sets
+against ground-truth endpoints.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +75,8 @@ class RunConfig:
         if isinstance(self.window, bool) or not isinstance(self.window,
                                                            numbers.Integral):
             raise ValueError("window must be an integer")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if self.deviation_mode not in DEVIATION_MODES:
             raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
         if not isinstance(self.exclude_parked, bool):
@@ -104,6 +109,66 @@ def run_scene(scenario: Scenario,
                 reach_set = reach(graph, assoc, cfg.graph)
         out.append(AgentResult(track, assoc, reach_set))
     return out
+
+
+MAX_PLAUSIBLE_SPEED = 60.0   # m/s between consecutive valid GT samples
+
+
+def _implausible_gt(track: AgentTrack) -> bool:
+    idx = np.nonzero(track.future_valid)[0]
+    if idx.size < 2:
+        return False
+    xy = track.future_xy[idx]
+    dt = np.diff(idx) / 10.0
+    speed = np.hypot(*(xy[1:] - xy[:-1]).T) / dt
+    return bool((speed > MAX_PLAUSIBLE_SPEED).any())
+
+
+@dataclass
+class FilterReport:
+    total: int = 0
+    excluded_non_vehicle: int = 0
+    excluded_no_dynamic: int = 0
+    excluded_invalid_gt: int = 0
+    remaining: int = 0
+
+    def consistent(self) -> bool:
+        return self.total == (self.remaining + self.excluded_non_vehicle
+                              + self.excluded_no_dynamic
+                              + self.excluded_invalid_gt)
+
+
+FilteredItem = namedtuple("FilteredItem", ["scenario", "track", "association",
+                                           "reach_set", "prediction"])
+
+
+def filter_dataset(scenarios, predictions=None, cfg: RunConfig = RunConfig()):
+    """Keep prediction targets suitable for scene-conditioned intents.
+
+    Runs ``run_scene`` on every scenario and drops, in order:
+    non-vehicles, vehicles without a valid lane association, and tracks
+    with an invalid 8 s endpoint or implausible GT (inter-step speed
+    above 60 m/s). ``predictions`` optionally maps agent_id to a
+    per-model dict and is attached to the surviving items.
+    """
+    predictions = predictions or {}
+    report = FilterReport()
+    kept: list[FilteredItem] = []
+    for scenario in scenarios:
+        for track, assoc, reach_set in run_scene(scenario, cfg):
+            report.total += 1
+            if assoc is None:
+                report.excluded_non_vehicle += 1
+            elif reach_set is None:
+                report.excluded_no_dynamic += 1
+            elif track.gt_endpoint() is None or _implausible_gt(track):
+                report.excluded_invalid_gt += 1
+            else:
+                report.remaining += 1
+                kept.append(FilteredItem(scenario, track, assoc, reach_set,
+                                         predictions.get(track.agent_id)))
+    assert report.consistent()
+    return kept, report
 
 
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,

@@ -141,11 +141,6 @@ class ReachabilitySet:
     def __len__(self) -> int:
         return int(self.arrival_times.shape[0])
 
-    def entries(self):
-        for s, n, p, t in zip(self.seg_ids, self.node_indices,
-                              self.positions, self.arrival_times):
-            yield int(s), int(n), p, float(t)
-
 
 def reach(graph: RoadGraph, starts: AssociationResult,
           cfg: GraphConfig | None = None) -> ReachabilitySet:

@@ -18,9 +18,9 @@ from conftest import (convex_hull, line_nodes, point_in_hull,
 from test_cli import perfect_predictions, write_suite
 
 from intentforge.analysis import (DeviationRecord, deviation_curve,
-                                  filter_dataset, gt_deviation, moving_average)
+                                  gt_deviation, moving_average)
 from intentforge.cli import main as cli_main
-from intentforge.experiments import coverage_proxy, run_scene
+from intentforge.experiments import coverage_proxy, filter_dataset, run_scene
 from intentforge.intention import (KMeansConfig, _coalesce, _kmeanspp,
                                    _lloyd, dynamic_intents, weighted_kmeans)
 from intentforge.lane_assoc import AssocConfig, associate

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_nodes, scenario_of, seg, stationary_track, vehicle_track
-from intentforge.analysis import (DeviationRecord, FilterReport, PredictionSet,
-                                  coverage, detect_parked, deviation_curve,
-                                  filter_dataset, gt_deviation, min_ade,
-                                  min_fde, miss_rate, moving_average)
+from intentforge.analysis import (DeviationRecord, PredictionSet, coverage,
+                                  detect_parked, deviation_curve, gt_deviation,
+                                  min_ade, min_fde, miss_rate, moving_average)
+from intentforge.experiments import FilterReport, filter_dataset
 from intentforge.intention import dynamic_intents, to_agent_frame, KMeansConfig
 from intentforge.map_model import VectorMap
 from intentforge.road_graph import ReachabilitySet
@@ -273,6 +273,7 @@ def test_filter_counts_match_hand_enumeration():
     assert report.consistent()
     assert sorted(it.track.agent_id for it in items) == [
         f"veh{i}" for i in range(6)]
+    assert all(it.reach_set.arrival_times[0] == 0.0 for it in items)
 
 
 def test_filter_attaches_predictions():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
                       point_to_polyline_distance)
-from intentforge import cli
+from intentforge import cli, experiments
 from intentforge.cli import main
 from intentforge.map_model import ScenarioError, parse_scenario, write_scenario
 from intentforge.scenario_gen import generate_suite
@@ -222,10 +222,12 @@ def test_intents_bad_config_exits_2(tmp_path):
     {"deviation_mode": "bogus"},
     {"exclude_parked": "false"},
     {"window": 7500.9},
+    {"window": 0},
 ], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
         "max_iterations_0", "dynamic_weight_inf", "seed_negative",
         "proximity_limit_inf", "config_deviation_mode",
-        "config_exclude_parked_string", "config_window_float"])
+        "config_exclude_parked_string", "config_window_float",
+        "config_window_zero"])
 def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                                                         extra):
     scenes, _ = write_suite(tmp_path, n=1)
@@ -304,6 +306,31 @@ def test_analyze_missing_prediction_skips_and_counts(tmp_path, capsys):
     _, report = read_csv(out / "filter_report.csv")
     assert report[0]["skipped_missing_prediction"] == "1"
     assert "skipped 1 agent" in capsys.readouterr().err
+
+
+def test_analyze_associates_and_builds_graphs_in_run_scene(tmp_path,
+                                                           monkeypatch):
+    scenes, suite = write_suite(tmp_path, n=4, seed=5,
+                                behaviors=("follow_lane", "offroad_parking"))
+    pred = perfect_predictions(tmp_path, suite, "m")
+    associated, graphs = [], []
+
+    def counting(calls, fn):
+        def wrapper(vmap, *args):
+            calls.append(id(vmap))
+            return fn(vmap, *args)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "associate",
+                        counting(associated, experiments.associate))
+    monkeypatch.setattr(experiments, "build_graph",
+                        counting(graphs, experiments.build_graph))
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 0
+    vehicles = sum(s.track(a).object_class == "vehicle"
+                   for s in suite for a in s.tracks_to_predict)
+    assert len(associated) == vehicles > 0
+    assert 0 < len(graphs) == len(set(graphs)) <= len(suite)
 
 
 def test_analyze_deterministic_outputs(tmp_path):
@@ -537,6 +564,45 @@ def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
                      {f.name: f.read_bytes() for f in out.iterdir()}))
     assert seen[0] == seen[1]
     assert seen[0][0] or command == "intents"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
+def test_jobs_below_one_exits_2_before_reading_scenarios(tmp_path, capsys,
+                                                         command, jobs):
+    missing = str(tmp_path / "no_such_dir")
+    argv = {"intents": ["intents", missing, "--kind", "mixed"],
+            "analyze": ["analyze", missing, "--predictions", "m=p.csv"],
+            "dump-roadgraph": ["dump-roadgraph", missing]}[command]
+    assert main([*argv, "--jobs", jobs, "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+
+
+def test_pmap_starts_no_more_workers_than_items(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    scenes, suite = write_suite(tmp_path, n=3)
+    one = scenes / f"{suite[0].scenario_id}.json"
+    for inputs, jobs, expected in ((scenes, "8", [3]), (scenes, "2", [2]),
+                                   (scenes, "1", []), (one, "8", [])):
+        started.clear()
+        assert main(["dump-roadgraph", str(inputs), "--jobs", jobs,
+                     "-o", str(tmp_path / "rg.csv")]) == 0
+        assert started == expected
 
 
 _CONFIG_FLAGS = {"--config", "--jobs", "--seed", "--k", "--max-iterations",
