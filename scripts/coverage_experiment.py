@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from intentforge.experiments import coverage_proxy
+from intentforge.experiments import INTENT_KINDS, coverage_proxy
 
 
 def main():
@@ -21,8 +21,11 @@ def main():
     parser.add_argument("-o", "--out", help="optional per-scene CSV")
     args = parser.parse_args()
 
-    result = coverage_proxy(args.scenes, args.seed)
-    for kind in ("static", "dynamic", "mixed"):
+    try:
+        result = coverage_proxy(args.scenes, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    for kind in INTENT_KINDS:
         vals = result[kind]
         print(f"{kind:8s} mean={vals.mean():.3f} m  "
               f"median={np.median(vals):.3f} m  max={vals.max():.3f} m")

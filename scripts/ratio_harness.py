@@ -23,7 +23,10 @@ def main():
     parser.add_argument("-o", "--out", required=True, help="output CSV")
     args = parser.parse_args()
 
-    rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
+    try:
+        rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
+    except ValueError as exc:
+        parser.error(str(exc))
     lines = ["ratio,scenes,mean_coverage_m"]
     for label, used, mean_cov in rows:
         lines.append(f"{label},{used},{mean_cov:.6f}")

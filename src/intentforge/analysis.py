@@ -61,10 +61,6 @@ class PredictionSet:
         self.trajectories = traj
         self.confidences = conf
 
-    @property
-    def n_modes(self) -> int:
-        return int(self.trajectories.shape[0])
-
 
 def _horizon_state(gt: AgentTrack, horizon: int):
     if horizon not in HORIZON_STEP:

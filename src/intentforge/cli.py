@@ -27,13 +27,13 @@ import numpy as np
 
 from .analysis import (DeviationRecord, PredictionSet, detect_parked,
                        deviation_curve, gt_deviation, min_fde)
-from .experiments import (DEVIATION_MODES, RunConfig, agent_frame_endpoint,
-                          filter_dataset, pooled_static, run_scene)
+from .experiments import (DEVIATION_MODES, INTENT_KINDS, RunConfig,
+                          filter_dataset, intent_coverage, pooled_static,
+                          run_scene)
 from .intention import (IntentionPointSet, dynamic_intents, mixed_intents,
                         static_intents)
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
-from .analysis import coverage as coverage_of
 
 SEED_ENV = "INTENTFORGE_SEED"
 # Config keys and their defaults, from RunConfig's fields: the keys of its
@@ -315,12 +315,8 @@ def _analyze_agent(agent, model_names, cfg: RunConfig, static_set):
     None when some model has no prediction for it."""
     track, reach_set, preds = agent
     deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
-    endpoint = agent_frame_endpoint(track)
-    dyn = dynamic_intents(reach_set, track, cfg.kmeans)
-    mixed = mixed_intents(dyn, static_set, cfg.mix, cfg.kmeans)
-    cov_rows = [(track.agent_id, kind, _fmt_float(coverage_of(pts, endpoint)))
-                for kind, pts in (("static", static_set), ("dynamic", dyn),
-                                  ("mixed", mixed))]
+    cov_rows = [(track.agent_id, kind, _fmt_float(cov)) for kind, cov in zip(
+        INTENT_KINDS, intent_coverage(track, reach_set, static_set, cfg))]
     if preds is None or any(m not in preds for m in model_names):
         return None, cov_rows
     return DeviationRecord(
@@ -356,8 +352,7 @@ def cmd_analyze(args) -> int:
 
     worker = partial(_analyze_agent, model_names=model_names, cfg=cfg,
                      static_set=static_set)
-    results = _pmap(worker, [(it.track, it.reach_set, it.prediction)
-                             for it in items], args.jobs)
+    results = _pmap(worker, items, args.jobs)
 
     records = [r for r, _ in results if r is not None]
     cov_rows = sorted((c for _, covs in results for c in covs),
@@ -437,10 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate synthetic scenario files")
     p_gen.add_argument("--template", choices=TEMPLATES)
-    p_gen.add_argument("--behavior", choices=BEHAVIORS, default="follow_lane")
+    p_gen.add_argument("--behavior", choices=BEHAVIORS,
+                       default=GenSpec.agent_behavior)
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--speed-limit", dest="speed_limit", type=float,
-                       default=13.4112)
+                       default=GenSpec.speed_limit_mps)
     p_gen.add_argument("--suite", type=int,
                        help="generate N randomized scenarios instead")
     p_gen.add_argument("-o", "--out", required=True, help="output directory")
@@ -449,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("intents", help="emit intention point CSV")
     p_int.add_argument("scenarios", nargs="+",
                        help="scenario files or directories")
-    p_int.add_argument("--kind", choices=("static", "dynamic", "mixed"),
-                       required=True)
+    p_int.add_argument("--kind", choices=INTENT_KINDS, required=True)
     p_int.add_argument("--endpoints",
                        help="CSV (class,x,y) of endpoints for static points")
     p_int.add_argument("--dump-roadgraph", dest="dump_roadgraph",

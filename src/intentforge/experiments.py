@@ -1,13 +1,15 @@
 """The per-scene pipeline and the experiments built on it.
 
 ``run_scene`` runs lane association and reachability for one scene under
-a ``RunConfig``; the CLI and both experiments use it, and
-``filter_dataset`` sorts its results into the targets that ``analyze``
-keeps and the ones it excludes. The experiments back the scripts in
-scripts/: the mixed-ratio coverage table (how strongly to weight
-scene-conditioned points against statistical ones when pooling) and the
-coverage proxy comparing static, dynamic, and mixed intention sets
-against ground-truth endpoints.
+a ``RunConfig``; every CLI command uses it. ``filter_dataset`` sorts its
+results into the targets that ``analyze`` keeps and the ones it
+excludes, and ``intent_coverage`` scores one kept target's static,
+dynamic and mixed intention points against its ground-truth endpoint.
+The experiments back the scripts in scripts/ and keep and score agents
+exactly as ``analyze`` does: the mixed-ratio coverage table (how
+strongly to weight scene-conditioned points against statistical ones
+when pooling) and the coverage proxy comparing static, dynamic, and
+mixed intention sets.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ class FilterReport:
                               + self.excluded_invalid_gt)
 
 
-FilteredItem = namedtuple("FilteredItem", ["scenario", "track", "association",
-                                           "reach_set", "prediction"])
+FilteredItem = namedtuple("FilteredItem", ["track", "reach_set", "prediction"])
 
 
 def filter_dataset(scenarios, predictions=None, cfg: RunConfig = RunConfig()):
@@ -165,61 +166,58 @@ def filter_dataset(scenarios, predictions=None, cfg: RunConfig = RunConfig()):
                 report.excluded_invalid_gt += 1
             else:
                 report.remaining += 1
-                kept.append(FilteredItem(scenario, track, assoc, reach_set,
+                kept.append(FilteredItem(track, reach_set,
                                          predictions.get(track.agent_id)))
     assert report.consistent()
     return kept, report
 
 
-def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
-                      ratios=(1.0, 3.0, 5.0),
-                      kmeans_cfg: KMeansConfig | None = None):
-    """Coverage of mixed intention points at several dynamic:static
-    weight ratios over one synthetic suite.
+INTENT_KINDS = ("static", "dynamic", "mixed")
 
-    Returns rows of (ratio label, scenes used, mean coverage in m);
+
+def intent_coverage(track: AgentTrack, reach_set: ReachabilitySet,
+                    static_set: IntentionPointSet, cfg: RunConfig = RunConfig(),
+                    mixes=None) -> list[float]:
+    """Coverage in m of one kept target's intention points: the static
+    set, its dynamic set, then one mixed set per ``MixConfig`` in
+    ``mixes`` (default ``(cfg.mix,)``), in that order."""
+    endpoint = agent_frame_endpoint(track)
+    dyn = dynamic_intents(reach_set, track, cfg.kmeans)
+    mixed = [mixed_intents(dyn, static_set, mix, cfg.kmeans)
+             for mix in ((cfg.mix,) if mixes is None else mixes)]
+    return [coverage(points, endpoint) for points in (static_set, dyn, *mixed)]
+
+
+def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
+                      ratios=(1.0, 3.0, 5.0)):
+    """Mean coverage of mixed intention points at several dynamic:static
+    weight ratios over the targets ``filter_dataset`` keeps from one
+    synthetic suite.
+
+    Returns rows of (ratio label, targets used, mean coverage in m);
     deterministic in (n_scenes, seed, ratios).
     """
-    kmeans_cfg = kmeans_cfg or KMeansConfig()
+    mixes = [MixConfig(r, 1.0) for r in ratios]
     suite = generate_suite(n_scenes, seed)
-    stat = pooled_static(suite, "vehicle", kmeans_cfg)
-    sums = {r: 0.0 for r in ratios}
-    used = 0
-    for scenario in suite:
-        track, _, reach_set = run_scene(scenario)[0]
-        endpoint = agent_frame_endpoint(track)
-        if endpoint is None or reach_set is None:
-            continue
-        dyn = dynamic_intents(reach_set, track, kmeans_cfg)
-        used += 1
-        for r in ratios:
-            mixed = mixed_intents(dyn, stat, MixConfig(r, 1.0), kmeans_cfg)
-            sums[r] += coverage(mixed, endpoint)
-    if used == 0:
+    static_set = pooled_static(suite)
+    items, _ = filter_dataset(suite)
+    if not items:
         raise ValueError("no scene produced dynamic intention points")
-    return [(f"{r:g}:1", used, sums[r] / used) for r in ratios]
+    cols = zip(*(intent_coverage(it.track, it.reach_set, static_set,
+                                 mixes=mixes)[2:] for it in items))
+    n = len(items)
+    # sum() adds left to right like a running total; np.mean sums pairwise
+    return [(f"{r:g}:1", n, sum(col) / n) for r, col in zip(ratios, cols)]
 
 
-def coverage_proxy(n_scenes: int = 1000, seed: int = 0,
-                   kmeans_cfg: KMeansConfig | None = None,
-                   mix_cfg: MixConfig | None = None):
-    """Per-scene coverage of static, dynamic, and mixed sets over a
-    follow-lane suite (every GT endpoint on the road graph)."""
-    kmeans_cfg = kmeans_cfg or KMeansConfig()
-    mix_cfg = mix_cfg or MixConfig()
+def coverage_proxy(n_scenes: int = 1000, seed: int = 0):
+    """Per-target coverage of static, dynamic, and mixed sets over the
+    targets ``filter_dataset`` keeps from a follow-lane suite (every GT
+    endpoint on the road graph); ``skipped`` counts the others."""
     suite = generate_suite(n_scenes, seed, behaviors=("follow_lane",))
-    stat = pooled_static(suite, "vehicle", kmeans_cfg)
-    out = {"static": [], "dynamic": [], "mixed": []}
-    skipped = 0
-    for scenario in suite:
-        track, _, reach_set = run_scene(scenario)[0]
-        endpoint = agent_frame_endpoint(track)
-        if endpoint is None or reach_set is None:
-            skipped += 1
-            continue
-        dyn = dynamic_intents(reach_set, track, kmeans_cfg)
-        mixed = mixed_intents(dyn, stat, mix_cfg, kmeans_cfg)
-        out["static"].append(coverage(stat, endpoint))
-        out["dynamic"].append(coverage(dyn, endpoint))
-        out["mixed"].append(coverage(mixed, endpoint))
-    return {k: np.asarray(v) for k, v in out.items()} | {"skipped": skipped}
+    static_set = pooled_static(suite)
+    items, report = filter_dataset(suite)
+    cols = list(zip(*(intent_coverage(it.track, it.reach_set, static_set)
+                      for it in items))) or [()] * len(INTENT_KINDS)
+    return ({kind: np.asarray(col) for kind, col in zip(INTENT_KINDS, cols)}
+            | {"skipped": report.total - report.remaining})

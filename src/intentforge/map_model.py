@@ -62,9 +62,7 @@ import numpy as np
 
 HISTORY_LEN = 11        # 1 s of past plus the current sample, 10 Hz
 FUTURE_LEN = 80         # 8 s ground-truth horizon, 10 Hz
-SAMPLE_HZ = 10
 MAX_NODE_SPACING = 2.0  # m; bounds the node-vs-polyline distance error
-MPH_TO_MPS = 0.44704
 
 OBJECT_CLASSES = ("vehicle", "pedestrian", "cyclist")
 

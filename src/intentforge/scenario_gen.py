@@ -64,8 +64,8 @@ class GenSpec:
                 f"template {self.template!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.speed_limit_mps <= 0:
-            raise ValueError("speed limit must be > 0")
+        if not 0 < self.speed_limit_mps < math.inf:
+            raise ValueError("speed limit must be finite and > 0")
 
 
 # -- geometry helpers --------------------------------------------------------

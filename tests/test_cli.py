@@ -87,6 +87,16 @@ def test_gen_negative_seed_exits_2(tmp_path, monkeypatch, capsys, env):
     assert err.startswith("error: config violation") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_gen_bad_speed_limit_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "s"
+    assert main(["gen", "--template", "straight", "--speed-limit", value,
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: speed limit must be finite and > 0\n"
+    assert not list(out.glob("*.json"))
+
+
 def test_gen_suite(tmp_path):
     assert main(["gen", "--suite", "5", "--seed", "3",
                  "-o", str(tmp_path / "s")]) == 0
