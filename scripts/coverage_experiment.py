@@ -20,11 +20,12 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--out", help="optional per-scene CSV")
     args = parser.parse_args()
+    if args.scenes < 1:
+        parser.error("--scenes must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
-    try:
-        result = coverage_proxy(args.scenes, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    result = coverage_proxy(args.scenes, args.seed)
     for kind in INTENT_KINDS:
         vals = result[kind]
         print(f"{kind:8s} mean={vals.mean():.3f} m  "

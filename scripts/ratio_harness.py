@@ -8,6 +8,7 @@ Usage:
 """
 
 import argparse
+import math
 from pathlib import Path
 
 from intentforge.experiments import mixed_ratio_table
@@ -22,11 +23,14 @@ def main():
                         help="dynamic:static weight ratios to evaluate")
     parser.add_argument("-o", "--out", required=True, help="output CSV")
     args = parser.parse_args()
+    if args.scenes < 1:
+        parser.error("--scenes must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if not all(0 < r < math.inf for r in args.ratios):
+        parser.error("--ratios must be finite and > 0")
 
-    try:
-        rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
-    except ValueError as exc:
-        parser.error(str(exc))
+    rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
     lines = ["ratio,scenes,mean_coverage_m"]
     for label, used, mean_cov in rows:
         lines.append(f"{label},{used},{mean_cov:.6f}")

@@ -23,6 +23,7 @@ canonical file format.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -380,6 +381,9 @@ def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
     road graph)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError("seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,6 +18,13 @@ from intentforge.map_model import (FUTURE_LEN, HISTORY_LEN, AgentState,
                                    write_scenario)
 from intentforge.road_graph import RoadGraph
 from intentforge.scenario_gen import GenSpec, generate
+
+# scripts that tests start as subprocesses import the package from this
+# checkout, as the test process does
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+              if p])
 
 
 def line_nodes(p0, p1, spacing=0.5) -> np.ndarray:
@@ -221,6 +230,54 @@ def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
         chosen.append(best_idx)
         d2 = best_d2
     return pts[np.asarray(chosen)].copy()
+
+
+def coalesce_reference(points, weights):
+    """Merge exact duplicate points, summing weights, keeping first-seen
+    order: the dict loop that ``intention._coalesce`` must reproduce bit
+    for bit (-0.0 and 0.0 are one key)."""
+    seen: dict[tuple[float, float], int] = {}
+    order: list[int] = []
+    w_out: list[float] = []
+    for i, (x, y) in enumerate(points):
+        key = (float(x), float(y))
+        j = seen.get(key)
+        if j is None:
+            seen[key] = len(order)
+            order.append(i)
+            w_out.append(float(weights[i]))
+        else:
+            w_out[j] += float(weights[i])
+    return points[np.asarray(order)], np.asarray(w_out)
+
+
+def lloyd_reference(pts, weights, centers, cfg):
+    """Weighted Lloyd over the whole distance block in every iteration:
+    ``intention._lloyd`` must return bit-identical centers and as many
+    objectives."""
+    k = centers.shape[0]
+    n = pts.shape[0]
+    objectives = []
+    for _ in range(cfg.max_iterations):
+        pn = np.einsum("ij,ij->i", pts, pts)
+        cn = np.einsum("ij,ij->i", centers, centers)
+        d2 = pn[:, None] + cn[None, :] - 2.0 * (pts @ centers.T)
+        np.maximum(d2, 0.0, out=d2)
+        labels = d2.argmin(axis=1)
+        objectives.append(float((weights * d2[np.arange(n), labels]).sum()))
+        sw = np.bincount(labels, weights=weights, minlength=k)
+        sx = np.bincount(labels, weights=weights * pts[:, 0], minlength=k)
+        sy = np.bincount(labels, weights=weights * pts[:, 1], minlength=k)
+        new_centers = centers.copy()
+        occupied = sw > 0
+        new_centers[occupied, 0] = sx[occupied] / sw[occupied]
+        new_centers[occupied, 1] = sy[occupied] / sw[occupied]
+        shift = math.sqrt(float(((new_centers - centers) ** 2)
+                                .sum(axis=1).max()))
+        centers = new_centers
+        if shift < cfg.tolerance:
+            break
+    return centers, objectives
 
 
 # -- per-field scenario parser -------------------------------------------------

@@ -76,6 +76,10 @@ def test_coverage_proxy_keeps_its_keys_when_nothing_is_kept(monkeypatch):
     ("ratio_harness.py", ["--seed", "-1"]),
     ("ratio_harness.py", ["--ratios", "0"]),
     ("coverage_experiment.py", ["--scenes", "-1"]),
+    ("coverage_experiment.py", ["--scenes", "0"]),
+    ("coverage_experiment.py", ["--seed", "-1"]),
+    ("ratio_harness.py", ["--scenes", "-1"]),
+    ("ratio_harness.py", ["--ratios", "3", "nan"]),
 ])
 def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     res = subprocess.run(
@@ -86,4 +90,5 @@ def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.splitlines()[-1].startswith(f"{script}: error: ")
+    assert f"error: {args[0]} must be" in res.stderr.splitlines()[-1]
     assert not (tmp_path / "out.csv").exists()

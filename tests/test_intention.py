@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (convex_hull, from_agent_frame, kmeanspp_reference,
-                      point_in_hull, vehicle_track)
-from intentforge.intention import (IntentionPointSet, KMeansConfig, MixConfig,
-                                   _coalesce, _kmeanspp, _lloyd,
+from conftest import (coalesce_reference, convex_hull, from_agent_frame,
+                      kmeanspp_reference, lloyd_reference, point_in_hull,
+                      vehicle_track)
+from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
+                                   KMeansConfig, MixConfig, _coalesce,
+                                   _kmeanspp, _lloyd,
                                    dynamic_intents, mixed_intents,
                                    static_intents, to_agent_frame,
                                    weighted_kmeans)
@@ -72,6 +74,16 @@ def test_empty_input_rejected():
 def test_nonpositive_weight_rejected():
     with pytest.raises(ValueError):
         weighted_kmeans(np.array([[0.0, 0.0]]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_weight_rejected(bad):
+    pts = np.arange(40.0).reshape(20, 2)
+    w = np.ones(20)
+    w[7] = bad
+    for weights in (w, np.full(20, bad)):
+        with pytest.raises(ValueError, match="weights must be finite and > 0"):
+            weighted_kmeans(pts, weights, KMeansConfig(k=4))
 
 
 def test_padding_repeats_highest_weight():
@@ -309,6 +321,112 @@ def test_kmeanspp_reference_property(points, k, weighted, seed):
     assert np.array_equal(
         _kmeanspp(pts, w, k, np.random.default_rng(seed)),
         kmeanspp_reference(pts, w, k, np.random.default_rng(seed)))
+
+
+# 0.1 m grid coordinates, with -0.0 among them
+grid_coord = st.one_of(st.integers(-30, 30).map(lambda v: v / 10.0),
+                       st.just(-0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(grid_coord, grid_coord), min_size=1, max_size=300),
+       st.integers(0, 2 ** 32 - 1))
+def test_coalesce_matches_dict_reference(points, seed):
+    pts = np.asarray(points, dtype=float)
+    w = np.random.default_rng(seed).uniform(0.1, 5.0, size=pts.shape[0])
+    got_pts, got_w = _coalesce(pts, w)
+    want_pts, want_w = coalesce_reference(pts, w)
+    assert np.array_equal(got_pts, want_pts)
+    assert np.array_equal(np.signbit(got_pts), np.signbit(want_pts))
+    assert np.array_equal(got_w, want_w)
+
+
+def test_lloyd_matches_whole_block_reference():
+    """Lloyd with distance bounds (large pools) and without (small ones)
+    ends on bit-identical centers to the whole-block loop, after as many
+    iterations, on lattices with tied distances and on random layouts."""
+    rng = np.random.default_rng(1)
+    sizes = set()
+    cases = itertools.product((1, 2, 7, 64), (False, True),
+                              ("uniform", "rounded", "lanes"), range(10))
+    for case, (k, weighted, layout, _) in enumerate(cases):
+        pts = _seeding_input(rng, layout, int(rng.integers(65, 3201)))
+        n = pts.shape[0]
+        w = rng.uniform(0.1, 5.0, size=n) if weighted else np.ones(n)
+        pts, w = _coalesce(pts, w)
+        if pts.shape[0] <= k:
+            continue
+        cfg = KMeansConfig(k=k, seed=case)
+        init = _kmeanspp(pts, w, k, np.random.default_rng(case))
+        got, got_obj = _lloyd(pts, w, init, cfg)
+        want, want_obj = lloyd_reference(pts, w, init, cfg)
+        assert np.array_equal(got, want), (case, n, k, weighted, layout)
+        assert len(got_obj) == len(want_obj), (case, n, k, weighted, layout)
+        sizes.add(pts.shape[0] >= _BOUND_MIN_POINTS)
+    assert sizes == {False, True}
+
+
+def _tie_case(rng, n_side=600):
+    """Two mirror-image clusters, a last point on the bisector of their
+    means, and start centers near those means: the second Lloyd iteration
+    recomputes the last point's row alone, with its two distances tied."""
+    off = rng.normal(0.0, 0.3, size=(n_side, 2))
+    local = np.concatenate([[-5.0, 0.0] + off, [5.0, 0.0] + off * [-1.0, 1.0],
+                            [[-0.2, rng.uniform(-0.5, 0.5)]]])
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(th), -math.sin(th)],
+                    [math.sin(th), math.cos(th)]])
+    pts = local @ rot.T + rng.uniform(-80.0, 80.0, size=2)
+    one = KMeansConfig(k=2, max_iterations=1)
+    for _ in range(5):
+        c, _ = lloyd_reference(pts, np.ones(len(pts)), pts[[-1, n_side]], one)
+        u = (c[1] - c[0]) / np.hypot(*(c[1] - c[0]))
+        pts[-1] -= ((pts[-1] - (c[0] + c[1]) / 2.0) @ u) * u
+    c, _ = lloyd_reference(pts, np.ones(len(pts)), pts[[-1, n_side]], one)
+    c[0] += 0.01 * (pts[-1] - c[0]) / np.hypot(*(pts[-1] - c[0]))
+    return pts, c
+
+
+def test_lloyd_single_row_tie_takes_whole_product_row():
+    """Where a one-row product picks another nearest center than the same
+    row of the whole product, Lloyd still follows the whole block."""
+    flipped = 0
+    for seed in range(300):
+        pts, init = _tie_case(np.random.default_rng(seed))
+        assert len(pts) >= _BOUND_MIN_POINTS
+        w = np.ones(len(pts))
+        cfg = KMeansConfig(k=2)
+        c, _ = lloyd_reference(pts, w, init, KMeansConfig(k=2,
+                                                          max_iterations=1))
+        pn = np.einsum("ij,ij->i", pts, pts)
+        cn = np.einsum("ij,ij->i", c, c)
+        whole = (pn[-1] + cn) - 2.0 * (pts @ c.T)[-1]
+        alone = (pn[-1] + cn) - 2.0 * (pts[-1:] @ c.T)[0]
+        if whole.argmin() == alone.argmin():
+            continue
+        flipped += 1
+        got, _ = _lloyd(pts, w, init, cfg)
+        want, _ = lloyd_reference(pts, w, init, cfg)
+        assert np.array_equal(got, want), seed
+    if not flipped:
+        pytest.skip("one-row products equal the whole product's rows here")
+
+
+@pytest.mark.parametrize("n", [200, 2 * _BOUND_MIN_POINTS])
+def test_lloyd_matches_reference_when_norms_overflow(n):
+    # half the points so far out that their squared norms are inf: the
+    # distance block holds inf and NaN, and so do the bounds
+    rng = np.random.default_rng(n)
+    pts = np.round(rng.uniform(-50.0, 50.0, size=(n, 2)), 1)
+    pts[::2] = rng.uniform(-1.0, 1.0, size=(n - n // 2, 2)) * 1e200
+    pts, w = _coalesce(pts, np.ones(n))
+    init = pts[rng.choice(pts.shape[0], 7, replace=False)]
+    cfg = KMeansConfig(k=7, max_iterations=20)
+    with np.errstate(all="ignore"):
+        got, got_obj = _lloyd(pts, w, init, cfg)
+        want, want_obj = lloyd_reference(pts, w, init, cfg)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert len(got_obj) == len(want_obj)
 
 
 @pytest.mark.parametrize("kwargs", [

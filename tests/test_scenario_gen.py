@@ -60,6 +60,12 @@ def test_suite_singleton():
     assert len(generate_suite(1, seed=4)) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_suite_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        generate_suite(1, seed=seed)
+
+
 def test_suite_deterministic():
     a = [write_scenario(s) for s in generate_suite(12, seed=9)]
     b = [write_scenario(s) for s in generate_suite(12, seed=9)]
