@@ -6,8 +6,9 @@ from .analysis import (DeviationRecord, PredictionSet, coverage,
                        min_fde, miss_rate, moving_average)
 from .experiments import FilterReport, filter_dataset
 from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
-                        dynamic_intents, mixed_intents, static_intents,
-                        to_agent_frame, weighted_kmeans)
+                        dynamic_intents, dynamic_intents_many, dynamic_pool,
+                        mixed_intents, mixed_intents_many, static_intents,
+                        to_agent_frame, weighted_kmeans, weighted_kmeans_many)
 from .lane_assoc import (AssocConfig, AssociationResult, associate,
                          derive_heading, lane_heading_at)
 from .map_model import (AgentState, AgentTrack, InvariantViolation,

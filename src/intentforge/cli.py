@@ -30,12 +30,14 @@ from .analysis import (DeviationRecord, PredictionSet, detect_parked,
 from .experiments import (DEVIATION_MODES, INTENT_KINDS, RunConfig,
                           filter_dataset, intent_coverage, pooled_static,
                           run_scene)
-from .intention import (IntentionPointSet, dynamic_intents, mixed_intents,
-                        static_intents)
+from .intention import (IntentionPointSet, dynamic_intents_many,
+                        dynamic_pool, mixed_intents_many, static_intents)
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
 
 SEED_ENV = "INTENTFORGE_SEED"
+# characters read from a CSV file at a time
+_READ_CHARS = 1 << 20
 # Config keys and their defaults, from RunConfig's fields: the keys of its
 # config groups, then its own fields, which only analyze reads.
 _ANALYSIS_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
@@ -119,15 +121,32 @@ def _load_scenarios(paths):
     return scenarios
 
 
-def _csv_lines(path, header: str) -> list[str]:
-    """The lines of a text file whose first line is ``header``."""
+def _csv_lines(path, header: str):
+    """(line number, line) of each line after the first of a text file
+    whose first line is ``header``. The file is read a block at a time, so
+    a large one is never held whole; each block is cut after its last
+    newline, so the lines are those of ``read_text().splitlines()``."""
+    lineno, rest = 0, ""
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path) as fh:
+            while True:
+                block = fh.read(_READ_CHARS)
+                text = rest + block
+                cut = text.rfind("\n") + 1 if block else len(text)
+                rest = text[cut:]
+                for line in text[:cut].splitlines():
+                    lineno += 1
+                    if lineno > 1:
+                        yield lineno, line
+                    elif line.strip() != header:
+                        raise DataError(
+                            f"{path}: expected header {header!r}")
+                if not block:
+                    break
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if not lines or lines[0].strip() != header:
+    if lineno == 0:
         raise DataError(f"{path}: expected header {header!r}")
-    return lines
 
 
 def _csv_row(path, lineno: int, line: str, width: int) -> list[str]:
@@ -141,6 +160,14 @@ def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _chunks(items, jobs: int) -> list:
+    """``items`` cut into ``min(jobs, len(items))`` contiguous chunks of
+    near-equal size, in order."""
+    n = min(jobs, len(items))
+    return [items[len(items) * i // n:len(items) * (i + 1) // n]
+            for i in range(n)]
 
 
 def _pmap(fn, items, jobs: int):
@@ -185,8 +212,7 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     sets: dict[str, IntentionPointSet] = {}
     if endpoints_file:
         pools: dict[str, list] = {}
-        lines = _csv_lines(endpoints_file, "class,x,y")
-        for i, ln in enumerate(lines[1:], start=2):
+        for i, ln in _csv_lines(endpoints_file, "class,x,y"):
             if not ln.strip():
                 continue
             cls, x, y = _csv_row(endpoints_file, i, ln, 3)
@@ -225,27 +251,40 @@ def _write_reach_csv(path, rows):
     _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"), rows)
 
 
-def _intents_for_scenario(scenario, kind, static_sets, cfg: RunConfig,
-                          dump: bool):
-    if kind == "static":
-        results = [(scenario.track(a), None, None)
-                   for a in scenario.tracks_to_predict]
-    else:
-        results = run_scene(scenario, cfg)
-    rows = []
-    for track, _, reach_set in results:
-        points, kind_out = static_sets[track.object_class], "static"
-        if reach_set is not None:
-            points = dynamic_intents(reach_set, track, cfg.kmeans)
-            kind_out = kind
-            if kind == "mixed":
-                points = mixed_intents(points, static_sets["vehicle"],
-                                       cfg.mix, cfg.kmeans)
-        fallback = "1" if kind != "static" and reach_set is None else "0"
-        rows.extend((track.agent_id, kind_out, str(idx), _fmt_float(x),
-                     _fmt_float(y), fallback)
-                    for idx, (x, y) in enumerate(points.points))
-    return rows, _reach_rows(scenario, results) if dump else []
+def _intents_for_chunk(scenarios, kind, static_sets, cfg: RunConfig,
+                       dump: bool):
+    """(agent id, kind, points, fallback flag) of every target of a run of
+    scenes, and their reach rows when ``dump``. Each agent keeps only its
+    dynamic pool until the pools of all agents are clustered together."""
+    agents, pools, reach_rows = [], [], []
+    for scenario in scenarios:
+        if kind == "static":
+            results = [(scenario.track(a), None, None)
+                       for a in scenario.tracks_to_predict]
+        else:
+            results = run_scene(scenario, cfg)
+        for track, _, reach_set in results:
+            agents.append((track, reach_set is not None))
+            if reach_set is not None:
+                pools.append(dynamic_pool(reach_set, track))
+        if dump:
+            reach_rows.extend(_reach_rows(scenario, results))
+    sets = dynamic_intents_many(pools, cfg.kmeans)
+    # static_sets holds only the classes of the targets: without a reach
+    # set there may be no vehicle target, and nothing to mix
+    if kind == "mixed" and sets:
+        sets = mixed_intents_many(sets, static_sets["vehicle"], cfg.mix,
+                                  cfg.kmeans)
+    sets = iter(sets)
+    out = []
+    for track, reached in agents:
+        if reached:
+            out.append((track.agent_id, kind, next(sets).points, "0"))
+        else:
+            out.append((track.agent_id, "static",
+                        static_sets[track.object_class].points,
+                        "0" if kind == "static" else "1"))
+    return out, reach_rows
 
 
 def cmd_intents(args) -> int:
@@ -254,13 +293,17 @@ def cmd_intents(args) -> int:
     classes = sorted({s.track(a).object_class
                       for s in scenarios for a in s.tracks_to_predict})
     static_sets = _static_sets(scenarios, classes, args.endpoints, cfg)
-    worker = partial(_intents_for_scenario, kind=args.kind,
+    worker = partial(_intents_for_chunk, kind=args.kind,
                      static_sets=static_sets, cfg=cfg,
                      dump=bool(args.dump_roadgraph))
-    results = _pmap(worker, scenarios, args.jobs)
-    rows = [r for rows_i, _ in results for r in rows_i]
-    rows.sort(key=lambda r: (r[0], r[1], int(r[2])))
-    _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"), rows)
+    results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
+    # agent ids are unique, so agent order is (agent, kind, idx) row order
+    agents = sorted((a for agents_i, _ in results for a in agents_i),
+                    key=lambda a: a[0])
+    _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"),
+               ((aid, kind, str(idx), _fmt_float(x), _fmt_float(y), fallback)
+                for aid, kind, points, fallback in agents
+                for idx, (x, y) in enumerate(points.tolist())))
     if args.dump_roadgraph:
         _write_reach_csv(args.dump_roadgraph,
                          [d for _, dump_i in results for d in dump_i])
@@ -270,9 +313,8 @@ def cmd_intents(args) -> int:
 # -- analyze -----------------------------------------------------------------
 
 def _load_prediction_csv(path) -> dict[str, PredictionSet]:
-    lines = _csv_lines(path, "agent_id,mode_idx,confidence,step,x,y")
     acc: dict[str, dict[int, dict]] = {}
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in _csv_lines(path, "agent_id,mode_idx,confidence,step,x,y"):
         if not ln.strip():
             continue
         aid, mode, conf, step, x, y = _csv_row(path, i, ln, 6)
@@ -310,19 +352,23 @@ def _load_prediction_csv(path) -> dict[str, PredictionSet]:
     return out
 
 
-def _analyze_agent(agent, model_names, cfg: RunConfig, static_set):
-    """(deviation record, coverage rows) of one kept agent; the record is
-    None when some model has no prediction for it."""
-    track, reach_set, preds = agent
-    deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
-    cov_rows = [(track.agent_id, kind, _fmt_float(cov)) for kind, cov in zip(
-        INTENT_KINDS, intent_coverage(track, reach_set, static_set, cfg))]
-    if preds is None or any(m not in preds for m in model_names):
-        return None, cov_rows
-    return DeviationRecord(
-        track.agent_id, deviation,
-        {m: min_fde(preds[m], track, 8) for m in model_names},
-        detect_parked(track)), cov_rows
+def _analyze_chunk(items, model_names, cfg: RunConfig, static_set):
+    """(deviation record, coverage rows) of each kept agent of a run of
+    them; the record is None when some model has no prediction for it."""
+    out = []
+    for (track, reach_set, preds), covs in zip(
+            items, intent_coverage(items, static_set, cfg)):
+        deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
+        cov_rows = [(track.agent_id, kind, _fmt_float(cov))
+                    for kind, cov in zip(INTENT_KINDS, covs)]
+        record = None
+        if preds is not None and all(m in preds for m in model_names):
+            record = DeviationRecord(
+                track.agent_id, deviation,
+                {m: min_fde(preds[m], track, 8) for m in model_names},
+                detect_parked(track))
+        out.append((record, cov_rows))
+    return out
 
 
 def cmd_analyze(args) -> int:
@@ -350,9 +396,10 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
-    worker = partial(_analyze_agent, model_names=model_names, cfg=cfg,
+    worker = partial(_analyze_chunk, model_names=model_names, cfg=cfg,
                      static_set=static_set)
-    results = _pmap(worker, items, args.jobs)
+    results = [r for chunk in _pmap(worker, _chunks(items, args.jobs),
+                                    args.jobs) for r in chunk]
 
     records = [r for r, _ in results if r is not None]
     cov_rows = sorted((c for _, covs in results for c in covs),

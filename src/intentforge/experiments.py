@@ -3,8 +3,8 @@
 ``run_scene`` runs lane association and reachability for one scene under
 a ``RunConfig``; every CLI command uses it. ``filter_dataset`` sorts its
 results into the targets that ``analyze`` keeps and the ones it
-excludes, and ``intent_coverage`` scores one kept target's static,
-dynamic and mixed intention points against its ground-truth endpoint.
+excludes, and ``intent_coverage`` scores kept targets' static, dynamic
+and mixed intention points against their ground-truth endpoints.
 The experiments back the scripts in scripts/ and keep and score agents
 exactly as ``analyze`` does: the mixed-ratio coverage table (how
 strongly to weight scene-conditioned points against statistical ones
@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import coverage
-from .intention import (IntentionPointSet, KMeansConfig, MixConfig,
-                        dynamic_intents, mixed_intents, static_intents,
-                        to_agent_frame)
+from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
+                        MixConfig, dynamic_intents_many, dynamic_pool,
+                        mixed_intents_many, static_intents, to_agent_frame)
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
@@ -172,20 +172,22 @@ def filter_dataset(scenarios, predictions=None, cfg: RunConfig = RunConfig()):
     return kept, report
 
 
-INTENT_KINDS = ("static", "dynamic", "mixed")
-
-
-def intent_coverage(track: AgentTrack, reach_set: ReachabilitySet,
-                    static_set: IntentionPointSet, cfg: RunConfig = RunConfig(),
-                    mixes=None) -> list[float]:
-    """Coverage in m of one kept target's intention points: the static
-    set, its dynamic set, then one mixed set per ``MixConfig`` in
-    ``mixes`` (default ``(cfg.mix,)``), in that order."""
-    endpoint = agent_frame_endpoint(track)
-    dyn = dynamic_intents(reach_set, track, cfg.kmeans)
-    mixed = [mixed_intents(dyn, static_set, mix, cfg.kmeans)
+def intent_coverage(items, static_set: IntentionPointSet,
+                    cfg: RunConfig = RunConfig(), mixes=None
+                    ) -> list[list[float]]:
+    """Coverage in m of the intention points of kept targets (items with
+    ``track`` and ``reach_set``, as ``filter_dataset`` returns them): per
+    item, the static set, its dynamic set, then one mixed set per
+    ``MixConfig`` in ``mixes`` (default ``(cfg.mix,)``), in that order.
+    The dynamic sets, and the mixed sets of each mix, are clustered in one
+    batch."""
+    dyns = dynamic_intents_many(
+        [dynamic_pool(it.reach_set, it.track) for it in items], cfg.kmeans)
+    mixed = [mixed_intents_many(dyns, static_set, mix, cfg.kmeans)
              for mix in ((cfg.mix,) if mixes is None else mixes)]
-    return [coverage(points, endpoint) for points in (static_set, dyn, *mixed)]
+    return [[coverage(points, agent_frame_endpoint(it.track))
+             for points in (static_set, *sets)]
+            for it, *sets in zip(items, dyns, *mixed)]
 
 
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
@@ -203,8 +205,8 @@ def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
     items, _ = filter_dataset(suite)
     if not items:
         raise ValueError("no scene produced dynamic intention points")
-    cols = zip(*(intent_coverage(it.track, it.reach_set, static_set,
-                                 mixes=mixes)[2:] for it in items))
+    cols = zip(*(row[2:] for row in intent_coverage(items, static_set,
+                                                    mixes=mixes)))
     n = len(items)
     # sum() adds left to right like a running total; np.mean sums pairwise
     return [(f"{r:g}:1", n, sum(col) / n) for r, col in zip(ratios, cols)]
@@ -217,7 +219,7 @@ def coverage_proxy(n_scenes: int = 1000, seed: int = 0):
     suite = generate_suite(n_scenes, seed, behaviors=("follow_lane",))
     static_set = pooled_static(suite)
     items, report = filter_dataset(suite)
-    cols = list(zip(*(intent_coverage(it.track, it.reach_set, static_set)
-                      for it in items))) or [()] * len(INTENT_KINDS)
+    cols = list(zip(*intent_coverage(items, static_set))) \
+        or [()] * len(INTENT_KINDS)
     return ({kind: np.asarray(col) for kind, col in zip(INTENT_KINDS, cols)}
             | {"skipped": report.total - report.remaining})

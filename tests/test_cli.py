@@ -7,11 +7,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
-                      point_to_polyline_distance)
+                      point_to_polyline_distance, scenario_of, straight_map,
+                      vehicle_track)
 from intentforge import cli, experiments
 from intentforge.cli import main
+from intentforge.analysis import coverage
+from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
+                                   mixed_intents)
 from intentforge.map_model import ScenarioError, parse_scenario, write_scenario
-from intentforge.scenario_gen import generate_suite
+from intentforge.scenario_gen import BEHAVIORS, generate_suite
 
 
 def read_csv(path):
@@ -461,6 +465,29 @@ def test_mutated_csv_exits_1_and_never_raises(tmp_path, data):
     assert main(argv) == 1
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x85\u2028é")),
+       st.integers(1, 9))
+def test_csv_lines_equal_splitlines_of_the_whole_file(tmp_path, monkeypatch,
+                                                      body, block):
+    # blocks of a few characters cut the file inside lines and between
+    # the two characters of "\r\n"
+    monkeypatch.setattr(cli, "_READ_CHARS", block)
+    path = tmp_path / "f.csv"
+    path.write_text("h,x\n" + body, newline="")
+    want = list(enumerate(path.read_text().splitlines()[1:], start=2))
+    assert list(cli._csv_lines(path, "h,x")) == want
+
+
+@pytest.mark.parametrize("text", ["", "\n", "x,h\n1,2\n"])
+def test_csv_lines_without_the_header_is_a_data_error(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(cli.DataError, match="expected header"):
+        list(cli._csv_lines(path, "h,x"))
+
+
 # -- malformed scenario files -----------------------------------------------------
 
 def _scene_argv(command, scenes, tmp_path, endpoints=None):
@@ -574,6 +601,92 @@ def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
                      {f.name: f.read_bytes() for f in out.iterdir()}))
     assert seen[0] == seen[1]
     assert seen[0][0] or command == "intents"
+
+
+def test_batched_outputs_equal_one_agent_calls_at_any_jobs(tmp_path):
+    """intents and analyze cluster the agents of a run together; their
+    rows equal one-agent dynamic_intents / mixed_intents calls, and --jobs
+    3 over 7 scenes (chunks of uneven size) writes the bytes of --jobs 1."""
+    scenes, suite = write_suite(tmp_path, n=7, seed=6, behaviors=BEHAVIORS)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    static = experiments.pooled_static(suite)
+    kcfg, mix = KMeansConfig(), MixConfig()
+
+    def fmt(v):
+        return f"{v + 0.0:.6f}"
+
+    want = {"dynamic": [], "mixed": []}
+    for scenario in suite:
+        for track, _, reach_set in experiments.run_scene(scenario):
+            if reach_set is None:
+                sets = dict.fromkeys(want, ("static", static, "1"))
+            else:
+                dyn = dynamic_intents(reach_set, track, kcfg)
+                sets = {"dynamic": ("dynamic", dyn, "0"), "mixed": (
+                    "mixed", mixed_intents(dyn, static, mix, kcfg), "0")}
+            for kind, (kind_out, points, fallback) in sets.items():
+                want[kind] += [
+                    [track.agent_id, kind_out, str(i), fmt(x), fmt(y),
+                     fallback] for i, (x, y) in enumerate(points.points)]
+    cov = []
+    for track, reach_set, _ in experiments.filter_dataset(suite)[0]:
+        end = experiments.agent_frame_endpoint(track)
+        dyn = dynamic_intents(reach_set, track, kcfg)
+        cov += [[track.agent_id, kind, fmt(coverage(points, end))]
+                for kind, points in (
+                    ("static", static), ("dynamic", dyn),
+                    ("mixed", mixed_intents(dyn, static, mix, kcfg)))]
+    fallbacks = sum(row[5] == "1" for row in want["mixed"]) // kcfg.k
+    assert 0 < fallbacks < len(want["mixed"]) // kcfg.k
+
+    outputs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"out{jobs}"
+        out.mkdir()
+        for kind in want:
+            assert main(["intents", str(scenes), "--kind", kind, "--jobs",
+                         jobs, "-o", str(out / f"{kind}.csv")]) == 0
+            rows = [ln.split(",") for ln in
+                    (out / f"{kind}.csv").read_text().splitlines()[1:]]
+            assert rows == sorted(want[kind], key=lambda r: r[0])
+        assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                     "--window", "1", "--jobs", jobs, "-o", str(out)]) == 0
+        rows = [ln.split(",") for ln in
+                (out / "coverage.csv").read_text().splitlines()[1:]]
+        assert rows == sorted(cov, key=lambda r: (r[0], r[1]))
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", ["dynamic", "mixed"])
+def test_intents_without_vehicle_targets_write_static_fallbacks(
+        tmp_path, kind, jobs):
+    """Only vehicles get a reach set: scenes whose targets are all
+    pedestrians or cyclists give every target its class's static points,
+    flagged as fallbacks, with no vehicle set to mix with."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    suite = [scenario_of(straight_map(), [
+        vehicle_track((20.0 + 10 * i, 0.0), speed=1.5, agent_id=f"{cls}{i}",
+                      object_class=cls),
+        vehicle_track((60.0, 0.0), agent_id=f"car{i}")],
+        predict=[f"{cls}{i}"], scenario_id=f"s{i}")
+        for i, cls in enumerate(["pedestrian", "cyclist", "pedestrian"])]
+    for s in suite:
+        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
+    out = tmp_path / "intents.csv"
+    assert main(["intents", str(scenes), "--kind", kind, "--jobs", jobs,
+                 "-o", str(out)]) == 0
+    _, rows = read_csv(out)
+    want = []
+    for i, cls in enumerate(["pedestrian", "cyclist", "pedestrian"]):
+        static = experiments.pooled_static(suite, cls)
+        want += [(f"{cls}{i}", "static", str(j), f"{x + 0.0:.6f}",
+                  f"{y + 0.0:.6f}", "1")
+                 for j, (x, y) in enumerate(static.points)]
+    assert [tuple(r.values()) for r in rows] == sorted(want,
+                                                       key=lambda r: r[0])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])

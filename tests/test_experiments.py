@@ -28,23 +28,29 @@ def with_gt_jump(scenario):
     return parse_scenario(json.dumps(obj).encode())
 
 
-def test_intent_coverage_order_matches_direct_calls():
+def test_intent_coverage_rows_match_direct_calls():
+    """One row per item, in item order, each equal to the coverage of the
+    one-agent dynamic_intents and mixed_intents sets."""
     suite = generate_suite(3, seed=0, behaviors=("follow_lane",))
     items, _ = filter_dataset(suite)
     static_set = pooled_static(suite)
     cfg = RunConfig()
     m1, m2 = MixConfig(1.0, 1.0), MixConfig(5.0, 1.0)
     assert len(items) == 3
+    want_mixes, want_default = [], []
     for it in items:
         endpoint = agent_frame_endpoint(it.track)
         dyn = dynamic_intents(it.reach_set, it.track, cfg.kmeans)
         mixed = [coverage(mixed_intents(dyn, static_set, m, cfg.kmeans),
                           endpoint) for m in (m1, m2, cfg.mix)]
         base = [coverage(static_set, endpoint), coverage(dyn, endpoint)]
-        assert intent_coverage(it.track, it.reach_set, static_set, cfg,
-                               mixes=[m1, m2]) == base + mixed[:2]
-        assert intent_coverage(it.track, it.reach_set, static_set,
-                               cfg) == base + mixed[2:]
+        want_mixes.append(base + mixed[:2])
+        want_default.append(base + mixed[2:])
+    assert intent_coverage(items, static_set, cfg,
+                           mixes=[m1, m2]) == want_mixes
+    assert intent_coverage(items, static_set, cfg) == want_default
+    assert intent_coverage(items[1:2], static_set, cfg) == want_default[1:2]
+    assert intent_coverage([], static_set, cfg) == []
 
 
 def test_coverage_proxy_skips_what_filter_dataset_excludes(monkeypatch):

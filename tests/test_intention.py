@@ -14,7 +14,7 @@ from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    _kmeanspp, _lloyd,
                                    dynamic_intents, mixed_intents,
                                    static_intents, to_agent_frame,
-                                   weighted_kmeans)
+                                   weighted_kmeans, weighted_kmeans_many)
 from intentforge.road_graph import ReachabilitySet
 
 
@@ -303,6 +303,38 @@ def test_kmeanspp_matches_per_candidate_reference():
     assert compared >= 200 and merged > 0
 
 
+def test_kmeanspp_stacked_matches_per_candidate_reference():
+    """The lattice above seeded in stacks: every input of one k and one
+    coalesced size, each with a reordered copy of itself, in one _kmeanspp
+    call, which picks the reference's centers row by row."""
+    rng = np.random.default_rng(0)
+    reorder = np.random.default_rng(1)
+    stacks: dict[tuple[int, int], list] = {}
+    cases = itertools.product((1, 2, 7, 64), (False, True),
+                              ("uniform", "rounded", "lanes"), range(10))
+    for k, weighted, layout, _ in cases:
+        pts = _seeding_input(rng, layout, int(rng.integers(65, 3201)))
+        n = pts.shape[0]
+        w = rng.uniform(0.1, 5.0, size=n) if weighted else np.ones(n)
+        pts, w = _coalesce(pts, w)
+        if pts.shape[0] <= k:
+            continue
+        order = reorder.permutation(pts.shape[0])
+        stacks.setdefault((k, pts.shape[0]), []).extend(
+            [(pts, w), (pts[order], w[order])])
+    compared = 0
+    for seed, ((k, n), pools) in enumerate(sorted(stacks.items())):
+        got = _kmeanspp(np.stack([pts for pts, _ in pools]),
+                        np.stack([w for _, w in pools]), k,
+                        np.random.default_rng(seed))
+        assert got.shape == (len(pools), k, 2)
+        for row, (pts, w) in zip(got, pools):
+            want = kmeanspp_reference(pts, w, k, np.random.default_rng(seed))
+            assert np.array_equal(row, want), (k, n)
+            compared += 1
+    assert compared >= 400 and max(map(len, stacks.values())) > 2
+
+
 grid_pts = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
                     min_size=65, max_size=400)
 
@@ -339,6 +371,50 @@ def test_coalesce_matches_dict_reference(points, seed):
     assert np.array_equal(got_pts, want_pts)
     assert np.array_equal(np.signbit(got_pts), np.signbit(want_pts))
     assert np.array_equal(got_w, want_w)
+
+
+def _pool(points, weighted, seed):
+    pts = np.asarray(points, dtype=float)
+    w = np.random.default_rng(seed).uniform(0.1, 5.0, size=pts.shape[0]) \
+        if weighted else None
+    return pts, w
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.tuples(grid_coord, grid_coord),
+                                   min_size=1, max_size=150),
+                          st.booleans()), min_size=1, max_size=6),
+       st.sampled_from((1, 7, 16)), st.integers(0, 2 ** 32 - 1))
+def test_weighted_kmeans_many_equals_one_pool_calls(pools, k, seed):
+    """Pools of mixed sizes clustered in one call equal one call per pool,
+    bit for bit: padded pools (fewer than k distinct points), n == k,
+    duplicates and -0.0, weighted and unweighted pools, pools of one size
+    seeded together (each pool also comes reversed), and pools of at
+    least _BOUND_MIN_POINTS points (bounded Lloyd)."""
+    rng = np.random.default_rng(seed)
+    big = np.round(_seeding_input(rng, "lanes", 1200), 1)
+    args = [_pool(pts, weighted, seed + i)
+            for i, (pts, weighted) in enumerate(pools)]
+    args += [(pts[::-1], None if w is None else w[::-1]) for pts, w in args]
+    args += [(big, None), (big[::-1], rng.uniform(0.1, 5.0, len(big))),
+             (np.arange(2.0 * k).reshape(k, 2), None),
+             (np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 2.0]]), None)]
+    cfg = KMeansConfig(k=k, seed=seed)
+    got = weighted_kmeans_many(args, cfg)
+    assert len(got) == len(args)
+    assert _coalesce(big, np.ones(len(big)))[0].shape[0] >= _BOUND_MIN_POINTS
+    for out, (pts, w) in zip(got, args):
+        assert np.array_equal(out, weighted_kmeans(pts, w, cfg))
+        assert not out.flags.writeable
+
+
+def test_weighted_kmeans_many_checks_every_pool():
+    good = (np.zeros((3, 2)), None)
+    assert weighted_kmeans_many([]) == []
+    with pytest.raises(ValueError, match="weights must match points"):
+        weighted_kmeans_many([good, (np.zeros((3, 2)), np.ones(2))])
+    with pytest.raises(ValueError, match="points must be finite"):
+        weighted_kmeans_many([good, (np.array([[0.0, np.nan]]), None)])
 
 
 def test_lloyd_matches_whole_block_reference():
