@@ -1,8 +1,9 @@
 """Prediction-quality analysis over externally supplied prediction files.
 
-Covers displacement metrics (minADE / minFDE / miss rate), ground-truth
-deviation from the legal road graph, sliding-window smoothing, the
-deviation-vs-minFDE curve, and coverage.
+Covers the prediction and endpoint CSV readers, displacement metrics
+(minADE / minFDE / miss rate), ground-truth deviation from the legal road
+graph, sliding-window smoothing, the deviation-vs-minFDE curve, and
+coverage.
 
 Miss-rate thresholds follow the Waymo Open Motion benchmark definition:
 lateral / longitudinal boxes of (1.0, 2.0) m at 3 s, (1.8, 3.6) m at
@@ -32,6 +33,20 @@ MR_SCALE_LOW, MR_SCALE_HIGH = 0.5, 1.0
 PARKED_DISPLACEMENT = 1.0    # m of total GT path length over 8 s
 MAX_MODES = 6
 
+_PREDICTION_HEADER = "agent_id,mode_idx,confidence,step,x,y"
+# Characters read from a CSV file at a time. Each block, and every array
+# built from one, stays below glibc's initial mmap threshold (128 KiB):
+# freeing a larger one raises that threshold, after which such blocks come
+# from the heap and a long run's peak memory grows.
+_READ_CHARS = 1 << 16
+# ",0," .. ",79,": the text between a prediction row's agent_id,mode_idx,
+# confidence prefix and its x, in step order
+_STEP_TEXTS = tuple(f",{step}," for step in range(FUTURE_LEN))
+
+
+class CsvError(ValueError):
+    """An unreadable or malformed prediction or endpoints CSV."""
+
 
 @dataclass(eq=False)
 class PredictionSet:
@@ -60,6 +75,180 @@ class PredictionSet:
             raise ValueError("confidences must sum to <= 1")
         self.trajectories = traj
         self.confidences = conf
+
+
+def _csv_blocks(path, header: str):
+    """The lines after the first of a text file whose first line is
+    ``header``, one list per block of ``_READ_CHARS`` characters. Each block
+    is cut after its last newline, so the lines are those of
+    ``read_text().splitlines()``."""
+    rest, headed = "", False
+    try:
+        with open(path) as fh:
+            while True:
+                block = fh.read(_READ_CHARS)
+                text = rest + block
+                cut = text.rfind("\n") + 1 if block else len(text)
+                rest = text[cut:]
+                lines = text[:cut].splitlines()
+                if lines and not headed:
+                    if lines[0].strip() != header:
+                        raise CsvError(f"{path}: expected header {header!r}")
+                    headed = True
+                    del lines[0]
+                yield lines
+                if not block:
+                    break
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CsvError(f"cannot read {path}: {exc}") from None
+    if not headed:
+        raise CsvError(f"{path}: expected header {header!r}")
+
+
+def _csv_lines(path, header: str):
+    """(line number, line) of each line after the first of a text file
+    whose first line is ``header``, read a block at a time."""
+    lineno = 1
+    for lines in _csv_blocks(path, header):
+        for line in lines:
+            lineno += 1
+            yield lineno, line
+
+
+def _csv_row(path, lineno: int, line: str, width: int) -> list[str]:
+    parts = line.split(",")
+    if len(parts) != width:
+        raise CsvError(f"{path}:{lineno}: expected {width} columns")
+    return parts
+
+
+def read_endpoints(path) -> dict[str, np.ndarray]:
+    """(n, 2) endpoint arrays by object class from a CSV with the header
+    ``class,x,y``; blank lines are skipped. Raises CsvError naming
+    ``file:line`` for a malformed row."""
+    pools: dict[str, list] = {}
+    for i, ln in _csv_lines(path, "class,x,y"):
+        if not ln.strip():
+            continue
+        cls, x, y = _csv_row(path, i, ln, 3)
+        try:
+            x, y = float(x), float(y)
+        except ValueError as exc:
+            raise CsvError(f"{path}:{i}: {exc}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise CsvError(f"{path}:{i}: x and y must be finite")
+        pools.setdefault(cls, []).append((x, y))
+    return {cls: np.asarray(xy) for cls, xy in pools.items()}
+
+
+def _predictions_walk(path) -> dict[str, PredictionSet]:
+    """``read_predictions`` row by row, in any row order: the only reader
+    that words a malformed row's message."""
+    acc: dict[str, dict[int, dict]] = {}
+    for i, ln in _csv_lines(path, _PREDICTION_HEADER):
+        if not ln.strip():
+            continue
+        aid, mode, conf, step, x, y = _csv_row(path, i, ln, 6)
+        try:
+            mode, step = int(mode), int(step)
+            # a dict, not a tuple: a tuple here raised analyze's peak RSS
+            # by ~10 MB (allocator fragmentation), for the same contents
+            slot = acc.setdefault(aid, {}).setdefault(
+                mode, {"text": conf, "conf": float(conf), "pts": {}})
+            xy = (float(x), float(y))
+        except ValueError as exc:
+            raise CsvError(f"{path}:{i}: {exc}") from None
+        if step in slot["pts"]:
+            raise CsvError(f"{path}:{i}: duplicate row for agent {aid} "
+                           f"mode {mode} step {step}")
+        if conf != slot["text"]:
+            raise CsvError(f"{path}:{i}: confidence {conf} differs from "
+                           f"{slot['text']} on earlier rows of agent {aid} "
+                           f"mode {mode}")
+        slot["pts"][step] = xy
+    out = {}
+    for aid, modes in acc.items():
+        traj, conf = [], []
+        for mode in sorted(modes):
+            pts = modes[mode]["pts"]
+            if sorted(pts) != list(range(80)):
+                raise CsvError(
+                    f"{path}: agent {aid} mode {mode} must have steps 0..79")
+            traj.append([pts[s] for s in range(80)])
+            conf.append(modes[mode]["conf"])
+        try:
+            out[aid] = PredictionSet(aid, np.asarray(traj), np.asarray(conf))
+        except ValueError as exc:
+            raise CsvError(f"{path}: agent {aid}: {exc}") from None
+    return out
+
+
+def _predictions_fast(path) -> dict[str, PredictionSet] | None:
+    """``read_predictions`` of a file whose rows run agent by agent, each
+    agent's modes in rising order and each mode's steps 0..79 in order, or
+    None at any doubt, so that the walk rereads the file: the two accept the
+    same files with the same values.
+
+    Each block's complete runs of 80 rows are checked as columns: every row
+    starts with its run's first ``agent_id,mode_idx,confidence`` prefix and
+    its step text, the block holds exactly 5 commas per row, and
+    ``np.loadtxt`` converts x and y (it needs at least 6 columns per row).
+    What loadtxt reads it reads as ``float()`` does, bar "\\x1f", which is
+    refused; underscores and non-ASCII digits it refuses itself. Only one
+    prefix per run is parsed; its mode text must be a canonical integer."""
+    out: dict[str, PredictionSet] = {}
+    aid, last_mode, trajs, confs, pending = None, 0, [], [], []
+
+    def flush():
+        if aid is not None:
+            out[aid] = PredictionSet(aid, np.stack(trajs), np.array(confs))
+
+    try:
+        for block in _csv_blocks(path, _PREDICTION_HEADER):
+            lines = pending + block
+            n = len(lines) - len(lines) % FUTURE_LEN
+            lines, pending = lines[:n], lines[n:]
+            if not n:
+                continue
+            prefixes = [ln.rsplit(",", 3)[0] for ln in lines[::FUTURE_LEN]]
+            heads = [p + s for p in prefixes for s in _STEP_TEXTS]
+            text = "\n".join(lines)
+            if (not all(map(str.startswith, lines, heads))
+                    or text.count(",") != 5 * n or "\x1f" in text):
+                return None
+            xy = np.loadtxt(lines, delimiter=",", usecols=(4, 5),
+                            comments=None, ndmin=2)
+            for i, prefix in enumerate(prefixes):
+                run_aid, mode_text, conf = prefix.split(",")
+                mode = int(mode_text)
+                if str(mode) != mode_text:
+                    return None
+                if run_aid != aid:
+                    flush()
+                    if run_aid in out:
+                        return None
+                    aid, trajs, confs = run_aid, [], []
+                elif mode <= last_mode:
+                    return None
+                last_mode = mode
+                trajs.append(xy[i * FUTURE_LEN:(i + 1) * FUTURE_LEN])
+                confs.append(float(conf))
+        if pending:
+            return None
+        flush()
+    except ValueError:
+        return None
+    return out
+
+
+def read_predictions(path) -> dict[str, PredictionSet]:
+    """Prediction sets by agent id, in order of first appearance, from a CSV
+    with the header ``agent_id,mode_idx,confidence,step,x,y``. Rows may come
+    in any order; rows grouped by agent, mode and step load fastest. Raises
+    CsvError naming ``file:line`` for a malformed row, or the file and agent
+    for a malformed prediction set."""
+    preds = _predictions_fast(path)
+    return _predictions_walk(path) if preds is None else preds
 
 
 def _horizon_state(gt: AgentTrack, horizon: int):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,10 +22,11 @@ from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (DeviationRecord, PredictionSet, detect_parked,
-                       deviation_curve, gt_deviation, min_fde)
+from .analysis import (CsvError, DeviationRecord, PredictionSet,
+                       detect_parked, deviation_curve, gt_deviation, min_fde,
+                       read_endpoints)
+# benchmark/tracing.py wraps the prediction reader under this name
+from .analysis import read_predictions as _load_prediction_csv
 from .experiments import (DEVIATION_MODES, INTENT_KINDS, RunConfig,
                           filter_dataset, intent_coverage, pooled_static,
                           run_scene)
@@ -36,8 +36,6 @@ from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
 
 SEED_ENV = "INTENTFORGE_SEED"
-# characters read from a CSV file at a time
-_READ_CHARS = 1 << 20
 # Config keys and their defaults, from RunConfig's fields: the keys of its
 # config groups, then its own fields, which only analyze reads.
 _ANALYSIS_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
@@ -121,41 +119,6 @@ def _load_scenarios(paths):
     return scenarios
 
 
-def _csv_lines(path, header: str):
-    """(line number, line) of each line after the first of a text file
-    whose first line is ``header``. The file is read a block at a time, so
-    a large one is never held whole; each block is cut after its last
-    newline, so the lines are those of ``read_text().splitlines()``."""
-    lineno, rest = 0, ""
-    try:
-        with open(path) as fh:
-            while True:
-                block = fh.read(_READ_CHARS)
-                text = rest + block
-                cut = text.rfind("\n") + 1 if block else len(text)
-                rest = text[cut:]
-                for line in text[:cut].splitlines():
-                    lineno += 1
-                    if lineno > 1:
-                        yield lineno, line
-                    elif line.strip() != header:
-                        raise DataError(
-                            f"{path}: expected header {header!r}")
-                if not block:
-                    break
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if lineno == 0:
-        raise DataError(f"{path}: expected header {header!r}")
-
-
-def _csv_row(path, lineno: int, line: str, width: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != width:
-        raise DataError(f"{path}:{lineno}: expected {width} columns")
-    return parts
-
-
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -211,22 +174,11 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     (columns class,x,y) or pooled from the scenario corpus."""
     sets: dict[str, IntentionPointSet] = {}
     if endpoints_file:
-        pools: dict[str, list] = {}
-        for i, ln in _csv_lines(endpoints_file, "class,x,y"):
-            if not ln.strip():
-                continue
-            cls, x, y = _csv_row(endpoints_file, i, ln, 3)
-            try:
-                x, y = float(x), float(y)
-            except ValueError as exc:
-                raise DataError(f"{endpoints_file}:{i}: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DataError(f"{endpoints_file}:{i}: x and y must be finite")
-            pools.setdefault(cls, []).append((x, y))
+        pools = read_endpoints(endpoints_file)
         for cls in classes:
             if cls not in pools:
                 raise DataError(f"endpoints file has no rows for class {cls!r}")
-            sets[cls] = static_intents(np.asarray(pools[cls]), cls, cfg.kmeans)
+            sets[cls] = static_intents(pools[cls], cls, cfg.kmeans)
         return sets
     for cls in classes:
         try:
@@ -312,46 +264,6 @@ def cmd_intents(args) -> int:
 
 # -- analyze -----------------------------------------------------------------
 
-def _load_prediction_csv(path) -> dict[str, PredictionSet]:
-    acc: dict[str, dict[int, dict]] = {}
-    for i, ln in _csv_lines(path, "agent_id,mode_idx,confidence,step,x,y"):
-        if not ln.strip():
-            continue
-        aid, mode, conf, step, x, y = _csv_row(path, i, ln, 6)
-        try:
-            mode, step = int(mode), int(step)
-            # a dict, not a tuple: a tuple here raised analyze's peak RSS
-            # by ~10 MB (allocator fragmentation), for the same contents
-            slot = acc.setdefault(aid, {}).setdefault(
-                mode, {"text": conf, "conf": float(conf), "pts": {}})
-            xy = (float(x), float(y))
-        except ValueError as exc:
-            raise DataError(f"{path}:{i}: {exc}") from None
-        if step in slot["pts"]:
-            raise DataError(f"{path}:{i}: duplicate row for agent {aid} "
-                            f"mode {mode} step {step}")
-        if conf != slot["text"]:
-            raise DataError(f"{path}:{i}: confidence {conf} differs from "
-                            f"{slot['text']} on earlier rows of agent {aid} "
-                            f"mode {mode}")
-        slot["pts"][step] = xy
-    out = {}
-    for aid, modes in acc.items():
-        traj, conf = [], []
-        for mode in sorted(modes):
-            pts = modes[mode]["pts"]
-            if sorted(pts) != list(range(80)):
-                raise DataError(
-                    f"{path}: agent {aid} mode {mode} must have steps 0..79")
-            traj.append([pts[s] for s in range(80)])
-            conf.append(modes[mode]["conf"])
-        try:
-            out[aid] = PredictionSet(aid, np.asarray(traj), np.asarray(conf))
-        except ValueError as exc:
-            raise DataError(f"{path}: agent {aid}: {exc}") from None
-    return out
-
-
 def _analyze_chunk(items, model_names, cfg: RunConfig, static_set):
     """(deviation record, coverage rows) of each kept agent of a run of
     them; the record is None when some model has no prediction for it."""
@@ -371,19 +283,32 @@ def _analyze_chunk(items, model_names, cfg: RunConfig, static_set):
     return out
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
-    scenarios = _load_scenarios(args.scenarios)
-    if not args.predictions:
+def _prediction_paths(specs) -> dict[str, str]:
+    """Prediction file path by model name from ``--predictions NAME=PATH``
+    values. A name heads a ``deviation_curve.csv`` column, so it must be
+    non-empty and hold no comma or line break."""
+    if not specs:
         raise UsageError("at least one --predictions NAME=PATH is required")
-    by_model = {}
-    for spec in args.predictions:
+    paths = {}
+    for spec in specs:
         if "=" not in spec:
             raise UsageError("--predictions expects NAME=PATH")
         name, path = spec.split("=", 1)
-        if name in by_model:
+        if not name or any(c in name for c in ",\r\n"):
+            raise UsageError(f"prediction model name {name!r} must be "
+                             f"non-empty and hold no comma or line break")
+        if name in paths:
             raise UsageError(f"duplicate prediction model name {name!r}")
-        by_model[name] = _load_prediction_csv(path)
+        paths[name] = path
+    return paths
+
+
+def cmd_analyze(args) -> int:
+    cfg = _resolve_config(args)
+    paths = _prediction_paths(args.predictions)
+    scenarios = _load_scenarios(args.scenarios)
+    by_model = {name: _load_prediction_csv(path)
+                for name, path in paths.items()}
     model_names = sorted(by_model)
     merged: dict[str, dict[str, PredictionSet]] = {}
     for name, preds in by_model.items():
@@ -526,7 +451,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ScenarioError, OSError) as exc:
+    except (DataError, ScenarioError, CsvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

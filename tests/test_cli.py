@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
                       point_to_polyline_distance, scenario_of, straight_map,
                       vehicle_track)
-from intentforge import cli, experiments
+from intentforge import analysis, cli, experiments, intention
 from intentforge.cli import main
 from intentforge.analysis import coverage
 from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
@@ -473,19 +474,233 @@ def test_csv_lines_equal_splitlines_of_the_whole_file(tmp_path, monkeypatch,
                                                       body, block):
     # blocks of a few characters cut the file inside lines and between
     # the two characters of "\r\n"
-    monkeypatch.setattr(cli, "_READ_CHARS", block)
+    monkeypatch.setattr(analysis, "_READ_CHARS", block)
     path = tmp_path / "f.csv"
     path.write_text("h,x\n" + body, newline="")
     want = list(enumerate(path.read_text().splitlines()[1:], start=2))
-    assert list(cli._csv_lines(path, "h,x")) == want
+    assert list(analysis._csv_lines(path, "h,x")) == want
 
 
 @pytest.mark.parametrize("text", ["", "\n", "x,h\n1,2\n"])
 def test_csv_lines_without_the_header_is_a_data_error(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_text(text)
-    with pytest.raises(cli.DataError, match="expected header"):
-        list(cli._csv_lines(path, "h,x"))
+    with pytest.raises(analysis.CsvError, match="expected header"):
+        list(analysis._csv_lines(path, "h,x"))
+
+
+# -- the prediction reader's fast path against the row walk -----------------------
+
+def _prediction_rows(agents):
+    """Rows (agent, mode, confidence, step, x, y) as text, grouped by agent,
+    mode and step, from {agent: [(mode, confidence, (80, 2) array)]}."""
+    return [(aid, str(mode), repr(conf), str(step), repr(x), repr(y))
+            for aid, modes in agents.items()
+            for mode, conf, xy in modes
+            for step, (x, y) in enumerate(xy.tolist())]
+
+
+def _write_prediction_csv(path, rows, newline="\n"):
+    text = newline.join(["agent_id,mode_idx,confidence,step,x,y",
+                         *(",".join(r) for r in rows)]) + newline
+    path.write_bytes(text.encode())
+
+
+def _assert_same_predictions(got, want):
+    assert list(got) == list(want)
+    for aid, ps in want.items():
+        assert got[aid].agent_id == aid
+        assert np.array_equal(got[aid].trajectories, ps.trajectories)
+        assert np.array_equal(got[aid].confidences, ps.confidences)
+
+
+@st.composite
+def _prediction_file(draw):
+    """(rows, plain): valid prediction rows in some order and text form, and
+    whether they are in the one form the fast path takes."""
+    ids = draw(st.lists(st.text("ab#9_", min_size=1, max_size=4), min_size=1,
+                        max_size=3, unique=True))
+    agents = {}
+    for aid in ids:
+        modes = sorted(draw(st.sets(st.sampled_from([0, 1, 2, 10, 12]),
+                                    min_size=1, max_size=3)))
+        agents[aid] = [(m, draw(st.floats(0, 0.3)), np.random.default_rng(
+            draw(st.integers(0, 2**32))).normal(
+                scale=draw(st.sampled_from([1e-300, 1.0, 1e4])),
+                size=(80, 2))) for m in modes]
+    rows = [list(r) for r in _prediction_rows(agents)]
+    plain = draw(st.booleans())
+    if not plain:   # another text of a mode index, on one row or its run
+        i = draw(st.integers(0, len(rows) - 1))
+        mode = int(rows[i][1])
+        text = draw(st.sampled_from(
+            [f"+{mode}", f" {mode}", f"{mode} ", f"0{mode}",
+             "_".join(str(mode)) if mode >= 10 else f"0{mode}"]))
+        run = rows[i - i % 80:i - i % 80 + 80]
+        for r in (run if draw(st.booleans()) else [rows[i]]):
+            r[1] = text
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.sampled_from([4, 5])),
+                              max_size=4)):
+        rows[i][c] = f" {rows[i][c]} "   # spaces around a number
+    order = draw(st.sampled_from(["grouped", "runs", "rows"]))
+    if order == "runs":   # each agent's and mode's 80 rows stay together
+        runs = [rows[i:i + 80] for i in range(0, len(rows), 80)]
+        rows = [r for run in draw(st.permutations(runs)) for r in run]
+    elif order == "rows":
+        rows = draw(st.permutations(rows))
+    plain = plain and order == "grouped"
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), [])   # a blank line
+        plain = False
+    return rows, plain
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(_prediction_file(), st.sampled_from(["\n", "\r\n"]),
+       st.sampled_from([7, 100, 2000, 1 << 16]))
+def test_prediction_fast_path_equals_walk(tmp_path, monkeypatch, file,
+                                          newline, block):
+    # small blocks cut runs of 80 rows, lines and "\r\n" pairs
+    monkeypatch.setattr(analysis, "_READ_CHARS", block)
+    rows, plain = file
+    path = tmp_path / "p.csv"
+    _write_prediction_csv(path, rows, newline)
+    want = analysis._predictions_walk(path)
+    fast = analysis._predictions_fast(path)
+    if plain:
+        assert fast is not None
+    if fast is not None:
+        _assert_same_predictions(fast, want)
+    _assert_same_predictions(analysis.read_predictions(path), want)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_prediction_fast_path_rejects_what_the_walk_rejects(tmp_path, data):
+    rng = np.random.default_rng(0)
+    agents = {aid: [(m, 0.25, rng.normal(size=(80, 2))) for m in (0, 2)]
+              for aid in ("a#1", "b")}
+    lines = ["agent_id,mode_idx,confidence,step,x,y",
+             *(",".join(r) for r in _prediction_rows(agents))]
+    path = tmp_path / "p.csv"
+    path.write_bytes(data.draw(_malformed(lines, [1, 2, 3, 4, 5], True)))
+    with pytest.raises(analysis.CsvError) as walk:
+        analysis._predictions_walk(path)
+    assert analysis._predictions_fast(path) is None
+    with pytest.raises(analysis.CsvError) as read:
+        analysis.read_predictions(path)
+    assert str(read.value) == str(walk.value)
+
+
+@pytest.mark.parametrize("runs, x, valid", [
+    (("a0", "b0", "a1"), None, True),
+    (("a1", "a0", "b0"), None, True),
+    (("a0", "a0", "b0"), None, False),
+    (("a0", "b0", "a1/2"), None, False),
+    (("a0", "a1", "b0"), "1_5", True),
+    (("a0", "a1", "b0"), "\u0661", True),
+    (("a0", "a1", "b0"), "\x1f1.5", False),
+    (("a0", "a1", "b0"), "1.5\x1f", False),
+], ids=["agent_apart", "modes_falling", "run_twice", "run_cut_short",
+        "underscore", "arabic_digit", "unit_separator_before",
+        "unit_separator_after"])
+def test_prediction_fast_path_leaves_odd_files_to_the_walk(tmp_path, runs, x,
+                                                           valid):
+    # runs of 80 rows out of order, twice or cut short; and x texts that
+    # float() reads but loadtxt does not (underscores, non-ASCII digits),
+    # or that loadtxt reads but float() does not ("\x1f" around a number)
+    rng = np.random.default_rng(2)
+    xy = {run: rng.normal(size=(80, 2)) for run in ("a0", "a1", "b0")}
+    rows = []
+    for run in runs:
+        part = _prediction_rows({run[0]: [(int(run[1]), 0.25, xy[run[:2]])]})
+        rows += part[:40] if run.endswith("/2") else part
+    rows = [list(r) for r in rows]
+    if x is not None:
+        rows[7][4] = x
+    path = tmp_path / "p.csv"
+    _write_prediction_csv(path, rows)
+    assert analysis._predictions_fast(path) is None
+    if valid:
+        _assert_same_predictions(analysis.read_predictions(path),
+                                 analysis._predictions_walk(path))
+        return
+    with pytest.raises(analysis.CsvError) as walk:
+        analysis._predictions_walk(path)
+    with pytest.raises(analysis.CsvError) as read:
+        analysis.read_predictions(path)
+    assert str(read.value) == str(walk.value)
+
+
+def test_canonical_predictions_load_without_the_walk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    agents = {f"agent#{i}": [(m, 0.1, rng.normal(size=(80, 2)) * 50)
+                             for m in range(6)] for i in range(40)}
+    path = tmp_path / "p.csv"
+    _write_prediction_csv(path, _prediction_rows(agents))
+    monkeypatch.setattr(analysis, "_READ_CHARS", 4000)
+
+    def no_walk(path):
+        raise AssertionError("the fast path fell back to the row walk")
+
+    monkeypatch.setattr(analysis, "_predictions_walk", no_walk)
+    preds = analysis.read_predictions(path)
+    assert list(preds) == list(agents)
+    for aid, modes in agents.items():
+        assert np.array_equal(preds[aid].trajectories,
+                              np.stack([xy for _, _, xy in modes]))
+        assert np.array_equal(preds[aid].confidences, [0.1] * 6)
+
+
+def test_benchmark_wrap_targets_keep_their_names(tmp_path, monkeypatch):
+    # benchmark/tracing.py wraps these by name and binds their arguments by
+    # parameter name; a moved or renamed target reads as an absent span
+    params = {fn: list(inspect.signature(fn).parameters) for fn in
+              (intention._kmeanspp, intention._lloyd, intention._coalesce)}
+    assert params == {intention._kmeanspp: ["pts", "weights", "k", "rng"],
+                      intention._lloyd: ["pts", "weights", "centers", "cfg"],
+                      intention._coalesce: ["points", "weights"]}
+    scenes, suite = write_suite(tmp_path, n=1)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    calls = []
+    load = cli._load_prediction_csv
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_prediction_csv", counting)
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 0
+    assert calls == [str(pred)]
+
+
+@pytest.mark.parametrize("name", ["", "a,b", "a\rb", "a\n", "\r"])
+def test_analyze_bad_model_name_exits_2(tmp_path, capsys, name):
+    scenes, suite = write_suite(tmp_path, n=1)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    out = tmp_path / "out"
+    assert main(["analyze", str(scenes), "--predictions", f"{name}={pred}",
+                 "--window", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: prediction model name")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("predictions", [
+    [], ["m"], ["a,b=p.csv"], ["m=p.csv", "m=q.csv"]],
+    ids=["absent", "no_path", "bad_name", "duplicate_name"])
+def test_analyze_usage_errors_come_before_reading_scenarios(
+        tmp_path, capsys, predictions):
+    argv = ["analyze", str(tmp_path / "missing"), "-o", str(tmp_path / "o")]
+    for spec in predictions:
+        argv += ["--predictions", spec]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- malformed scenario files -----------------------------------------------------
