@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -241,6 +241,9 @@ def _intents_for_chunk(scenarios, kind, static_sets, cfg: RunConfig,
 
 def cmd_intents(args) -> int:
     cfg = _resolve_config(args)
+    if args.kind == "static" and args.dump_roadgraph:
+        raise UsageError("--dump-roadgraph needs --kind dynamic or mixed: "
+                         "static intents compute no reachable set")
     scenarios = _load_scenarios(args.scenarios)
     classes = sorted({s.track(a).object_class
                       for s in scenarios for a in s.tracks_to_predict})
@@ -345,13 +348,9 @@ def cmd_analyze(args) -> int:
                [(str(rank), _fmt_float(dev), *map(_fmt_float, fdes))
                 for rank, dev, *fdes in rows])
     _write_csv(out_dir / "filter_report.csv",
-               ("total", "excluded_non_vehicle", "excluded_no_dynamic",
-                "excluded_invalid_gt", "remaining",
+               (*(f.name for f in fields(report)),
                 "skipped_missing_prediction"),
-               [tuple(map(str, (report.total, report.excluded_non_vehicle,
-                                report.excluded_no_dynamic,
-                                report.excluded_invalid_gt, report.remaining,
-                                skipped)))])
+               [tuple(map(str, (*astuple(report), skipped)))])
     _write_csv(out_dir / "coverage.csv",
                ("agent_id", "kind", "coverage_m"), cov_rows)
     return 0

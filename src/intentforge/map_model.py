@@ -151,45 +151,8 @@ class LaneSegment:
                 and np.array_equal(self.nodes, other.nodes))
 
 
-_GRID_CELL = 16.0
-
-
-class _GridIndex:
-    """Uniform-grid point index; query semantics identical to a linear scan."""
-
-    def __init__(self, positions: np.ndarray):
-        self._positions = positions
-        cells = np.floor(positions / _GRID_CELL).astype(np.int64)
-        # a stable sort by cell keeps each bucket's indices ascending
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        cells = cells[order]
-        starts = np.flatnonzero((cells[1:] != cells[:-1]).any(axis=1)) + 1
-        keys = map(tuple, cells[np.concatenate(([0], starts))].tolist())
-        self._buckets = dict(zip(keys, np.split(order, starts)))
-        self._cell_min = cells.min(axis=0)
-        self._cell_max = cells.max(axis=0)
-
-    def candidates(self, point: np.ndarray, radius: float) -> np.ndarray:
-        # one extra cell each side: a node just outside the radius can still
-        # have a float distance that rounds to it, and the scan keeps it;
-        # clamp to occupied cells so huge radii stay cheap
-        lo = np.maximum(
-            np.floor((point - radius) / _GRID_CELL).astype(np.int64) - 1,
-            self._cell_min)
-        hi = np.minimum(
-            np.floor((point + radius) / _GRID_CELL).astype(np.int64) + 1,
-            self._cell_max)
-        hits = [self._buckets[key]
-                for cx in range(lo[0], hi[0] + 1)
-                for cy in range(lo[1], hi[1] + 1)
-                if (key := (cx, cy)) in self._buckets]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
-
-
 class VectorMap:
-    """Immutable lane-segment map with a spatial index over lane nodes."""
+    """Immutable lane-segment map with flat arrays over its lane nodes."""
 
     def __init__(self, segments: Iterable[LaneSegment]):
         by_id: dict[int, LaneSegment] = {}
@@ -218,7 +181,6 @@ class VectorMap:
             self.node_positions = np.empty((0, 2))
         for arr in (self.node_seg_ids, self.node_indices, self.node_positions):
             arr.flags.writeable = False
-        self._grid = _GridIndex(self.node_positions) if seg_ids else None
 
     def _validate_connectivity(self):
         for sid, seg in self.segments.items():
@@ -255,23 +217,18 @@ class VectorMap:
         return int(self.node_positions.shape[0])
 
     def nearest_nodes(self, point, radius: float) -> list[tuple[int, int, float]]:
-        """All lane nodes within ``radius`` of ``point``.
+        """All lane nodes within ``radius`` of ``point``, found by one scan
+        over every node.
 
         Sorted by Euclidean distance, ties broken by (segment id, node
-        index). Equivalent to a linear scan over every node.
+        index).
         """
         if radius <= 0:
             raise ValueError("radius must be > 0")
-        if self._grid is None:
-            return []
         p = np.asarray(point, dtype=np.float64)
-        idx = self._grid.candidates(p, radius)
-        if idx.size == 0:
-            return []
-        d = np.hypot(*(self.node_positions[idx] - p).T)
+        d = np.hypot(*(self.node_positions - p).T)
         keep = d <= radius
-        idx, d = idx[keep], d[keep]
-        sid, ni = self.node_seg_ids[idx], self.node_indices[idx]
+        d, sid, ni = d[keep], self.node_seg_ids[keep], self.node_indices[keep]
         order = np.lexsort((ni, sid, d))
         return [(int(sid[i]), int(ni[i]), float(d[i])) for i in order]
 

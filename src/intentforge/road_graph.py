@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,26 +54,17 @@ class RoadGraph:
     node_indices: np.ndarray
     positions: np.ndarray
     adjacency: list[list[tuple[int, float]]]
-    _order: np.ndarray = field(init=False, repr=False)
-    _sorted_seg_ids: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # node ids ordered by (segment id, node index), for index_of
-        self._order = np.lexsort((self.node_indices, self.seg_ids))
-        self._sorted_seg_ids = self.seg_ids[self._order]
 
     @property
     def n_nodes(self) -> int:
         return int(self.positions.shape[0])
 
     def index_of(self, segment_id: int, node_index: int) -> int:
-        seg_ids = self._sorted_seg_ids
-        ids = self._order[np.searchsorted(seg_ids, segment_id, side="left"):
-                          np.searchsorted(seg_ids, segment_id, side="right")]
-        k = int(np.searchsorted(self.node_indices[ids], node_index))
-        if k == ids.shape[0] or self.node_indices[ids[k]] != node_index:
+        ids = np.flatnonzero((self.seg_ids == segment_id)
+                             & (self.node_indices == node_index))
+        if ids.size == 0:
             raise KeyError((segment_id, node_index))
-        return int(ids[k])
+        return int(ids[0])
 
 
 def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:

@@ -384,6 +384,14 @@ def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
             or seed < 0:
         raise ValueError("seed must be an integer >= 0")
+    if behaviors is not None:
+        # a template draw that no behavior fits would repeat forever
+        if not behaviors:
+            raise ValueError("behaviors must not be empty")
+        for b in behaviors:
+            if b not in BEHAVIORS:
+                raise ValueError(f"unknown behavior {b!r}; expected one of "
+                                 f"{', '.join(BEHAVIORS)}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):

@@ -15,7 +15,9 @@ from intentforge.cli import main
 from intentforge.analysis import coverage
 from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
                                    mixed_intents)
-from intentforge.map_model import ScenarioError, parse_scenario, write_scenario
+from intentforge.lane_assoc import associate
+from intentforge.map_model import (ScenarioError, VectorMap, parse_scenario,
+                                   write_scenario)
 from intentforge.scenario_gen import BEHAVIORS, generate_suite
 
 
@@ -187,6 +189,36 @@ def test_intents_dump_roadgraph(tmp_path):
     assert header == ["scenario_id", "agent_id", "x", "y", "arrival_s"]
     times = [float(r["arrival_s"]) for r in rows]
     assert times and min(times) == 0.0 and max(times) <= 8.0
+
+
+def test_intents_static_dump_roadgraph_exits_2_before_reading_scenarios(
+        tmp_path, capsys):
+    # static intents compute no reachable set, so the dump would hold
+    # only its header
+    dump = tmp_path / "roadgraph.csv"
+    assert main(["intents", str(tmp_path / "no_such_dir"), "--kind", "static",
+                 "--dump-roadgraph", str(dump),
+                 "-o", str(tmp_path / "i.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dump-roadgraph ") and err.count("\n") == 1
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("kind", ["dynamic", "mixed"])
+def test_intents_on_a_map_without_segments_fall_back(tmp_path, kind):
+    vmap = VectorMap([])
+    track = vehicle_track((0.0, 0.0))
+    assert vmap.nearest_nodes((0, 0), 5.0) == []
+    assert associate(vmap, track).fallback
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "s0.json").write_bytes(
+        write_scenario(scenario_of(vmap, [track])))
+    out = tmp_path / "i.csv"
+    assert main(["intents", str(scenes), "--kind", kind, "-o", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 64
+    assert all(r["kind"] == "static" and r["fallback"] == "1" for r in rows)
 
 
 def test_intents_missing_input_exits_1(tmp_path):

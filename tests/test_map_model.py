@@ -336,7 +336,7 @@ def test_nearest_nodes_matches_linear_scan_randomized():
 
 
 def test_nearest_nodes_keeps_node_whose_distance_rounds_to_radius():
-    # 1e-17 m beyond the radius in exact arithmetic, in the next grid cell
+    # 1e-17 m beyond the radius in exact arithmetic
     vm = VectorMap([seg(0, [[0.0, -1e-17], [0.0, -1.0]])])
     assert vm.nearest_nodes((0.0, 1.0), 1.0) == _scan(vm, (0.0, 1.0), 1.0) \
         == [(0, 0, 1.0)]

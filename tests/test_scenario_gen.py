@@ -104,3 +104,14 @@ def test_behavior_labels_are_faithful():
 def test_suite_behavior_restriction():
     suite = generate_suite(30, seed=2, behaviors=("follow_lane",))
     assert all("follow_lane" in s.scenario_id for s in suite)
+
+
+@pytest.mark.parametrize("behaviors, message", [
+    ((), "behaviors must not be empty"),
+    (("follow-lane",), "unknown behavior 'follow-lane'"),
+    (("follow_lane", "parking"), "unknown behavior 'parking'"),
+])
+def test_suite_rejects_bad_behaviors(behaviors, message):
+    # without the check, the template draw never finds a pool and never ends
+    with pytest.raises(ValueError, match=message):
+        generate_suite(2, 0, behaviors=behaviors)
