@@ -1,9 +1,11 @@
 """Command-line entry point: gen, intents, analyze, dump-roadgraph.
 
-Wires scenario ingestion -> lane association -> road graph -> intention
-points -> analysis. Every option can come from a JSON config file
-(--config) and be overridden on the command line; the env var
-INTENTFORGE_SEED overrides the default seed when --seed is absent.
+Parses arguments and config, does file I/O and maps errors to exit codes.
+Each batch command maps one ``experiments`` driver (``intents_batch`` or
+``analyze_batch``) over ``min(--jobs, count)`` contiguous chunks. Every
+option can come from a JSON config file (--config) and be overridden on
+the command line; INTENTFORGE_SEED overrides the default seed when --seed
+is absent.
 Exit codes: 0 success, 1 runtime/data error, 2 usage/config error.
 
 All CSV output uses 6-decimal fixed floats and deterministic row order
@@ -22,16 +24,14 @@ from dataclasses import astuple, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 
-from .analysis import (CsvError, DeviationRecord, PredictionSet,
-                       detect_parked, deviation_curve, gt_deviation, min_fde,
+from .analysis import (CsvError, PredictionSet, deviation_curve,
                        read_endpoints)
 # benchmark/tracing.py wraps the prediction reader under this name
 from .analysis import read_predictions as _load_prediction_csv
 from .experiments import (DEVIATION_MODES, INTENT_KINDS, RunConfig,
-                          filter_dataset, intent_coverage, pooled_static,
-                          run_scene)
-from .intention import (IntentionPointSet, dynamic_intents_many,
-                        dynamic_pool, mixed_intents_many, static_intents)
+                          analyze_batch, filter_dataset, intents_batch,
+                          pooled_static)
+from .intention import IntentionPointSet, static_intents
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
 
@@ -147,20 +147,26 @@ def _pmap(fn, items, jobs: int):
 
 def cmd_gen(args) -> int:
     seed = _resolve_config(args).kmeans.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # unset flags are None, so GenSpec keeps the defaults of its fields
+    scene = {k: v for k, v in vars(args).items()
+             if k in ("speed_limit_mps", "agent_behavior") and v is not None}
     if args.suite is not None:
         if args.suite < 1:
             raise UsageError("--suite must be >= 1")
+        if scene or args.template is not None:
+            raise UsageError("--suite takes no --template, --behavior or "
+                             "--speed-limit")
         scenarios = generate_suite(args.suite, seed)
     else:
         if args.template is None:
             raise UsageError("--template is required unless --suite is given")
         try:
-            spec = GenSpec(args.template, seed, args.speed_limit, args.behavior)
+            spec = GenSpec(args.template, seed, **scene)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         scenarios = [generate(spec)]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for s in scenarios:
         (out_dir / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
     print(f"wrote {len(scenarios)} scenario file(s) to {out_dir}")
@@ -188,55 +194,16 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     return sets
 
 
-def _reach_rows(scenario, results) -> list[tuple]:
-    """Reachability CSV rows of every agent that has a reachable set."""
-    return [(scenario.scenario_id, track.agent_id, _fmt_float(x),
-             _fmt_float(y), _fmt_float(t))
-            for track, _, reach_set in results if reach_set is not None
-            for (x, y), t in zip(reach_set.positions.tolist(),
-                                 reach_set.arrival_times.tolist())]
-
-
-def _write_reach_csv(path, rows):
+def _write_reach_csv(path, results):
+    """Reachability CSV of the reach sets of ``intents_batch`` results,
+    sorted on the formatted values read back."""
+    rows = [(sid, aid, _fmt_float(x), _fmt_float(y), _fmt_float(t))
+            for _, reach_sets, _ in results
+            for sid, aid, positions, times in reach_sets
+            for (x, y), t in zip(positions.tolist(), times.tolist())]
     rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]),
                              float(r[3])))
     _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"), rows)
-
-
-def _intents_for_chunk(scenarios, kind, static_sets, cfg: RunConfig,
-                       dump: bool):
-    """(agent id, kind, points, fallback flag) of every target of a run of
-    scenes, and their reach rows when ``dump``. Each agent keeps only its
-    dynamic pool until the pools of all agents are clustered together."""
-    agents, pools, reach_rows = [], [], []
-    for scenario in scenarios:
-        if kind == "static":
-            results = [(scenario.track(a), None, None)
-                       for a in scenario.tracks_to_predict]
-        else:
-            results = run_scene(scenario, cfg)
-        for track, _, reach_set in results:
-            agents.append((track, reach_set is not None))
-            if reach_set is not None:
-                pools.append(dynamic_pool(reach_set, track))
-        if dump:
-            reach_rows.extend(_reach_rows(scenario, results))
-    sets = dynamic_intents_many(pools, cfg.kmeans)
-    # static_sets holds only the classes of the targets: without a reach
-    # set there may be no vehicle target, and nothing to mix
-    if kind == "mixed" and sets:
-        sets = mixed_intents_many(sets, static_sets["vehicle"], cfg.mix,
-                                  cfg.kmeans)
-    sets = iter(sets)
-    out = []
-    for track, reached in agents:
-        if reached:
-            out.append((track.agent_id, kind, next(sets).points, "0"))
-        else:
-            out.append((track.agent_id, "static",
-                        static_sets[track.object_class].points,
-                        "0" if kind == "static" else "1"))
-    return out, reach_rows
 
 
 def cmd_intents(args) -> int:
@@ -248,43 +215,22 @@ def cmd_intents(args) -> int:
     classes = sorted({s.track(a).object_class
                       for s in scenarios for a in s.tracks_to_predict})
     static_sets = _static_sets(scenarios, classes, args.endpoints, cfg)
-    worker = partial(_intents_for_chunk, kind=args.kind,
-                     static_sets=static_sets, cfg=cfg,
-                     dump=bool(args.dump_roadgraph))
+    worker = partial(intents_batch, kind=args.kind, static_sets=static_sets,
+                     cfg=cfg, dump=bool(args.dump_roadgraph))
     results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
     # agent ids are unique, so agent order is (agent, kind, idx) row order
-    agents = sorted((a for agents_i, _ in results for a in agents_i),
+    agents = sorted((a for rows, _, _ in results for a in rows),
                     key=lambda a: a[0])
     _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"),
                ((aid, kind, str(idx), _fmt_float(x), _fmt_float(y), fallback)
                 for aid, kind, points, fallback in agents
                 for idx, (x, y) in enumerate(points.tolist())))
     if args.dump_roadgraph:
-        _write_reach_csv(args.dump_roadgraph,
-                         [d for _, dump_i in results for d in dump_i])
+        _write_reach_csv(args.dump_roadgraph, results)
     return 0
 
 
 # -- analyze -----------------------------------------------------------------
-
-def _analyze_chunk(items, model_names, cfg: RunConfig, static_set):
-    """(deviation record, coverage rows) of each kept agent of a run of
-    them; the record is None when some model has no prediction for it."""
-    out = []
-    for (track, reach_set, preds), covs in zip(
-            items, intent_coverage(items, static_set, cfg)):
-        deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
-        cov_rows = [(track.agent_id, kind, _fmt_float(cov))
-                    for kind, cov in zip(INTENT_KINDS, covs)]
-        record = None
-        if preds is not None and all(m in preds for m in model_names):
-            record = DeviationRecord(
-                track.agent_id, deviation,
-                {m: min_fde(preds[m], track, 8) for m in model_names},
-                detect_parked(track))
-        out.append((record, cov_rows))
-    return out
-
 
 def _prediction_paths(specs) -> dict[str, str]:
     """Prediction file path by model name from ``--predictions NAME=PATH``
@@ -310,34 +256,34 @@ def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     paths = _prediction_paths(args.predictions)
     scenarios = _load_scenarios(args.scenarios)
-    by_model = {name: _load_prediction_csv(path)
-                for name, path in paths.items()}
-    model_names = sorted(by_model)
     merged: dict[str, dict[str, PredictionSet]] = {}
-    for name, preds in by_model.items():
-        for aid, ps in preds.items():
+    for name, path in paths.items():
+        for aid, ps in _load_prediction_csv(path).items():
             merged.setdefault(aid, {})[name] = ps
 
     items, report = filter_dataset(scenarios, merged, cfg)
-    try:
-        static_set = pooled_static(scenarios, "vehicle", cfg.kmeans)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    static_set = _static_sets(scenarios, ["vehicle"], None, cfg)["vehicle"]
 
-    worker = partial(_analyze_chunk, model_names=model_names, cfg=cfg,
-                     static_set=static_set)
+    worker = partial(analyze_batch, model_names=sorted(paths),
+                     static_set=static_set, cfg=cfg)
     results = [r for chunk in _pmap(worker, _chunks(items, args.jobs),
                                     args.jobs) for r in chunk]
 
     records = [r for r, _ in results if r is not None]
-    cov_rows = sorted((c for _, covs in results for c in covs),
+    cov_rows = sorted(((it.track.agent_id, kind, _fmt_float(cov))
+                       for it, (_, covs) in zip(items, results)
+                       for kind, cov in zip(INTENT_KINDS, covs)),
                       key=lambda c: (c[0], c[1]))
     skipped = len(results) - len(records)
     if skipped:
         print(f"warning: skipped {skipped} agent(s) lacking predictions "
               f"for every model", file=sys.stderr)
+    # no record left is a fact of the data; a window beyond them, of usage
+    records = [r for r in records if not (cfg.exclude_parked and r.parked)]
+    if not records:
+        raise DataError("no records to analyze")
     try:
-        models, rows = deviation_curve(records, cfg.window, cfg.exclude_parked)
+        models, rows = deviation_curve(records, cfg.window)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -358,23 +304,17 @@ def cmd_analyze(args) -> int:
 
 # -- dump-roadgraph ----------------------------------------------------------
 
-def _reach_for_scenario(scenario, cfg: RunConfig):
-    results = run_scene(scenario, cfg)
-    skipped = [track.agent_id for track, assoc, _ in results
-               if assoc is not None and assoc.fallback]
-    return _reach_rows(scenario, results), skipped
-
-
 def cmd_dump_roadgraph(args) -> int:
     cfg = _resolve_config(args)
     scenarios = _load_scenarios(args.scenarios)
-    results = _pmap(partial(_reach_for_scenario, cfg=cfg), scenarios,
-                    args.jobs)
-    for _, skipped in results:
-        for agent_id in skipped:
+    worker = partial(intents_batch, kind=None, static_sets={}, cfg=cfg,
+                     dump=True)
+    results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
+    for _, _, fell_back in results:
+        for agent_id in fell_back:
             print(f"note: {agent_id} has no lane association; skipped",
                   file=sys.stderr)
-    _write_reach_csv(args.out, [row for rows, _ in results for row in rows])
+    _write_reach_csv(args.out, results)
     return 0
 
 
@@ -403,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate synthetic scenario files")
     p_gen.add_argument("--template", choices=TEMPLATES)
-    p_gen.add_argument("--behavior", choices=BEHAVIORS,
-                       default=GenSpec.agent_behavior)
+    p_gen.add_argument("--behavior", dest="agent_behavior", choices=BEHAVIORS)
     p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--speed-limit", dest="speed_limit", type=float,
-                       default=GenSpec.speed_limit_mps)
+    p_gen.add_argument("--speed-limit", dest="speed_limit_mps", type=float)
     p_gen.add_argument("--suite", type=int,
                        help="generate N randomized scenarios instead")
     p_gen.add_argument("-o", "--out", required=True, help="output directory")
@@ -447,12 +385,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DataError, ScenarioError, CsvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ScenarioError, CsvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

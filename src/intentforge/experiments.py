@@ -1,10 +1,12 @@
-"""The per-scene pipeline and the experiments built on it.
+"""The per-scene pipeline, the CLI's batch drivers, and the experiments.
 
 ``run_scene`` runs lane association and reachability for one scene under
-a ``RunConfig``; every CLI command uses it. ``filter_dataset`` sorts its
-results into the targets that ``analyze`` keeps and the ones it
-excludes, and ``intent_coverage`` scores kept targets' static, dynamic
-and mixed intention points against their ground-truth endpoints.
+a ``RunConfig``; ``intents_batch``, the driver of ``intents`` and
+``dump-roadgraph``, runs it over many scenes. ``filter_dataset`` sorts
+its results into the targets that ``analyze`` keeps and the ones it
+excludes, ``intent_coverage`` scores kept targets' static, dynamic and
+mixed intention points against their ground-truth endpoints, and
+``analyze_batch``, the driver of ``analyze``, adds deviation records.
 The experiments back the scripts in scripts/ and keep and score agents
 exactly as ``analyze`` does: the mixed-ratio coverage table (how
 strongly to weight scene-conditioned points against statistical ones
@@ -21,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import coverage
+from .analysis import (DeviationRecord, coverage, detect_parked,
+                       gt_deviation, min_fde)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_intents_many, dynamic_pool,
                         mixed_intents_many, static_intents, to_agent_frame)
@@ -113,6 +116,48 @@ def run_scene(scenario: Scenario,
     return out
 
 
+def intents_batch(scenarios, kind: str | None, static_sets,
+                  cfg: RunConfig = RunConfig(), dump: bool = False):
+    """Intention points of the targets of many scenes, clustered in one
+    batch, as three lists in scene order: ``(agent id, kind, points,
+    fallback flag)`` rows, where a target without a reach set gets its
+    class's ``static_sets`` entry, and none when ``kind`` is None; when
+    ``dump``, ``(scenario id, agent id, positions, arrival times)`` of
+    every reach set; and the ids of vehicles whose association fell back."""
+    agents, pools, reach_sets, fell_back = [], [], [], []
+    for scenario in scenarios:
+        if kind == "static":
+            results = [AgentResult(scenario.track(a), None, None)
+                       for a in scenario.tracks_to_predict]
+        else:
+            results = run_scene(scenario, cfg)
+        for track, assoc, reach_set in results:
+            agents.append((track, reach_set is not None))
+            if assoc is not None and assoc.fallback:
+                fell_back.append(track.agent_id)
+            if reach_set is not None and kind is not None:
+                pools.append(dynamic_pool(reach_set, track))
+            if reach_set is not None and dump:
+                reach_sets.append((scenario.scenario_id, track.agent_id,
+                                   reach_set.positions,
+                                   reach_set.arrival_times))
+    if kind is None:
+        return [], reach_sets, fell_back
+    sets = dynamic_intents_many(pools, cfg.kmeans)
+    # static_sets holds only the classes of the targets: without a reach
+    # set there may be no vehicle target, and nothing to mix
+    if kind == "mixed" and sets:
+        sets = mixed_intents_many(sets, static_sets["vehicle"], cfg.mix,
+                                  cfg.kmeans)
+    sets = iter(sets)
+    rows = [(track.agent_id, kind, next(sets).points, "0") if reached
+            else (track.agent_id, "static",
+                  static_sets[track.object_class].points,
+                  "0" if kind == "static" else "1")
+            for track, reached in agents]
+    return rows, reach_sets, fell_back
+
+
 MAX_PLAUSIBLE_SPEED = 60.0   # m/s between consecutive valid GT samples
 
 
@@ -188,6 +233,24 @@ def intent_coverage(items, static_set: IntentionPointSet,
     return [[coverage(points, agent_frame_endpoint(it.track))
              for points in (static_set, *sets)]
             for it, *sets in zip(items, dyns, *mixed)]
+
+
+def analyze_batch(items, model_names, static_set: IntentionPointSet,
+                  cfg: RunConfig = RunConfig()):
+    """``(deviation record, intent_coverage row)`` of each kept target; the
+    record is None when some model in ``model_names`` has no prediction."""
+    out = []
+    for (track, reach_set, preds), covs in zip(
+            items, intent_coverage(items, static_set, cfg)):
+        record = None
+        if preds is not None and all(m in preds for m in model_names):
+            record = DeviationRecord(
+                track.agent_id,
+                gt_deviation(track, reach_set, cfg.deviation_mode),
+                {m: min_fde(preds[m], track, 8) for m in model_names},
+                detect_parked(track))
+        out.append((record, covs))
+    return out
 
 
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
-                      point_to_polyline_distance, scenario_of, straight_map,
-                      vehicle_track)
+                      point_to_polyline_distance, scenario_of,
+                      stationary_track, straight_map, vehicle_track)
 from intentforge import analysis, cli, experiments, intention
 from intentforge.cli import main
 from intentforge.analysis import coverage
@@ -108,6 +108,19 @@ def test_gen_suite(tmp_path):
     assert main(["gen", "--suite", "5", "--seed", "3",
                  "-o", str(tmp_path / "s")]) == 0
     assert len(list((tmp_path / "s").glob("*.json"))) == 5
+
+
+@pytest.mark.parametrize("flags", [
+    ["--template", "straight"], ["--behavior", "follow_lane"],
+    ["--speed-limit", "13.4112"],
+    ["--speed-limit", "nan", "--behavior", "illegal_uturn"]],
+    ids=["template", "behavior", "speed_limit", "bad_speed_limit"])
+def test_gen_suite_with_per_scene_flags_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "s"
+    assert main(["gen", "--suite", "2", *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --suite takes no --template, --behavior or --speed-limit\n")
+    assert not out.exists()
 
 
 # -- intents ----------------------------------------------------------------------
@@ -327,6 +340,35 @@ def test_analyze_window_too_large_exits_2(tmp_path):
     pred = perfect_predictions(tmp_path, suite, "exact")
     assert main(["analyze", str(scenes), "--predictions", f"exact={pred}",
                  "--window", "1000", "-o", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("no_predictions", 1, "no records to analyze"),
+    ("all_parked", 1, "no records to analyze"),
+    ("window", 2, "window 3 exceeds record count 2")],
+    ids=["no_predictions", "all_parked", "window"])
+def test_analyze_exit_codes_without_records(tmp_path, capsys, case, code,
+                                             message):
+    """No record left, from missing predictions or --exclude-parked, is a
+    data error; a window beyond the records is a usage error."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    suite = [scenario_of(straight_map(), [stationary_track(
+        (20.0 + 10 * i, 0.0), agent_id=f"p{i}")], scenario_id=f"s{i}")
+        for i in range(2)]
+    for s in suite:
+        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
+    pred = perfect_predictions(
+        tmp_path, [] if case == "no_predictions" else suite, "m")
+    out = tmp_path / "out"
+    argv = ["analyze", str(scenes), "--predictions", f"m={pred}",
+            "--window", "3" if case == "window" else "1", "-o", str(out)]
+    assert main(argv + (["--exclude-parked"] if case == "all_parked"
+                        else [])) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {message}"
+    assert sum(line.startswith("error: ") for line in err) == 1
+    assert not out.exists()
 
 
 def test_analyze_two_models_constant_gap(tmp_path):
@@ -815,12 +857,15 @@ def test_dump_roadgraph_subcommand(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_dump_roadgraph_matches_intents_dump(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("kind", ["dynamic", "mixed"])
+def test_dump_roadgraph_matches_intents_dump(tmp_path, kind, jobs):
     scenes, _ = write_suite(tmp_path, n=6, seed=1,
                             behaviors=("follow_lane", "offroad_parking"))
     dump, intents_dump = tmp_path / "rg.csv", tmp_path / "intents_rg.csv"
-    assert main(["dump-roadgraph", str(scenes), "-o", str(dump)]) == 0
-    assert main(["intents", str(scenes), "--kind", "dynamic",
+    assert main(["dump-roadgraph", str(scenes), "--jobs", jobs,
+                 "-o", str(dump)]) == 0
+    assert main(["intents", str(scenes), "--kind", kind, "--jobs", jobs,
                  "--dump-roadgraph", str(intents_dump),
                  "-o", str(tmp_path / "i.csv")]) == 0
     assert dump.read_bytes() == intents_dump.read_bytes()
@@ -828,13 +873,14 @@ def test_dump_roadgraph_matches_intents_dump(tmp_path):
 
 @pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
 def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
-    # one off-road scene, so dump-roadgraph writes a note, and one scene
-    # without predictions, so analyze writes a warning
-    scenes, suite = write_suite(tmp_path, n=6, seed=1,
+    # 7 scenes cut into uneven chunks at --jobs 2 and 3; off-road scenes in
+    # two of the chunks, so dump-roadgraph's notes come from several
+    # workers, and one scene without predictions, so analyze warns
+    scenes, suite = write_suite(tmp_path, n=7, seed=40,
                                 behaviors=("follow_lane", "offroad_parking"))
     pred = perfect_predictions(tmp_path, suite[:-1], "m")
     seen = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"out{jobs}"
         out.mkdir()
         argv = {"intents": ["intents", str(scenes), "--kind", "mixed",
@@ -846,8 +892,10 @@ def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
         assert main([*argv, "--jobs", jobs]) == 0
         seen.append((capsys.readouterr().err,
                      {f.name: f.read_bytes() for f in out.iterdir()}))
-    assert seen[0] == seen[1]
+    assert seen[0] == seen[1] == seen[2]
     assert seen[0][0] or command == "intents"
+    if command == "dump-roadgraph":
+        assert seen[0][0].count("note: ") == 4
 
 
 def test_batched_outputs_equal_one_agent_calls_at_any_jobs(tmp_path):
