@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage/config error.
 
 All CSV output uses 6-decimal fixed floats and deterministic row order
 (scenario id, agent id), so reruns with identical inputs, config, and
-seed are byte-identical regardless of --jobs.
+seed are byte-identical regardless of --jobs. ``_write_csv`` writes every
+file as it is formatted, one block of lines (one agent's rows in the
+intents and reach CSVs) at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import (CsvError, PredictionSet, deviation_curve,
                        read_endpoints)
@@ -120,9 +124,11 @@ def _load_scenarios(paths):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header line, then each block of ``rows`` as it comes; a
+    block is a str of complete lines, so no file is held whole."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(rows)
 
 
 def _chunks(items, jobs: int) -> list:
@@ -194,39 +200,57 @@ def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
     return sets
 
 
+def _reach_block(sid, aid, positions, times) -> str:
+    """The reach CSV lines of one reach set, in the (arrival_s, x, y)
+    order of their printed values. Rows come in arrival order and rounding
+    keeps it, so only rows that print one arrival time are reordered."""
+    fmt = f"{sid},{aid},".replace("%", "%%") + "%.6f,%.6f,%.6f\n"
+    lines = [fmt % tuple(row) for row in
+             (np.column_stack([positions, times]) + 0.0).tolist()]
+    # rows more than 2e-6 s apart cannot print one arrival time
+    ties = [i for i in np.flatnonzero(np.diff(times) < 2e-6).tolist()
+            if lines[i].rpartition(",")[2] == lines[i + 1].rpartition(",")[2]]
+    runs = np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1)
+    for run in runs if ties else []:
+        a, b = run[0], run[-1] + 2
+        lines[a:b] = sorted(lines[a:b], key=lambda ln: tuple(
+            map(float, ln.rsplit(",", 3)[1:3])))
+    return "".join(lines)
+
+
 def _write_reach_csv(path, results):
-    """Reachability CSV of the reach sets of ``intents_batch`` results,
-    sorted on the formatted values read back."""
-    rows = [(sid, aid, _fmt_float(x), _fmt_float(y), _fmt_float(t))
-            for _, reach_sets, _ in results
-            for sid, aid, positions, times in reach_sets
-            for (x, y), t in zip(positions.tolist(), times.tolist())]
-    rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]),
-                             float(r[3])))
-    _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"), rows)
+    """Reachability CSV of the reach sets of ``intents_batch`` results, in
+    (scenario id, agent id) order, one block per reach set."""
+    reach_sets = sorted((r for _, sets, _ in results for r in sets),
+                        key=lambda r: r[:2])
+    _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"),
+               (_reach_block(*r) for r in reach_sets))
 
 
 def cmd_intents(args) -> int:
     cfg = _resolve_config(args)
-    if args.kind == "static" and args.dump_roadgraph:
+    dump = args.dump_roadgraph
+    if args.kind == "static" and dump:
         raise UsageError("--dump-roadgraph needs --kind dynamic or mixed: "
                          "static intents compute no reachable set")
+    if dump and Path(dump).resolve() == Path(args.out).resolve():
+        raise UsageError("--dump-roadgraph and -o name the same file")
     scenarios = _load_scenarios(args.scenarios)
     classes = sorted({s.track(a).object_class
                       for s in scenarios for a in s.tracks_to_predict})
     static_sets = _static_sets(scenarios, classes, args.endpoints, cfg)
     worker = partial(intents_batch, kind=args.kind, static_sets=static_sets,
-                     cfg=cfg, dump=bool(args.dump_roadgraph))
+                     cfg=cfg, dump=bool(dump))
     results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
     # agent ids are unique, so agent order is (agent, kind, idx) row order
     agents = sorted((a for rows, _, _ in results for a in rows),
                     key=lambda a: a[0])
     _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"),
-               ((aid, kind, str(idx), _fmt_float(x), _fmt_float(y), fallback)
-                for aid, kind, points, fallback in agents
-                for idx, (x, y) in enumerate(points.tolist())))
-    if args.dump_roadgraph:
-        _write_reach_csv(args.dump_roadgraph, results)
+               ("".join("%s,%s,%d,%.6f,%.6f,%s\n" % (aid, kind, i, x, y, fb)
+                        for i, (x, y) in enumerate((points + 0.0).tolist()))
+                for aid, kind, points, fb in agents))
+    if dump:
+        _write_reach_csv(dump, results)
     return 0
 
 
@@ -291,14 +315,15 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "deviation_curve.csv",
                ("rank", "deviation_m", *(f"minfde_{m}" for m in models)),
-               [(str(rank), _fmt_float(dev), *map(_fmt_float, fdes))
-                for rank, dev, *fdes in rows])
+               (",".join((str(rank), *map(_fmt_float, values))) + "\n"
+                for rank, *values in rows))
     _write_csv(out_dir / "filter_report.csv",
                (*(f.name for f in fields(report)),
                 "skipped_missing_prediction"),
-               [tuple(map(str, (*astuple(report), skipped)))])
+               [",".join(map(str, (*astuple(report), skipped))) + "\n"])
     _write_csv(out_dir / "coverage.csv",
-               ("agent_id", "kind", "coverage_m"), cov_rows)
+               ("agent_id", "kind", "coverage_m"),
+               (",".join(row) + "\n" for row in cov_rows))
     return 0
 
 

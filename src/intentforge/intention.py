@@ -130,16 +130,22 @@ class IntentionPointSet:
 def _coalesce(points: np.ndarray, weights: np.ndarray):
     """Merge exact duplicate points, summing weights, keeping first-seen order.
 
-    ``+ 0.0`` turns -0.0 into 0.0, so the two compare as one point. Each
-    kept point is its first occurrence, as given, and ``bincount`` adds the
-    weights of a point in input order."""
-    _, first, inverse = np.unique(points + 0.0, axis=0, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first, kind="stable")
+    ``+ 0.0`` turns -0.0 into 0.0, so the two compare as one point. A
+    stable sort by (x, y) heads each run of equal points with their first
+    occurrence, which is kept as given; ``bincount`` adds the weights of a
+    point in input order."""
+    keyed = points + 0.0
+    by_xy = np.lexsort((keyed[:, 1], keyed[:, 0]))
+    ranked = keyed[by_xy]
+    head = np.ones(by_xy.size, dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = by_xy[head]
+    order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return points[first[order]], np.bincount(rank[inverse.ravel()],
-                                             weights=weights)
+    labels = np.empty_like(by_xy)
+    labels[by_xy] = rank[np.cumsum(head) - 1]
+    return points[first[order]], np.bincount(labels, weights=weights)
 
 
 def _block(pn: np.ndarray, cn: np.ndarray, dot: np.ndarray) -> np.ndarray:

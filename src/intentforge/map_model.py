@@ -37,10 +37,11 @@ and its per-field path agree on them:
   finite number is kept (a bool as 0.0 or 1.0), and a non-numeric or
   non-finite value becomes 0.0.
 
-An integer beyond float range in a number field, invalid states
-included, is a SchemaViolation; a segment id beyond 64 bits is an
-InvariantViolation; an integer literal beyond Python's int-string digit
-limit is a MalformedScenario.
+A scenario_id or agent_id holding a comma, CR or LF (ids are fields of
+the output CSVs), and an integer beyond float range in a number field,
+invalid states included, are SchemaViolations; a segment id beyond 64
+bits is an InvariantViolation; an integer literal beyond Python's
+int-string digit limit is a MalformedScenario.
 
 Parsing validates the schema and the structural invariants (symmetric
 segment connectivity, mutual neighbor references, node spacing in
@@ -402,6 +403,13 @@ def _expect(cond: bool, path: str, reason: str):
         raise SchemaViolation(f"{path}: {reason}")
 
 
+def _id(value, path: str):
+    _expect(isinstance(value, str), path, "expected string")
+    # ids are fields of the output CSVs
+    _expect(not any(c in value for c in ",\r\n"), path,
+            "expected no comma or line break")
+
+
 def _float(value, path: str) -> float:
     try:
         return float(value)
@@ -519,8 +527,7 @@ def _parse_track(obj, path: str) -> AgentTrack:
     _expect(isinstance(obj, dict), path, "expected object")
     for key in ("agent_id", "class", "length_m", "width_m", "history", "future"):
         _expect(key in obj, path, f"missing field {key!r}")
-    _expect(isinstance(obj["agent_id"], str), f"{path}.agent_id",
-            "expected string")
+    _id(obj["agent_id"], f"{path}.agent_id")
     length_m = _num(obj["length_m"], f"{path}.length_m")
     width_m = _num(obj["width_m"], f"{path}.width_m")
     history_t, history = _parse_states(obj["history"], f"{path}.history",
@@ -548,7 +555,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
     _expect(isinstance(obj, dict), "$", "expected top-level object")
     for key in ("scenario_id", "map", "tracks", "tracks_to_predict"):
         _expect(key in obj, "$", f"missing field {key!r}")
-    _expect(isinstance(obj["scenario_id"], str), "scenario_id", "expected string")
+    _id(obj["scenario_id"], "scenario_id")
     _expect(isinstance(obj["map"], dict) and "segments" in obj["map"],
             "map", "expected object with field 'segments'")
     segs_raw = obj["map"]["segments"]
@@ -572,94 +579,47 @@ def parse_scenario(data: bytes | str) -> Scenario:
 # -- canonical serialization ------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if x == 0.0:  # normalize -0.0
-        x = 0.0
-    return format(x, ".6f")
+    return "%.6f" % (x + 0.0)  # adding 0.0 turns -0.0 into 0.0
 
 
-class _Raw(str):
-    """Text that ``_emit`` writes as it is."""
+def _rows(fmt: str, rows) -> str:
+    return "[" + ",".join(fmt % row for row in rows) + "]"
 
 
-def _rows(fmt: str, rows) -> _Raw:
-    return _Raw("[" + ",".join(fmt % row for row in rows) + "]")
-
-
-def _emit(value, out: list[str]):
-    if type(value) is _Raw:
-        out.append(value)
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("1" if value else "0")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _state_rows(track: AgentTrack, rows: slice) -> _Raw:
+def _state_rows(track: AgentTrack, rows: slice) -> str:
     # adding 0.0 turns -0.0 into 0.0, as _fmt_float does
     values = (track.states[rows] + 0.0).tolist()
     return _rows("[%d,%.6f,%.6f,%.6f,%.6f,%d]",
                  ((t, *v) for t, v in zip(track.timestamps[rows], values)))
 
 
-def _neighbor_obj(n: Optional[LaneNeighbor]):
-    return None if n is None else {"id": n.segment_id, "change_ok": n.change_ok}
+def _neighbor(n: Optional[LaneNeighbor]) -> str:
+    return "null" if n is None else '{"change_ok":%d,"id":%d}' % (
+        n.change_ok, n.segment_id)
 
 
 def write_scenario(scenario: Scenario) -> bytes:
-    """Serialize to canonical bytes; equal scenarios yield identical output."""
-    obj = {
-        "scenario_id": scenario.scenario_id,
-        "map": {"segments": [
-            {
-                "id": seg.id,
-                "speed_limit_mps": float(seg.speed_limit_mps),
-                "nodes": _rows("[%.6f,%.6f]",
-                               map(tuple, (seg.nodes + 0.0).tolist())),
-                "exits": list(seg.exit_ids),
-                "entries": list(seg.entry_ids),
-                "left": _neighbor_obj(seg.left),
-                "right": _neighbor_obj(seg.right),
-            }
-            for seg in scenario.vector_map.segments.values()
-        ]},
-        "tracks": [
-            {
-                "agent_id": t.agent_id,
-                "class": t.object_class,
-                "length_m": float(t.length_m),
-                "width_m": float(t.width_m),
-                "history": _state_rows(t, slice(HISTORY_LEN)),
-                "future": _state_rows(t, slice(HISTORY_LEN, None)),
-            }
-            for t in scenario.tracks
-        ],
-        "tracks_to_predict": list(scenario.tracks_to_predict),
-    }
-    out: list[str] = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out).encode("utf-8")
+    """Serialize to canonical bytes; equal scenarios yield identical output.
+    Keys are written in sorted order; a bool id or flag is written as 0 or
+    1."""
+    segments = ",".join(
+        '{"entries":%s,"exits":%s,"id":%d,"left":%s,"nodes":%s,"right":%s,'
+        '"speed_limit_mps":%s}' % (
+            _rows("%d", seg.entry_ids), _rows("%d", seg.exit_ids), seg.id,
+            _neighbor(seg.left),
+            _rows("[%.6f,%.6f]", map(tuple, (seg.nodes + 0.0).tolist())),
+            _neighbor(seg.right), _fmt_float(seg.speed_limit_mps))
+        for seg in scenario.vector_map.segments.values())
+    tracks = ",".join(
+        '{"agent_id":%s,"class":%s,"future":%s,"history":%s,"length_m":%s,'
+        '"width_m":%s}' % (
+            json.dumps(t.agent_id), json.dumps(t.object_class),
+            _state_rows(t, slice(HISTORY_LEN, None)),
+            _state_rows(t, slice(HISTORY_LEN)), _fmt_float(t.length_m),
+            _fmt_float(t.width_m))
+        for t in scenario.tracks)
+    return ('{"map":{"segments":[%s]},"scenario_id":%s,"tracks":[%s],'
+            '"tracks_to_predict":%s}\n' % (
+                segments, json.dumps(scenario.scenario_id), tracks,
+                _rows("%s", map(json.dumps, scenario.tracks_to_predict)))
+            ).encode("utf-8")

@@ -251,6 +251,27 @@ def coalesce_reference(points, weights):
     return points[np.asarray(order)], np.asarray(w_out)
 
 
+def fmt_float_reference(x) -> str:
+    """A CSV float: 6 decimals, with -0.0 printed as 0.000000."""
+    if x == 0.0:
+        x = 0.0
+    return format(x, ".6f")
+
+
+def reach_csv_reference(reach_sets) -> str:
+    """The reach CSV text of ``(scenario id, agent id, positions, arrival
+    times)`` sets in any order, as one list of formatted rows sorted on
+    their values read back: the writer that ``cli._write_reach_csv`` must
+    reproduce byte for byte."""
+    rows = [(sid, aid, *map(fmt_float_reference, (x, y, t)))
+            for sid, aid, positions, times in reach_sets
+            for (x, y), t in zip(positions.tolist(), times.tolist())]
+    rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]),
+                             float(r[3])))
+    return "".join(",".join(r) + "\n" for r in [
+        ("scenario_id", "agent_id", "x", "y", "arrival_s"), *rows])
+
+
 def lloyd_reference(pts, weights, centers, cfg):
     """Weighted Lloyd over the whole distance block in every iteration:
     ``intention._lloyd`` must return bit-identical centers and as many
@@ -389,6 +410,8 @@ def _parse_track(obj, path: str) -> AgentTrack:
         _expect(key in obj, path, f"missing field {key!r}")
     _expect(isinstance(obj["agent_id"], str), f"{path}.agent_id",
             "expected string")
+    _expect(not any(c in obj["agent_id"] for c in ",\r\n"),
+            f"{path}.agent_id", "expected no comma or line break")
     fields = dict(
         agent_id=obj["agent_id"],
         object_class=obj["class"],
@@ -415,6 +438,8 @@ def parse_scenario_reference(data: bytes) -> Scenario:
     for key in ("scenario_id", "map", "tracks", "tracks_to_predict"):
         _expect(key in obj, "$", f"missing field {key!r}")
     _expect(isinstance(obj["scenario_id"], str), "scenario_id", "expected string")
+    _expect(not any(c in obj["scenario_id"] for c in ",\r\n"), "scenario_id",
+            "expected no comma or line break")
     _expect(isinstance(obj["map"], dict) and "segments" in obj["map"],
             "map", "expected object with field 'segments'")
     segs_raw = obj["map"]["segments"]

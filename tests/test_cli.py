@@ -1,13 +1,16 @@
 import argparse
 import inspect
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (HUGE, OVER_DIGIT_LIMIT, from_agent_frame, mutated_scene,
+from conftest import (HUGE, OVER_DIGIT_LIMIT, fmt_float_reference,
+                      from_agent_frame, mutated_scene, reach_csv_reference,
                       point_to_polyline_distance, scenario_of,
                       stationary_track, straight_map, vehicle_track)
 from intentforge import analysis, cli, experiments, intention
@@ -16,8 +19,8 @@ from intentforge.analysis import coverage
 from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
                                    mixed_intents)
 from intentforge.lane_assoc import associate
-from intentforge.map_model import (ScenarioError, VectorMap, parse_scenario,
-                                   write_scenario)
+from intentforge.map_model import (SchemaViolation, ScenarioError, VectorMap,
+                                   parse_scenario, write_scenario)
 from intentforge.scenario_gen import BEHAVIORS, generate_suite
 
 
@@ -215,6 +218,19 @@ def test_intents_static_dump_roadgraph_exits_2_before_reading_scenarios(
     err = capsys.readouterr().err
     assert err.startswith("error: --dump-roadgraph ") and err.count("\n") == 1
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("dump", ["i.csv", "sub/../i.csv"])
+def test_intents_dump_roadgraph_to_the_output_file_exits_2(tmp_path, capsys,
+                                                            dump):
+    # the reach CSV would replace the intention points
+    (tmp_path / "sub").mkdir()
+    assert main(["intents", str(tmp_path / "no_such_dir"), "--kind", "mixed",
+                 "--dump-roadgraph", str(tmp_path / dump),
+                 "-o", str(tmp_path / "i.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "error: --dump-roadgraph and -o name the same file\n"
+    assert not (tmp_path / "i.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["dynamic", "mixed"])
@@ -810,6 +826,32 @@ def test_integer_beyond_float_range_exits_1_with_one_line(
 
 
 @pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
+@pytest.mark.parametrize("field", ["scenario_id", "agent_id"])
+@pytest.mark.parametrize("char", [",", "\r", "\n"], ids=["comma", "CR", "LF"])
+def test_id_with_comma_or_line_break_exits_1_with_one_line(
+        tmp_path, capsys, command, field, char):
+    # an id is a field of every output CSV: it would split a row
+    scenes, _ = write_suite(tmp_path, n=1)
+    path = next(scenes.glob("*.json"))
+    obj = json.loads(path.read_bytes())
+    bad = f"x{char}y"
+    if field == "scenario_id":
+        obj["scenario_id"], where = bad, "scenario_id"
+    else:
+        i = [t["agent_id"] for t in obj["tracks"]].index(
+            obj["tracks_to_predict"][0])
+        obj["tracks"][i]["agent_id"] = obj["tracks_to_predict"][0] = bad
+        where = f"tracks[{i}].agent_id"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaViolation):
+        parse_scenario(path.read_bytes())
+    assert main(_scene_argv(command, scenes, tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: {where}: expected no comma or line break\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
 def test_integer_beyond_digit_limit_exits_1_with_one_line(tmp_path, capsys,
                                                            command):
     scenes, _ = write_suite(tmp_path, n=1)
@@ -869,6 +911,128 @@ def test_dump_roadgraph_matches_intents_dump(tmp_path, kind, jobs):
                  "--dump-roadgraph", str(intents_dump),
                  "-o", str(tmp_path / "i.csv")]) == 0
     assert dump.read_bytes() == intents_dump.read_bytes()
+
+
+# in arrival order: arrival times that print alike while the raw (x, y)
+# order is reversed, x of 0.0, -0.0 and -1e-9, and two targets of one
+# scene listed out of id order
+_TIED_TIMES = np.array([0.0, 0.0, 0.0, 1.0000001, 1.0000002, 1.0000004,
+                        1.0000006, 2.5, 2.5, 2.5])
+_TIED_XY = np.array([[3.0, 1.0], [0.0, 2.0], [-0.0, 1.0], [-1e-9, 5.0],
+                     [0.0, 5.0], [-0.0, 4.0], [-3.0, 0.0], [2.0000004, -0.0],
+                     [2.0000001, -1e-9], [1.9999996, 7.0]])
+_TIED_SETS = [("s1", "b", _TIED_XY, _TIED_TIMES),
+              ("s1", "a", _TIED_XY[::-1].copy(), _TIED_TIMES),
+              ("s0", "c", _TIED_XY[:4].copy(), _TIED_TIMES[:4])]
+
+
+def test_reach_writer_matches_global_sort_on_tied_rows(tmp_path):
+    out = tmp_path / "rg.csv"
+    cli._write_reach_csv(out, [([], _TIED_SETS[:2], []),
+                               ([], _TIED_SETS[2:], [])])
+    want = reach_csv_reference(_TIED_SETS)
+    assert out.read_text() == want
+    # the tied rows are reordered, and -0.000000 is printed for -1e-9 only
+    assert "s1,b,-0.000000,5.000000,1.000000\ns1,b,0.000000,5.000000," in want
+    assert want.count("-0.000000") == sum(int((xy == -1e-9).sum())
+                                          for _, _, xy, _ in _TIED_SETS)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5]),
+                          st.sampled_from([0.0, 1e-7, 4e-7, 5e-7, 6e-7]),
+                          st.sampled_from([0.0, -0.0, -1e-9, 1.0, 1.0000003]),
+                          st.sampled_from([0.0, -0.0, 2.0, -1e-9])),
+                min_size=1, max_size=40))
+def test_reach_writer_matches_global_sort_on_random_ties(tmp_path, rows):
+    rows = sorted(rows, key=lambda r: r[0] + r[1])   # arrival order
+    times = np.array([r[0] + r[1] for r in rows])
+    positions = np.array([r[2:] for r in rows])
+    sets = [("s", "a", positions, times)]
+    cli._write_reach_csv(tmp_path / "rg.csv", [([], sets, [])])
+    assert (tmp_path / "rg.csv").read_text() == reach_csv_reference(sets)
+
+
+def _two_target_scene(scenes):
+    # two targets on one lane, listed out of id order in the file
+    tracks = [vehicle_track((60.0, 0.0), agent_id="two-z"),
+              vehicle_track((20.0, 0.0), agent_id="two-a")]
+    obj = json.loads(write_scenario(scenario_of(straight_map(), tracks,
+                                                scenario_id="two")))
+    obj["tracks_to_predict"] = ["two-z", "two-a"]
+    (scenes / "two.json").write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_dump_roadgraph_matches_global_sort(tmp_path, jobs):
+    scenes, _ = write_suite(tmp_path, n=12, seed=0, behaviors=BEHAVIORS)
+    _two_target_scene(scenes)
+    out = tmp_path / "rg.csv"
+    assert main(["dump-roadgraph", str(scenes), "--jobs", jobs,
+                 "-o", str(out)]) == 0
+    sets = [(s.scenario_id, r.track.agent_id, r.reach_set.positions,
+             r.reach_set.arrival_times)
+            for s in map(parse_scenario, map(Path.read_bytes,
+                                             scenes.glob("*.json")))
+            for r in experiments.run_scene(s) if r.reach_set is not None]
+    want = reach_csv_reference(sets)
+    assert out.read_text() == want
+    assert {"two-a", "two-z"} <= {aid for _, aid, _, _ in sets}
+    # some rows of one printed arrival time leave their arrival order
+    in_arrival_order = "".join(
+        f"{sid},{aid},{fmt_float_reference(x)},{fmt_float_reference(y)},"
+        f"{fmt_float_reference(t)}\n"
+        for sid, aid, positions, times in sorted(sets, key=lambda r: r[:2])
+        for (x, y), t in zip(positions.tolist(), times.tolist()))
+    assert want.partition("\n")[2] != in_arrival_order
+
+
+def test_intents_rows_print_like_fmt_float(tmp_path, monkeypatch):
+    scenes, _ = write_suite(tmp_path, n=1)
+    points = np.array([[0.0, -0.0], [-1e-9, 1e-9], [2.5000005, -2.5000005],
+                       [1e6 / 3, -7.0]])
+
+    def batch(scenarios, kind, static_sets, cfg, dump):
+        return [("b", kind, points, "0"), ("a", "static", points[::-1], "1")
+                ], [], []
+
+    monkeypatch.setattr(cli, "intents_batch", batch)
+    out = tmp_path / "i.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(out)]) == 0
+    want = ["agent_id,kind,idx,x,y,fallback"] + [
+        ",".join((aid, kind, str(i), *map(fmt_float_reference, xy), fb))
+        for aid, kind, pts, fb in [("a", "static", points[::-1], "1"),
+                                   ("b", "dynamic", points, "0")]
+        for i, xy in enumerate(pts.tolist())]
+    assert out.read_text() == "\n".join(want) + "\n"
+    values = [*points.ravel().tolist(), float("inf"), float("nan"), 5]
+    assert [cli._fmt_float(v) for v in values] == \
+        [fmt_float_reference(v) for v in values]
+
+
+def test_reach_csv_is_streamed(tmp_path, monkeypatch):
+    # the peak of traced memory inside the writer stays below the size of
+    # the file it writes: no call holds the whole file
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--suite", "60", "--seed", "0",
+                 "-o", str(scenes)]) == 0
+    write, peaks = cli._write_csv, []
+
+    def traced(path, header, rows):
+        tracemalloc.start()
+        try:
+            write(path, header, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    out = tmp_path / "rg.csv"
+    assert main(["dump-roadgraph", str(scenes), "-o", str(out)]) == 0
+    assert len(peaks) == 1 and out.stat().st_size > 500_000
+    assert peaks[0] < out.stat().st_size
 
 
 @pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
