@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_model import FUTURE_LEN, AgentTrack
+from .map_model import FUTURE_LEN, HISTORY_LEN, AgentTrack
 from .road_graph import ReachabilitySet
 
 HORIZON_STEP = {3: 29, 5: 49, 8: 79}   # future index at 10 Hz
@@ -254,17 +254,17 @@ def read_predictions(path) -> dict[str, PredictionSet]:
 def _horizon_state(gt: AgentTrack, horizon: int):
     if horizon not in HORIZON_STEP:
         raise ValueError("horizon must be one of 3, 5, 8 (seconds)")
-    state = gt.future[HORIZON_STEP[horizon]]
-    if not state.valid:
+    x, y, heading, _, ok = gt.states[HISTORY_LEN + HORIZON_STEP[horizon]]
+    if not ok:
         raise ValueError(f"ground truth invalid at the {horizon} s horizon")
-    return state
+    return float(x), float(y), float(heading)
 
 
 def min_fde(pred: PredictionSet, gt: AgentTrack, horizon: int) -> float:
     """Minimum over modes of the final displacement at the horizon step."""
-    state = _horizon_state(gt, horizon)
+    x, y, _ = _horizon_state(gt, horizon)
     pts = pred.trajectories[:, HORIZON_STEP[horizon], :]
-    return float(np.hypot(pts[:, 0] - state.x, pts[:, 1] - state.y).min())
+    return float(np.hypot(pts[:, 0] - x, pts[:, 1] - y).min())
 
 
 def min_ade(pred: PredictionSet, gt: AgentTrack, horizon: int) -> float:
@@ -294,13 +294,13 @@ def miss_threshold_scale(current_speed: float) -> float:
 def miss_rate(pred: PredictionSet, gt: AgentTrack, horizon: int) -> int:
     """1 if no mode endpoint is inside the benchmark threshold box around
     the GT endpoint (oriented by GT heading), else 0."""
-    state = _horizon_state(gt, horizon)
+    x, y, heading = _horizon_state(gt, horizon)
     scale = miss_threshold_scale(gt.current_state.speed)
     lat_t = MR_LATERAL[horizon] * scale
     lon_t = MR_LONGITUDINAL[horizon] * scale
-    c, s = math.cos(state.heading), math.sin(state.heading)
+    c, s = math.cos(heading), math.sin(heading)
     pts = pred.trajectories[:, HORIZON_STEP[horizon], :]
-    ex, ey = pts[:, 0] - state.x, pts[:, 1] - state.y
+    ex, ey = pts[:, 0] - x, pts[:, 1] - y
     lon = c * ex + s * ey
     lat = -s * ex + c * ey
     hit = (np.abs(lat) <= lat_t) & (np.abs(lon) <= lon_t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_model import AgentTrack, VectorMap
+from .map_model import HISTORY_LEN, AgentTrack, VectorMap
 
 MIN_MOVE_FOR_HEADING = 0.1  # m; below this the state heading field is trusted
 
@@ -58,10 +58,10 @@ def derive_heading(track: AgentTrack) -> float:
     Falls back to the current state's heading field when the displacement
     is at most 0.1 m (stationary or near-stationary agents).
     """
-    valid = [s for s in track.history if s.valid]
+    valid = [r[:2] for r in track.states[:HISTORY_LEN].tolist() if r[4]]
     if len(valid) >= 2:
-        prev, cur = valid[-2], valid[-1]
-        dx, dy = cur.x - prev.x, cur.y - prev.y
+        (px, py), (cx, cy) = valid[-2:]
+        dx, dy = cx - px, cy - py
         if math.hypot(dx, dy) > MIN_MOVE_FOR_HEADING:
             return math.atan2(dy, dx)
     return track.current_state.heading
@@ -147,9 +147,7 @@ def associate(vmap: VectorMap, track: AgentTrack,
     heading = derive_heading(track)
 
     pool = vmap.nearest_nodes(point, cfg.proximity_limit)
-    aligned = [(sid, ni, d) for sid, ni, d in pool
-               if angular_difference(lane_heading_at(vmap, sid, ni), heading)
-               <= cfg.heading_threshold]
+    aligned = [c for c in pool if _passes(vmap, *c, heading, cfg)]
     if not aligned:
         return AssociationResult((), fallback=True)
 

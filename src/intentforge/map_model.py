@@ -261,7 +261,7 @@ class AgentTrack:
     with columns x, y, heading, speed and valid (1.0 or 0.0); the first
     HISTORY_LEN rows are the history, the last of them the current state.
     ``history`` and ``future`` are given, and read back, as lists of
-    AgentState; the parser builds tracks with ``from_arrays`` instead.
+    AgentState; the parser and scenario_gen use ``from_arrays`` instead.
     """
 
     def __init__(self, agent_id: str, object_class: str, length_m: float,
@@ -334,9 +334,9 @@ class AgentTrack:
     def future(self) -> list[AgentState]:
         return self._state_list(slice(HISTORY_LEN, None))
 
-    @property
+    @cached_property
     def current_state(self) -> AgentState:
-        return self.history[-1]
+        return self._state_list(slice(HISTORY_LEN - 1, HISTORY_LEN))[0]
 
     @property
     def future_xy(self) -> np.ndarray:
@@ -586,11 +586,15 @@ def _rows(fmt: str, rows) -> str:
     return "[" + ",".join(fmt % row for row in rows) + "]"
 
 
+def _block(fmt: str, n: int, values) -> str:
+    return "[[" + "],[".join([fmt] * n) % tuple(values) + "]]"
+
+
 def _state_rows(track: AgentTrack, rows: slice) -> str:
     # adding 0.0 turns -0.0 into 0.0, as _fmt_float does
-    values = (track.states[rows] + 0.0).tolist()
-    return _rows("[%d,%.6f,%.6f,%.6f,%.6f,%d]",
-                 ((t, *v) for t, v in zip(track.timestamps[rows], values)))
+    columns = (track.states[rows] + 0.0).T.tolist()
+    return _block("%d,%.6f,%.6f,%.6f,%.6f,%d", len(columns[0]),
+                  chain.from_iterable(zip(track.timestamps[rows], *columns)))
 
 
 def _neighbor(n: Optional[LaneNeighbor]) -> str:
@@ -607,7 +611,8 @@ def write_scenario(scenario: Scenario) -> bytes:
         '"speed_limit_mps":%s}' % (
             _rows("%d", seg.entry_ids), _rows("%d", seg.exit_ids), seg.id,
             _neighbor(seg.left),
-            _rows("[%.6f,%.6f]", map(tuple, (seg.nodes + 0.0).tolist())),
+            _block("%.6f,%.6f", seg.n_nodes,
+                   (seg.nodes + 0.0).ravel().tolist()),
             _neighbor(seg.right), _fmt_float(seg.speed_limit_mps))
         for seg in scenario.vector_map.segments.values())
     tracks = ",".join(

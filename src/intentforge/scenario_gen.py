@@ -18,6 +18,14 @@ an intersection while laterally offset, and cutting a left turn where a
 U-turn lane diverges just upstream. All emitted floats are quantized to
 6 decimals so scenarios round-trip byte-identically through the
 canonical file format.
+
+Each track is one (91, 5) states block. ``np.round(v, 6)`` is
+``rint(v * 1e6) / 1e6``: Python's ``round(v, 6)`` whenever both pick the
+same integer. Below 2**52 the product's error is under half an ulp, so
+the two can differ only where ``v * 1e6`` is within 1e-3 of a half (a
+wider ulp keeps every other product an ulp off the half) or where
+``|v| >= 2**52 / 1e6``; ``_q6`` gives those entries to ``round``.
+Headings use ``math.atan2``, as a vector kernel may round differently.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .map_model import (AgentState, AgentTrack, LaneNeighbor, LaneSegment,
-                        Scenario, VectorMap)
+from .map_model import (AgentTrack, LaneNeighbor, LaneSegment, Scenario,
+                        VectorMap)
 
 SPACING = 0.5        # m between lane nodes
 LANE_WIDTH = 3.5
@@ -111,16 +119,16 @@ def _resample(dense: np.ndarray, spacing: float = SPACING) -> np.ndarray:
                      np.interp(target, arcs, dense[:, 1])], axis=1)
 
 
-def _q6(x: float) -> float:
-    return round(float(x), 6)
-
-
-def _quantize_heading(h: float) -> float:
-    """Wrap into (-pi, pi] and truncate toward zero at 1e-6 so the value
-    survives 6-decimal serialization without leaving the legal range."""
-    if h <= -math.pi:
-        h += math.tau
-    return math.trunc(h * 1e6) / 1e6
+def _q6(a):
+    """``round(float(v), 6)`` of a float or of each entry of an array,
+    bit for bit (the argument is in the module docstring)."""
+    if np.ndim(a) == 0:
+        return round(float(a), 6)
+    out = np.round(a, 6)
+    doubt = ((np.abs(np.abs(np.fmod(a * 1e6, 1.0)) - 0.5) <= 1e-3)
+             | (np.abs(a) >= 2.0**52 / 1e6))
+    out[doubt] = [round(v, 6) for v in a[doubt].tolist()]
+    return out
 
 
 def _segment(seg_id, pts, limit, exits=(), entries=(), left=None, right=None):
@@ -131,9 +139,9 @@ def _segment(seg_id, pts, limit, exits=(), entries=(), left=None, right=None):
 # -- track construction ------------------------------------------------------
 
 def _states_from_path(dense: np.ndarray, s0: float, speed: float):
-    """Sample 91 states (11 history + 80 future) at 10 Hz along a dense
-    path, anchored so the current state sits at arc length s0. The path
-    is clamped at its ends (the agent holds position there)."""
+    """Sample the (91, 5) states block (11 history + 80 future) at 10 Hz
+    along a dense path, anchored so the current state sits at arc length
+    s0. The path is clamped at its ends (the agent holds position there)."""
     arcs = np.concatenate(([0.0], np.cumsum(np.hypot(*(dense[1:] - dense[:-1]).T))))
     t = np.arange(91)
     s = np.clip(s0 + speed * 0.1 * (t - 10), 0.0, float(arcs[-1]))
@@ -141,21 +149,12 @@ def _states_from_path(dense: np.ndarray, s0: float, speed: float):
     ys = np.interp(s, arcs, dense[:, 1])
     pieces = np.clip(np.searchsorted(arcs, s, side="right") - 1,
                      0, dense.shape[0] - 2)
-    states = []
-    for i in range(91):
-        j = int(pieces[i])
-        d = dense[j + 1] - dense[j]
-        heading = _quantize_heading(math.atan2(d[1], d[0]))
-        states.append(AgentState(int(t[i]), _q6(xs[i]), _q6(ys[i]),
-                                 heading, _q6(speed), True))
-    return states[:11], states[11:]
-
-
-def _stationary_states(pos, heading=0.0):
-    x, y = _q6(pos[0]), _q6(pos[1])
-    h = _quantize_heading(heading)
-    states = [AgentState(i, x, y, h, 0.0, True) for i in range(91)]
-    return states[:11], states[11:]
+    d = (dense[pieces + 1] - dense[pieces]).tolist()
+    h = np.array([math.atan2(dy, dx) for dx, dy in d])
+    # wrap into (-pi, pi]; truncate toward zero so 6 decimals stay in range
+    heading = np.trunc(np.where(h <= -math.pi, h + math.tau, h) * 1e6) / 1e6
+    return np.column_stack([_q6(xs), _q6(ys), heading,
+                            np.full(91, _q6(speed)), np.ones(91)])
 
 
 def _bearing_line(anchor, bearing: float, length: float) -> np.ndarray:
@@ -287,7 +286,7 @@ def generate(spec: GenSpec) -> Scenario:
                     _line((xc + 20, LANE_WIDTH), (30, LANE_WIDTH)))
             else:
                 path = ctx["east_left"] if change else ctx["east"]
-            history, future = _states_from_path(path, s0, speed)
+            states = _states_from_path(path, s0, speed)
         else:  # illegal_uturn across the median onto the opposing lane
             vmap, ctx = _build_straight(limit)
             speed = rng.uniform(6.0, 9.0)
@@ -298,15 +297,14 @@ def generate(spec: GenSpec) -> Scenario:
                            (x0, 8.0))
             back = _line((x0, 8.0), (-38, 8.0))
             dense = _chain(past, turn1, turn2, back)
-            history, future = _states_from_path(dense, 1.5 * speed, speed)
+            states = _states_from_path(dense, 1.5 * speed, speed)
 
     elif template == "intersection_4way":
         vmap, ctx = _build_intersection(limit)
         if behavior == "follow_lane":
             speed = limit * rng.uniform(0.2, 0.95)
             path = ctx["east"] if rng.random() < 0.5 else ctx["left"]
-            history, future = _states_from_path(path,
-                                                55.0 + rng.uniform(0, 20), speed)
+            states = _states_from_path(path, 55.0 + rng.uniform(0, 20), speed)
         else:  # corner_cut: crossing, laterally offset towards the orthogonal lane
             speed = 7.0 + rng.uniform(0, 2)
             anchor = np.array([1.0, 2.0])
@@ -315,7 +313,7 @@ def generate(spec: GenSpec) -> Scenario:
             d = np.array([math.cos(bearing), math.sin(bearing)])
             rejoin = _cubic(anchor, anchor + 4.0 * d, (9, 0), (14, 0))
             dense = _chain(past, rejoin, _line((14, 0), (50, 0)))
-            history, future = _states_from_path(dense, 1.5 * speed, speed)
+            states = _states_from_path(dense, 1.5 * speed, speed)
 
     elif template == "uturn_split":
         if behavior == "follow_lane":
@@ -324,8 +322,7 @@ def generate(spec: GenSpec) -> Scenario:
             vmap, ctx = _build_uturn_split(limit, r_uturn, r_left)
             speed = limit * rng.uniform(0.2, 0.95)
             path = ctx["follow"] if rng.random() < 0.5 else ctx["follow_uturn"]
-            history, future = _states_from_path(path,
-                                                25.0 + rng.uniform(0, 20), speed)
+            states = _states_from_path(path, 25.0 + rng.uniform(0, 20), speed)
         else:  # corner_cut: cutting the left turn, hugging the U-turn arc
             vmap, ctx = _build_uturn_split(limit)
             speed = 5.0 + rng.uniform(0, 2)
@@ -335,7 +332,7 @@ def generate(spec: GenSpec) -> Scenario:
             d = np.array([math.cos(bearing), math.sin(bearing)])
             rejoin = _cubic(anchor, anchor + 2.5 * d, (-6.5, 2.5), (-8, 3))
             dense = _chain(past, rejoin, _line((-8, 3), (-60, 3)))
-            history, future = _states_from_path(dense, 1.5 * speed, speed)
+            states = _states_from_path(dense, 1.5 * speed, speed)
 
     elif template == "merge":
         vmap, ctx = _build_merge(limit)
@@ -343,8 +340,7 @@ def generate(spec: GenSpec) -> Scenario:
             speed = limit * rng.uniform(0.2, 0.95)
             lane = ctx["merge_lane"] if rng.random() < 0.5 else ctx["t1"]
             dense = _chain(lane, ctx["through"])
-            history, future = _states_from_path(dense,
-                                                10.0 + rng.uniform(0, 10), speed)
+            states = _states_from_path(dense, 10.0 + rng.uniform(0, 10), speed)
         else:  # lane_merge_violation: cuts across into the oncoming lane
             speed = 8.0 + rng.uniform(0, 3)
             x0 = -45.0 + rng.uniform(0, 10)
@@ -352,7 +348,7 @@ def generate(spec: GenSpec) -> Scenario:
             cut = _cubic((x0, LANE_WIDTH), (x0 + 15, LANE_WIDTH),
                          (x0 + 25, -4.5), (x0 + 40, -4.5))
             dense = _chain(past, cut, _line((x0 + 40, -4.5), (60, -4.5)))
-            history, future = _states_from_path(dense, 1.5 * speed, speed)
+            states = _states_from_path(dense, 1.5 * speed, speed)
 
     else:  # parking_adjacent
         if behavior == "follow_lane":
@@ -361,16 +357,17 @@ def generate(spec: GenSpec) -> Scenario:
                 curvature = 0.0
             vmap, ctx = _build_parking(limit, curvature)
             speed = limit * rng.uniform(0.2, 0.95)
-            history, future = _states_from_path(ctx["east"],
-                                                20.0 + rng.uniform(0, 10), speed)
+            states = _states_from_path(ctx["east"],
+                                       20.0 + rng.uniform(0, 10), speed)
         else:  # offroad_parking: stationary in the unmapped lot, 6 m off the lane
             vmap, ctx = _build_parking(limit)
-            history, future = _stationary_states((10.0, 6.0), heading=0.0)
+            states = np.tile([10.0, 6.0, 0.0, 0.0, 1.0], (91, 1))  # x, y, h, v, ok
 
     scenario_id = f"{template}-{behavior}-s{spec.seed}"
     agent_id = f"{scenario_id}#0"
-    track = AgentTrack(agent_id, "vehicle", VEHICLE_LEN, VEHICLE_WID,
-                       history, future)
+    track = AgentTrack.from_arrays(agent_id, "vehicle", VEHICLE_LEN,
+                                   VEHICLE_WID, range(91), states[:11],
+                                   states[11:])
     return Scenario(scenario_id, vmap, [track], (agent_id,))
 
 

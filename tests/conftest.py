@@ -301,6 +301,84 @@ def lloyd_reference(pts, weights, centers, cfg):
     return centers, objectives
 
 
+# -- per-state track generator and per-row writer --------------------------------
+
+def _q6_reference(x) -> float:
+    return round(float(x), 6)
+
+
+def _quantize_heading_reference(h: float) -> float:
+    if h <= -math.pi:
+        h += math.tau
+    return math.trunc(h * 1e6) / 1e6
+
+
+def states_from_path_reference(dense, s0, speed):
+    """The 11 history and 80 future AgentStates built one at a time with
+    Python's ``round``: ``scenario_gen._states_from_path`` must return
+    their (91, 5) block bit for bit."""
+    arcs = np.concatenate(([0.0], np.cumsum(np.hypot(*(dense[1:] - dense[:-1]).T))))
+    t = np.arange(91)
+    s = np.clip(s0 + speed * 0.1 * (t - 10), 0.0, float(arcs[-1]))
+    xs = np.interp(s, arcs, dense[:, 0])
+    ys = np.interp(s, arcs, dense[:, 1])
+    pieces = np.clip(np.searchsorted(arcs, s, side="right") - 1,
+                     0, dense.shape[0] - 2)
+    states = []
+    for i in range(91):
+        j = int(pieces[i])
+        d = dense[j + 1] - dense[j]
+        heading = _quantize_heading_reference(math.atan2(d[1], d[0]))
+        states.append(AgentState(int(t[i]), _q6_reference(xs[i]),
+                                 _q6_reference(ys[i]), heading,
+                                 _q6_reference(speed), True))
+    return states[:11], states[11:]
+
+
+def stationary_states_reference(pos, heading=0.0):
+    x, y = _q6_reference(pos[0]), _q6_reference(pos[1])
+    h = _quantize_heading_reference(heading)
+    states = [AgentState(i, x, y, h, 0.0, True) for i in range(91)]
+    return states[:11], states[11:]
+
+
+def write_scenario_reference(scenario: Scenario) -> bytes:
+    """Canonical scenario bytes with one ``%`` format per node and state
+    row: ``write_scenario`` must return the same bytes."""
+    def rows(fmt, items):
+        return "[" + ",".join(fmt % tuple(item) for item in items) + "]"
+
+    def states(track, sl):
+        return rows("[%d,%.6f,%.6f,%.6f,%.6f,%d]",
+                    ((t, *v) for t, v in zip(track.timestamps[sl],
+                                             (track.states[sl] + 0.0).tolist())))
+
+    def neighbor(n):
+        return "null" if n is None else '{"change_ok":%d,"id":%d}' % (
+            n.change_ok, n.segment_id)
+
+    segments = ",".join(
+        '{"entries":%s,"exits":%s,"id":%d,"left":%s,"nodes":%s,"right":%s,'
+        '"speed_limit_mps":%.6f}' % (
+            rows("%d", [[e] for e in seg.entry_ids]),
+            rows("%d", [[e] for e in seg.exit_ids]), seg.id,
+            neighbor(seg.left), rows("[%.6f,%.6f]", (seg.nodes + 0.0).tolist()),
+            neighbor(seg.right), seg.speed_limit_mps + 0.0)
+        for seg in scenario.vector_map.segments.values())
+    tracks = ",".join(
+        '{"agent_id":%s,"class":%s,"future":%s,"history":%s,"length_m":%.6f,'
+        '"width_m":%.6f}' % (
+            json.dumps(t.agent_id), json.dumps(t.object_class),
+            states(t, slice(HISTORY_LEN, None)), states(t, slice(HISTORY_LEN)),
+            t.length_m + 0.0, t.width_m + 0.0)
+        for t in scenario.tracks)
+    return ('{"map":{"segments":[%s]},"scenario_id":%s,"tracks":[%s],'
+            '"tracks_to_predict":%s}\n' % (
+                segments, json.dumps(scenario.scenario_id), tracks,
+                json.dumps(list(scenario.tracks_to_predict),
+                           separators=(",", ":")))).encode("utf-8")
+
+
 # -- per-field scenario parser -------------------------------------------------
 # The parser that checks one field at a time, with the per-state track
 # checks: ``parse_scenario`` must return the same scenario or raise the same

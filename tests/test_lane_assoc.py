@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import line_nodes, seg, stationary_track, vehicle_track
-from intentforge.lane_assoc import (AssocConfig, AssociationResult,
-                                    angular_difference, associate,
-                                    derive_heading, lane_heading_at)
-from intentforge.map_model import LaneSegment, VectorMap
+from intentforge.lane_assoc import (MIN_MOVE_FOR_HEADING, AssocConfig,
+                                    AssociationResult, angular_difference,
+                                    associate, derive_heading,
+                                    lane_heading_at)
+from intentforge.map_model import AgentState, AgentTrack, LaneSegment, VectorMap
 from intentforge.scenario_gen import GenSpec, generate, generate_suite
 
 PERMISSIVE_HEADING = AssocConfig(heading_threshold=math.pi)
@@ -232,3 +235,43 @@ def test_heading_enlargement_keeps_candidates_when_seed_stable(suite):
         if before.fallback or after.candidates[0] != before.candidates[0]:
             continue  # a nearer, newly-aligned seed may replace the set
         assert set(before.candidates) <= set(after.candidates)
+
+
+def derive_heading_reference(track):
+    """``derive_heading`` over the AgentState list of the history."""
+    valid = [s for s in track.history if s.valid]
+    if len(valid) >= 2:
+        prev, cur = valid[-2], valid[-1]
+        dx, dy = cur.x - prev.x, cur.y - prev.y
+        if math.hypot(dx, dy) > MIN_MOVE_FOR_HEADING:
+            return math.atan2(dy, dx)
+    return track.current_state.heading
+
+
+@st.composite
+def histories(draw):
+    """A track whose history mixes invalid rows (with junk values) into
+    valid ones that move up to about 0.1 m or more a step; sometimes the
+    current state is the only valid row."""
+    valid = draw(st.lists(st.booleans(), min_size=10, max_size=10)) + [True]
+    if draw(st.booleans()):
+        valid = [False] * 10 + [True]
+    step = draw(st.sampled_from([0.0, 0.05, 0.1, 0.1 / math.sqrt(2),
+                                 0.10000001, 1.0]))
+    start = st.sampled_from([0.0, 1e3]) | st.floats(-1e3, 1e3)
+    x, y, history = draw(start), draw(start), []
+    for i, ok in enumerate(valid):
+        # from the origin a step of 0.1 along an axis moves exactly 0.1 m
+        dx, dy = draw(st.sampled_from([(1, 0), (0, -1), (1, 1), (-1, 1)]))
+        x, y = x + dx * step, y + dy * step
+        heading = draw(st.floats(-math.pi, math.pi, exclude_min=True))
+        history.append(AgentState(i, x, y, heading, 1.0, True) if ok
+                       else AgentState(i, -x, 7.0, 0.0, 0.0, False))
+    future = [AgentState(11 + i, x, y, 0.0, 0.0, True) for i in range(80)]
+    return AgentTrack("a0", "vehicle", 4.8, 2.1, history, future)
+
+
+@settings(max_examples=200, deadline=None)
+@given(histories())
+def test_derive_heading_matches_state_list_reference(track):
+    assert derive_heading(track).hex() == derive_heading_reference(track).hex()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (HUGE, JUNK, OVER_DIGIT_LIMIT, line_nodes, mutated_scene,
                       parse_scenario_reference, point_to_polyline_distance,
-                      scenario_of, seg, stationary_track, vehicle_track)
+                      scenario_of, seg, stationary_track, vehicle_track,
+                      write_scenario_reference)
 from intentforge.map_model import (AgentState, AgentTrack, InvariantViolation,
                                    LaneNeighbor, MalformedScenario,
                                    ScenarioError, SchemaViolation, VectorMap,
@@ -86,6 +87,15 @@ def test_write_zero_tracks_round_trips():
     again = parse_scenario(write_scenario(scenario))
     assert again == scenario
     assert again.tracks == []
+
+
+def test_write_prints_negative_zero_as_zero():
+    track = stationary_track((-0.0, -0.0), heading=-0.0)
+    scenario = scenario_of(VectorMap([seg(0, [[-0.0, -0.0], [-1.0, -0.0]])]),
+                           [track])
+    text = write_scenario(scenario)
+    assert b"-0.000000" not in text
+    assert text == write_scenario_reference(scenario)
 
 
 def test_equal_scenarios_serialize_identically():

@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import point_to_polyline_distance
+from conftest import (point_to_polyline_distance, states_from_path_reference,
+                      stationary_states_reference, write_scenario_reference)
+from intentforge import scenario_gen
 from intentforge.analysis import gt_deviation
 from intentforge.experiments import run_scene
-from intentforge.map_model import parse_scenario, write_scenario
-from intentforge.scenario_gen import SUPPORTED, GenSpec, generate, generate_suite
+from intentforge.map_model import (AgentTrack, Scenario, parse_scenario,
+                                   write_scenario)
+from intentforge.scenario_gen import (SUPPORTED, GenSpec, _q6, generate,
+                                      generate_suite)
 
 
 def test_unsupported_combination_rejected():
@@ -115,3 +123,65 @@ def test_suite_rejects_bad_behaviors(behaviors, message):
     # without the check, the template draw never finds a pool and never ends
     with pytest.raises(ValueError, match=message):
         generate_suite(2, 0, behaviors=behaviors)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tracks_match_per_state_reference(seed, monkeypatch):
+    """Every track of a 500-scene suite equals the track that the
+    per-state loop builds from the same path (offroad_parking agents stand
+    at (10, 6) facing east), and the first 50 scenes write the bytes of
+    the per-row writer."""
+    paths = []
+
+    def record(*args, real=scenario_gen._states_from_path):
+        paths.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scenario_gen, "_states_from_path", record)
+    suite = generate_suite(500, seed)
+    paths = iter(paths)
+    for i, scenario in enumerate(suite):
+        track, = scenario.tracks
+        history, future = (
+            stationary_states_reference((10.0, 6.0), 0.0)
+            if "offroad_parking" in scenario.scenario_id
+            else states_from_path_reference(*next(paths)))
+        want = AgentTrack(track.agent_id, track.object_class, track.length_m,
+                          track.width_m, history, future)
+        assert track.states.tobytes() == want.states.tobytes()
+        assert track.timestamps == want.timestamps
+        if i < 50:
+            assert write_scenario(scenario) == write_scenario_reference(
+                Scenario(scenario.scenario_id, scenario.vector_map, [want],
+                         scenario.tracks_to_predict))
+    assert next(paths, None) is None
+
+
+Q6_EXACT_LIMIT = 2.0**52 / 1e6   # from here on every v * 1e6 is a whole number
+
+
+@st.composite
+def near_half(draw):
+    """A float a few ulps from (k + 0.5) / 1e6: a product a * 1e6 that
+    rounds to either side of a half."""
+    k = draw(st.integers(-2**52, 2**52 - 1))
+    v = (k + 0.5) / 1e6
+    for _ in range(draw(st.integers(0, 3))):
+        v = math.nextafter(v, draw(st.sampled_from([-math.inf, math.inf])))
+    return v
+
+
+Q6_VALUES = st.one_of(
+    near_half(),
+    st.sampled_from([0.0, -0.0, Q6_EXACT_LIMIT, -Q6_EXACT_LIMIT,
+                     math.nextafter(Q6_EXACT_LIMIT, 0.0), 0.0000005,
+                     -0.0000005, 2.5e-6]),
+    st.floats(Q6_EXACT_LIMIT, 1e300), st.floats(-1e300, -Q6_EXACT_LIMIT),
+    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(Q6_VALUES, min_size=1, max_size=40))
+def test_array_q6_is_python_round(values):
+    want = np.array([round(v, 6) for v in values])
+    assert _q6(np.array(values)).tobytes() == want.tobytes()
