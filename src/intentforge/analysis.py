@@ -381,16 +381,18 @@ class DeviationRecord:
             raise ValueError("deviation must be >= 0")
 
 
-def deviation_curve(records, window: int, exclude_parked: bool = False):
+def deviation_curve(records, window: int):
     """Smoothed minFDE-vs-deviation table.
 
-    Records are sorted by ascending deviation; each model's minFDE column
-    is smoothed with a trailing moving average. Returns (model_names,
-    rows) where each row is (rank index, deviation at that rank,
-    smoothed minFDE per model). Rank indices follow the sorted order, so
-    the table serves both the sorted-index and the deviation-keyed view.
+    Every record counts, parked or not: a caller that excludes parked
+    agents drops their records first. Records are sorted by ascending
+    deviation; each model's minFDE column is smoothed with a trailing
+    moving average. Returns (model_names, rows) where each row is (rank
+    index, deviation at that rank, smoothed minFDE per model). Rank
+    indices follow the sorted order, so the table serves both the
+    sorted-index and the deviation-keyed view.
     """
-    recs = [r for r in records if not (exclude_parked and r.parked)]
+    recs = sorted(records, key=lambda r: (r.deviation, r.agent_id))
     if not recs:
         raise ValueError("no records to analyze")
     models = sorted(recs[0].min_fde_8s)
@@ -399,7 +401,6 @@ def deviation_curve(records, window: int, exclude_parked: bool = False):
             raise ValueError("records disagree on the model set")
     if window > len(recs):
         raise ValueError(f"window {window} exceeds record count {len(recs)}")
-    recs.sort(key=lambda r: (r.deviation, r.agent_id))
     smoothed = {m: moving_average([r.min_fde_8s[m] for r in recs], window)
                 for m in models}
     rows = []

@@ -91,8 +91,9 @@ class KMeansConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                     or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and >= 0")
+        if isinstance(self.tolerance, bool) \
+                or not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,10 @@ class MixConfig:
     static_weight: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.dynamic_weight < math.inf
-                and 0 < self.static_weight < math.inf):
-            raise ValueError("mix weights must be finite and > 0")
+        for name in ("dynamic_weight", "static_weight"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not 0 < v < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0")
 
 
 @dataclass(eq=False)
@@ -149,13 +151,12 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
 
 
 def _block(pn: np.ndarray, cn: np.ndarray, dot: np.ndarray) -> np.ndarray:
-    """Squared distances (n, k) via the expanded dot product, clamped at 0,
-    from the squared norms and the dot products: (pn + cn) - 2 dot, built
-    in place of ``dot``."""
+    """Squared distances via the expanded dot product, clamped at 0, from
+    the squared norms pn and cn, shaped to broadcast against ``dot``, and
+    the dot products: (pn + cn) - 2 dot, built in place of ``dot``."""
     dot *= -2.0
-    dot += pn[:, None] + cn
-    np.maximum(dot, 0.0, out=dot)
-    return dot
+    dot += pn + cn
+    return np.maximum(dot, 0.0, out=dot)
 
 
 def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
@@ -174,14 +175,12 @@ def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
 
 
 def _to_centers(pts: np.ndarray, pn: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared distances (B, T, n), clamped at 0, from the points of each
+    """``_block`` of squared distances (B, T, n) from the points of each
     pool (B, n, 2), with squared norms pn (B, n), to each of its T centers
-    c (B, T, 2): (pn + cn) - 2 p.c, built in place of the dot products."""
+    c (B, T, 2)."""
     cn = np.einsum("btj,btj->bt", c, c)
     dot = np.matmul(pts[:, None], c[..., None])[..., 0]
-    dot *= -2.0
-    dot += pn[:, None, :] + cn[:, :, None]
-    return np.maximum(dot, 0.0, out=dot)
+    return _block(pn[:, None, :], cn[:, :, None], dot)
 
 
 def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
@@ -267,9 +266,9 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     objectives = []
     for _ in range(cfg.max_iterations):
         if rows.size == n:
-            blk = _block(pn, cn, pts @ centers.T)
+            blk = _block(pn[:, None], cn, pts @ centers.T)
         else:
-            blk = _block(pn[rows], cn,
+            blk = _block(pn[rows, None], cn,
                          np.take(pts, rows, axis=0) @ centers.T)
         if bounded:
             margin = pn_margin[rows] + _MARGIN * cn.max()
@@ -282,7 +281,7 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
                 if tied.size:
                     r = rows[tied]
                     lab[tied], best[tied], second[tied] = _nearest_two(
-                        _block(pn[r], cn, (pts @ centers.T)[r]))
+                        _block(pn[r, None], cn, (pts @ centers.T)[r]))
             lower[rows] = np.sqrt(np.maximum(second - margin, 0.0))
         else:
             lab = blk.argmin(axis=1)

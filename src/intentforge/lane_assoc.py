@@ -28,8 +28,9 @@ class AssocConfig:
 
     def __post_init__(self):
         for name in ("heading_threshold", "proximity_limit", "backwards_look"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not 0 < v < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def associate(vmap: VectorMap, track: AgentTrack,
     if track.object_class != "vehicle":
         raise ValueError("lane association is defined for vehicles only")
     cfg = cfg or AssocConfig()
-    point = track.current_state.position
+    point = track.states[HISTORY_LEN - 1, :2]
     heading = derive_heading(track)
 
     pool = vmap.nearest_nodes(point, cfg.proximity_limit)

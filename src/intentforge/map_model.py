@@ -248,20 +248,18 @@ class AgentState:
     speed: float
     valid: bool
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 class AgentTrack:
     """One agent: class, dimensions, 11-step history, 80-step future.
 
-    The 91 states are held as ``timestamps`` (the 91 timestamp indices,
-    exactly as given) and ``states``, a read-only (91, 5) float64 array
-    with columns x, y, heading, speed and valid (1.0 or 0.0); the first
-    HISTORY_LEN rows are the history, the last of them the current state.
-    ``history`` and ``future`` are given, and read back, as lists of
-    AgentState; the parser and scenario_gen use ``from_arrays`` instead.
+    The 91 states are held only as ``timestamps`` (the 91 timestamp
+    indices, exactly as given) and ``states``, a read-only (91, 5) float64
+    array with columns x, y, heading, speed and valid (1.0 or 0.0); the
+    first HISTORY_LEN rows are the history, the last of them the current
+    state, which ``current_state`` also gives as an AgentState. The parser
+    and scenario_gen build tracks with ``from_arrays``; the constructor
+    from AgentState lists is kept only as the entry point of the
+    benchmark's ``bigmap_online`` tracks.
     """
 
     def __init__(self, agent_id: str, object_class: str, length_m: float,
@@ -321,22 +319,10 @@ class AgentTrack:
         self.timestamps = tuple(timestamps)
         self.states = states
 
-    def _state_list(self, rows: slice) -> list[AgentState]:
-        return [AgentState(t, x, y, h, v, ok != 0.0)
-                for t, (x, y, h, v, ok) in zip(self.timestamps[rows],
-                                               self.states[rows].tolist())]
-
-    @cached_property
-    def history(self) -> list[AgentState]:
-        return self._state_list(slice(HISTORY_LEN))
-
-    @cached_property
-    def future(self) -> list[AgentState]:
-        return self._state_list(slice(HISTORY_LEN, None))
-
     @cached_property
     def current_state(self) -> AgentState:
-        return self._state_list(slice(HISTORY_LEN - 1, HISTORY_LEN))[0]
+        x, y, h, v, _ = self.states[HISTORY_LEN - 1].tolist()
+        return AgentState(self.timestamps[HISTORY_LEN - 1], x, y, h, v, True)
 
     @property
     def future_xy(self) -> np.ndarray:

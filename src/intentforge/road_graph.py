@@ -25,10 +25,10 @@ class GraphConfig:
     speed_offset: float = 6.7056    # m/s (15 mph)
 
     def __post_init__(self):
-        if not (0 <= self.time_budget < math.inf
-                and 0 <= self.speed_offset < math.inf):
-            raise ValueError(
-                "time_budget and speed_offset must be finite and >= 0")
+        for name in ("time_budget", "speed_offset"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
 
 
 def travel_time(distance: float, speed_limit: float,

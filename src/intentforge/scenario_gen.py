@@ -57,6 +57,12 @@ BEHAVIORS = ("follow_lane", "corner_cut", "illegal_uturn", "offroad_parking",
              "lane_merge_violation")
 
 
+def _check_seed(seed):
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError("seed must be an integer >= 0")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     template: str
@@ -71,8 +77,7 @@ class GenSpec:
             raise ValueError(
                 f"behavior {self.agent_behavior!r} is not supported on "
                 f"template {self.template!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_seed(self.seed)
         if not 0 < self.speed_limit_mps < math.inf:
             raise ValueError("speed limit must be finite and > 0")
 
@@ -378,9 +383,7 @@ def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
     road graph)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or seed < 0:
-        raise ValueError("seed must be an integer >= 0")
+    _check_seed(seed)
     if behaviors is not None:
         # a template draw that no behavior fits would repeat forever
         if not behaviors:

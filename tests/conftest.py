@@ -45,36 +45,39 @@ def straight_map(length=100.0, spacing=0.5, limit=13.4112) -> VectorMap:
     return VectorMap([seg(0, line_nodes((0, 0), (length, 0), spacing), limit)])
 
 
+def state_block(xy, heading, speed, valid) -> np.ndarray:
+    """Rows (x, y, heading, speed, valid) laid out like
+    ``AgentTrack.states``, one per row of ``xy``."""
+    xy = np.asarray(xy, dtype=float)
+    block = np.empty((xy.shape[0], 5))
+    block[:, :2] = xy
+    block[:, 2:4] = heading, speed
+    block[:, 4] = valid
+    return block
+
+
 def vehicle_track(pos, heading=0.0, speed=5.0, future_xy=None,
-                  future_valid=None, agent_id="a0",
+                  future_valid=True, agent_id="a0",
                   object_class="vehicle") -> AgentTrack:
     """Track moving along `heading` at constant speed; history ends at
     `pos`. The default future continues straight."""
     pos = np.asarray(pos, dtype=float)
     d = np.array([math.cos(heading), math.sin(heading)])
-    history = []
-    for i in range(11):
-        p = pos - (10 - i) * 0.1 * speed * d
-        history.append(AgentState(i, float(p[0]), float(p[1]), heading,
-                                  speed, True))
+    back = (10 - np.arange(11))[:, None] * 0.1 * speed * d
+    history = state_block(pos - back, heading, speed, True)
     if future_xy is None:
         steps = np.arange(1, 81)[:, None] * 0.1 * speed
         future_xy = pos + steps * d
-    future_xy = np.asarray(future_xy, dtype=float)
-    if future_valid is None:
-        future_valid = np.ones(80, dtype=bool)
-    future = [AgentState(11 + i, float(future_xy[i, 0]), float(future_xy[i, 1]),
-                         heading, speed, bool(future_valid[i]))
-              for i in range(80)]
-    return AgentTrack(agent_id, object_class, 4.8, 2.1, history, future)
+    future = state_block(future_xy, heading, speed, future_valid)
+    return AgentTrack.from_arrays(agent_id, object_class, 4.8, 2.1,
+                                  range(91), history, future)
 
 
 def stationary_track(pos, heading=0.0, agent_id="a0",
                      object_class="vehicle") -> AgentTrack:
-    x, y = float(pos[0]), float(pos[1])
-    states = [AgentState(i, x, y, heading, 0.0, True) for i in range(91)]
-    return AgentTrack(agent_id, object_class, 4.8, 2.1, states[:11],
-                      states[11:])
+    states = state_block(np.tile(pos, (91, 1)), heading, 0.0, True)
+    return AgentTrack.from_arrays(agent_id, object_class, 4.8, 2.1,
+                                  range(91), states[:11], states[11:])
 
 
 def scenario_of(vmap, tracks, predict=None, scenario_id="s0") -> Scenario:

@@ -24,7 +24,8 @@ from intentforge.experiments import coverage_proxy, filter_dataset, run_scene
 from intentforge.intention import (KMeansConfig, _coalesce, _kmeanspp,
                                    _lloyd, dynamic_intents, weighted_kmeans)
 from intentforge.lane_assoc import AssocConfig, associate
-from intentforge.map_model import LaneNeighbor, LaneSegment, VectorMap
+from intentforge.map_model import (HISTORY_LEN, LaneNeighbor, LaneSegment,
+                                   VectorMap)
 from intentforge.road_graph import (GraphConfig, build_graph, reach,
                                     travel_time)
 from intentforge.scenario_gen import GenSpec, generate, generate_suite
@@ -63,7 +64,7 @@ def test_criterion_1_edge_case_conformance():
         # (a) heading alignment: nearest node lies on the orthogonal lane
         vm, track = crossing.vector_map, crossing.track(
             crossing.tracks_to_predict[0])
-        p = track.current_state.position
+        p = track.states[HISTORY_LEN - 1, :2]
         wrong = associate(vm, track, AssocConfig(heading_threshold=math.pi))
         assert wrong.candidates[0] == nearest_on(vm, 4, p)  # crossing lane
         good = associate(vm, track)
@@ -79,7 +80,7 @@ def test_criterion_1_edge_case_conformance():
 
         # (c) backwards look: both diverging branches become candidates
         vm, track = split.vector_map, split.track(split.tracks_to_predict[0])
-        p = track.current_state.position
+        p = track.states[HISTORY_LEN - 1, :2]
         u_node, l_node = nearest_on(vm, 1, p), nearest_on(vm, 2, p)
         wrong = associate(vm, track, AssocConfig(backwards_look=1e-9))
         assert wrong.candidates == (u_node,)

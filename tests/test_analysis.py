@@ -370,13 +370,6 @@ def test_curve_matches_naive_oracle():
             sum(r.min_fde_8s["m"] for r in chunk) / window)
 
 
-def test_curve_excludes_parked():
-    records = [rec("a0", 0.0, 1.0), rec("a1", 1.0, 9.0, parked=True),
-               rec("a2", 2.0, 3.0)]
-    _, rows = deviation_curve(records, 1, exclude_parked=True)
-    assert [row[2] for row in rows] == pytest.approx([1.0, 3.0])
-
-
 def test_curve_window_too_large():
     with pytest.raises(ValueError):
         deviation_curve([rec("a0", 0.0, 1.0)], 2)

@@ -45,9 +45,8 @@ def perfect_predictions(tmp_path, suite, name, offset=(0.0, 0.0)):
     for scenario in suite:
         for aid in scenario.tracks_to_predict:
             track = scenario.track(aid)
-            for step in range(80):
-                x = track.future[step].x + offset[0]
-                y = track.future[step].y + offset[1]
+            for step, (x, y) in enumerate(track.future_xy.tolist()):
+                x, y = x + offset[0], y + offset[1]
                 lines.append(f"{aid},0,1.0,{step},{x:.6f},{y:.6f}")
     path = tmp_path / f"pred_{name}.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -313,11 +312,17 @@ def test_intents_bad_config_exits_2(tmp_path):
     {"exclude_parked": "false"},
     {"window": 7500.9},
     {"window": 0},
+    {"proximity_limit": True},
+    {"time_budget": False},
+    {"dynamic_weight": True},
+    {"tolerance": False},
 ], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
         "max_iterations_0", "dynamic_weight_inf", "seed_negative",
         "proximity_limit_inf", "config_deviation_mode",
         "config_exclude_parked_string", "config_window_float",
-        "config_window_zero"])
+        "config_window_zero", "config_proximity_limit_true",
+        "config_time_budget_false", "config_dynamic_weight_true",
+        "config_tolerance_false"])
 def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                                                         extra):
     scenes, _ = write_suite(tmp_path, n=1)
@@ -399,6 +404,28 @@ def test_analyze_exit_codes_without_records(tmp_path, capsys, case, code,
     assert err[-1] == f"error: {message}"
     assert sum(line.startswith("error: ") for line in err) == 1
     assert not out.exists()
+
+
+def test_analyze_exclude_parked_drops_only_parked_records(tmp_path):
+    """One parked and one moving agent: --exclude-parked drops one of the
+    two curve rows, and both agents still pass the filter."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    suite = [scenario_of(straight_map(), [track], scenario_id=f"s{i}")
+             for i, track in enumerate([
+                 stationary_track((20.0, 0.0), agent_id="parked"),
+                 vehicle_track((20.0, 0.0), agent_id="moving")])]
+    for s in suite:
+        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
+    pred = perfect_predictions(tmp_path, suite, "m")
+    for flags, n_rows in (([], 2), (["--exclude-parked"], 1)):
+        out = tmp_path / f"out{n_rows}"
+        assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                     "--window", "1", "-o", str(out), *flags]) == 0
+        _, rows = read_csv(out / "deviation_curve.csv")
+        assert len(rows) == n_rows
+        _, report = read_csv(out / "filter_report.csv")
+        assert report[0]["remaining"] == "2"
 
 
 def test_analyze_two_models_constant_gap(tmp_path):

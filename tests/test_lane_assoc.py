@@ -10,7 +10,8 @@ from intentforge.lane_assoc import (MIN_MOVE_FOR_HEADING, AssocConfig,
                                     AssociationResult, angular_difference,
                                     associate, derive_heading,
                                     lane_heading_at)
-from intentforge.map_model import AgentState, AgentTrack, LaneSegment, VectorMap
+from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
+                                   LaneSegment, VectorMap)
 from intentforge.scenario_gen import GenSpec, generate, generate_suite
 
 PERMISSIVE_HEADING = AssocConfig(heading_threshold=math.pi)
@@ -20,7 +21,7 @@ NO_BACKWARDS = AssocConfig(backwards_look=1e-9)
 
 def rules_scan(vmap, track, cfg):
     """Independent re-application of the proximity/heading/seed rules."""
-    point = track.current_state.position
+    point = track.states[HISTORY_LEN - 1, :2]
     heading = derive_heading(track)
     survivors = []
     for sid, s in vmap.segments.items():
@@ -105,7 +106,7 @@ def test_intersection_crossing_needs_heading_gate():
                                 agent_behavior="corner_cut"))
     vm = scenario.vector_map
     track = scenario.track(scenario.tracks_to_predict[0])
-    point = track.current_state.position
+    point = track.states[HISTORY_LEN - 1, :2]
 
     correct = associate(vm, track)
     own = nearest_on(vm, 1, point)       # eastbound mid-intersection lane
@@ -144,7 +145,7 @@ def test_uturn_split_needs_backwards_look():
                                 agent_behavior="corner_cut"))
     vm = scenario.vector_map
     track = scenario.track(scenario.tracks_to_predict[0])
-    point = track.current_state.position
+    point = track.states[HISTORY_LEN - 1, :2]
 
     u_node = nearest_on(vm, 1, point)   # U-turn arc
     l_node = nearest_on(vm, 2, point)   # left-turn arc
@@ -238,11 +239,11 @@ def test_heading_enlargement_keeps_candidates_when_seed_stable(suite):
 
 
 def derive_heading_reference(track):
-    """``derive_heading`` over the AgentState list of the history."""
-    valid = [s for s in track.history if s.valid]
+    """``derive_heading`` as a scan over the history rows of ``states``."""
+    valid = [row for row in track.states[:HISTORY_LEN] if row[4]]
     if len(valid) >= 2:
         prev, cur = valid[-2], valid[-1]
-        dx, dy = cur.x - prev.x, cur.y - prev.y
+        dx, dy = cur[0] - prev[0], cur[1] - prev[1]
         if math.hypot(dx, dy) > MIN_MOVE_FOR_HEADING:
             return math.atan2(dy, dx)
     return track.current_state.heading

@@ -10,10 +10,11 @@ from conftest import (HUGE, JUNK, OVER_DIGIT_LIMIT, line_nodes, mutated_scene,
                       parse_scenario_reference, point_to_polyline_distance,
                       scenario_of, seg, stationary_track, vehicle_track,
                       write_scenario_reference)
-from intentforge.map_model import (AgentState, AgentTrack, InvariantViolation,
-                                   LaneNeighbor, MalformedScenario,
-                                   ScenarioError, SchemaViolation, VectorMap,
-                                   parse_scenario, write_scenario)
+from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
+                                   InvariantViolation, LaneNeighbor,
+                                   MalformedScenario, ScenarioError,
+                                   SchemaViolation, VectorMap, parse_scenario,
+                                   write_scenario)
 from intentforge.scenario_gen import GenSpec, generate, generate_suite
 
 MINIMAL = {
@@ -75,8 +76,8 @@ def test_invalid_states_normalized_for_round_trip():
     obj = json.loads(json.dumps(MINIMAL))
     obj["tracks"][0]["future"][5] = [16, float("nan"), 1e9, 0.0, 0.0, 0]
     scenario = parse_scenario(json.dumps(obj).encode())
-    state = scenario.tracks[0].future[5]
-    assert not state.valid and state.x == 0.0
+    x, _, _, _, valid = scenario.tracks[0].states[HISTORY_LEN + 5]
+    assert not valid and x == 0.0
     data = write_scenario(scenario)
     assert parse_scenario(data) == scenario
 
@@ -253,11 +254,10 @@ def test_parse_accepts_odd_but_legal_state_values():
     history[2][5] = True               # bool flag
     history[3] = [3, "x", None, float("nan"), True, 0.0]   # invalid state
     scenario = parse_scenario(json.dumps(obj).encode())
-    states = scenario.tracks[0].history
-    assert states[0].timestamp_index is True
-    assert states[1].valid and states[2].valid
-    assert (states[3].x, states[3].y, states[3].heading, states[3].speed,
-            states[3].valid) == (0.0, 0.0, 0.0, 1.0, False)
+    track = scenario.tracks[0]
+    assert track.timestamps[0] is True
+    assert track.states[1:3, 4].tolist() == [1.0, 1.0]
+    assert track.states[3].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
     assert b"[1,0.000000,0.000000,0.000000,1.000000,1]" \
         in write_scenario(scenario)
     assert scenario == parse_scenario_reference(json.dumps(obj).encode())
@@ -270,15 +270,20 @@ def test_track_arrays_match_agent_states():
                           future_valid=np.arange(80) % 7 != 3)
     assert track.states.shape == (91, 5) and not track.states.flags.writeable
     assert track.timestamps == tuple(range(91))
+    # the AgentState lists of the list constructor, built one state at a
+    # time as benchmark/workloads.py builds its tracks
+    states = [AgentState(t, x, y, h, v, bool(ok)) for t, (x, y, h, v, ok)
+              in zip(track.timestamps, track.states.tolist())]
     rebuilt = AgentTrack(track.agent_id, track.object_class, track.length_m,
-                         track.width_m, track.history, track.future)
+                         track.width_m, states[:HISTORY_LEN],
+                         states[HISTORY_LEN:])
     assert rebuilt == track
-    assert np.array_equal(track.future_xy,
-                          [[s.x, s.y] for s in track.future])
-    assert np.array_equal(track.future_valid,
-                          [s.valid for s in track.future])
-    assert track.current_state == track.history[-1]
-    assert np.array_equal(track.gt_endpoint(), track.future[-1].position)
+    future = states[HISTORY_LEN:]
+    assert np.array_equal(track.future_xy, [[s.x, s.y] for s in future])
+    assert np.array_equal(track.future_valid, [s.valid for s in future])
+    assert not track.future_valid.all()
+    assert track.current_state == states[HISTORY_LEN - 1]
+    assert track.gt_endpoint().tolist() == [future[-1].x, future[-1].y]
     assert stationary_track((1, 2), heading=math.pi).gt_endpoint().tolist() \
         == [1.0, 2.0]
     invalid_end = vehicle_track((0, 0), future_valid=np.arange(80) < 79)
@@ -296,7 +301,7 @@ def test_track_arrays_match_agent_states():
      "track a0: heading out of (-pi, pi] at t=40"),
 ])
 def test_track_rejects_bad_states(index, state, message):
-    states = stationary_track((0, 0)).history + stationary_track((0, 0)).future
+    states = [AgentState(i, 0.0, 0.0, 0.0, 0.0, True) for i in range(91)]
     states[index] = state
     states[50] = AgentState(50, 0.0, 0.0, 9.0, 1.0, True)   # a later error
     with pytest.raises(InvariantViolation) as err:

@@ -10,8 +10,8 @@ from conftest import (point_to_polyline_distance, states_from_path_reference,
 from intentforge import scenario_gen
 from intentforge.analysis import gt_deviation
 from intentforge.experiments import run_scene
-from intentforge.map_model import (AgentTrack, Scenario, parse_scenario,
-                                   write_scenario)
+from intentforge.map_model import (HISTORY_LEN, AgentTrack, Scenario,
+                                   parse_scenario, write_scenario)
 from intentforge.scenario_gen import (SUPPORTED, GenSpec, _q6, generate,
                                       generate_suite)
 
@@ -38,7 +38,7 @@ def test_uturn_corner_cut_realizes_divergence_geometry():
                                 agent_behavior="corner_cut"))
     vm = scenario.vector_map
     track = scenario.track(scenario.tracks_to_predict[0])
-    point = track.current_state.position
+    point = track.states[HISTORY_LEN - 1, :2]
 
     approach = vm.segments[0]
     assert len(approach.exit_ids) == 2
@@ -68,10 +68,19 @@ def test_suite_singleton():
     assert len(generate_suite(1, seed=4)) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+BAD_SEEDS = [-1, 1.5, True, "0"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_suite_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         generate_suite(1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_genspec_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        GenSpec("straight", seed)
 
 
 def test_suite_deterministic():
