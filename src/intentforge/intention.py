@@ -22,16 +22,26 @@ but its own: the square root of its second-smallest row value less a
 margin, shrunk after each update by the largest shift among those
 centers. Its squared distance u2 to its own center comes from the
 point-center difference, which has no cancellation. A point keeps its
-label while l*l - u2 exceeds the margin 1e-9 * (pn + max cn + 1); any
-block entry is within some 1e-16 times that sum of the true squared
-distance, far inside the margin, so the whole block gives it the same
-label. The other rows are recomputed from a product of those rows,
-which can differ from the whole product in the last bit; a row whose
-two smallest values lie within the margin is recomputed from the rows
-of the whole product, as the whole block holds them. Labels, and so
-centers, bincount sums and the stopping test, are those of the whole
-block bit for bit. A NaN bound (overflowing norms) fails the
-comparison, so its row is recomputed.
+label while l*l - u2 exceeds the margin 1e-9 * (2 (pn + max cn) + 1);
+any whole-block entry is within some 1e-16 times pn + cn of the true
+squared distance, far inside the margin, so the whole block gives it the
+same label. The other rows, all of them in the first iteration, come
+from one product of the rows [x, y, pn, 1] with the columns [-2cx; -2cy;
+1; cn], clamped at 0. Its four terms add up to at most pn + cn +
+2|p||c| <= 2 (pn + cn) in magnitude, so each entry lies within a few
+ulps of 2 (pn + cn) of the true squared distance, far inside the margin
+too, but it can differ from the whole block in the last bits. So in
+every iteration a row whose two smallest values lie within the margin
+is recomputed from the rows of the whole product ``pts @ centers.T``,
+as the whole block holds them, and every other row has the whole
+block's nearest center. Labels, and so centers, bincount sums, the
+stopping test and the iteration count, are those of the whole block bit
+for bit; the objectives, summed from the one-product rows, can differ
+in the last bit. The margin is summed as written, so it is inf where
+2 (pn + max cn) overflows; that covers every row whose whole-block entry
+or one-product partial sum could overflow. Like a NaN bound or block
+value, an inf margin fails every comparison, so such a row takes the
+whole product's row in every iteration.
 
 ``weighted_kmeans_many`` clusters many pools at once (one per agent in
 the batch commands) and returns for each exactly what ``weighted_kmeans``
@@ -74,12 +84,17 @@ _BOUND_MIN_POINTS = 1024
 # block per size seeds the pools of a 500-scene suite (up to 450 of one
 # size) ~10 % slower than blocks of 32, and a block's memory stays bounded
 _SEED_CHUNK = 32
-# squared distances within _MARGIN * (pn + max cn + 1) count as tied
+# squared distances within _MARGIN * (2 (pn + max cn) + 1) count as tied
 _MARGIN = 1e-9
+# the largest k KMeansConfig accepts: a pool padded to k points stays
+# within 16 MB, where an unbounded k would grow memory until it ran out
+_MAX_K = 2 ** 20
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
+    """K-means settings. ``k`` is an integer in [1, ``_MAX_K``]."""
+
     k: int = 64
     max_iterations: int = 100
     tolerance: float = 1e-6   # m, max centroid displacement
@@ -91,6 +106,8 @@ class KMeansConfig:
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
                     or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
+        if self.k > _MAX_K:
+            raise ValueError(f"k must be <= {_MAX_K}")
         if isinstance(self.tolerance, bool) \
                 or not 0 <= self.tolerance < math.inf:
             raise ValueError("tolerance must be a finite number >= 0")
@@ -248,42 +265,51 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     within-cluster sums of squares). Empty clusters keep their centroid.
 
     Pools of at least ``_BOUND_MIN_POINTS`` points recompute only the rows
-    whose label may change (see the module docstring); the labels, and so
-    the centers, equal those of the whole block. The objective sums each
-    point's squared distance to its own center, from the block where its
-    row was recomputed and from the point-center difference elsewhere."""
+    whose label may change, from one product [x, y, pn, 1] @ [-2cx; -2cy;
+    1; cn], and near ties from the whole product ``pts @ centers.T`` (see
+    the module docstring): the labels, and so the centers and the number
+    of iterations, equal those of the whole block. The objective sums each
+    point's squared distance to its own center, from the one-product row
+    where its row was recomputed and from the point-center difference
+    elsewhere, so it can differ from the whole block's in the last bit."""
     k = centers.shape[0]
     n = pts.shape[0]
     pn = np.einsum("ij,ij->i", pts, pts)
     cn = np.einsum("ij,ij->i", centers, centers)
     wx, wy = weights * pts[:, 0], weights * pts[:, 1]
     bounded = n >= _BOUND_MIN_POINTS
-    pn_margin = _MARGIN * (pn + 1.0)
+    if bounded:
+        aug = np.column_stack([pts, pn, np.ones(n)])
+        cols = np.ones((4, k))
+        pn2 = 2.0 * pn
     rows = np.arange(n)
     labels = np.zeros(n, dtype=np.intp)
     d2 = np.empty(n)      # squared distance to the own center
     lower = np.empty(n)   # bound below the distance to every other center
     objectives = []
-    for _ in range(cfg.max_iterations):
-        if rows.size == n:
-            blk = _block(pn[:, None], cn, pts @ centers.T)
-        else:
-            blk = _block(pn[rows, None], cn,
-                         np.take(pts, rows, axis=0) @ centers.T)
+    for it in range(cfg.max_iterations):
         if bounded:
-            margin = pn_margin[rows] + _MARGIN * cn.max()
-            lab, best, second = _nearest_two(blk)
-            if rows.size < n:
-                # a product of some rows can differ from the same rows of
-                # the whole product in the last bit: near ties take the
-                # whole product's rows, as the whole block holds them
-                tied = np.flatnonzero(~(second - best > margin))
-                if tied.size:
-                    r = rows[tied]
-                    lab[tied], best[tied], second[tied] = _nearest_two(
-                        _block(pn[r, None], cn, (pts @ centers.T)[r]))
+            margin = _MARGIN * (pn2 + (2.0 * cn.max() + 1.0))
+            if it:
+                # NaN bounds and inf margins (overflowing norms) compare
+                # False: recompute
+                rows = np.flatnonzero(~(lower * lower - d2 > margin))
+            margin = margin[rows]
+            cols[:2] = -2.0 * centers.T
+            cols[3] = cn
+            blk = (aug if rows.size == n
+                   else np.take(aug, rows, axis=0)) @ cols
+            lab, best, second = _nearest_two(np.maximum(blk, 0.0, out=blk))
+            # near ties take the whole product's rows, as the whole block
+            # holds them
+            tied = np.flatnonzero(~(second - best > margin))
+            if tied.size:
+                r = rows[tied]
+                lab[tied], best[tied], second[tied] = _nearest_two(
+                    _block(pn[r, None], cn, (pts @ centers.T)[r]))
             lower[rows] = np.sqrt(np.maximum(second - margin, 0.0))
         else:
+            blk = _block(pn[:, None], cn, pts @ centers.T)
             lab = blk.argmin(axis=1)
             best = blk[rows, lab]
         labels[rows] = lab
@@ -312,22 +338,14 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
             np.maximum(lower, 0.0, out=lower)
             diff = pts - np.take(centers, labels, axis=0)
             d2 = np.einsum("ij,ij->i", diff, diff)
-            # NaN bounds (overflowing norms) compare False: recompute
-            rows = np.flatnonzero(~(lower * lower - d2
-                                    > pn_margin + _MARGIN * cn.max()))
     return centers, objectives
 
 
 def _pad_to_k(pts: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Fewer distinct points than k: repeat the highest-weight points."""
+    """Fewer distinct points than k: repeat the highest-weight points,
+    cycling through them in decreasing weight order."""
     order = np.lexsort((pts[:, 1], pts[:, 0], -weights))
-    reps = [pts]
-    missing = k - pts.shape[0]
-    while missing > 0:
-        take = min(missing, pts.shape[0])
-        reps.append(pts[order[:take]])
-        missing -= take
-    return np.concatenate(reps, axis=0)
+    return np.concatenate([pts, pts[np.resize(order, k - pts.shape[0])]])
 
 
 def _checked_pool(points, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -115,8 +115,9 @@ class LaneSegment:
                 f"segment {self.id}: needs at least 2 nodes of shape (N, 2)")
         if not np.isfinite(nodes).all():
             raise InvariantViolation(f"segment {self.id}: non-finite node coordinate")
-        if not (isinstance(self.speed_limit_mps, (int, float))
-                and math.isfinite(self.speed_limit_mps) and self.speed_limit_mps > 0):
+        v = self.speed_limit_mps
+        if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                       and math.isfinite(v) and v > 0):
             raise InvariantViolation(f"segment {self.id}: speed limit must be > 0")
         spacing = np.hypot(*(nodes[1:] - nodes[:-1]).T)
         if (spacing <= 0.0).any():

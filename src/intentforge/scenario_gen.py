@@ -78,7 +78,9 @@ class GenSpec:
                 f"behavior {self.agent_behavior!r} is not supported on "
                 f"template {self.template!r}")
         _check_seed(self.seed)
-        if not 0 < self.speed_limit_mps < math.inf:
+        v = self.speed_limit_mps
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                or not 0 < v < math.inf:
             raise ValueError("speed limit must be finite and > 0")
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -336,6 +337,40 @@ def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: config violation") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_intents_huge_k_exits_2_quickly(tmp_path, capsys, source):
+    """A k beyond KMeansConfig's bound is a config violation, raised before
+    any pool is padded to k points."""
+    scenes, _ = write_suite(tmp_path, n=1)
+    huge = "100000000000000000000"
+    extra = ["--k", huge]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k": %s}' % huge)
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "o.csv"
+    start = time.perf_counter()
+    assert main(["intents", str(scenes), "--kind", "static", *extra,
+                 "-o", str(out)]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: config violation") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_intents_padded_pools_bytes_are_pinned(tmp_path):
+    """--k 5000 pads every dynamic pool of the suite: the extra rows cycle
+    through the distinct points in decreasing weight order."""
+    scenes, _ = write_suite(tmp_path, n=3, seed=0)
+    out = tmp_path / "o.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic", "--k", "5000",
+                 "-o", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 3 * 5000
+    assert hashlib.sha256(data).hexdigest() == (
+        "e9c79c448dc4d1cbbcb8b86f41c3458ace4cb744cb6429372873495f1318334a")
 
 
 @pytest.mark.parametrize("row", [

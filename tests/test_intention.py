@@ -488,6 +488,36 @@ def test_lloyd_single_row_tie_takes_whole_product_row():
         pytest.skip("one-row products equal the whole product's rows here")
 
 
+def test_lloyd_first_iteration_tie_takes_whole_product_row():
+    """Start centers mirrored about a pool point tie its two distances in
+    the first iteration. Where the one product [x, y, pn, 1] @ [-2cx; -2cy;
+    1; cn] orders the pair otherwise than the whole block, Lloyd still
+    follows the whole block."""
+    flipped = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-80.0, 80.0, size=(_BOUND_MIN_POINTS + 76, 2))
+        v = rng.uniform(-20.0, 20.0, size=2)
+        init = pts[0] + np.array([v, -v])
+        pn = np.einsum("ij,ij->i", pts, pts)
+        cn = np.einsum("ij,ij->i", init, init)
+        whole = (pn[0] + cn) - 2.0 * (pts @ init.T)[0]
+        cols = np.vstack([-2.0 * init.T, np.ones(2), cn])
+        one = (np.column_stack([pts, pn, np.ones(len(pts))]) @ cols)[0]
+        if whole.argmin() == one.argmin():
+            continue
+        flipped += 1
+        w = np.ones(len(pts))
+        for cfg in (KMeansConfig(k=2, max_iterations=1), KMeansConfig(k=2)):
+            got, got_obj = _lloyd(pts, w, init, cfg)
+            want, want_obj = lloyd_reference(pts, w, init, cfg)
+            assert np.array_equal(got, want), (seed, cfg.max_iterations)
+            assert len(got_obj) == len(want_obj), (seed, cfg.max_iterations)
+    if not flipped:
+        pytest.skip("one-product rows order the tied pair like the whole "
+                    "block here")
+
+
 @pytest.mark.parametrize("n", [200, 2 * _BOUND_MIN_POINTS])
 def test_lloyd_matches_reference_when_norms_overflow(n):
     # half the points so far out that their squared norms are inf: the
@@ -505,8 +535,30 @@ def test_lloyd_matches_reference_when_norms_overflow(n):
     assert len(got_obj) == len(want_obj)
 
 
+def test_lloyd_matches_reference_near_overflow():
+    """Bounded pools scaled so that squared norms and distances come near
+    the largest float, some beyond it: where a block entry could overflow,
+    the margin is inf and the row takes the whole product."""
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        scale = 10.0 ** rng.uniform(150.0, 155.0)
+        pts = np.round(rng.uniform(-1.0, 1.0, size=(1200, 2)), 2) * scale
+        if case % 2:
+            pts[::3] = rng.uniform(-50.0, 50.0, size=pts[::3].shape)
+        pts, w = _coalesce(pts, np.ones(len(pts)))
+        assert len(pts) >= _BOUND_MIN_POINTS
+        k = int(rng.integers(2, 17))
+        init = pts[rng.choice(len(pts), k, replace=False)]
+        cfg = KMeansConfig(k=k, max_iterations=25)
+        with np.errstate(all="ignore"):
+            got, got_obj = _lloyd(pts, w, init, cfg)
+            want, want_obj = lloyd_reference(pts, w, init, cfg)
+        assert np.array_equal(got, want, equal_nan=True), case
+        assert len(got_obj) == len(want_obj), case
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"k": 0}, {"k": True}, {"k": 1.5}, {"k": "64"},
+    {"k": 0}, {"k": True}, {"k": 1.5}, {"k": "64"}, {"k": 2 ** 20 + 1},
     {"max_iterations": 0}, {"max_iterations": 2.0},
     {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": -1e-9},
     {"seed": -1}, {"seed": 1.5},

@@ -132,6 +132,13 @@ def test_duplicate_node_rejected():
         seg(0, [[0, 0], [0, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("limit", [True, False, "13", None, 0.0, -1.0,
+                                   math.nan, math.inf])
+def test_bad_speed_limit_rejected(limit):
+    with pytest.raises(InvariantViolation, match="speed limit must be > 0"):
+        seg(1, [[0, 0], [1, 0]], limit=limit)
+
+
 def test_wide_spacing_rejected():
     with pytest.raises(InvariantViolation):
         seg(0, [[0, 0], [2.5, 0]])

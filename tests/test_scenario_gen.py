@@ -83,6 +83,13 @@ def test_genspec_rejects_bad_seed(seed):
         GenSpec("straight", seed)
 
 
+@pytest.mark.parametrize("limit", [True, False, "13", None, 0.0, -1.0,
+                                   math.nan, math.inf])
+def test_genspec_rejects_bad_speed_limit(limit):
+    with pytest.raises(ValueError, match="speed limit must be finite and > 0"):
+        GenSpec("straight", 0, limit)
+
+
 def test_suite_deterministic():
     a = [write_scenario(s) for s in generate_suite(12, seed=9)]
     b = [write_scenario(s) for s in generate_suite(12, seed=9)]
