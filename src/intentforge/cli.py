@@ -1,60 +1,53 @@
 """Command-line entry point: gen, intents, analyze, dump-roadgraph.
 
-Parses arguments and config, does file I/O and maps errors to exit codes.
-Each batch command maps one ``experiments`` driver (``intents_batch`` or
-``analyze_batch``) over ``min(--jobs, count)`` contiguous chunks. Every
-option can come from a JSON config file (--config) and be overridden on
-the command line; INTENTFORGE_SEED overrides the default seed when --seed
-is absent.
-Exit codes: 0 success, 1 runtime/data error, 2 usage/config error.
+Parses arguments and config, does file I/O and maps errors to exit codes:
+0 success, 1 runtime/data error, 2 usage/config error. Every option can
+come from a JSON config file (--config) and be overridden on the command
+line; INTENTFORGE_SEED overrides the default seed when --seed is absent.
 
-All CSV output uses 6-decimal fixed floats and deterministic row order
-(scenario id, agent id), so reruns with identical inputs, config, and
-seed are byte-identical regardless of --jobs. ``_write_csv`` writes every
-file as it is formatted, one block of lines (one agent's rows in the
-intents and reach CSVs) at a time.
+A batch command cuts the sorted scenario files into ``min(--jobs,
+count)`` contiguous chunks. Each worker parses its own files one at a
+time into an ``experiments`` batch function and returns small results,
+which the main process puts in scenario-id order and finishes. Each
+output file is written, one block of lines at a time, to a temporary
+file beside it; all are renamed once every one is written, so none is
+left behind on exit 1 or 2. CSV output uses 6-decimal fixed floats and a
+fixed row order: reruns with identical inputs, config and seed are
+byte-identical at any --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, fields, is_dataclass, replace
+from dataclasses import astuple, fields
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (CsvError, PredictionSet, deviation_curve,
-                       read_endpoints)
+from .analysis import CsvError, deviation_curve
 # benchmark/tracing.py wraps the prediction reader under this name
 from .analysis import read_predictions as _load_prediction_csv
-from .experiments import (DEVIATION_MODES, INTENT_KINDS, RunConfig,
-                          analyze_batch, filter_dataset, intents_batch,
-                          pooled_static)
-from .intention import IntentionPointSet, static_intents
+from .experiments import (DEVIATION_MODES, INTENT_KINDS, DataError,
+                          FilterReport, RunConfig, analyze_batch, corpus_heads,
+                          filter_dataset, intent_rows, intents_batch, scan,
+                          static_sets)
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
-from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, generate_suite
+from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, iter_suite
 
 SEED_ENV = "INTENTFORGE_SEED"
-# Config keys and their defaults, from RunConfig's fields: the keys of its
-# config groups, then its own fields, which only analyze reads.
-_ANALYSIS_DEFAULTS = {f.name: f.default for f in fields(RunConfig)
-                      if not is_dataclass(f.default)}
-_DEFAULTS = {g.name: g.default for f in fields(RunConfig)
-             if is_dataclass(f.default)
-             for g in fields(f.default)} | _ANALYSIS_DEFAULTS
+_DEFAULTS = RunConfig.config_keys()
 
 
 class UsageError(Exception):
     """Bad arguments or config; maps to exit code 2."""
-
-
-class DataError(Exception):
-    """Unreadable or inconsistent input data; maps to exit code 1."""
 
 
 def _resolve_config(args) -> RunConfig:
@@ -81,46 +74,73 @@ def _resolve_config(args) -> RunConfig:
         except ValueError:
             raise UsageError(f"{SEED_ENV} must be an integer") from None
     for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     try:
-        return RunConfig(**{
-            f.name: replace(f.default, **{g.name: values[g.name]
-                                          for g in fields(f.default)})
-            if is_dataclass(f.default) else values[f.name]
-            for f in fields(RunConfig)})
+        return RunConfig.from_keys(values)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config violation: {exc}") from None
 
 
-def _load_scenarios(paths):
+def _load_scenarios(path):
+    """Read and parse one scenario file; workers call it one file at a
+    time (benchmark/tracing.py times each call as cli.load_scenarios)."""
+    try:
+        return parse_scenario(path.read_bytes())
+    except (OSError, ScenarioError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _scan_all(args, work):
+    """``scan`` of the sorted scenario files of ``args``, cut into
+    ``min(--jobs, count)`` contiguous chunks, one per worker, which parses
+    each file as ``work`` reaches it; the first bad file in path order is
+    reported. Returns ``corpus_heads`` and ``work``'s result per chunk."""
     files = []
-    for raw in paths:
+    for raw in args.scenarios:
         p = Path(raw)
-        if p.is_dir():
-            files.extend(sorted(p.glob("*.json")))
-        elif p.is_file():
-            files.append(p)
-        else:
+        if not (p.is_dir() or p.is_file()):
             raise DataError(f"no such scenario file or directory: {raw}")
+        files.extend(p.glob("*.json") if p.is_dir() else [p])
     if not files:
         raise DataError("no scenario files found")
-    scenarios = []
-    for f in sorted(set(files)):
+    files = sorted(set(files))
+    n = min(args.jobs, len(files))
+    chunks = [files[len(files) * i // n:len(files) * (i + 1) // n]
+              for i in range(n)]
+    if n == 1:
+        chunks = [scan(chunks[0], _load_scenarios, work)]
+    else:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            chunks = list(pool.map(partial(scan, load=_load_scenarios,
+                                           work=work), chunks))
+    return corpus_heads(chunks), [result for _, result in chunks]
+
+
+@contextlib.contextmanager
+def _outputs():
+    """Yields ``temp(path)``: a new temporary file beside ``path``, to be
+    written in its place. All are renamed to their paths when the block
+    ends without error, and removed otherwise. An error names ``path``."""
+    pairs = []
+
+    def temp(path):
+        tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
         try:
-            scenarios.append(parse_scenario(f.read_bytes()))
-        except (OSError, ScenarioError) as exc:
-            raise DataError(f"{f}: {exc}") from None
-    scenarios.sort(key=lambda s: s.scenario_id)
-    seen: set[str] = set()
-    for s in scenarios:
-        for t in s.tracks:
-            if t.agent_id in seen:
-                raise DataError(f"agent id {t.agent_id!r} appears in more "
-                                f"than one scenario")
-            seen.add(t.agent_id)
-    return scenarios
+            if Path(path).is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory")
+            tmp.open("w").close()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        pairs.append((tmp, path))
+        return tmp
+    try:
+        yield temp
+        for tmp, path in pairs:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in pairs:
+            tmp.unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows):
@@ -129,24 +149,6 @@ def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(rows)
-
-
-def _chunks(items, jobs: int) -> list:
-    """``items`` cut into ``min(jobs, len(items))`` contiguous chunks of
-    near-equal size, in order."""
-    n = min(jobs, len(items))
-    return [items[len(items) * i // n:len(items) * (i + 1) // n]
-            for i in range(n)]
-
-
-def _pmap(fn, items, jobs: int):
-    # the pool forks all its workers at the first submit: start no more
-    # than there are items
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- gen ---------------------------------------------------------------------
@@ -162,7 +164,7 @@ def cmd_gen(args) -> int:
         if scene or args.template is not None:
             raise UsageError("--suite takes no --template, --behavior or "
                              "--speed-limit")
-        scenarios = generate_suite(args.suite, seed)
+        scenarios = iter_suite(args.suite, seed)
     else:
         if args.template is None:
             raise UsageError("--template is required unless --suite is given")
@@ -173,32 +175,17 @@ def cmd_gen(args) -> int:
         scenarios = [generate(spec)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for s in scenarios:
-        (out_dir / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
-    print(f"wrote {len(scenarios)} scenario file(s) to {out_dir}")
+    # each scene is serialized as it comes, and files are written 64 at a
+    # time: a file written between two scenes slows generation by ~10 %
+    texts = ((s.scenario_id, write_scenario(s)) for s in scenarios)
+    for block in iter(lambda: list(islice(texts, 64)), []):
+        for sid, text in block:
+            (out_dir / f"{sid}.json").write_bytes(text)
+    print(f"wrote {args.suite or 1} scenario file(s) to {out_dir}")
     return 0
 
 
 # -- intents -----------------------------------------------------------------
-
-def _static_sets(scenarios, classes, endpoints_file, cfg: RunConfig):
-    """One statistical point set per object class, from an endpoints CSV
-    (columns class,x,y) or pooled from the scenario corpus."""
-    sets: dict[str, IntentionPointSet] = {}
-    if endpoints_file:
-        pools = read_endpoints(endpoints_file)
-        for cls in classes:
-            if cls not in pools:
-                raise DataError(f"endpoints file has no rows for class {cls!r}")
-            sets[cls] = static_intents(pools[cls], cls, cfg.kmeans)
-        return sets
-    for cls in classes:
-        try:
-            sets[cls] = pooled_static(scenarios, cls, cfg.kmeans)
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    return sets
-
 
 def _reach_block(sid, aid, positions, times) -> str:
     """The reach CSV lines of one reach set, in the (arrival_s, x, y)
@@ -235,22 +222,20 @@ def cmd_intents(args) -> int:
                          "static intents compute no reachable set")
     if dump and Path(dump).resolve() == Path(args.out).resolve():
         raise UsageError("--dump-roadgraph and -o name the same file")
-    scenarios = _load_scenarios(args.scenarios)
-    classes = sorted({s.track(a).object_class
-                      for s in scenarios for a in s.tracks_to_predict})
-    static_sets = _static_sets(scenarios, classes, args.endpoints, cfg)
-    worker = partial(intents_batch, kind=args.kind, static_sets=static_sets,
-                     cfg=cfg, dump=bool(dump))
-    results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
-    # agent ids are unique, so agent order is (agent, kind, idx) row order
-    agents = sorted((a for rows, _, _ in results for a in rows),
-                    key=lambda a: a[0])
-    _write_csv(args.out, ("agent_id", "kind", "idx", "x", "y", "fallback"),
-               ("".join("%s,%s,%d,%.6f,%.6f,%s\n" % (aid, kind, i, x, y, fb)
-                        for i, (x, y) in enumerate((points + 0.0).tolist()))
-                for aid, kind, points, fb in agents))
-    if dump:
-        _write_reach_csv(dump, results)
+    heads, results = _scan_all(args, partial(
+        intents_batch, kind=args.kind, cfg=cfg, dump=bool(dump)))
+    targets = [t for chunk, _, _ in results for t in chunk]
+    static = static_sets(heads, sorted({t[1] for t in targets}), cfg.kmeans,
+                         args.endpoints)
+    rows = intent_rows(targets, args.kind, static, cfg)
+    with _outputs() as temp:
+        _write_csv(temp(args.out),
+                   ("agent_id", "kind", "idx", "x", "y", "fallback"),
+                   ("".join("%s,%s,%d,%.6f,%.6f,%s\n" % (aid, kind, i, x, y, fb)
+                            for i, (x, y) in enumerate((points + 0.0).tolist()))
+                    for aid, kind, points, fb in rows))
+        if dump:
+            _write_reach_csv(temp(dump), results)
     return 0
 
 
@@ -279,31 +264,21 @@ def _prediction_paths(specs) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     paths = _prediction_paths(args.predictions)
-    scenarios = _load_scenarios(args.scenarios)
-    merged: dict[str, dict[str, PredictionSet]] = {}
+    heads, results = _scan_all(args, partial(filter_dataset, cfg=cfg))
+    merged = {}   # agent id -> model name -> PredictionSet
     for name, path in paths.items():
         for aid, ps in _load_prediction_csv(path).items():
             merged.setdefault(aid, {})[name] = ps
 
-    items, report = filter_dataset(scenarios, merged, cfg)
-    static_set = _static_sets(scenarios, ["vehicle"], None, cfg)["vehicle"]
-
-    worker = partial(analyze_batch, model_names=sorted(paths),
-                     static_set=static_set, cfg=cfg)
-    results = [r for chunk in _pmap(worker, _chunks(items, args.jobs),
-                                    args.jobs) for r in chunk]
-
-    records = [r for r, _ in results if r is not None]
-    cov_rows = sorted(((it.track.agent_id, kind, _fmt_float(cov))
-                       for it, (_, covs) in zip(items, results)
-                       for kind, cov in zip(INTENT_KINDS, covs)),
-                      key=lambda c: (c[0], c[1]))
-    skipped = len(results) - len(records)
+    static = static_sets(heads, ["vehicle"], cfg.kmeans)["vehicle"]
+    records, cov_rows, skipped = analyze_batch(
+        [it._replace(prediction=merged.get(it.track.agent_id))
+         for kept, _ in results for it in kept], sorted(paths), static, cfg)
+    report = FilterReport(*map(sum, zip(*(astuple(r) for _, r in results))))
     if skipped:
         print(f"warning: skipped {skipped} agent(s) lacking predictions "
               f"for every model", file=sys.stderr)
     # no record left is a fact of the data; a window beyond them, of usage
-    records = [r for r in records if not (cfg.exclude_parked and r.parked)]
     if not records:
         raise DataError("no records to analyze")
     try:
@@ -313,17 +288,19 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "deviation_curve.csv",
-               ("rank", "deviation_m", *(f"minfde_{m}" for m in models)),
-               (",".join((str(rank), *map(_fmt_float, values))) + "\n"
-                for rank, *values in rows))
-    _write_csv(out_dir / "filter_report.csv",
-               (*(f.name for f in fields(report)),
-                "skipped_missing_prediction"),
-               [",".join(map(str, (*astuple(report), skipped))) + "\n"])
-    _write_csv(out_dir / "coverage.csv",
-               ("agent_id", "kind", "coverage_m"),
-               (",".join(row) + "\n" for row in cov_rows))
+    with _outputs() as temp:
+        _write_csv(temp(out_dir / "deviation_curve.csv"),
+                   ("rank", "deviation_m", *(f"minfde_{m}" for m in models)),
+                   (",".join((str(rank), *map(_fmt_float, values))) + "\n"
+                    for rank, *values in rows))
+        _write_csv(temp(out_dir / "filter_report.csv"),
+                   (*(f.name for f in fields(report)),
+                    "skipped_missing_prediction"),
+                   [",".join(map(str, (*astuple(report), skipped))) + "\n"])
+        _write_csv(temp(out_dir / "coverage.csv"),
+                   ("agent_id", "kind", "coverage_m"),
+                   (f"{aid},{kind},{_fmt_float(cov)}\n"
+                    for aid, kind, cov in cov_rows))
     return 0
 
 
@@ -331,15 +308,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_dump_roadgraph(args) -> int:
     cfg = _resolve_config(args)
-    scenarios = _load_scenarios(args.scenarios)
-    worker = partial(intents_batch, kind=None, static_sets={}, cfg=cfg,
-                     dump=True)
-    results = _pmap(worker, _chunks(scenarios, args.jobs), args.jobs)
-    for _, _, fell_back in results:
-        for agent_id in fell_back:
-            print(f"note: {agent_id} has no lane association; skipped",
-                  file=sys.stderr)
-    _write_reach_csv(args.out, results)
+    _, results = _scan_all(args, partial(intents_batch, kind=None, cfg=cfg,
+                                         dump=True))
+    # stable: a scene's agents keep their order
+    for _, agent_id in sorted((f for _, _, fell_back in results
+                               for f in fell_back), key=lambda f: f[0]):
+        print(f"note: {agent_id} has no lane association; skipped",
+              file=sys.stderr)
+    with _outputs() as temp:
+        _write_reach_csv(temp(args.out), results)
     return 0
 
 
@@ -349,7 +326,8 @@ def _add_config_flags(p: argparse.ArgumentParser, analysis: bool = False):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--jobs", type=int, default=1)
     for key, default in _DEFAULTS.items():
-        if key in _ANALYSIS_DEFAULTS and not analysis:
+        # RunConfig's own fields are analysis settings
+        if not analysis and key in {f.name for f in fields(RunConfig)}:
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(default, bool):

@@ -1,12 +1,15 @@
 """The per-scene pipeline, the CLI's batch drivers, and the experiments.
 
 ``run_scene`` runs lane association and reachability for one scene under
-a ``RunConfig``; ``intents_batch``, the driver of ``intents`` and
-``dump-roadgraph``, runs it over many scenes. ``filter_dataset`` sorts
-its results into the targets that ``analyze`` keeps and the ones it
-excludes, ``intent_coverage`` scores kept targets' static, dynamic and
-mixed intention points against their ground-truth endpoints, and
-``analyze_batch``, the driver of ``analyze``, adds deviation records.
+a ``RunConfig``. The batch commands take scenes one at a time through
+``scan``, keep only small per-scene results and finish in one process:
+``intents_batch`` runs ``run_scene`` over many scenes for ``intents`` and
+``dump-roadgraph``, and ``intent_rows`` turns its targets into rows once
+``static_sets`` are fitted from every scene's ``class_endpoints``.
+``filter_dataset`` sorts ``run_scene``'s results into the targets that
+``analyze`` keeps and the ones it excludes, ``intent_coverage`` scores
+kept targets' static, dynamic and mixed intention points against their
+ground-truth endpoints, and ``analyze_batch`` adds deviation records.
 The experiments back the scripts in scripts/ and keep and score agents
 exactly as ``analyze`` does: the mixed-ratio coverage table (how
 strongly to weight scene-conditioned points against statistical ones
@@ -18,13 +21,13 @@ from __future__ import annotations
 
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (DeviationRecord, coverage, detect_parked,
-                       gt_deviation, min_fde)
+                       gt_deviation, min_fde, read_endpoints)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_intents_many, dynamic_pool,
                         mixed_intents_many, static_intents, to_agent_frame)
@@ -32,6 +35,11 @@ from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
 from .scenario_gen import generate_suite
+
+
+class DataError(ValueError):
+    """Input data the pipeline cannot use as a whole, such as an agent id
+    in two scenes; the CLI maps it to exit code 1."""
 
 
 def agent_frame_endpoint(track: AgentTrack):
@@ -42,22 +50,83 @@ def agent_frame_endpoint(track: AgentTrack):
     return to_agent_frame(endpoint, track)
 
 
+def class_endpoints(scenario: Scenario) -> dict[str, np.ndarray]:
+    """The valid ground-truth 8 s endpoints of one scene's tracks in the
+    agent frame, as an (n, 2) array per object class, in track order."""
+    found: dict[str, list] = {}
+    for track in scenario.tracks:
+        local = agent_frame_endpoint(track)
+        if local is not None:
+            found.setdefault(track.object_class, []).append(local)
+    return {cls: np.asarray(points) for cls, points in found.items()}
+
+
+def fit_static(scene_endpoints, object_class: str = "vehicle",
+               cfg: KMeansConfig | None = None) -> IntentionPointSet:
+    """Statistical intention points from the endpoints of one class in an
+    iterable of ``class_endpoints`` results, pooled in that order."""
+    pools = [e[object_class] for e in scene_endpoints if object_class in e]
+    if not pools:
+        raise DataError(f"no valid {object_class} endpoints in the corpus")
+    return static_intents(np.concatenate(pools), object_class, cfg)
+
+
 def pooled_static(scenarios, object_class: str = "vehicle",
                   cfg: KMeansConfig | None = None) -> IntentionPointSet:
     """Statistical intention points from every valid endpoint of the
     given class across a scenario corpus."""
-    cfg = cfg or KMeansConfig()
-    endpoints = []
-    for scenario in scenarios:
-        for track in scenario.tracks:
-            if track.object_class != object_class:
-                continue
-            local = agent_frame_endpoint(track)
-            if local is not None:
-                endpoints.append(local)
-    if not endpoints:
-        raise ValueError(f"no valid {object_class} endpoints in the corpus")
-    return static_intents(np.asarray(endpoints), object_class, cfg)
+    return fit_static(map(class_endpoints, scenarios), object_class, cfg)
+
+
+def static_sets(heads, classes, cfg: KMeansConfig | None = None,
+                endpoints_file=None) -> dict[str, IntentionPointSet]:
+    """One statistical point set per object class in ``classes``: from the
+    endpoints of a CSV (columns class,x,y; see ``read_endpoints``) when
+    ``endpoints_file`` is given, else from ``fit_static`` of the endpoints
+    in the ``scan`` heads ``heads``."""
+    pools = read_endpoints(endpoints_file) if endpoints_file else None
+    sets = {}
+    for cls in classes:
+        if pools is None:
+            sets[cls] = fit_static((e for *_, e in heads), cls, cfg)
+        elif cls in pools:
+            sets[cls] = static_intents(pools[cls], cls, cfg)
+        else:
+            raise DataError(f"endpoints file has no rows for class {cls!r}")
+    return sets
+
+
+def scan(sources, load, work):
+    """``work`` over the scenes ``load`` returns for ``sources``, each
+    loaded when ``work`` reaches it, so that one scene is alive at a time
+    (and the one before it, until the next is loaded). Records the head of
+    each scene as it passes: ``(scenario id, track ids,
+    class_endpoints)``. Returns the heads in scene order and ``work``'s
+    result."""
+    heads = []
+
+    def recorded():
+        for scenario in map(load, sources):
+            heads.append((scenario.scenario_id,
+                          [t.agent_id for t in scenario.tracks],
+                          class_endpoints(scenario)))
+            yield scenario
+    result = work(recorded())
+    return heads, result
+
+
+def corpus_heads(chunks) -> list:
+    """The heads of every ``scan`` in ``chunks`` (``scan`` results) in
+    scenario-id order, ties in chunk order. Raises DataError when an agent
+    id appears in more than one scene."""
+    heads = sorted((h for hs, _ in chunks for h in hs), key=lambda h: h[0])
+    seen: set[str] = set()
+    for agent_id in (a for _, track_ids, _ in heads for a in track_ids):
+        if agent_id in seen:
+            raise DataError(f"agent id {agent_id!r} appears in more than "
+                            f"one scenario")
+        seen.add(agent_id)
+    return heads
 
 
 DEVIATION_MODES = ("node", "polyline")
@@ -86,6 +155,24 @@ class RunConfig:
             raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
         if not isinstance(self.exclude_parked, bool):
             raise ValueError("exclude_parked must be true or false")
+
+    @classmethod
+    def config_keys(cls) -> dict:
+        """Every config key with its default: the fields of the config
+        groups, then the own fields, which only the analysis reads."""
+        return {g.name: g.default for f in fields(cls)
+                if is_dataclass(f.default) for g in fields(f.default)} | {
+            f.name: f.default for f in fields(cls)
+            if not is_dataclass(f.default)}
+
+    @classmethod
+    def from_keys(cls, values) -> RunConfig:
+        """The config holding ``values[key]`` for every key of
+        ``config_keys``."""
+        return cls(**{f.name: replace(f.default, **{
+            g.name: values[g.name] for g in fields(f.default)})
+            if is_dataclass(f.default) else values[f.name]
+            for f in fields(cls)})
 
 
 class AgentResult(NamedTuple):
@@ -116,46 +203,77 @@ def run_scene(scenario: Scenario,
     return out
 
 
-def intents_batch(scenarios, kind: str | None, static_sets,
+# pools clustered in one batch at most. A batch holds about 10 KB per
+# pool; a smaller one splits more runs of pools of one size, which
+# k-means++ seeds together (up to intention._SEED_CHUNK): blocks of 256
+# took 21 % more seeding calls on the 400 pools of a 500-scene analyze.
+_CLUSTER_BLOCK = 512
+
+
+def _blocks(items):
+    """``items`` in runs of at most ``_CLUSTER_BLOCK``, in order."""
+    return (items[at:at + _CLUSTER_BLOCK]
+            for at in range(0, len(items), _CLUSTER_BLOCK))
+
+
+def intents_batch(scenarios, kind: str | None,
                   cfg: RunConfig = RunConfig(), dump: bool = False):
-    """Intention points of the targets of many scenes, clustered in one
-    batch, as three lists in scene order: ``(agent id, kind, points,
-    fallback flag)`` rows, where a target without a reach set gets its
-    class's ``static_sets`` entry, and none when ``kind`` is None; when
-    ``dump``, ``(scenario id, agent id, positions, arrival times)`` of
-    every reach set; and the ids of vehicles whose association fell back."""
-    agents, pools, reach_sets, fell_back = [], [], [], []
+    """``run_scene`` over many scenes (none when ``kind`` is static), with
+    the dynamic intention points of their reach sets clustered each time
+    ``_CLUSTER_BLOCK`` pools have gathered. Returns three lists in scene
+    order: ``(agent id, object class, dynamic set or None)`` of every
+    target, none when ``kind`` is None; when ``dump``, ``(scenario id,
+    agent id, positions, arrival times)`` of every reach set; and
+    ``(scenario id, agent id)`` of every vehicle whose association fell
+    back."""
+    targets, pools, sets, reach_sets, fell_back = [], [], [], [], []
     for scenario in scenarios:
+        sid = scenario.scenario_id
         if kind == "static":
             results = [AgentResult(scenario.track(a), None, None)
                        for a in scenario.tracks_to_predict]
         else:
             results = run_scene(scenario, cfg)
         for track, assoc, reach_set in results:
-            agents.append((track, reach_set is not None))
+            targets.append((track.agent_id, track.object_class,
+                            reach_set is not None))
             if assoc is not None and assoc.fallback:
-                fell_back.append(track.agent_id)
+                fell_back.append((sid, track.agent_id))
             if reach_set is not None and kind is not None:
                 pools.append(dynamic_pool(reach_set, track))
             if reach_set is not None and dump:
-                reach_sets.append((scenario.scenario_id, track.agent_id,
-                                   reach_set.positions,
+                reach_sets.append((sid, track.agent_id, reach_set.positions,
                                    reach_set.arrival_times))
+        if len(pools) >= _CLUSTER_BLOCK:
+            sets += dynamic_intents_many(pools, cfg.kmeans)
+            pools = []
     if kind is None:
         return [], reach_sets, fell_back
-    sets = dynamic_intents_many(pools, cfg.kmeans)
-    # static_sets holds only the classes of the targets: without a reach
+    sets = iter(sets + dynamic_intents_many(pools, cfg.kmeans))
+    return ([(aid, cls, next(sets) if reached else None)
+             for aid, cls, reached in targets], reach_sets, fell_back)
+
+
+def intent_rows(targets, kind: str, static_sets,
+                cfg: RunConfig = RunConfig()):
+    """``(agent id, kind, points, fallback flag)`` rows of ``intents_batch``
+    targets, sorted by agent id. A target with a dynamic set gets it, or,
+    when ``kind`` is mixed, its mix with the vehicle entry of
+    ``static_sets`` (mixed ``_CLUSTER_BLOCK`` at a time); any other target
+    gets its class's ``static_sets`` entry."""
+    targets = sorted(targets, key=lambda t: t[0])
+    sets = [dyn for _, _, dyn in targets if dyn is not None]
+    # static_sets holds only the classes of the targets: without a dynamic
     # set there may be no vehicle target, and nothing to mix
     if kind == "mixed" and sets:
-        sets = mixed_intents_many(sets, static_sets["vehicle"], cfg.mix,
-                                  cfg.kmeans)
+        sets = [mixed for block in _blocks(sets) for mixed in
+                mixed_intents_many(block, static_sets["vehicle"], cfg.mix,
+                                   cfg.kmeans)]
     sets = iter(sets)
-    rows = [(track.agent_id, kind, next(sets).points, "0") if reached
-            else (track.agent_id, "static",
-                  static_sets[track.object_class].points,
+    return [(aid, kind, next(sets).points, "0") if dyn is not None
+            else (aid, "static", static_sets[cls].points,
                   "0" if kind == "static" else "1")
-            for track, reached in agents]
-    return rows, reach_sets, fell_back
+            for aid, cls, dyn in targets]
 
 
 MAX_PLAUSIBLE_SPEED = 60.0   # m/s between consecutive valid GT samples
@@ -237,20 +355,29 @@ def intent_coverage(items, static_set: IntentionPointSet,
 
 def analyze_batch(items, model_names, static_set: IntentionPointSet,
                   cfg: RunConfig = RunConfig()):
-    """``(deviation record, intent_coverage row)`` of each kept target; the
-    record is None when some model in ``model_names`` has no prediction."""
-    out = []
-    for (track, reach_set, preds), covs in zip(
-            items, intent_coverage(items, static_set, cfg)):
-        record = None
-        if preds is not None and all(m in preds for m in model_names):
+    """Deviation records and coverage of kept targets, scored
+    ``_CLUSTER_BLOCK`` at a time: ``(records, rows, skipped)``. A target
+    lacking a prediction of some model in ``model_names`` counts in
+    ``skipped`` and has no record, and so has a parked one when
+    ``cfg.exclude_parked``; ``rows`` holds ``(agent id, kind, coverage in
+    m)`` for every target and ``intent_coverage`` kind, sorted."""
+    records, rows, skipped = [], [], 0
+    for block in _blocks(items):
+        for (track, reach_set, preds), covs in zip(
+                block, intent_coverage(block, static_set, cfg)):
+            rows += [(track.agent_id, kind, cov)
+                     for kind, cov in zip(INTENT_KINDS, covs)]
+            if preds is None or any(m not in preds for m in model_names):
+                skipped += 1
+                continue
             record = DeviationRecord(
                 track.agent_id,
                 gt_deviation(track, reach_set, cfg.deviation_mode),
                 {m: min_fde(preds[m], track, 8) for m in model_names},
                 detect_parked(track))
-        out.append((record, covs))
-    return out
+            if not (cfg.exclude_parked and record.parked):
+                records.append(record)
+    return records, sorted(rows, key=lambda r: r[:2]), skipped
 
 
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,

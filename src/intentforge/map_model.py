@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -116,8 +117,10 @@ class LaneSegment:
         if not np.isfinite(nodes).all():
             raise InvariantViolation(f"segment {self.id}: non-finite node coordinate")
         v = self.speed_limit_mps
+        # compared exactly, an int beyond float range exceeds the largest
+        # float, where math.isfinite would raise OverflowError
         if isinstance(v, bool) or not (isinstance(v, (int, float))
-                                       and math.isfinite(v) and v > 0):
+                                       and 0 < v <= sys.float_info.max):
             raise InvariantViolation(f"segment {self.id}: speed limit must be > 0")
         spacing = np.hypot(*(nodes[1:] - nodes[:-1]).T)
         if (spacing <= 0.0).any():

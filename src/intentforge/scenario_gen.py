@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +81,9 @@ class GenSpec:
                 f"template {self.template!r}")
         _check_seed(self.seed)
         v = self.speed_limit_mps
+        # compared exactly, an int beyond float range exceeds the largest float
         if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not 0 < v < math.inf:
+                or not 0 < v <= sys.float_info.max:
             raise ValueError("speed limit must be finite and > 0")
 
 
@@ -378,11 +381,12 @@ def generate(spec: GenSpec) -> Scenario:
     return Scenario(scenario_id, vmap, [track], (agent_id,))
 
 
-def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
+def iter_suite(n: int, seed: int = 0, behaviors=None) -> Iterator[Scenario]:
     """n scenarios with randomized templates/behaviors, deterministic in
-    seed. ``behaviors`` optionally restricts the behavior pool (for
-    example to follow_lane only, which keeps every GT endpoint on the
-    road graph)."""
+    seed, each built as it is requested. ``behaviors`` optionally
+    restricts the behavior pool (for example to follow_lane only, which
+    keeps every GT endpoint on the road graph). The arguments are checked
+    when the first scene is requested."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_seed(seed)
@@ -395,7 +399,6 @@ def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
                 raise ValueError(f"unknown behavior {b!r}; expected one of "
                                  f"{', '.join(BEHAVIORS)}")
     rng = np.random.default_rng(seed)
-    out = []
     for i in range(n):
         while True:
             template = TEMPLATES[rng.integers(len(TEMPLATES))]
@@ -406,6 +409,10 @@ def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
                 break
         behavior = pool[rng.integers(len(pool))]
         limit = _q6(rng.uniform(22.0, 35.0) * 0.44704)
-        out.append(generate(GenSpec(template, seed * 1_000_003 + i,
-                                    limit, behavior)))
-    return out
+        yield generate(GenSpec(template, seed * 1_000_003 + i, limit,
+                               behavior))
+
+
+def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
+    """The scenes of ``iter_suite``, as a list."""
+    return list(iter_suite(n, seed, behaviors))

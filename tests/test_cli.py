@@ -4,6 +4,7 @@ import inspect
 import json
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (HUGE, OVER_DIGIT_LIMIT, fmt_float_reference,
                       from_agent_frame, mutated_scene, reach_csv_reference,
                       point_to_polyline_distance, scenario_of,
                       stationary_track, straight_map, vehicle_track)
-from intentforge import analysis, cli, experiments, intention
+from intentforge import analysis, cli, experiments, intention, scenario_gen
 from intentforge.cli import main
 from intentforge.analysis import coverage
 from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
@@ -1069,11 +1070,10 @@ def test_intents_rows_print_like_fmt_float(tmp_path, monkeypatch):
     points = np.array([[0.0, -0.0], [-1e-9, 1e-9], [2.5000005, -2.5000005],
                        [1e6 / 3, -7.0]])
 
-    def batch(scenarios, kind, static_sets, cfg, dump):
-        return [("b", kind, points, "0"), ("a", "static", points[::-1], "1")
-                ], [], []
+    def rows(targets, kind, static_sets, cfg):
+        return [("a", "static", points[::-1], "1"), ("b", kind, points, "0")]
 
-    monkeypatch.setattr(cli, "intents_batch", batch)
+    monkeypatch.setattr(cli, "intent_rows", rows)
     out = tmp_path / "i.csv"
     assert main(["intents", str(scenes), "--kind", "dynamic",
                  "-o", str(out)]) == 0
@@ -1292,3 +1292,125 @@ def test_option_strings_and_config_keys_are_pinned():
         "dynamic_weight": 3.0, "static_weight": 1.0, "window": 7500,
         "deviation_mode": "node", "exclude_parked": False,
     }
+
+
+# -- streamed scenes and atomic outputs ------------------------------------------
+
+def _files(d):
+    return sorted(p.name for p in d.iterdir())
+
+
+def test_no_output_is_left_behind_on_exit_1(tmp_path, capsys):
+    scenes, suite = write_suite(tmp_path, n=3)
+    out = tmp_path / "out"
+    out.mkdir()
+    missing = tmp_path / "missing" / "r.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(out / "o.csv"), "--dump-roadgraph",
+                 str(missing)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert _files(out) == []
+    # analyze fails at its last file: the first two are not left either
+    (out / "coverage.csv").mkdir()
+    pred = perfect_predictions(tmp_path, suite, "m")
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 21] Is a directory: '{out / 'coverage.csv'}'\n"
+    assert _files(out) == ["coverage.csv"]
+    (out / "coverage.csv").rmdir()
+    # on success only the outputs exist: no temporary file survives
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(out / "o.csv"), "--dump-roadgraph",
+                 str(out / "r.csv")]) == 0
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(out)]) == 0
+    assert main(["dump-roadgraph", str(scenes), "-o", str(out / "d.csv")]) == 0
+    assert _files(out) == ["coverage.csv", "d.csv", "deviation_curve.csv",
+                           "filter_report.csv", "o.csv", "r.csv"]
+    assert (out / "d.csv").read_bytes() == (out / "r.csv").read_bytes()
+
+
+def test_errors_and_notes_are_jobs_invariant(tmp_path, capsys):
+    """Scene files named in the reverse of their scenario-id order: a bad
+    file wins over duplicate agent ids, the first bad file in path order
+    wins, then the first duplicate in scenario-id order; dump-roadgraph's
+    notes come in scenario-id order. Stderr and exit codes are equal at
+    --jobs 1, 2 and 3, and no output file is written on an error."""
+    suite = sorted(generate_suite(5, seed=3) + generate_suite(
+        3, seed=4, behaviors=("offroad_parking",)),
+                   key=lambda s: s.scenario_id)
+    clean = [json.loads(write_scenario(s)) for s in suite]
+    names = [f"{len(suite) - i:02d}.json" for i in range(len(suite))]
+    scenes = tmp_path / "scenes"
+    # scenes 2 and 5 take the agent ids of scenes 0 and 3
+    dup = json.loads(json.dumps(clean))
+    for a, b in ((0, 2), (3, 5)):
+        aid = dup[b]["tracks_to_predict"][0] = dup[a]["tracks"][0]["agent_id"]
+        dup[b]["tracks"][0]["agent_id"] = aid
+
+    def run(command, objs, bad=()):
+        scenes.mkdir(exist_ok=True)
+        for i, (name, obj) in enumerate(zip(names, objs)):
+            (scenes / name).write_text("{" if i in bad else json.dumps(obj))
+        seen = set()
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"out{jobs}"
+            out.mkdir(exist_ok=True)
+            rc = main([command, str(scenes), "--jobs", jobs, "-o",
+                       str(out / "o.csv")] + (
+                ["--kind", "mixed"] if command == "intents" else []))
+            seen.add((rc, capsys.readouterr().err, tuple(_files(out))))
+        assert len(seen) == 1
+        return seen.pop()
+
+    for command in ("intents", "dump-roadgraph"):
+        # scenes 6 and 1 are bad; 6's file sorts first
+        rc, err, files = run(command, dup, bad=(1, 6))
+        assert (rc, files) == (1, ())
+        assert err.startswith(f"error: {scenes / names[6]}: ")
+        assert run(command, dup) == (1, (
+            f"error: agent id {dup[0]['tracks'][0]['agent_id']!r} appears "
+            f"in more than one scenario\n"), ())
+    assert run("dump-roadgraph", clean) == (0, "".join(
+        f"note: {s.tracks_to_predict[0]} has no lane association; skipped\n"
+        for s in suite if "offroad" in s.scenario_id), ("o.csv",))
+    assert sum("offroad" in s.scenario_id for s in suite) == 3
+
+
+def test_one_parsed_scene_is_alive_per_worker(tmp_path, monkeypatch):
+    """Each scene the CLI parses or generates is freed before the one after
+    next: at every parse at most one earlier scene is alive."""
+    refs, alive_at_call = [], []
+
+    def recording(fn):
+        def wrapper(*args):
+            alive_at_call.append(sum(r() is not None for r in refs))
+            scenario = fn(*args)
+            refs.append(weakref.ref(scenario))
+            return scenario
+        return wrapper
+
+    monkeypatch.setattr(scenario_gen, "generate",
+                        recording(scenario_gen.generate))
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--suite", "30", "--seed", "1", "-o",
+                 str(scenes)]) == 0
+    assert len(refs) == 30 and max(alive_at_call) <= 1
+    monkeypatch.undo()
+    suite = [parse_scenario(p.read_bytes())
+             for p in sorted(scenes.glob("*.json"))]
+    pred = perfect_predictions(tmp_path, suite, "m")
+    del suite
+    monkeypatch.setattr(cli, "_load_scenarios",
+                        recording(cli._load_scenarios))
+    for argv in (["intents", str(scenes), "--kind", "mixed", "-o",
+                  str(tmp_path / "i.csv")],
+                 ["dump-roadgraph", str(scenes), "-o", str(tmp_path / "r.csv")],
+                 ["analyze", str(scenes), "--predictions", f"m={pred}",
+                  "--window", "1", "-o", str(tmp_path / "an")]):
+        refs.clear()
+        alive_at_call.clear()
+        assert main(argv) == 0
+        assert len(refs) == 30 and max(alive_at_call) <= 1

@@ -133,7 +133,8 @@ def test_duplicate_node_rejected():
 
 
 @pytest.mark.parametrize("limit", [True, False, "13", None, 0.0, -1.0,
-                                   math.nan, math.inf])
+                                   math.nan, math.inf,
+                                   pytest.param(HUGE, id="int_beyond_float")])
 def test_bad_speed_limit_rejected(limit):
     with pytest.raises(InvariantViolation, match="speed limit must be > 0"):
         seg(1, [[0, 0], [1, 0]], limit=limit)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (point_to_polyline_distance, states_from_path_reference,
+from conftest import (HUGE, point_to_polyline_distance,
+                      states_from_path_reference,
                       stationary_states_reference, write_scenario_reference)
 from intentforge import scenario_gen
 from intentforge.analysis import gt_deviation
@@ -84,7 +85,8 @@ def test_genspec_rejects_bad_seed(seed):
 
 
 @pytest.mark.parametrize("limit", [True, False, "13", None, 0.0, -1.0,
-                                   math.nan, math.inf])
+                                   math.nan, math.inf,
+                                   pytest.param(HUGE, id="int_beyond_float")])
 def test_genspec_rejects_bad_speed_limit(limit):
     with pytest.raises(ValueError, match="speed limit must be finite and > 0"):
         GenSpec("straight", 0, limit)
