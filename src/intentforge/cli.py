@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CsvError, deviation_curve
+from .analysis import CsvError, deviation_curve, min_fde
 # benchmark/tracing.py wraps the prediction reader under this name
 from .analysis import read_predictions as _load_prediction_csv
 from .experiments import (DEVIATION_MODES, INTENT_KINDS, DataError,
@@ -265,15 +265,15 @@ def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     paths = _prediction_paths(args.predictions)
     heads, results = _scan_all(args, partial(filter_dataset, cfg=cfg))
-    merged = {}   # agent id -> model name -> PredictionSet
-    for name, path in paths.items():
-        for aid, ps in _load_prediction_csv(path).items():
-            merged.setdefault(aid, {})[name] = ps
+    items = [it for kept, _ in results for it in kept]
+    tracks = {it.track.agent_id: it.track for it in items}
+    # one prediction file is alive at a time: only its minFDEs are kept
+    fdes = {name: {aid: min_fde(ps, tracks[aid], 8) for aid, ps
+                   in _load_prediction_csv(path).items() if aid in tracks}
+            for name, path in paths.items()}
 
     static = static_sets(heads, ["vehicle"], cfg.kmeans)["vehicle"]
-    records, cov_rows, skipped = analyze_batch(
-        [it._replace(prediction=merged.get(it.track.agent_id))
-         for kept, _ in results for it in kept], sorted(paths), static, cfg)
+    records, cov_rows, skipped = analyze_batch(items, fdes, static, cfg)
     report = FilterReport(*map(sum, zip(*(astuple(r) for _, r in results))))
     if skipped:
         print(f"warning: skipped {skipped} agent(s) lacking predictions "

@@ -7,9 +7,11 @@ a ``RunConfig``. The batch commands take scenes one at a time through
 ``dump-roadgraph``, and ``intent_rows`` turns its targets into rows once
 ``static_sets`` are fitted from every scene's ``class_endpoints``.
 ``filter_dataset`` sorts ``run_scene``'s results into the targets that
-``analyze`` keeps and the ones it excludes, ``intent_coverage`` scores
-kept targets' static, dynamic and mixed intention points against their
-ground-truth endpoints, and ``analyze_batch`` adds deviation records.
+``analyze`` keeps and the ones it excludes, and reduces each kept one to
+its track, dynamic intention points, ground-truth deviation and parked
+flag; ``intent_coverage`` scores kept targets' static, dynamic and mixed
+intention points against their ground-truth endpoints, and
+``analyze_batch`` adds deviation records from per-model minFDEs.
 The experiments back the scripts in scripts/ and keep and score agents
 exactly as ``analyze`` does: the mixed-ratio coverage table (how
 strongly to weight scene-conditioned points against statistical ones
@@ -20,14 +22,13 @@ mixed intention sets.
 from __future__ import annotations
 
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (DeviationRecord, coverage, detect_parked,
-                       gt_deviation, min_fde, read_endpoints)
+                       gt_deviation, read_endpoints)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_intents_many, dynamic_pool,
                         mixed_intents_many, static_intents, to_agent_frame)
@@ -216,42 +217,52 @@ def _blocks(items):
             for at in range(0, len(items), _CLUSTER_BLOCK))
 
 
+def _clustered(entries, cfg: KMeansConfig):
+    """``(item, dynamic_pool or None)`` pairs, taken as they come, as
+    ``(item, dynamic set or None)`` pairs in order. The pools are clustered
+    each time ``_CLUSTER_BLOCK`` have gathered, so no more are held."""
+    items, pools, sets = [], [], []
+    for item, pool in entries:
+        items.append((item, pool is not None))
+        if pool is not None:
+            pools.append(pool)
+            if len(pools) == _CLUSTER_BLOCK:
+                sets += dynamic_intents_many(pools, cfg)
+                pools = []
+    sets = iter(sets + dynamic_intents_many(pools, cfg))
+    return [(item, next(sets) if pooled else None) for item, pooled in items]
+
+
 def intents_batch(scenarios, kind: str | None,
                   cfg: RunConfig = RunConfig(), dump: bool = False):
     """``run_scene`` over many scenes (none when ``kind`` is static), with
-    the dynamic intention points of their reach sets clustered each time
-    ``_CLUSTER_BLOCK`` pools have gathered. Returns three lists in scene
-    order: ``(agent id, object class, dynamic set or None)`` of every
-    target, none when ``kind`` is None; when ``dump``, ``(scenario id,
-    agent id, positions, arrival times)`` of every reach set; and
-    ``(scenario id, agent id)`` of every vehicle whose association fell
-    back."""
-    targets, pools, sets, reach_sets, fell_back = [], [], [], [], []
-    for scenario in scenarios:
-        sid = scenario.scenario_id
-        if kind == "static":
-            results = [AgentResult(scenario.track(a), None, None)
-                       for a in scenario.tracks_to_predict]
-        else:
-            results = run_scene(scenario, cfg)
-        for track, assoc, reach_set in results:
-            targets.append((track.agent_id, track.object_class,
-                            reach_set is not None))
-            if assoc is not None and assoc.fallback:
-                fell_back.append((sid, track.agent_id))
-            if reach_set is not None and kind is not None:
-                pools.append(dynamic_pool(reach_set, track))
-            if reach_set is not None and dump:
-                reach_sets.append((sid, track.agent_id, reach_set.positions,
-                                   reach_set.arrival_times))
-        if len(pools) >= _CLUSTER_BLOCK:
-            sets += dynamic_intents_many(pools, cfg.kmeans)
-            pools = []
-    if kind is None:
-        return [], reach_sets, fell_back
-    sets = iter(sets + dynamic_intents_many(pools, cfg.kmeans))
-    return ([(aid, cls, next(sets) if reached else None)
-             for aid, cls, reached in targets], reach_sets, fell_back)
+    the dynamic intention points of their reach sets ``_clustered``.
+    Returns three lists in scene order: ``(agent id, object class, dynamic
+    set or None)`` of every target, each set None when ``kind`` is None;
+    when ``dump``, ``(scenario id, agent id, positions, arrival times)`` of
+    every reach set; and ``(scenario id, agent id)`` of every vehicle whose
+    association fell back."""
+    reach_sets, fell_back = [], []
+
+    def targets():
+        for scenario in scenarios:
+            sid = scenario.scenario_id
+            if kind == "static":
+                results = [AgentResult(scenario.track(a), None, None)
+                           for a in scenario.tracks_to_predict]
+            else:
+                results = run_scene(scenario, cfg)
+            for track, assoc, reach_set in results:
+                if assoc is not None and assoc.fallback:
+                    fell_back.append((sid, track.agent_id))
+                if reach_set is not None and dump:
+                    reach_sets.append((sid, track.agent_id, reach_set.positions,
+                                       reach_set.arrival_times))
+                yield ((track.agent_id, track.object_class),
+                       None if reach_set is None or kind is None
+                       else dynamic_pool(reach_set, track))
+    return ([(aid, cls, dyn) for (aid, cls), dyn
+             in _clustered(targets(), cfg.kmeans)], reach_sets, fell_back)
 
 
 def intent_rows(targets, kind: str, static_sets,
@@ -303,80 +314,86 @@ class FilterReport:
                               + self.excluded_invalid_gt)
 
 
-FilteredItem = namedtuple("FilteredItem", ["track", "reach_set", "prediction"])
+class FilteredItem(NamedTuple):
+    """One target ``filter_dataset`` keeps, reduced to what analysis
+    scores; its reach set is not kept."""
+
+    track: AgentTrack
+    dynamic: IntentionPointSet
+    deviation: float    # gt_deviation under RunConfig.deviation_mode
+    parked: bool        # detect_parked
 
 
-def filter_dataset(scenarios, predictions=None, cfg: RunConfig = RunConfig()):
+def filter_dataset(scenarios, cfg: RunConfig = RunConfig()):
     """Keep prediction targets suitable for scene-conditioned intents.
 
     Runs ``run_scene`` on every scenario and drops, in order:
     non-vehicles, vehicles without a valid lane association, and tracks
     with an invalid 8 s endpoint or implausible GT (inter-step speed
-    above 60 m/s). ``predictions`` optionally maps agent_id to a
-    per-model dict and is attached to the surviving items.
+    above 60 m/s). Each kept target becomes a ``FilteredItem`` as it
+    comes, its dynamic intention points ``_clustered``. Returns the kept
+    items in scene order and the ``FilterReport``.
     """
-    predictions = predictions or {}
     report = FilterReport()
-    kept: list[FilteredItem] = []
-    for scenario in scenarios:
-        for track, assoc, reach_set in run_scene(scenario, cfg):
-            report.total += 1
-            if assoc is None:
-                report.excluded_non_vehicle += 1
-            elif reach_set is None:
-                report.excluded_no_dynamic += 1
-            elif track.gt_endpoint() is None or _implausible_gt(track):
-                report.excluded_invalid_gt += 1
-            else:
-                report.remaining += 1
-                kept.append(FilteredItem(track, reach_set,
-                                         predictions.get(track.agent_id)))
+
+    def kept():
+        for scenario in scenarios:
+            for track, assoc, reach_set in run_scene(scenario, cfg):
+                report.total += 1
+                if assoc is None:
+                    report.excluded_non_vehicle += 1
+                elif reach_set is None:
+                    report.excluded_no_dynamic += 1
+                elif track.gt_endpoint() is None or _implausible_gt(track):
+                    report.excluded_invalid_gt += 1
+                else:
+                    report.remaining += 1
+                    yield ((track, gt_deviation(track, reach_set,
+                                                cfg.deviation_mode),
+                            detect_parked(track)),
+                           dynamic_pool(reach_set, track))
+    items = [FilteredItem(track, dyn, deviation, parked)
+             for (track, deviation, parked), dyn
+             in _clustered(kept(), cfg.kmeans)]
     assert report.consistent()
-    return kept, report
+    return items, report
 
 
 def intent_coverage(items, static_set: IntentionPointSet,
                     cfg: RunConfig = RunConfig(), mixes=None
                     ) -> list[list[float]]:
-    """Coverage in m of the intention points of kept targets (items with
-    ``track`` and ``reach_set``, as ``filter_dataset`` returns them): per
-    item, the static set, its dynamic set, then one mixed set per
-    ``MixConfig`` in ``mixes`` (default ``(cfg.mix,)``), in that order.
-    The dynamic sets, and the mixed sets of each mix, are clustered in one
-    batch."""
-    dyns = dynamic_intents_many(
-        [dynamic_pool(it.reach_set, it.track) for it in items], cfg.kmeans)
+    """Coverage in m of the intention points of ``filter_dataset`` items:
+    per item, the static set, its dynamic set, then one mixed set per
+    ``MixConfig`` in ``mixes`` (default ``(cfg.mix,)``), in that order. The
+    mixed sets of each mix are clustered in one batch."""
+    dyns = [it.dynamic for it in items]
     mixed = [mixed_intents_many(dyns, static_set, mix, cfg.kmeans)
              for mix in ((cfg.mix,) if mixes is None else mixes)]
     return [[coverage(points, agent_frame_endpoint(it.track))
-             for points in (static_set, *sets)]
-            for it, *sets in zip(items, dyns, *mixed)]
+             for points in (static_set, it.dynamic, *sets)]
+            for it, *sets in zip(items, *mixed)]
 
 
-def analyze_batch(items, model_names, static_set: IntentionPointSet,
+def analyze_batch(items, fdes, static_set: IntentionPointSet,
                   cfg: RunConfig = RunConfig()):
-    """Deviation records and coverage of kept targets, scored
-    ``_CLUSTER_BLOCK`` at a time: ``(records, rows, skipped)``. A target
-    lacking a prediction of some model in ``model_names`` counts in
-    ``skipped`` and has no record, and so has a parked one when
-    ``cfg.exclude_parked``; ``rows`` holds ``(agent id, kind, coverage in
-    m)`` for every target and ``intent_coverage`` kind, sorted."""
+    """Deviation records and coverage of ``filter_dataset`` items, mixed
+    ``_CLUSTER_BLOCK`` at a time: ``(records, rows, skipped)``. ``fdes``
+    maps each model name to the minFDE at 8 s by agent id. A target
+    lacking one of some model counts in ``skipped`` and has no record, and
+    so has a parked one when ``cfg.exclude_parked``; ``rows`` holds
+    ``(agent id, kind, coverage in m)`` for every target and
+    ``intent_coverage`` kind, sorted."""
     records, rows, skipped = [], [], 0
     for block in _blocks(items):
-        for (track, reach_set, preds), covs in zip(
-                block, intent_coverage(block, static_set, cfg)):
-            rows += [(track.agent_id, kind, cov)
-                     for kind, cov in zip(INTENT_KINDS, covs)]
-            if preds is None or any(m not in preds for m in model_names):
+        for it, covs in zip(block, intent_coverage(block, static_set, cfg)):
+            aid = it.track.agent_id
+            rows += [(aid, kind, cov) for kind, cov in zip(INTENT_KINDS, covs)]
+            if any(aid not in fde for fde in fdes.values()):
                 skipped += 1
-                continue
-            record = DeviationRecord(
-                track.agent_id,
-                gt_deviation(track, reach_set, cfg.deviation_mode),
-                {m: min_fde(preds[m], track, 8) for m in model_names},
-                detect_parked(track))
-            if not (cfg.exclude_parked and record.parked):
-                records.append(record)
+            elif not (cfg.exclude_parked and it.parked):
+                records.append(DeviationRecord(
+                    aid, it.deviation, {m: fdes[m][aid] for m in sorted(fdes)},
+                    it.parked))
     return records, sorted(rows, key=lambda r: r[:2]), skipped
 
 

@@ -9,7 +9,8 @@ from conftest import line_nodes, scenario_of, seg, stationary_track, vehicle_tra
 from intentforge.analysis import (DeviationRecord, PredictionSet, coverage,
                                   detect_parked, deviation_curve, gt_deviation,
                                   min_ade, min_fde, miss_rate, moving_average)
-from intentforge.experiments import FilterReport, filter_dataset
+from intentforge.experiments import (FilterReport, RunConfig,
+                                     filter_dataset, run_scene)
 from intentforge.intention import dynamic_intents, to_agent_frame, KMeansConfig
 from intentforge.map_model import VectorMap
 from intentforge.road_graph import ReachabilitySet
@@ -266,23 +267,26 @@ def make_filter_scenario():
 
 
 def test_filter_counts_match_hand_enumeration():
-    items, report = filter_dataset([make_filter_scenario()])
+    scenario = make_filter_scenario()
+    items, report = filter_dataset([scenario])
     assert report == FilterReport(total=20, excluded_non_vehicle=4,
                                   excluded_no_dynamic=3,
                                   excluded_invalid_gt=7, remaining=6)
     assert report.consistent()
     assert sorted(it.track.agent_id for it in items) == [
         f"veh{i}" for i in range(6)]
-    assert all(it.reach_set.arrival_times[0] == 0.0 for it in items)
-
-
-def test_filter_attaches_predictions():
-    scenario = make_filter_scenario()
-    track = scenario.track("veh0")
-    preds = {"veh0": {"m": pred_of("veh0", *gt_modes(track, (0, 0)))}}
-    items, _ = filter_dataset([scenario], preds)
-    by_id = {it.track.agent_id: it.prediction for it in items}
-    assert by_id["veh0"] is not None and by_id["veh1"] is None
+    reach_sets = {track.agent_id: reach_set
+                  for track, _, reach_set in run_scene(scenario)}
+    for mode in ("node", "polyline"):
+        cfg = RunConfig(deviation_mode=mode)
+        for track, dyn, deviation, parked in filter_dataset([scenario],
+                                                            cfg)[0]:
+            reach_set = reach_sets[track.agent_id]
+            assert reach_set.arrival_times[0] == 0.0
+            assert deviation == gt_deviation(track, reach_set, mode)
+            assert parked is detect_parked(track) is False
+            assert np.array_equal(dyn.points,
+                                  dynamic_intents(reach_set, track).points)
 
 
 # -- moving_average ----------------------------------------------------------------

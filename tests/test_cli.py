@@ -833,17 +833,89 @@ def test_benchmark_wrap_targets_keep_their_names(tmp_path, monkeypatch):
                       intention._coalesce: ["points", "weights"]}
     scenes, suite = write_suite(tmp_path, n=1)
     pred = perfect_predictions(tmp_path, suite, "m")
-    calls = []
+    calls, returned = [], []
     load = cli._load_prediction_csv
 
     def counting(path):
         calls.append(path)
-        return load(path)
+        preds = load(path)
+        returned.append((type(preds), [(type(ps), ps.trajectories.shape)
+                                       for ps in preds.values()]))
+        return preds
 
     monkeypatch.setattr(cli, "_load_prediction_csv", counting)
     assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
                  "--window", "1", "-o", str(tmp_path / "out")]) == 0
     assert calls == [str(pred)]
+    # cli.prediction_rows sums the (m, 80) rows of every set in the dict
+    assert returned == [(dict, [(analysis.PredictionSet, (1, 80, 2))]
+                         * len(suite[0].tracks_to_predict))]
+
+
+def test_analyze_holds_one_prediction_file_at_a_time(tmp_path, monkeypatch):
+    """analyze keeps only the minFDEs of each prediction file it reads: at
+    every read, no prediction set of an earlier file is alive."""
+    scenes, suite = write_suite(tmp_path)
+    argv = ["analyze", str(scenes), "--window", "1", "-o", str(tmp_path / "o")]
+    for i, name in enumerate(("a", "b", "c")):
+        path = perfect_predictions(tmp_path, suite, name, offset=(i, 0.0))
+        argv += ["--predictions", f"{name}={path}"]
+    refs, alive_at_call = [], []
+    load = cli._load_prediction_csv
+
+    def recording(path):
+        alive_at_call.append(sum(r() is not None for r in refs))
+        preds = load(path)
+        refs.extend(weakref.ref(ps) for ps in preds.values())
+        return preds
+
+    monkeypatch.setattr(cli, "_load_prediction_csv", recording)
+    assert main(argv) == 0
+    assert len(refs) == 3 * len(suite) and alive_at_call == [0, 0, 0]
+
+
+def test_analyze_frees_reach_sets_as_it_goes(tmp_path, monkeypatch):
+    """The analyze worker keeps no reach set of a kept target: at every
+    scene parse, no reach set from two or more scenes back is alive."""
+    scenes, suite = write_suite(tmp_path, n=8)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    calls, refs, stale = [], [], []
+    load, reach = cli._load_scenarios, experiments.reach
+
+    def loading(path):
+        stale.extend(n for n, r in refs if r() is not None and n < len(calls))
+        calls.append(path)
+        return load(path)
+
+    def reaching(*args):
+        reach_set = reach(*args)
+        refs.append((len(calls), weakref.ref(reach_set)))
+        return reach_set
+
+    monkeypatch.setattr(cli, "_load_scenarios", loading)
+    monkeypatch.setattr(experiments, "reach", reaching)
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(refs) == 8 and stale == []
+
+
+def test_analyze_worker_flush_keeps_outputs(tmp_path, monkeypatch):
+    """Clustered two pools at a time, the analyze workers flush within
+    their chunks and analyze_batch mixes in blocks of two; the outputs equal
+    the default run at --jobs 1 and 3."""
+    scenes, suite = write_suite(tmp_path, n=7)
+    pred = perfect_predictions(tmp_path, suite[:-1], "m")
+
+    def run(name, jobs):
+        out = tmp_path / name
+        assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                     "--window", "1", "--jobs", jobs, "-o", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    want = run("default", "1")
+    monkeypatch.setattr(experiments, "_CLUSTER_BLOCK", 2)
+    assert len(want) == 3
+    assert run("two1", "1") == run("two3", "3") == want
 
 
 @pytest.mark.parametrize("name", ["", "a,b", "a\rb", "a\n", "\r"])
@@ -1163,10 +1235,12 @@ def test_batched_outputs_equal_one_agent_calls_at_any_jobs(tmp_path):
                 want[kind] += [
                     [track.agent_id, kind_out, str(i), fmt(x), fmt(y),
                      fallback] for i, (x, y) in enumerate(points.points)]
+    reach_sets = {track.agent_id: reach_set for scenario in suite
+                  for track, _, reach_set in experiments.run_scene(scenario)}
     cov = []
-    for track, reach_set, _ in experiments.filter_dataset(suite)[0]:
+    for track, *_ in experiments.filter_dataset(suite)[0]:
         end = experiments.agent_frame_endpoint(track)
-        dyn = dynamic_intents(reach_set, track, kcfg)
+        dyn = dynamic_intents(reach_sets[track.agent_id], track, kcfg)
         cov += [[track.agent_id, kind, fmt(coverage(points, end))]
                 for kind, points in (
                     ("static", static), ("dynamic", dyn),

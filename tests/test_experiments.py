@@ -38,9 +38,10 @@ def test_intent_coverage_rows_match_direct_calls():
     m1, m2 = MixConfig(1.0, 1.0), MixConfig(5.0, 1.0)
     assert len(items) == 3
     want_mixes, want_default = [], []
-    for it in items:
-        endpoint = agent_frame_endpoint(it.track)
-        dyn = dynamic_intents(it.reach_set, it.track, cfg.kmeans)
+    for scenario in suite:
+        [(track, _, reach_set)] = experiments.run_scene(scenario)
+        endpoint = agent_frame_endpoint(track)
+        dyn = dynamic_intents(reach_set, track, cfg.kmeans)
         mixed = [coverage(mixed_intents(dyn, static_set, m, cfg.kmeans),
                           endpoint) for m in (m1, m2, cfg.mix)]
         base = [coverage(static_set, endpoint), coverage(dyn, endpoint)]
