@@ -12,36 +12,37 @@ are padded by cycling through the distinct points in decreasing weight
 order (dead-end roads can yield tiny reachable sets).
 
 Lloyd labels each point with the first nearest center of the (n, k)
-block of squared distances (pn + cn) - 2 p.c, with pn and cn the
-squared norms. Pools of at least ``_BOUND_MIN_POINTS`` points (reach
-sets on large maps; suite pools hold at most a few hundred) rebuild only
-the rows whose label may change, after Hamerly (2010, "Making k-means
-even faster"); on lane pools at k = 64 this pays from 512 to 768 points
-up. Each point keeps a lower bound l on its distance to every center
-but its own: the square root of its second-smallest row value less a
-margin, shrunk after each update by the largest shift among those
-centers. Its squared distance u2 to its own center comes from the
-point-center difference, which has no cancellation. A point keeps its
-label while l*l - u2 exceeds the margin 1e-9 * (2 (pn + max cn) + 1);
-any whole-block entry is within some 1e-16 times pn + cn of the true
-squared distance, far inside the margin, so the whole block gives it the
-same label. The other rows, all of them in the first iteration, come
-from one product of the rows [x, y, pn, 1] with the columns [-2cx; -2cy;
-1; cn], clamped at 0. Its four terms add up to at most pn + cn +
-2|p||c| <= 2 (pn + cn) in magnitude, so each entry lies within a few
-ulps of 2 (pn + cn) of the true squared distance, far inside the margin
-too, but it can differ from the whole block in the last bits. So in
-every iteration a row whose two smallest values lie within the margin
-is recomputed from the rows of the whole product ``pts @ centers.T``,
-as the whole block holds them, and every other row has the whole
-block's nearest center. Labels, and so centers, bincount sums, the
-stopping test and the iteration count, are those of the whole block bit
-for bit; the objectives, summed from the one-product rows, can differ
-in the last bit. The margin is summed as written, so it is inf where
-2 (pn + max cn) overflows; that covers every row whose whole-block entry
-or one-product partial sum could overflow. Like a NaN bound or block
-value, an inf margin fails every comparison, so such a row takes the
-whole product's row in every iteration.
+block of squared distances computed elementwise, (x - cx)**2 + (y -
+cy)**2, one numpy operation at a time, so no BLAS kernel decides an
+output bit. It takes its rows from one product of the rows [x, y, pn, 1]
+with the columns [-2cx; -2cy; 1; cn], clamped at 0, with pn and cn the
+squared norms; that costs less than the elementwise block. The four
+terms add up to at most pn + cn + 2|p||c| <= 2 (pn + cn) in magnitude,
+so each product entry lies within a few ulps of 2 (pn + cn) of the true
+squared distance, and so does each elementwise entry: both lie far
+inside the margin 1e-9 * (2 (pn + max cn) + 1). A row whose two smallest
+product values lie more than the margin apart thus has the elementwise
+block's nearest center, and every other row is rebuilt elementwise from
+its own point alone. Labels, and so centers, bincount sums, the stopping
+test and the iteration count, are those of the elementwise block bit for
+bit on any BLAS; the objectives, summed from the product rows, can
+differ from it in the last bit, and no output reads them. The margin is
+summed as written, so it is inf where 2 (pn + max cn) overflows; that
+covers every row whose product partial sum could overflow. Like a NaN
+bound or block value, an inf margin fails every comparison, so such a
+row is rebuilt elementwise in every iteration.
+
+Pools of at least ``_BOUND_MIN_POINTS`` points (reach sets on large
+maps; suite pools hold at most a few hundred) recompute only the rows
+whose label may change, after Hamerly (2010, "Making k-means even
+faster"); on lane pools at k = 64 this pays from 512 to 768 points up.
+Each point keeps a lower bound l on its distance to every center but its
+own: the square root of its second-smallest row value less the margin,
+shrunk after each update by the largest shift among those centers. Its
+squared distance u2 to its own center comes from the point-center
+difference, which has no cancellation. A point keeps its label while
+l*l - u2 exceeds the margin, and then the elementwise block gives it the
+same label.
 
 ``weighted_kmeans_many`` clusters many pools at once (one per agent in
 the batch commands) and returns for each exactly what ``weighted_kmeans``
@@ -54,8 +55,8 @@ coalesced size n in one stacked block, and that is exact:
 - a draw counts the cumulative weights <= u * total, which equals
   ``searchsorted(side="right")`` because the cumulative weights never
   decrease;
-- the candidate distances come from the same matrix-vector product per
-  pool and candidate as for one pool;
+- each candidate distance is computed elementwise, so it does not depend
+  on the other pools and candidates that share its block;
 - each potential is the sum of one contiguous row of length n, so it is
   added in the same pairwise order as for one pool.
 
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +80,7 @@ from .road_graph import ReachabilitySet
 INTENT_KINDS = ("static", "dynamic", "mixed")
 
 # Lloyd keeps distance bounds on pools of at least this many points (see
-# above); smaller pools rebuild the whole block, which costs less there.
+# above); smaller pools recompute every row, which costs less there.
 _BOUND_MIN_POINTS = 1024
 # k-means++ seeds at most this many pools of one size in one block: one
 # block per size seeds the pools of a 500-scene suite (up to 450 of one
@@ -109,7 +111,7 @@ class KMeansConfig:
         if self.k > _MAX_K:
             raise ValueError(f"k must be <= {_MAX_K}")
         if isinstance(self.tolerance, bool) \
-                or not 0 <= self.tolerance < math.inf:
+                or not 0 <= self.tolerance <= sys.float_info.max:
             raise ValueError("tolerance must be a finite number >= 0")
 
 
@@ -121,7 +123,7 @@ class MixConfig:
     def __post_init__(self):
         for name in ("dynamic_weight", "static_weight"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not 0 < v < math.inf:
+            if isinstance(v, bool) or not 0 < v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number > 0")
 
 
@@ -167,15 +169,6 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
     return points[first[order]], np.bincount(labels, weights=weights)
 
 
-def _block(pn: np.ndarray, cn: np.ndarray, dot: np.ndarray) -> np.ndarray:
-    """Squared distances via the expanded dot product, clamped at 0, from
-    the squared norms pn and cn, shaped to broadcast against ``dot``, and
-    the dot products: (pn + cn) - 2 dot, built in place of ``dot``."""
-    dot *= -2.0
-    dot += pn + cn
-    return np.maximum(dot, 0.0, out=dot)
-
-
 def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from a stack of cumulative weight rows (B, n): per
     row, for each u, the first index whose cumulative weight exceeds
@@ -191,13 +184,15 @@ def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum.shape[1] - 1)
 
 
-def _to_centers(pts: np.ndarray, pn: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``_block`` of squared distances (B, T, n) from the points of each
-    pool (B, n, 2), with squared norms pn (B, n), to each of its T centers
-    c (B, T, 2)."""
-    cn = np.einsum("btj,btj->bt", c, c)
-    dot = np.matmul(pts[:, None], c[..., None])[..., 0]
-    return _block(pn[:, None, :], cn[:, :, None], dot)
+def _to_centers(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances (..., T, n) from the points (..., n, 2) to the T
+    centers c (..., T, 2), elementwise: (x - cx)**2 + (y - cy)**2."""
+    d2 = pts[..., None, :, 0] - c[..., :, 0, None]
+    d2 *= d2
+    dy = pts[..., None, :, 1] - c[..., :, 1, None]
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
@@ -214,13 +209,9 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     (B, n) of pools of one size seeds each pool as if alone, with the same
     draws from ``rng``, and returns (B, k, 2) (see the module docstring).
     Each step scores all candidates of every pool in one ``(B, n_trials,
-    n)`` block. Its dot products come from one matrix-vector product per
-    candidate, exactly like ``pts @ c.T`` for a single center: a single
-    matrix-matrix product (``pts @ C.T`` or an einsum) takes a different
-    BLAS kernel whose results can differ in the last bit, which is enough
-    to flip which of two near-tied candidates wins. Each potential is a
-    row sum over a contiguous row, so it is summed in the same pairwise
-    order as the 1-D sum of one candidate.
+    n)`` block of elementwise squared distances. Each potential is a row
+    sum over a contiguous row, so it is summed in the same pairwise order
+    as the 1-D sum of one candidate.
     """
     stack = pts if pts.ndim == 3 else pts[None]
     w = weights if pts.ndim == 3 else weights[None]
@@ -231,13 +222,12 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     flat = stack.reshape(-1, 2)
     pool_rows = np.arange(b) * n
     pool_cands = np.arange(b) * n_trials
-    pn = np.einsum("bij,bij->bi", stack, stack)
     chosen = [_pick(np.cumsum(w, axis=1), rng.random())[:, 0] + pool_rows]
-    d2 = _to_centers(stack, pn, flat[chosen[0]][:, None])[:, 0]
+    d2 = _to_centers(stack, flat[chosen[0]][:, None])[:, 0]
     for _ in range(k - 1):
         cand = _pick(np.cumsum(w * d2, axis=1), rng.random(n_trials))
         cand += pool_rows[:, None]
-        blk = _to_centers(stack, pn, flat[cand])
+        blk = _to_centers(stack, flat[cand])
         np.minimum(blk, d2[:, None], out=blk)
         best = (w[:, None] * blk).sum(axis=2).argmin(axis=1) + pool_cands
         chosen.append(cand.ravel()[best])
@@ -264,54 +254,48 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     """Weighted Lloyd iterations. Returns (centers, per-iteration weighted
     within-cluster sums of squares). Empty clusters keep their centroid.
 
-    Pools of at least ``_BOUND_MIN_POINTS`` points recompute only the rows
-    whose label may change, from one product [x, y, pn, 1] @ [-2cx; -2cy;
-    1; cn], and near ties from the whole product ``pts @ centers.T`` (see
-    the module docstring): the labels, and so the centers and the number
-    of iterations, equal those of the whole block. The objective sums each
-    point's squared distance to its own center, from the one-product row
-    where its row was recomputed and from the point-center difference
-    elsewhere, so it can differ from the whole block's in the last bit."""
+    Rows come from one product [x, y, pn, 1] @ [-2cx; -2cy; 1; cn], and
+    near-tied rows are rebuilt elementwise (see the module docstring): the
+    labels, and so the centers and the number of iterations, equal those
+    of the elementwise block. Pools of at least ``_BOUND_MIN_POINTS``
+    points recompute only the rows whose label may change. The objective
+    sums each point's squared distance to its own center, from its row
+    where it was recomputed and from the point-center difference
+    elsewhere, so it can differ from the elementwise block's in the last
+    bit."""
     k = centers.shape[0]
     n = pts.shape[0]
     pn = np.einsum("ij,ij->i", pts, pts)
     cn = np.einsum("ij,ij->i", centers, centers)
     wx, wy = weights * pts[:, 0], weights * pts[:, 1]
     bounded = n >= _BOUND_MIN_POINTS
-    if bounded:
-        aug = np.column_stack([pts, pn, np.ones(n)])
-        cols = np.ones((4, k))
-        pn2 = 2.0 * pn
+    aug = np.column_stack([pts, pn, np.ones(n)])
+    cols = np.ones((4, k))
+    pn2 = 2.0 * pn
     rows = np.arange(n)
     labels = np.zeros(n, dtype=np.intp)
     d2 = np.empty(n)      # squared distance to the own center
     lower = np.empty(n)   # bound below the distance to every other center
     objectives = []
     for it in range(cfg.max_iterations):
-        if bounded:
-            margin = _MARGIN * (pn2 + (2.0 * cn.max() + 1.0))
-            if it:
-                # NaN bounds and inf margins (overflowing norms) compare
-                # False: recompute
-                rows = np.flatnonzero(~(lower * lower - d2 > margin))
+        margin = _MARGIN * (pn2 + (2.0 * cn.max() + 1.0))
+        if bounded and it:
+            # NaN bounds and inf margins (overflowing norms) compare
+            # False: recompute
+            rows = np.flatnonzero(~(lower * lower - d2 > margin))
             margin = margin[rows]
-            cols[:2] = -2.0 * centers.T
-            cols[3] = cn
-            blk = (aug if rows.size == n
-                   else np.take(aug, rows, axis=0)) @ cols
-            lab, best, second = _nearest_two(np.maximum(blk, 0.0, out=blk))
-            # near ties take the whole product's rows, as the whole block
-            # holds them
-            tied = np.flatnonzero(~(second - best > margin))
-            if tied.size:
-                r = rows[tied]
-                lab[tied], best[tied], second[tied] = _nearest_two(
-                    _block(pn[r, None], cn, (pts @ centers.T)[r]))
+        cols[:2] = -2.0 * centers.T
+        cols[3] = cn
+        blk = (aug if rows.size == n
+               else np.take(aug, rows, axis=0)) @ cols
+        lab, best, second = _nearest_two(np.maximum(blk, 0.0, out=blk))
+        # near ties take their elementwise rows
+        tied = np.flatnonzero(~(second - best > margin))
+        if tied.size:
+            lab[tied], best[tied], second[tied] = _nearest_two(
+                _to_centers(pts[rows[tied]], centers).T)
+        if bounded:
             lower[rows] = np.sqrt(np.maximum(second - margin, 0.0))
-        else:
-            blk = _block(pn[:, None], cn, pts @ centers.T)
-            lab = blk.argmin(axis=1)
-            best = blk[rows, lab]
         labels[rows] = lab
         d2[rows] = best
         objectives.append(float((weights * d2).sum()))
@@ -407,20 +391,15 @@ def weighted_kmeans(points, weights=None,
     return weighted_kmeans_many([(points, weights)], cfg)[0]
 
 
-def to_agent_frame(point, track: AgentTrack) -> np.ndarray:
-    """Global point -> agent frame: translate by -position, rotate by -heading."""
+def to_agent_frame(points, track: AgentTrack) -> np.ndarray:
+    """Global point (2,) or points (n, 2) -> agent frame: translate by
+    -position, rotate by -heading, elementwise."""
     cur = track.current_state
-    dx = float(point[0]) - cur.x
-    dy = float(point[1]) - cur.y
+    p = np.asarray(points, dtype=np.float64)
+    dx = p[..., 0] - cur.x
+    dy = p[..., 1] - cur.y
     c, s = math.cos(cur.heading), math.sin(cur.heading)
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
-
-
-def _frame_matrix(track: AgentTrack):
-    cur = track.current_state
-    c, s = math.cos(cur.heading), math.sin(cur.heading)
-    rot = np.array([[c, s], [-s, c]])
-    return np.array([cur.x, cur.y]), rot
+    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
 def static_intents(endpoints, object_class: str,
@@ -440,8 +419,7 @@ def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
     pool its dynamic intention points are clustered from."""
     if len(reach_set) == 0:
         raise ValueError("empty reachability set; fall back to static points")
-    origin, rot = _frame_matrix(track)
-    return (reach_set.positions - origin) @ rot.T
+    return to_agent_frame(reach_set.positions, track)
 
 
 def dynamic_intents_many(pools, cfg: KMeansConfig | None = None

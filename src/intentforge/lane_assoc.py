@@ -11,6 +11,7 @@ caller then uses statistical intention points instead).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class AssocConfig:
     def __post_init__(self):
         for name in ("heading_threshold", "proximity_limit", "backwards_look"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not 0 < v < math.inf:
+            if isinstance(v, bool) or not 0 < v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number > 0")
 
 

@@ -10,7 +10,7 @@ is deliberately not modeled.
 from __future__ import annotations
 
 import heapq
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ class GraphConfig:
     def __post_init__(self):
         for name in ("time_budget", "speed_offset"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not 0 <= v < math.inf:
+            if isinstance(v, bool) or not 0 <= v <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite number >= 0")
 
 
@@ -98,16 +98,19 @@ def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:
                 continue
             other = vmap.segments[neighbor.segment_id]
             # nearest node on the neighbor per source node; squared
-            # distances via the expanded dot product, computed in row
-            # chunks to keep the temporaries cache-resident
-            sn = np.einsum("ij,ij->i", seg.nodes, seg.nodes)
-            on = np.einsum("ij,ij->i", other.nodes, other.nodes)
+            # distances computed elementwise, so that no BLAS kernel can
+            # flip a tie, in row chunks to keep the temporaries
+            # cache-resident
+            ox, oy = np.ascontiguousarray(other.nodes.T)
             nearest = np.empty(seg.n_nodes, dtype=np.int64)
             for lo in range(0, seg.n_nodes, 256):
-                hi = min(lo + 256, seg.n_nodes)
-                d2 = (sn[lo:hi, None] + on[None, :]
-                      - 2.0 * (seg.nodes[lo:hi] @ other.nodes.T))
-                nearest[lo:hi] = d2.argmin(axis=1)
+                p = seg.nodes[lo:lo + 256]
+                d2 = p[:, :1] - ox
+                d2 *= d2
+                dy = p[:, 1:] - oy
+                dy *= dy
+                d2 += dy
+                nearest[lo:lo + 256] = d2.argmin(axis=1)
             gaps = np.hypot(*(other.nodes[nearest] - seg.nodes).T)
             targets = (base[neighbor.segment_id] + nearest).tolist()
             for i, (v, w) in enumerate(zip(targets, (gaps / denom).tolist())):

@@ -206,13 +206,10 @@ def point_in_hull(p, hull: np.ndarray, eps=1e-7) -> bool:
 def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
     """Greedy weighted k-means++ scored one candidate at a time: the
     per-candidate loop that ``intention._kmeanspp`` must reproduce bit for
-    bit (same draws, same distances, same potentials, same tie rule)."""
+    bit (same draws, same elementwise distances, same potentials, same tie
+    rule)."""
     def d2_to(center):
-        pn = np.einsum("ij,ij->i", pts, pts)
-        cn = np.einsum("ij,ij->i", center, center)
-        d2 = pn[:, None] + cn[None, :] - 2.0 * (pts @ center.T)
-        np.maximum(d2, 0.0, out=d2)
-        return d2[:, 0]
+        return (pts[:, 0] - center[0]) ** 2 + (pts[:, 1] - center[1]) ** 2
 
     def pick(cum, u):
         return min(int(np.searchsorted(cum, u * cum[-1], side="right")),
@@ -220,13 +217,13 @@ def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
 
     n_trials = 2 + int(math.log(k)) if k > 1 else 1
     chosen = [pick(np.cumsum(weights), rng.random())]
-    d2 = d2_to(pts[chosen[-1]][None, :])
+    d2 = d2_to(pts[chosen[-1]])
     for _ in range(k - 1):
         cum = np.cumsum(weights * d2)
         candidates = [pick(cum, rng.random()) for _ in range(n_trials)]
         best_idx, best_d2, best_pot = None, None, math.inf
         for c in candidates:
-            cand_d2 = np.minimum(d2, d2_to(pts[c][None, :]))
+            cand_d2 = np.minimum(d2, d2_to(pts[c]))
             pot = float((weights * cand_d2).sum())
             if pot < best_pot:
                 best_idx, best_d2, best_pot = c, cand_d2, pot
@@ -276,17 +273,15 @@ def reach_csv_reference(reach_sets) -> str:
 
 
 def lloyd_reference(pts, weights, centers, cfg):
-    """Weighted Lloyd over the whole distance block in every iteration:
-    ``intention._lloyd`` must return bit-identical centers and as many
-    objectives."""
+    """Weighted Lloyd over the whole elementwise distance block in every
+    iteration: ``intention._lloyd`` must return bit-identical centers and as
+    many objectives."""
     k = centers.shape[0]
     n = pts.shape[0]
     objectives = []
     for _ in range(cfg.max_iterations):
-        pn = np.einsum("ij,ij->i", pts, pts)
-        cn = np.einsum("ij,ij->i", centers, centers)
-        d2 = pn[:, None] + cn[None, :] - 2.0 * (pts @ centers.T)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = ((pts[:, 0, None] - centers[:, 0]) ** 2
+              + (pts[:, 1, None] - centers[:, 1]) ** 2)
         labels = d2.argmin(axis=1)
         objectives.append(float((weights * d2[np.arange(n), labels]).sum()))
         sw = np.bincount(labels, weights=weights, minlength=k)

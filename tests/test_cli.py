@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -194,6 +197,41 @@ def test_intents_deterministic_and_jobs_invariant(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy reports a DYNAMIC_ARCH OpenBLAS, whose kernel
+    OPENBLAS_CORETYPE picks; numpy < 1.26 has no ``mode`` to report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("command", [["intents", "--kind", "mixed"],
+                                     ["dump-roadgraph"]],
+                         ids=["intents_mixed", "dump_roadgraph"])
+def test_output_bytes_do_not_depend_on_the_blas_kernel(tmp_path, command):
+    """The same output bytes under an FMA OpenBLAS kernel (Haswell) and a
+    kernel without FMA (Sandybridge), each in its own process."""
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--suite", "20", "--seed", "0",
+                 "-o", str(scenes)]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for core in ("Haswell", "Sandybridge"):
+        out = tmp_path / f"{core}.csv"
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_CORETYPE": core}
+        subprocess.run([sys.executable, "-m", "intentforge.cli", command[0],
+                        str(scenes), *command[1:], "-o", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_intents_endpoints_file(tmp_path):
     scenes, _ = write_suite(tmp_path, n=2, seed=5)
     endpoints = tmp_path / "endpoints.csv"
@@ -302,6 +340,12 @@ def test_intents_bad_config_exits_2(tmp_path):
                  "--config", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
 
 
+# every float config key; an int beyond float range must be refused too
+_FLOAT_KEYS = ("heading_threshold", "proximity_limit", "backwards_look",
+               "time_budget", "speed_offset", "tolerance", "dynamic_weight",
+               "static_weight")
+
+
 @pytest.mark.parametrize("extra", [
     {"k": "64"},
     ["--time-budget", "nan"],
@@ -318,13 +362,15 @@ def test_intents_bad_config_exits_2(tmp_path):
     {"time_budget": False},
     {"dynamic_weight": True},
     {"tolerance": False},
+    *({key: 10 ** 400} for key in _FLOAT_KEYS),
 ], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
         "max_iterations_0", "dynamic_weight_inf", "seed_negative",
         "proximity_limit_inf", "config_deviation_mode",
         "config_exclude_parked_string", "config_window_float",
         "config_window_zero", "config_proximity_limit_true",
         "config_time_budget_false", "config_dynamic_weight_true",
-        "config_tolerance_false"])
+        "config_tolerance_false",
+        *(f"config_{key}_beyond_float" for key in _FLOAT_KEYS)])
 def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                                                         extra):
     scenes, _ = write_suite(tmp_path, n=1)

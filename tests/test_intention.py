@@ -135,9 +135,17 @@ def test_dynamic_identity_for_64_nodes():
     nodes = rng.uniform(0, 100, size=(64, 2))
     track = vehicle_track((10.0, 20.0), heading=0.3, speed=8.0)
     got = dynamic_intents(reach_of(nodes), track, KMeansConfig(k=64))
-    expected = lex_sorted([to_agent_frame(p, track) for p in nodes])
+    # the scalar form, in Python floats: the pool's elementwise rotation
+    # gives the same bits
+    cur = track.current_state
+    c, s = math.cos(cur.heading), math.sin(cur.heading)
+    scalar = [(c * (x - cur.x) + s * (y - cur.y),
+               -s * (x - cur.x) + c * (y - cur.y)) for x, y in nodes.tolist()]
+    assert np.array_equal(to_agent_frame(nodes, track), scalar)
+    assert np.array_equal(np.array([to_agent_frame(p, track) for p in nodes]),
+                          scalar)
     assert got.kind == "dynamic"
-    assert np.allclose(got.points, expected, atol=1e-12)
+    assert np.array_equal(got.points, lex_sorted(scalar))
 
 
 def test_dynamic_straight_lane_corridor():
@@ -419,8 +427,9 @@ def test_weighted_kmeans_many_checks_every_pool():
 
 def test_lloyd_matches_whole_block_reference():
     """Lloyd with distance bounds (large pools) and without (small ones)
-    ends on bit-identical centers to the whole-block loop, after as many
-    iterations, on lattices with tied distances and on random layouts."""
+    ends on bit-identical centers to the elementwise whole-block loop,
+    after as many iterations, on lattices with tied distances and on
+    random layouts."""
     rng = np.random.default_rng(1)
     sizes = set()
     cases = itertools.product((1, 2, 7, 64), (False, True),
@@ -463,48 +472,42 @@ def _tie_case(rng, n_side=600):
     return pts, c
 
 
-def test_lloyd_single_row_tie_takes_whole_product_row():
-    """Where a one-row product picks another nearest center than the same
-    row of the whole product, Lloyd still follows the whole block."""
-    flipped = 0
-    for seed in range(300):
-        pts, init = _tie_case(np.random.default_rng(seed))
-        assert len(pts) >= _BOUND_MIN_POINTS
-        w = np.ones(len(pts))
-        cfg = KMeansConfig(k=2)
-        c, _ = lloyd_reference(pts, w, init, KMeansConfig(k=2,
-                                                          max_iterations=1))
-        pn = np.einsum("ij,ij->i", pts, pts)
-        cn = np.einsum("ij,ij->i", c, c)
-        whole = (pn[-1] + cn) - 2.0 * (pts @ c.T)[-1]
-        alone = (pn[-1] + cn) - 2.0 * (pts[-1:] @ c.T)[0]
-        if whole.argmin() == alone.argmin():
-            continue
-        flipped += 1
-        got, _ = _lloyd(pts, w, init, cfg)
-        want, _ = lloyd_reference(pts, w, init, cfg)
-        assert np.array_equal(got, want), seed
-    if not flipped:
-        pytest.skip("one-row products equal the whole product's rows here")
+def _product_rows(pts, centers, rows):
+    """Rows ``rows`` of the one product [x, y, pn, 1] @ [-2cx; -2cy; 1; cn],
+    built from those rows alone."""
+    pn = np.einsum("ij,ij->i", pts, pts)
+    cols = np.vstack([-2.0 * centers.T, np.ones(len(centers)),
+                      np.einsum("ij,ij->i", centers, centers)])
+    return np.column_stack([pts, pn, np.ones(len(pts))])[rows] @ cols
 
 
-def test_lloyd_first_iteration_tie_takes_whole_product_row():
-    """Start centers mirrored about a pool point tie its two distances in
-    the first iteration. Where the one product [x, y, pn, 1] @ [-2cx; -2cy;
-    1; cn] orders the pair otherwise than the whole block, Lloyd still
-    follows the whole block."""
+@pytest.mark.parametrize("layout", ["single_row", "first_iteration"])
+def test_lloyd_near_tie_follows_elementwise_row(layout):
+    """Where the one product orders a near-tied row otherwise than the
+    elementwise row of that point, alone or as a row of the whole
+    product, Lloyd still follows the elementwise row: the second
+    iteration of ``_tie_case``, which recomputes its last row alone, and
+    the first iteration of a mirrored start."""
     flipped = 0
-    for seed in range(100):
+    for seed in range(300 if layout == "single_row" else 100):
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-80.0, 80.0, size=(_BOUND_MIN_POINTS + 76, 2))
-        v = rng.uniform(-20.0, 20.0, size=2)
-        init = pts[0] + np.array([v, -v])
-        pn = np.einsum("ij,ij->i", pts, pts)
-        cn = np.einsum("ij,ij->i", init, init)
-        whole = (pn[0] + cn) - 2.0 * (pts @ init.T)[0]
-        cols = np.vstack([-2.0 * init.T, np.ones(2), cn])
-        one = (np.column_stack([pts, pn, np.ones(len(pts))]) @ cols)[0]
-        if whole.argmin() == one.argmin():
+        if layout == "single_row":
+            pts, init = _tie_case(rng)
+            # the centers of the second iteration, which tie the last row
+            c, _ = lloyd_reference(pts, np.ones(len(pts)), init,
+                                   KMeansConfig(k=2, max_iterations=1))
+            i = len(pts) - 1
+        else:
+            pts = rng.uniform(-80.0, 80.0, size=(_BOUND_MIN_POINTS + 76, 2))
+            v = rng.uniform(-20.0, 20.0, size=2)
+            # start centers mirrored about the first point tie its row
+            init = c = pts[0] + np.array([v, -v])
+            i = 0
+        assert len(pts) >= _BOUND_MIN_POINTS
+        row = ((pts[i] - c) ** 2).sum(axis=1)
+        ordered = {_product_rows(pts, c, [i])[0].argmin(),
+                   _product_rows(pts, c, slice(None))[i].argmin()}
+        if ordered == {row.argmin()}:
             continue
         flipped += 1
         w = np.ones(len(pts))
@@ -514,8 +517,8 @@ def test_lloyd_first_iteration_tie_takes_whole_product_row():
             assert np.array_equal(got, want), (seed, cfg.max_iterations)
             assert len(got_obj) == len(want_obj), (seed, cfg.max_iterations)
     if not flipped:
-        pytest.skip("one-product rows order the tied pair like the whole "
-                    "block here")
+        pytest.skip("one-product rows order the tied pair like the "
+                    "elementwise rows here")
 
 
 @pytest.mark.parametrize("n", [200, 2 * _BOUND_MIN_POINTS])
@@ -538,7 +541,7 @@ def test_lloyd_matches_reference_when_norms_overflow(n):
 def test_lloyd_matches_reference_near_overflow():
     """Bounded pools scaled so that squared norms and distances come near
     the largest float, some beyond it: where a block entry could overflow,
-    the margin is inf and the row takes the whole product."""
+    the margin is inf and the row is rebuilt elementwise."""
     rng = np.random.default_rng(5)
     for case in range(40):
         scale = 10.0 ** rng.uniform(150.0, 155.0)
