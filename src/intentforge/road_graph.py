@@ -5,6 +5,23 @@ segment's speed limit plus a configurable offset (drivers exceed posted
 limits). Reachability is multi-source shortest-path truncated at the
 time budget; kinematic feasibility (acceleration, turn speeds, traffic)
 is deliberately not modeled.
+
+A node's lane-change target on a change-permitted neighbor lane is the
+neighbor node with the least squared distance, computed elementwise as
+(x - ox)**2 + (y - oy)**2, and the first node index on ties: the first
+argmin of the whole (n, m) block. It is found in a window instead of the
+block. The neighbor's nodes are sorted (stably) on the axis along which
+they spread the most; each source node takes the squared distance ub to
+the node beside it in that order, and scores only the nodes whose
+coordinate on that axis lies within sqrt(ub) of its own, widened by a
+relative and an absolute margin. The window misses no node with d2 <=
+ub: rounding a sum of non-negative terms never falls below one of them,
+so such a node has fl(da**2) <= ub along the sort axis; the margins cover
+the rounding of the square, the square root and the difference, and the
+absolute one a da**2 that underflows to 0; and fl(pa +- r) rounds
+monotonically, so it cuts off no coordinate inside the exact window. The
+window holds the node that set ub, so it is never empty, and it holds
+every node of least d2, among which the least index is taken.
 """
 
 from __future__ import annotations
@@ -33,10 +50,10 @@ class GraphConfig:
 
 def travel_time(distance: float, speed_limit: float,
                 cfg: GraphConfig | None = None) -> float:
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
-    if speed_limit <= 0:
-        raise ValueError("speed limit must be > 0")
+    if not 0 <= distance <= sys.float_info.max:
+        raise ValueError("distance must be a finite number >= 0")
+    if not 0 < speed_limit <= sys.float_info.max:
+        raise ValueError("speed limit must be a finite number > 0")
     cfg = cfg or GraphConfig()
     return distance / (speed_limit + cfg.speed_offset)
 
@@ -67,6 +84,55 @@ class RoadGraph:
         return int(ids[0])
 
 
+# sources scored per step of the window search: a neighbor lane that curls
+# back on itself makes a window the whole lane, and a step then holds at
+# most _CHUNK * m squared distances
+_CHUNK = 256
+# window radius sqrt(ub) * (1 + _REL) + _ABS. A squared difference that
+# rounds to 0 or to a subnormal is within 2**-1075 of exact, so its root
+# is within sqrt(2**-1075) < 2e-162 of sqrt(ub): _ABS covers it
+_REL = 1e-9
+_ABS = 1e-150
+
+
+def _nearest_nodes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per row of ``src``, the index of its lane-change target in ``dst``
+    by the sorted-axis window search of the module docstring."""
+    a = int(np.ptp(dst[:, 1]) > np.ptp(dst[:, 0]))
+    order = np.argsort(dst[:, a], kind="stable")
+    sa = dst[order, a]
+    sb = dst[order, 1 - a]
+    pa = src[:, a]
+    pb = src[:, 1 - a]
+    m = order.size
+    j = np.minimum(np.searchsorted(sa, pa), m - 1)
+    ub = sa[j] - pa
+    ub *= ub
+    db = sb[j] - pb
+    db *= db
+    ub += db
+    r = np.sqrt(ub)
+    r *= 1 + _REL
+    r += _ABS
+    lo = np.searchsorted(sa, pa - r, "left")
+    width = np.searchsorted(sa, pa + r, "right") - lo
+    nearest = np.empty(src.shape[0], dtype=np.int64)
+    for c in range(0, src.shape[0], _CHUNK):
+        w = width[c:c + _CHUNK]
+        starts = np.cumsum(w) - w
+        idx = np.repeat(lo[c:c + _CHUNK] - starts, w)
+        idx += np.arange(idx.size)
+        d2 = sa[idx] - np.repeat(pa[c:c + _CHUNK], w)
+        d2 *= d2
+        db = sb[idx] - np.repeat(pb[c:c + _CHUNK], w)
+        db *= db
+        d2 += db
+        tied = d2 == np.repeat(np.minimum.reduceat(d2, starts), w)
+        nearest[c:c + _CHUNK] = np.minimum.reduceat(
+            np.where(tied, order[idx], m), starts)
+    return nearest
+
+
 def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:
     """Build the lane-node graph: intra-segment steps, exit connectors,
     and one lane-change edge per node towards each change-permitted
@@ -92,25 +158,12 @@ def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:
         for exit_id in seg.exit_ids:
             target = base[exit_id]
             gap = float(np.hypot(*(positions[target] - positions[last])))
-            adjacency[last].append((target, travel_time(gap, limit, cfg)))
+            adjacency[last].append((target, gap / denom))
         for neighbor in (seg.left, seg.right):
             if neighbor is None or not neighbor.change_ok:
                 continue
             other = vmap.segments[neighbor.segment_id]
-            # nearest node on the neighbor per source node; squared
-            # distances computed elementwise, so that no BLAS kernel can
-            # flip a tie, in row chunks to keep the temporaries
-            # cache-resident
-            ox, oy = np.ascontiguousarray(other.nodes.T)
-            nearest = np.empty(seg.n_nodes, dtype=np.int64)
-            for lo in range(0, seg.n_nodes, 256):
-                p = seg.nodes[lo:lo + 256]
-                d2 = p[:, :1] - ox
-                d2 *= d2
-                dy = p[:, 1:] - oy
-                dy *= dy
-                d2 += dy
-                nearest[lo:lo + 256] = d2.argmin(axis=1)
+            nearest = _nearest_nodes(seg.nodes, other.nodes)
             gaps = np.hypot(*(other.nodes[nearest] - seg.nodes).T)
             targets = (base[neighbor.segment_id] + nearest).tolist()
             for i, (v, w) in enumerate(zip(targets, (gaps / denom).tolist())):

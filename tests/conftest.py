@@ -16,7 +16,7 @@ from intentforge.map_model import (FUTURE_LEN, HISTORY_LEN, AgentState,
                                    MalformedScenario, Scenario,
                                    SchemaViolation, VectorMap,
                                    write_scenario)
-from intentforge.road_graph import RoadGraph
+from intentforge.road_graph import GraphConfig, RoadGraph
 from intentforge.scenario_gen import GenSpec, generate
 
 # scripts that tests start as subprocesses import the package from this
@@ -122,6 +122,41 @@ def graph_edges(graph: RoadGraph):
 
 def n_edges(graph: RoadGraph) -> int:
     return sum(len(a) for a in graph.adjacency)
+
+
+def road_graph_reference(vmap: VectorMap, cfg: GraphConfig | None = None):
+    """The adjacency of ``build_graph`` built one segment at a time, with
+    each lane-change target taken as the first argmin of the neighbor's
+    whole elementwise block of squared distances: ``build_graph`` must
+    return the same edges in the same order with bit-equal weights."""
+    cfg = cfg or GraphConfig()
+    base, n = {}, 0
+    for sid, s in vmap.segments.items():
+        base[sid] = n
+        n += s.n_nodes
+    positions = vmap.node_positions
+    adjacency = [[] for _ in range(n)]
+    for sid, s in vmap.segments.items():
+        b = base[sid]
+        denom = s.speed_limit_mps + cfg.speed_offset
+        arcs = s.arc_offsets.tolist()
+        for i in range(s.n_nodes - 1):
+            adjacency[b + i].append((b + i + 1, (arcs[i + 1] - arcs[i]) / denom))
+        last = b + s.n_nodes - 1
+        for e in s.exit_ids:
+            gap = float(np.hypot(*(positions[base[e]] - positions[last])))
+            adjacency[last].append((base[e], gap / denom))
+        for nb in (s.left, s.right):
+            if nb is None or not nb.change_ok:
+                continue
+            p, o = s.nodes, vmap.segments[nb.segment_id].nodes
+            d2 = ((p[:, 0, None] - o[:, 0]) ** 2
+                  + (p[:, 1, None] - o[:, 1]) ** 2)
+            nearest = d2.argmin(axis=1)
+            gaps = np.hypot(*(o[nearest] - p).T) / denom
+            for i, (j, w) in enumerate(zip(nearest.tolist(), gaps.tolist())):
+                adjacency[b + i].append((base[nb.segment_id] + j, w))
+    return adjacency
 
 
 def reach_oracle(adjacency, starts, budget) -> dict[int, float]:

@@ -131,6 +131,65 @@ def test_gen_suite_bytes_are_pinned(tmp_path):
                              "a0c135d9b82782ee95bec6c2ea137e8f")
 
 
+@pytest.fixture(scope="module")
+def suite20(tmp_path_factory):
+    """``gen --suite 20 --seed 0`` and two prediction files over it."""
+    root = tmp_path_factory.mktemp("suite20")
+    scenes = root / "scenes"
+    assert main(["gen", "--suite", "20", "--seed", "0",
+                 "-o", str(scenes)]) == 0
+    suite = [parse_scenario(p.read_bytes())
+             for p in sorted(scenes.glob("*.json"))]
+    exact = perfect_predictions(root, suite, "exact")
+    shifted = perfect_predictions(root, suite, "shifted", (1.5, -0.5))
+    return scenes, [f"exact={exact}", f"shifted={shifted}"]
+
+
+# sha256 over the sorted output files, each hashed as name + NUL + bytes
+# (the scheme of test_gen_suite_bytes_are_pinned)
+_ROADGRAPH_PIN = ("e02fe8bc9d8e7476157cf41fca99662a"
+                  "8c371b3aab8802470907bbe6ab257156")
+_OUTPUT_PINS = {
+    "intents_static": ("a7b31dc62001ccb0c875302815ef1ef6"
+                       "fc0b8e8f0e6a5c43454415fb8496cde5"),
+    "intents_dynamic": ("1a69641e66d521ae8c126aa4c11e3b3d"
+                        "addb000b1f43e7a6207bf125d512ba77"),
+    "intents_mixed": ("c6836ec78fb6c49dfe0fe33431466010"
+                      "a2bbf71b85498c1583e8a398db3e4efe"),
+    "dump_roadgraph": _ROADGRAPH_PIN,
+    "intents_dump_roadgraph": _ROADGRAPH_PIN,
+    "analyze": ("10e3c5e604d3a8e8371018ac3c488a39"
+                "e61fd828fd75a3ace073582a2477e8c5"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTPUT_PINS))
+def test_command_output_bytes_are_pinned(tmp_path, suite20, case):
+    """Every command's output bytes over the 20-scene seed-0 suite at
+    --jobs 1. A deliberate output change updates its pin."""
+    scenes, predictions = suite20
+    out = tmp_path / "out"
+    out.mkdir()
+    if case.startswith("intents_") and case != "intents_dump_roadgraph":
+        argv = ["intents", str(scenes), "--kind", case[len("intents_"):],
+                "-o", str(out / "intents.csv")]
+    elif case == "dump_roadgraph":
+        argv = ["dump-roadgraph", str(scenes), "-o", str(out / "roadgraph.csv")]
+    elif case == "intents_dump_roadgraph":
+        argv = ["intents", str(scenes), "--kind", "dynamic",
+                "--dump-roadgraph", str(out / "roadgraph.csv"),
+                "-o", str(tmp_path / "intents.csv")]
+    else:
+        argv = ["analyze", str(scenes), "--window", "1", "-o", str(out)]
+        for p in predictions:
+            argv += ["--predictions", p]
+    assert main([*argv, "--jobs", "1"]) == 0
+    h = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert h.hexdigest() == _OUTPUT_PINS[case]
+
+
 @pytest.mark.parametrize("flags", [
     ["--template", "straight"], ["--behavior", "follow_lane"],
     ["--speed-limit", "13.4112"],

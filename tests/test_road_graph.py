@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (graph_edges, line_nodes, n_edges, random_road_graph,
-                      reach_oracle, scenario_of, seg, stationary_track,
-                      straight_map, vehicle_track)
+                      reach_oracle, road_graph_reference, scenario_of, seg,
+                      stationary_track, straight_map, vehicle_track)
 from intentforge import experiments
 from intentforge.experiments import run_scene
 from intentforge.lane_assoc import AssociationResult
-from intentforge.map_model import LaneNeighbor, VectorMap
+from intentforge.map_model import LaneNeighbor, LaneSegment, VectorMap
 from intentforge.road_graph import (GraphConfig, RoadGraph, build_graph,
                                     reach, travel_time)
 
@@ -38,8 +40,11 @@ def test_travel_time_hand_computed():
 
 
 def test_travel_time_rejects_bad_limit():
-    with pytest.raises(ValueError):
-        travel_time(1.0, 0.0)
+    for distance, limit in [(1.0, 0.0), (-1.0, 10.0), (math.nan, 10.0),
+                            (math.inf, 10.0), (1.0, math.nan),
+                            (1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            travel_time(distance, limit)
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -98,14 +103,92 @@ def test_parallel_lanes_lane_change_edges():
                     if graph.seg_ids[u] != graph.seg_ids[v]]
     assert n_edges(graph) == intra + 2 * n
     assert len(change_edges) == 2 * n
-    # every lane-change edge targets the brute-force nearest neighbor node
+    # the lanes are offset by half a spacing, so every inner node lies
+    # exactly as far from two neighbor nodes: the lower index wins
+    targets = {u: int(graph.node_indices[v]) for u, v, _ in change_edges}
+    assert [targets[u] for u in range(n)] == [max(i - 1, 0) for i in range(n)]
+    assert [targets[n + i] for i in range(n)] == list(range(n))
     for u, v, w in change_edges:
-        src_sid = int(graph.seg_ids[u])
-        other = graph.positions[graph.seg_ids == 1 - src_sid]
-        d = np.hypot(*(other - graph.positions[u]).T)
-        assert np.hypot(*(graph.positions[v] - graph.positions[u])) \
-            == pytest.approx(d.min())
-        assert w == pytest.approx(travel_time(float(d.min()), MPS_30MPH))
+        gap = float(np.hypot(*(graph.positions[v] - graph.positions[u])))
+        assert gap == pytest.approx(math.hypot(0.25, 3.5))
+        assert w == pytest.approx(travel_time(gap, MPS_30MPH))
+    assert graph.adjacency == road_graph_reference(VectorMap([a, b]))
+
+
+def _lane(origin, step, n) -> np.ndarray:
+    return np.asarray(origin) + np.arange(n)[:, None] * np.asarray(step)
+
+
+_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1),
+               (-1, -1)]
+_HUGE = [1e300, math.nextafter(1e300, math.inf), -1e300, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _step(draw):
+    if draw(st.booleans()):
+        # a lattice step: multiples of 0.25 keep every squared distance
+        # exact, so ties are common
+        dx, dy = draw(st.sampled_from(_DIRECTIONS))
+        q = 0.25 * draw(st.integers(1, 5))
+        return np.array([dx * q, dy * q])
+    angle = draw(st.sampled_from([0.0, math.pi / 2, math.pi / 4,
+                                  -3 * math.pi / 4])
+                 | st.floats(-math.pi, math.pi))
+    length = draw(st.floats(0.05, 1.4))
+    return length * np.array([math.cos(angle), math.sin(angle)])
+
+
+@st.composite
+def _mutual_lanes(draw):
+    """Node arrays of two lanes that are each other's change-permitted
+    neighbor."""
+    kind = draw(st.sampled_from(["free", "lattice", "tiny", "huge"]))
+    na, nb = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    sa, sb = draw(_step()), draw(_step())
+    if kind in ("free", "lattice"):
+        coord = (st.floats(-30, 30) if kind == "free"
+                 else st.integers(-40, 40).map(lambda i: 0.25 * i))
+        oa = np.array([draw(coord), draw(coord)])
+        ob = np.array([draw(coord), draw(coord)])
+        return _lane(oa, sa, na), _lane(ob, sb, nb)
+    if kind == "tiny":
+        # a node of `a` at the origin, and a node of `b` 1e-170 from it:
+        # their squared distance underflows to 0
+        a = _lane(-draw(st.integers(0, na - 1)) * sa, sa, na)
+        b = np.vstack([-1e-170 * sb / np.hypot(*sb), _lane((0, 0), sb, nb)])
+        return a, b
+    # near the largest floats: one coordinate fixed, lanes along the other
+    lanes = []
+    for n in (na, nb):
+        lane = _lane((draw(st.sampled_from(_HUGE)), draw(st.floats(-10, 10))),
+                     (0.0, draw(st.floats(0.05, 1.4))), n)
+        lanes.append(lane[:, ::-1] if draw(st.booleans()) else lane)
+    return tuple(lanes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutual_lanes())
+@example((np.array([[0.0, 0.0], [0.5, 0.0]]),
+          np.array([[-1e-170, 0.0], [0.0, 0.0], [0.5, 0.0]])))
+def test_lane_change_targets_equal_the_whole_block(lanes):
+    a, b = lanes
+    vm = VectorMap([
+        LaneSegment(0, a, MPS_30MPH, left=LaneNeighbor(1, True)),
+        LaneSegment(1, b, MPS_30MPH, right=LaneNeighbor(0, True)),
+    ])
+    with np.errstate(over="ignore"):
+        assert build_graph(vm).adjacency == road_graph_reference(vm)
+
+
+def test_criterion_9_map_graph_equals_the_whole_block():
+    vm = VectorMap([
+        seg(i, line_nodes((0, 3.5 * i), (499.5, 3.5 * i)),
+            left=LaneNeighbor(i + 1, True) if i < 9 else None,
+            right=LaneNeighbor(i - 1, True) if i > 0 else None)
+        for i in range(10)])
+    assert vm.n_nodes == 10_000
+    assert build_graph(vm).adjacency == road_graph_reference(vm)
 
 
 # -- reach ----------------------------------------------------------------------
