@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .map_model import FUTURE_LEN, HISTORY_LEN, AgentTrack
+from .map_model import FUTURE_LEN, HISTORY_LEN, AgentTrack, _integer
 from .road_graph import ReachabilitySet
 
 HORIZON_STEP = {3: 29, 5: 49, 8: 79}   # future index at 10 Hz
@@ -360,8 +360,7 @@ def moving_average(values, window: int) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    _integer("window", window, 1)
     if window > x.shape[0]:
         raise ValueError(
             f"window {window} exceeds sequence length {x.shape[0]}")

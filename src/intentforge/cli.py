@@ -78,7 +78,7 @@ def _resolve_config(args) -> RunConfig:
             values[key] = getattr(args, key)
     try:
         return RunConfig.from_keys(values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"config violation: {exc}") from None
 
 

@@ -21,7 +21,6 @@ mixed intention sets.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_intents_many, dynamic_pool,
                         mixed_intents_many, static_intents, to_agent_frame)
 from .lane_assoc import AssocConfig, AssociationResult, associate
-from .map_model import AgentTrack, Scenario
+from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
 from .scenario_gen import generate_suite
 
@@ -147,11 +146,7 @@ class RunConfig:
     exclude_parked: bool = False
 
     def __post_init__(self):
-        if isinstance(self.window, bool) or not isinstance(self.window,
-                                                           numbers.Integral):
-            raise ValueError("window must be an integer")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        _integer("window", self.window, 1)
         if self.deviation_mode not in DEVIATION_MODES:
             raise ValueError(f"deviation_mode must be one of {DEVIATION_MODES}")
         if not isinstance(self.exclude_parked, bool):

@@ -67,14 +67,12 @@ grouped by size instead. Lloyd runs per pool, unchanged.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .map_model import AgentTrack
+from .map_model import AgentTrack, _integer, _number
 from .road_graph import ReachabilitySet
 
 INTENT_KINDS = ("static", "dynamic", "mixed")
@@ -103,16 +101,10 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
-                    or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
-        if self.k > _MAX_K:
-            raise ValueError(f"k must be <= {_MAX_K}")
-        if isinstance(self.tolerance, bool) \
-                or not 0 <= self.tolerance <= sys.float_info.max:
-            raise ValueError("tolerance must be a finite number >= 0")
+        _integer("k", self.k, 1, _MAX_K)
+        _integer("max_iterations", self.max_iterations, 1)
+        _integer("seed", self.seed, 0)
+        _number("tolerance", self.tolerance, 0, open_low=False)
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,8 @@ class MixConfig:
     static_weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("dynamic_weight", "static_weight"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0 < v <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number > 0")
+        _number("dynamic_weight", self.dynamic_weight, 0, open_low=True)
+        _number("static_weight", self.static_weight, 0, open_low=True)
 
 
 @dataclass(eq=False)

@@ -11,12 +11,11 @@ caller then uses statistical intention points instead).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .map_model import HISTORY_LEN, AgentTrack, VectorMap
+from .map_model import HISTORY_LEN, AgentTrack, VectorMap, _number
 
 MIN_MOVE_FOR_HEADING = 0.1  # m; below this the state heading field is trusted
 
@@ -29,9 +28,7 @@ class AssocConfig:
 
     def __post_init__(self):
         for name in ("heading_threshold", "proximity_limit", "backwards_look"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0 < v <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number > 0")
+            _number(name, getattr(self, name), 0, open_low=True)
 
 
 @dataclass(frozen=True)

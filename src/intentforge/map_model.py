@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,6 +84,28 @@ class SchemaViolation(ScenarioError):
 
 class InvariantViolation(ScenarioError):
     """Structurally valid input breaks a model invariant."""
+
+
+def _number(name, value, low, *, open_low, error=None):
+    """Raises ``error``, by default a ValueError that names ``name``,
+    unless ``value`` is a finite real number, not a bool, above ``low``
+    (or at least ``low`` unless ``open_low``). Compared exactly, an int
+    beyond float range exceeds the largest float, where math.isfinite
+    would raise OverflowError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low < value if open_low else low <= value)
+            or not value <= sys.float_info.max):
+        raise error or ValueError(f"{name} must be a finite number "
+                                  f"{'>' if open_low else '>='} {low}")
+
+
+def _integer(name, value, low, high=None):
+    """Raises a ValueError that names ``name`` unless ``value`` is an
+    integral number, not a bool, with ``low <= value <= high``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or high is not None and value > high):
+        raise ValueError(f"{name} must be an integer >= {low}"
+                         + ("" if high is None else f" and <= {high}"))
 
 
 @dataclass(frozen=True)
@@ -116,12 +139,9 @@ class LaneSegment:
                 f"segment {self.id}: needs at least 2 nodes of shape (N, 2)")
         if not np.isfinite(nodes).all():
             raise InvariantViolation(f"segment {self.id}: non-finite node coordinate")
-        v = self.speed_limit_mps
-        # compared exactly, an int beyond float range exceeds the largest
-        # float, where math.isfinite would raise OverflowError
-        if isinstance(v, bool) or not (isinstance(v, (int, float))
-                                       and 0 < v <= sys.float_info.max):
-            raise InvariantViolation(f"segment {self.id}: speed limit must be > 0")
+        _number("speed limit", self.speed_limit_mps, 0, open_low=True,
+                error=InvariantViolation(
+                    f"segment {self.id}: speed limit must be > 0"))
         spacing = np.hypot(*(nodes[1:] - nodes[:-1]).T)
         if (spacing <= 0.0).any():
             raise InvariantViolation(f"segment {self.id}: duplicate consecutive nodes")

@@ -27,13 +27,12 @@ every node of least d2, among which the least index is taken.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lane_assoc import AssociationResult
-from .map_model import VectorMap
+from .map_model import VectorMap, _number
 
 
 @dataclass(frozen=True)
@@ -43,17 +42,13 @@ class GraphConfig:
 
     def __post_init__(self):
         for name in ("time_budget", "speed_offset"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0 <= v <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite number >= 0")
+            _number(name, getattr(self, name), 0, open_low=False)
 
 
 def travel_time(distance: float, speed_limit: float,
                 cfg: GraphConfig | None = None) -> float:
-    if not 0 <= distance <= sys.float_info.max:
-        raise ValueError("distance must be a finite number >= 0")
-    if not 0 < speed_limit <= sys.float_info.max:
-        raise ValueError("speed limit must be a finite number > 0")
+    _number("distance", distance, 0, open_low=False)
+    _number("speed limit", speed_limit, 0, open_low=True)
     cfg = cfg or GraphConfig()
     return distance / (speed_limit + cfg.speed_offset)
 

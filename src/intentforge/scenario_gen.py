@@ -31,8 +31,6 @@ Headings use ``math.atan2``, as a vector kernel may round differently.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .map_model import (AgentTrack, LaneNeighbor, LaneSegment, Scenario,
-                        VectorMap)
+                        VectorMap, _integer, _number)
 
 SPACING = 0.5        # m between lane nodes
 LANE_WIDTH = 3.5
@@ -59,12 +57,6 @@ BEHAVIORS = ("follow_lane", "corner_cut", "illegal_uturn", "offroad_parking",
              "lane_merge_violation")
 
 
-def _check_seed(seed):
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or seed < 0:
-        raise ValueError("seed must be an integer >= 0")
-
-
 @dataclass(frozen=True)
 class GenSpec:
     template: str
@@ -79,12 +71,9 @@ class GenSpec:
             raise ValueError(
                 f"behavior {self.agent_behavior!r} is not supported on "
                 f"template {self.template!r}")
-        _check_seed(self.seed)
-        v = self.speed_limit_mps
-        # compared exactly, an int beyond float range exceeds the largest float
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not 0 < v <= sys.float_info.max:
-            raise ValueError("speed limit must be finite and > 0")
+        _integer("seed", self.seed, 0)
+        _number("speed limit", self.speed_limit_mps, 0, open_low=True,
+                error=ValueError("speed limit must be finite and > 0"))
 
 
 # -- geometry helpers --------------------------------------------------------
@@ -387,9 +376,8 @@ def iter_suite(n: int, seed: int = 0, behaviors=None) -> Iterator[Scenario]:
     restricts the behavior pool (for example to follow_lane only, which
     keeps every GT endpoint on the road graph). The arguments are checked
     when the first scene is requested."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_seed(seed)
+    _integer("n", n, 1)
+    _integer("seed", seed, 0)
     if behaviors is not None:
         # a template draw that no behavior fits would repeat forever
         if not behaviors:

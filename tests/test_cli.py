@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (HUGE, OVER_DIGIT_LIMIT, fmt_float_reference,
@@ -422,6 +422,10 @@ _FLOAT_KEYS = ("heading_threshold", "proximity_limit", "backwards_look",
     {"dynamic_weight": True},
     {"tolerance": False},
     *({key: 10 ** 400} for key in _FLOAT_KEYS),
+    {"tolerance": "1"},
+    {"speed_offset": None},
+    {"time_budget": [1]},
+    {"dynamic_weight": {}},
 ], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
         "max_iterations_0", "dynamic_weight_inf", "seed_negative",
         "proximity_limit_inf", "config_deviation_mode",
@@ -429,11 +433,15 @@ _FLOAT_KEYS = ("heading_threshold", "proximity_limit", "backwards_look",
         "config_window_zero", "config_proximity_limit_true",
         "config_time_budget_false", "config_dynamic_weight_true",
         "config_tolerance_false",
-        *(f"config_{key}_beyond_float" for key in _FLOAT_KEYS)])
+        *(f"config_{key}_beyond_float" for key in _FLOAT_KEYS),
+        "config_tolerance_string", "config_speed_offset_null",
+        "config_time_budget_list", "config_dynamic_weight_object"])
 def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                                                         extra):
     scenes, _ = write_suite(tmp_path, n=1)
+    key = None
     if isinstance(extra, dict):
+        [key] = extra
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(extra))
         extra = ["--config", str(cfg)]
@@ -442,7 +450,49 @@ def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
                  "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config violation") and err.count("\n") == 1
+    if key is not None:
+        assert err.startswith(f"error: config violation: {key} must be ")
     assert not out.exists()
+
+
+# any JSON value: every type, ints of any size, and the floats beyond
+# range (1e309 parses to inf), NaN, negatives and zeros
+_JSON_VALUE = st.one_of(
+    st.one_of(st.booleans(), st.text(max_size=3), st.none(),
+              st.lists(st.integers(-2, 2), max_size=2),
+              st.dictionaries(st.text(max_size=2), st.integers(-2, 2),
+                              max_size=1),
+              st.integers(), st.floats(),
+              st.sampled_from([2 ** 20, 2 ** 20 + 1, 10 ** 400,
+                               -10 ** 400])).map(json.dumps),
+    st.sampled_from(["1e309", "-1e309", "0", "-0.0", "-1"]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(cli._DEFAULTS)), text=_JSON_VALUE)
+@example(key="tolerance", text='"1"')
+@example(key="speed_offset", text="null")
+@example(key="time_budget", text="[1]")
+@example(key="dynamic_weight", text="{}")
+def test_any_config_value_is_used_or_refused_by_key(tmp_path, capsys,
+                                                    monkeypatch, key, text):
+    """A config file value is either taken, so that the command goes on to
+    the scenario files (here missing: exit 1 before any pipeline runs), or
+    refused with exit 2 and one line that names its key."""
+    monkeypatch.delenv("INTENTFORGE_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"%s": %s}' % (key, text))
+    missing = tmp_path / "missing.json"
+    code = main(["intents", str(missing), "--kind", "static",
+                 "--config", str(cfg), "-o", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err == f"error: no such scenario file or directory: {missing}\n"
+    else:
+        assert code == 2
+        assert err.startswith(f"error: config violation: {key} must be ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import HUGE
 from intentforge import experiments
-from intentforge.analysis import coverage
+from intentforge.analysis import coverage, moving_average
 from intentforge.experiments import (INTENT_KINDS, RunConfig,
                                      agent_frame_endpoint, filter_dataset,
                                      intent_coverage, pooled_static)
 from intentforge.intention import MixConfig, dynamic_intents, mixed_intents
 from intentforge.map_model import parse_scenario, write_scenario
-from intentforge.scenario_gen import generate_suite
+from intentforge.road_graph import travel_time
+from intentforge.scenario_gen import GenSpec, generate_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -99,3 +102,56 @@ def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     assert res.stderr.splitlines()[-1].startswith(f"{script}: error: ")
     assert f"error: {args[0]} must be" in res.stderr.splitlines()[-1]
     assert not (tmp_path / "out.csv").exists()
+
+
+# wrong JSON types, refused by every numeric setting
+_NOT_NUMBERS = ["1", None, [1], {}, True, False]
+_NOT_FINITE = [math.nan, math.inf, -math.inf]
+_NOT_INTEGERS = [1.5, 2.0, "64", *_NOT_FINITE]
+# the values out of range of each numeric config key; a key missing here
+# fails collection
+_OUT_OF_RANGE = {
+    "heading_threshold": [0.0, -1.0], "proximity_limit": [0.0, -1.0],
+    "backwards_look": [0.0, -1.0], "time_budget": [-1.0, -1e-9],
+    "speed_offset": [-1.0, -1e-9], "k": [0, -1, 2 ** 20 + 1, HUGE],
+    "max_iterations": [0, -1], "tolerance": [-1e-9, -1.0], "seed": [-1],
+    "dynamic_weight": [0.0, -1.0], "static_weight": [0.0, -1.0],
+    "window": [0, -1, 7500.9],
+}
+# (row, how to set the value, bad values besides _NOT_NUMBERS, the message
+# when it is pinned; otherwise the message must name the row's key)
+_NUMERIC_SETTINGS = [
+    *((key, lambda v, key=key: RunConfig.from_keys(
+        RunConfig.config_keys() | {key: v}), _OUT_OF_RANGE[key] + (
+            _NOT_INTEGERS if type(default) is int else [HUGE, *_NOT_FINITE]),
+       None)
+      for key, default in RunConfig.config_keys().items()
+      if type(default) in (int, float)),
+    ("GenSpec.speed_limit_mps", lambda v: GenSpec("straight", 0, v),
+     [0.0, -1.0, HUGE, *_NOT_FINITE], "speed limit must be finite and > 0"),
+    ("generate_suite.n", generate_suite, [0, -1, *_NOT_INTEGERS],
+     "n must be an integer >= 1"),
+    ("moving_average.window", lambda v: moving_average([1.0, 2.0], v),
+     [0, -1, *_NOT_INTEGERS], "window must be an integer >= 1"),
+    ("travel_time.distance", lambda v: travel_time(v, 10.0),
+     [-1.0, HUGE, *_NOT_FINITE], "distance must be a finite number >= 0"),
+    ("travel_time.speed_limit", lambda v: travel_time(1.0, v),
+     [0.0, -1.0, HUGE, *_NOT_FINITE],
+     "speed limit must be a finite number > 0"),
+]
+
+
+@pytest.mark.parametrize("row, build, value, message", [
+    pytest.param(row, build, value, message, id=f"{row}={value!r:.20}")
+    for row, build, bad, message in _NUMERIC_SETTINGS
+    for value in (*bad, *_NOT_NUMBERS)])
+def test_numeric_setting_rejects_bad_value_with_value_error(row, build, value,
+                                                            message):
+    """Every numeric setting refuses a wrong type or range with a
+    ValueError, never a TypeError; a config key names itself."""
+    with pytest.raises(ValueError) as info:
+        build(value)
+    if message is None:
+        assert str(info.value).startswith(f"{row} must be ")
+    else:
+        assert str(info.value) == message
