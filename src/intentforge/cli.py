@@ -337,8 +337,16 @@ def _add_config_flags(p: argparse.ArgumentParser, analysis: bool = False):
                 DEVIATION_MODES if key == "deviation_mode" else None))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, ``error: <message>``, and
+    exits 2 like every other usage error; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intentforge",
         description="Scene-conditioned, statistical, and hybrid trajectory "
                     "intention points over vectorized lane maps")

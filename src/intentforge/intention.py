@@ -47,26 +47,41 @@ same label.
 ``weighted_kmeans_many`` clusters many pools at once (one per agent in
 the batch commands) and returns for each exactly what ``weighted_kmeans``
 returns for it alone. k-means++ seeding costs per numpy call, not per
-point, on pools of a few hundred points, so it seeds every pool of one
-coalesced size n in one stacked block, and that is exact:
+point, on pools of a few hundred points, so it seeds the pools in
+stacks: sorted by coalesced size, cut into runs of at most
+``_SEED_CHUNK`` pools whose largest holds at most twice the points of
+the smallest, each pool padded at the end of its row to the largest
+with copies of its first point at weight 0. That is exact:
 
 - every pool seeds its generator from ``cfg.seed``, so all pools of a
   stack share one stream of uniforms;
 - a draw counts the cumulative weights <= u * total, which equals
   ``searchsorted(side="right")`` because the cumulative weights never
-  decrease;
+  decrease. Each pool reads its total at its own last point and clips
+  the count there; its padding stays at distance 0, so the cumulative
+  weights past its last point equal the total and never lower the
+  count;
 - each candidate distance is computed elementwise, so it does not depend
   on the other pools and candidates that share its block;
-- each potential is the sum of one contiguous row of length n, so it is
-  added in the same pairwise order as for one pool.
+- each potential is the sum of one contiguous row. A pool of the
+  stack's size adds its own row in the same pairwise order as alone. A
+  padded pool adds exact zeros in another pairwise order. Any order of
+  summing n terms >= 0 errs by at most (n - 1) 2**-53 (1 + O(n 2**-53))
+  times the exact sum, so two orders differ by less than 4 n 2**-53
+  times the larger sum. Where every candidate at another point exceeds the best
+  by more than that margin, the unpadded sums pick the same point.
+  Elsewhere, NaN and inf included, the pool sums its unpadded rows,
+  which are contiguous and of its own length. Candidates drawn at one
+  point have identical rows, so ``argmin``'s first-index rule keeps the
+  earliest of them either way.
 
-Padding pools to a common size would change those row sums, so pools are
-grouped by size instead. Lloyd runs per pool, unchanged.
+Lloyd runs per pool, unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,9 +95,10 @@ INTENT_KINDS = ("static", "dynamic", "mixed")
 # Lloyd keeps distance bounds on pools of at least this many points (see
 # above); smaller pools recompute every row, which costs less there.
 _BOUND_MIN_POINTS = 1024
-# k-means++ seeds at most this many pools of one size in one block: one
-# block per size seeds the pools of a 500-scene suite (up to 450 of one
-# size) ~10 % slower than blocks of 32, and a block's memory stays bounded
+# k-means++ seeds at most this many pools in one size-sorted, padded
+# stack: stacks of 16 seed the pools of a 500-scene suite ~20 % slower
+# than stacks of 32, larger ones gain nothing, and a stack's memory stays
+# bounded
 _SEED_CHUNK = 32
 # squared distances within _MARGIN * (2 (pn + max cn) + 1) count as tied
 _MARGIN = 1e-9
@@ -141,15 +157,16 @@ class IntentionPointSet:
 def _coalesce(points: np.ndarray, weights: np.ndarray):
     """Merge exact duplicate points, summing weights, keeping first-seen order.
 
-    ``+ 0.0`` turns -0.0 into 0.0, so the two compare as one point. A
-    stable sort by (x, y) heads each run of equal points with their first
+    Each point is keyed by one complex number x + iy, which numpy orders by
+    x, then y; ``+ 0.0`` turns -0.0 into 0.0, so the two compare as one
+    point. A stable sort heads each run of equal points with their first
     occurrence, which is kept as given; ``bincount`` adds the weights of a
     point in input order."""
-    keyed = points + 0.0
-    by_xy = np.lexsort((keyed[:, 1], keyed[:, 0]))
+    keyed = (points + 0.0).view(complex).ravel()
+    by_xy = np.argsort(keyed, kind="stable")
     ranked = keyed[by_xy]
     head = np.ones(by_xy.size, dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head[1:] = ranked[1:] != ranked[:-1]
     first = by_xy[head]
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -159,19 +176,24 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
     return points[first[order]], np.bincount(labels, weights=weights)
 
 
-def _pick(cum: np.ndarray, u: float | np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from a stack of cumulative weight rows (B, n): per
-    row, for each u, the first index whose cumulative weight exceeds
-    u * total, clipped to the last index against round-off. Returns (B, T)
-    for T draws (T = 1 for a scalar u). Counting the entries <= u * total
-    equals ``searchsorted(side="right")`` on a row that never decreases; one
-    row keeps ``searchsorted``, which costs less there."""
-    v = cum[:, -1:] * u
-    if cum.shape[0] == 1:
-        idx = np.searchsorted(cum[0], v[0], side="right")[None]
-    else:
-        idx = (cum[:, None, :] <= v[:, :, None]).sum(axis=2)
-    return np.minimum(idx, cum.shape[1] - 1)
+def _pick(keys: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from a stack of B cumulative weight rows, held as
+    the imaginary parts of ``keys`` (B, n) whose real parts are the row
+    numbers; row r ends at index ``last[r]``. Returns (T, B): for each of
+    the T uniforms ``u`` and each row, the first index whose cumulative
+    weight exceeds u * total, clipped to ``last[r]`` against round-off.
+    numpy orders complex numbers by real, then imaginary part, so rows
+    that never decrease make one sorted array, and one
+    ``searchsorted(side="right")`` counts each row's entries <= u * total.
+    Entries past ``last[r]`` hold the total, so they cannot lower a clipped
+    count."""
+    b, n = keys.shape
+    rows = np.arange(b)
+    query = np.empty((u.size, b), dtype=complex)
+    query.real = rows
+    query.imag = keys.imag[rows, last] * u[:, None]
+    idx = np.searchsorted(keys.ravel(), query, side="right") - rows * n
+    return np.minimum(idx, last, out=idx)
 
 
 def _to_centers(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -196,33 +218,66 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     the earliest candidate drawn (``argmin`` returns the first minimum).
 
     ``pts`` (n, 2) and ``weights`` (n,) are one pool; a stack (B, n, 2) and
-    (B, n) of pools of one size seeds each pool as if alone, with the same
-    draws from ``rng``, and returns (B, k, 2) (see the module docstring).
-    Each step scores all candidates of every pool in one ``(B, n_trials,
-    n)`` block of elementwise squared distances. Each potential is a row
-    sum over a contiguous row, so it is summed in the same pairwise order
-    as the 1-D sum of one candidate.
+    (B, n) seeds each pool as if alone, with the same draws from ``rng``,
+    and returns (B, k, 2) (see the module docstring). A pool of fewer than
+    n points is padded at the end of its row, with weight 0: a trailing
+    run of zero weights marks padding, which no draw picks. Each step
+    scores all candidates of every pool in one ``(n_trials, B, n)`` block
+    of elementwise squared distances from contiguous x and y columns, in
+    buffers allocated once.
     """
-    stack = pts if pts.ndim == 3 else pts[None]
     w = weights if pts.ndim == 3 else weights[None]
     b, n = w.shape
     n_trials = 2 + int(math.log(k)) if k > 1 else 1
-    # flat indices: point i of pool p is row p * n + i of ``flat``, and
-    # candidate t of pool p is row p * n_trials + t of a step's block
-    flat = stack.reshape(-1, 2)
-    pool_rows = np.arange(b) * n
-    pool_cands = np.arange(b) * n_trials
-    chosen = [_pick(np.cumsum(w, axis=1), rng.random())[:, 0] + pool_rows]
-    d2 = _to_centers(stack, flat[chosen[0]][:, None])[:, 0]
-    for _ in range(k - 1):
-        cand = _pick(np.cumsum(w * d2, axis=1), rng.random(n_trials))
-        cand += pool_rows[:, None]
-        blk = _to_centers(stack, flat[cand])
-        np.minimum(blk, d2[:, None], out=blk)
-        best = (w[:, None] * blk).sum(axis=2).argmin(axis=1) + pool_cands
-        chosen.append(cand.ravel()[best])
-        d2 = blk.reshape(-1, n)[best]
-    centers = flat[np.stack(chosen, axis=1)]
+    rows = np.arange(b)
+    last = n - 1 - (w[:, ::-1] > 0).argmax(axis=1)
+    padded = last < n - 1
+    # two summation orders of at most n terms >= 0 differ by less than
+    # this share of the larger sum
+    tol = 4 * n * 2.0 ** -53
+    x = np.ascontiguousarray(pts[..., 0]).reshape(b, n)
+    y = np.ascontiguousarray(pts[..., 1]).reshape(b, n)
+    keys = np.empty((b, n), dtype=complex)
+    keys.real = rows[:, None]
+    chosen = np.empty((b, k), dtype=np.intp)
+    w.cumsum(axis=1, out=keys.imag)
+    first = _pick(keys, rng.random(1), last)[0]
+    chosen[:, 0] = first
+    d2 = x - x[rows, first, None]
+    d2 *= d2
+    dy = y - y[rows, first, None]
+    dy *= dy
+    d2 += dy
+    # padding keeps distance 0, so its weighted terms are exactly 0
+    d2[np.arange(n) > last[:, None]] = 0.0
+    blk = np.empty((n_trials, b, n))
+    tmp = np.empty((n_trials, b, n))
+    pot = np.empty((n_trials, b))
+    for step in range(1, k):
+        np.multiply(w, d2, out=tmp[0])
+        tmp[0].cumsum(axis=1, out=keys.imag)
+        cand = _pick(keys, rng.random(n_trials), last)
+        np.subtract(x, x[rows, cand][..., None], out=blk)
+        np.multiply(blk, blk, out=blk)
+        np.subtract(y, y[rows, cand][..., None], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(blk, tmp, out=blk)
+        np.minimum(blk, d2, out=blk)
+        np.multiply(blk, w, out=tmp)
+        tmp.sum(axis=2, out=pot)
+        best = pot.argmin(axis=0)
+        if padded.any():
+            # a padded pool's best candidate stands if every candidate at
+            # another point exceeds it by more than the margin; NaN and inf
+            # fail the test, and the pool sums its unpadded rows instead
+            clear = ((cand == cand[best, rows])
+                     | (pot - pot[best, rows] > tol * pot)).all(axis=0)
+            for i in np.flatnonzero(padded & ~clear):
+                best[i] = tmp[:, i, :last[i] + 1].sum(axis=1).argmin()
+        chosen[:, step] = cand[best, rows]
+        d2[:] = blk[best, rows]
+    centers = np.stack([x[rows[:, None], chosen], y[rows[:, None], chosen]],
+                       axis=-1)
     return centers if pts.ndim == 3 else centers[0]
 
 
@@ -344,27 +399,35 @@ def _checked_pool(points, weights) -> tuple[np.ndarray, np.ndarray]:
 def weighted_kmeans_many(pools, cfg: KMeansConfig | None = None
                          ) -> list[np.ndarray]:
     """``weighted_kmeans`` of every (points, weights or None) pool, in
-    order, bit for bit. k-means++ seeds the pools of one coalesced size
-    together, ``_SEED_CHUNK`` at a time (see the module docstring); Lloyd
-    runs per pool."""
+    order, bit for bit. k-means++ seeds the pools in stacks of up to
+    ``_SEED_CHUNK`` pools of similar coalesced size, each padded to the
+    largest of its stack (see the module docstring); Lloyd runs per
+    pool."""
     cfg = cfg or KMeansConfig()
     pools = [_checked_pool(pts, w) for pts, w in pools]
     centers: list = [None] * len(pools)
-    by_size: dict[int, list[int]] = {}
     for i, (pts, w) in enumerate(pools):
-        if pts.shape[0] > cfg.k:
-            by_size.setdefault(pts.shape[0], []).append(i)
-        else:
+        if pts.shape[0] <= cfg.k:
             centers[i] = pts if pts.shape[0] == cfg.k \
                 else _pad_to_k(pts, w, cfg.k)
-    for same_size in by_size.values():
-        for at in range(0, len(same_size), _SEED_CHUNK):
-            chunk = same_size[at:at + _SEED_CHUNK]
-            seeds = _kmeanspp(np.stack([pools[i][0] for i in chunk]),
-                              np.stack([pools[i][1] for i in chunk]), cfg.k,
-                              np.random.default_rng(cfg.seed))
-            for i, init in zip(chunk, seeds):
-                centers[i], _ = _lloyd(*pools[i], init, cfg)
+    # stable: pools of one size keep their order
+    seeded = sorted((i for i, c in enumerate(centers) if c is None),
+                    key=lambda i: pools[i][0].shape[0])
+    sizes = [pools[i][0].shape[0] for i in seeded]
+    at = 0
+    while at < len(seeded):
+        end = min(at + _SEED_CHUNK, bisect_right(sizes, 2 * sizes[at]))
+        stack, n = seeded[at:end], sizes[end - 1]
+        pts = np.empty((len(stack), n, 2))
+        w = np.zeros((len(stack), n))
+        for row, i in enumerate(stack):
+            m = sizes[at + row]
+            pts[row, :m], w[row, :m] = pools[i]
+            pts[row, m:] = pools[i][0][0]
+        seeds = _kmeanspp(pts, w, cfg.k, np.random.default_rng(cfg.seed))
+        for i, init in zip(stack, seeds):
+            centers[i], _ = _lloyd(*pools[i], init, cfg)
+        at = end
     out = [c[np.lexsort((c[:, 1], c[:, 0]))] for c in centers]
     for c in out:
         c.flags.writeable = False

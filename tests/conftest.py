@@ -260,7 +260,8 @@ def kmeanspp_reference(pts, weights, k, rng) -> np.ndarray:
         for c in candidates:
             cand_d2 = np.minimum(d2, d2_to(pts[c]))
             pot = float((weights * cand_d2).sum())
-            if pot < best_pot:
+            # the first candidate stands even at an infinite potential
+            if best_idx is None or pot < best_pot:
                 best_idx, best_d2, best_pot = c, cand_d2, pot
         chosen.append(best_idx)
         d2 = best_d2

@@ -77,6 +77,24 @@ def test_gen_unknown_template_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["intents", "x", "--kind", "static", "--k", "1.5", "-o", "o.csv"],
+    ["intents", "x", "--kind", "static", "--jobs", "x", "-o", "o.csv"],
+    ["intents", "x", "--kind", "static", "--tolerance", "abc", "-o", "o.csv"],
+    ["gen", "--suite", "x", "-o", "out"],
+    ["intents", "x", "--kind", "static", "--no-such-flag", "-o", "o.csv"],
+    ["dump-roadgraph", "x"],
+], ids=["k_float", "jobs_text", "tolerance_text", "suite_text",
+        "unknown_option", "missing_out"])
+def test_malformed_command_line_exits_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gen_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("INTENTFORGE_SEED", "7")
     assert main(["gen", "--template", "straight", "-o",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (coalesce_reference, convex_hull, from_agent_frame,
                       kmeanspp_reference, lloyd_reference, point_in_hull,
                       vehicle_track)
+from intentforge import intention
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    KMeansConfig, MixConfig, _coalesce,
                                    _kmeanspp, _lloyd,
@@ -343,7 +344,93 @@ def test_kmeanspp_stacked_matches_per_candidate_reference():
     assert compared >= 400 and max(map(len, stacks.values())) > 2
 
 
-grid_pts = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+def _padded_stack(pools):
+    """Pools stacked as weighted_kmeans_many stacks them: each padded at the
+    end of its row to the largest, with copies of its first point at
+    weight 0."""
+    n = max(len(pts) for pts, _ in pools)
+    stack, weights = np.empty((len(pools), n, 2)), np.zeros((len(pools), n))
+    for row, (pts, w) in enumerate(pools):
+        stack[row, :len(pts)], weights[row, :len(pts)] = pts, w
+        stack[row, len(pts):] = pts[0]
+    return stack, weights
+
+
+def test_kmeanspp_padded_stack_matches_per_candidate_reference():
+    """Pools of different coalesced sizes, padded into one stack, each pick
+    the reference's centers for the unpadded pool: lane rows and rounded
+    coordinates (tied potentials), unit and random weights, and a pool so
+    far out that its first weighted potential overflows to inf. The
+    reference run on a padded row, which sums each potential over the
+    padding, picks other centers for some pools: there the near-tie
+    re-sum of the unpadded row decided."""
+    rng = np.random.default_rng(2)
+    compared = resummed = 0
+    cases = itertools.product((7, 64), (False, True), ("lanes", "rounded"),
+                              range(3))
+    for seed, (k, weighted, layout, _) in enumerate(cases):
+        pools = []
+        base = int(rng.integers(100, 300))
+        for _ in range(6):
+            pts = _seeding_input(rng, layout, int(base * rng.uniform(1, 2)))
+            w = rng.uniform(0.1, 5.0, len(pts)) if weighted \
+                else np.ones(len(pts))
+            pools.append(_coalesce(pts, w))
+        stack, weights = _padded_stack(pools)
+        assert len({len(pts) for pts, _ in pools}) > 1
+        got = _kmeanspp(stack, weights, k, np.random.default_rng(seed))
+        for row, (pts, w), padded, pad_w in zip(got, pools, stack, weights):
+            want = kmeanspp_reference(pts, w, k, np.random.default_rng(seed))
+            assert np.array_equal(row, want), (seed, len(pts))
+            compared += 1
+            resummed += not np.array_equal(want, kmeanspp_reference(
+                padded, pad_w, k, np.random.default_rng(seed)))
+    assert compared == 144 and resummed > 0
+
+    # 0.01 grid coordinates scaled until sum(w * d2) overflows
+    far = np.round(rng.uniform(-1.0, 1.0, size=(150, 2)), 2) * 9e152
+    pools = [_coalesce(far, rng.uniform(0.1, 5.0, len(far))),
+             _coalesce(_seeding_input(rng, "rounded", 220), np.ones(220))]
+    stack, weights = _padded_stack(pools)
+    with np.errstate(all="ignore"):
+        got = _kmeanspp(stack, weights, 16, np.random.default_rng(1))
+        for row, (pts, w) in zip(got, pools):
+            want = kmeanspp_reference(pts, w, 16, np.random.default_rng(1))
+            assert np.array_equal(row, want)
+        pts, w = pools[0]
+        assert math.isinf((w * ((pts - got[0, 0]) ** 2).sum(axis=1)).sum())
+    assert len(np.unique(got[0], axis=0)) == 16
+
+
+def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_one_call(
+        monkeypatch):
+    """Pools of three coalesced sizes are seeded in one _kmeanspp call, as
+    padded rows of one stack, and each still equals its one-pool call. The
+    benchmark times seeding by wrapping _kmeanspp, so seeding through any
+    other function would hide its time."""
+    calls = []
+    seed = intention._kmeanspp
+
+    def spy(pts, w, k, rng):
+        calls.append((pts, w))
+        return seed(pts, w, k, rng)
+
+    monkeypatch.setattr(intention, "_kmeanspp", spy)
+    rng = np.random.default_rng(4)
+    sizes = (150, 100, 190)
+    pools = [(rng.uniform(-50.0, 50.0, size=(n, 2)), None) for n in sizes]
+    cfg = KMeansConfig(k=16)
+    got = weighted_kmeans_many(pools, cfg)
+    [(stack, weights)] = calls
+    assert stack.shape == (3, max(sizes), 2)
+    for row, w, n in zip(stack, weights, sorted(sizes)):
+        assert (w[:n] > 0).all() and (w[n:] == 0).all()
+        assert (row[n:] == row[0]).all()
+    for out, (pts, _) in zip(got, pools):
+        assert np.array_equal(out, weighted_kmeans(pts, None, cfg))
+
+
+grid_pts =st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
                     min_size=65, max_size=400)
 
 
