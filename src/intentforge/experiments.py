@@ -68,7 +68,11 @@ def fit_static(scene_endpoints, object_class: str = "vehicle",
     pools = [e[object_class] for e in scene_endpoints if object_class in e]
     if not pools:
         raise DataError(f"no valid {object_class} endpoints in the corpus")
-    return static_intents(np.concatenate(pools), object_class, cfg)
+    try:
+        return static_intents(np.concatenate(pools), object_class, cfg)
+    except ValueError as exc:
+        raise DataError(f"cannot cluster the {object_class} endpoints: "
+                        f"{exc}") from None
 
 
 def pooled_static(scenarios, object_class: str = "vehicle",
@@ -87,12 +91,10 @@ def static_sets(heads, classes, cfg: KMeansConfig | None = None,
     pools = read_endpoints(endpoints_file) if endpoints_file else None
     sets = {}
     for cls in classes:
-        if pools is None:
-            sets[cls] = fit_static((e for *_, e in heads), cls, cfg)
-        elif cls in pools:
-            sets[cls] = static_intents(pools[cls], cls, cfg)
-        else:
+        if pools is not None and cls not in pools:
             raise DataError(f"endpoints file has no rows for class {cls!r}")
+        sets[cls] = fit_static((e for *_, e in heads) if pools is None
+                               else [pools], cls, cfg)
     return sets
 
 
@@ -199,34 +201,19 @@ def run_scene(scenario: Scenario,
     return out
 
 
-# pools clustered in one batch at most. A batch holds about 10 KB per
-# pool. k-means++ seeds a batch in size-sorted stacks of up to
-# intention._SEED_CHUNK pools, which a smaller batch leaves part-filled:
-# the 443 dynamic and 443 mixed pools of a 500-scene suite take 29
-# seeding calls in batches of 128 and 28 in batches of 256 or 512.
-_CLUSTER_BLOCK = 512
-
-
-def _blocks(items):
-    """``items`` in runs of at most ``_CLUSTER_BLOCK``, in order."""
-    return (items[at:at + _CLUSTER_BLOCK]
-            for at in range(0, len(items), _CLUSTER_BLOCK))
-
-
 def _clustered(entries, cfg: KMeansConfig):
-    """``(item, dynamic_pool or None)`` pairs, taken as they come, as
-    ``(item, dynamic set or None)`` pairs in order. The pools are clustered
-    each time ``_CLUSTER_BLOCK`` have gathered, so no more are held."""
-    items, pools, sets = [], [], []
-    for item, pool in entries:
-        items.append((item, pool is not None))
-        if pool is not None:
-            pools.append(pool)
-            if len(pools) == _CLUSTER_BLOCK:
-                sets += dynamic_intents_many(pools, cfg)
-                pools = []
-    sets = iter(sets + dynamic_intents_many(pools, cfg))
-    return [(item, next(sets) if pooled else None) for item, pooled in items]
+    """``(item tuple, dynamic_pool or None)`` pairs, taken as they come, as
+    ``(*item, dynamic set or None)`` tuples in order. The pools feed one
+    ``dynamic_intents_many`` call, which bounds its own batches."""
+    items = []
+
+    def pools():
+        for item, pool in entries:
+            items.append((item, pool is not None))
+            if pool is not None:
+                yield pool
+    sets = iter(dynamic_intents_many(pools(), cfg))
+    return [(*item, next(sets) if pooled else None) for item, pooled in items]
 
 
 def intents_batch(scenarios, kind: str | None,
@@ -257,8 +244,17 @@ def intents_batch(scenarios, kind: str | None,
                 yield ((track.agent_id, track.object_class),
                        None if reach_set is None or kind is None
                        else dynamic_pool(reach_set, track))
-    return ([(aid, cls, dyn) for (aid, cls), dyn
-             in _clustered(targets(), cfg.kmeans)], reach_sets, fell_back)
+    return _clustered(targets(), cfg.kmeans), reach_sets, fell_back
+
+
+def _mixed(dyns, static_set, mix: MixConfig, cfg: KMeansConfig):
+    """``mixed_intents_many``, or a DataError naming the mix weights."""
+    try:
+        return mixed_intents_many(dyns, static_set, mix, cfg)
+    except ValueError as exc:
+        raise DataError(f"cannot cluster mixed points at dynamic:static "
+                        f"weights {mix.dynamic_weight:g}:{mix.static_weight:g}"
+                        f": {exc}") from None
 
 
 def intent_rows(targets, kind: str, static_sets,
@@ -266,16 +262,14 @@ def intent_rows(targets, kind: str, static_sets,
     """``(agent id, kind, points, fallback flag)`` rows of ``intents_batch``
     targets, sorted by agent id. A target with a dynamic set gets it, or,
     when ``kind`` is mixed, its mix with the vehicle entry of
-    ``static_sets`` (mixed ``_CLUSTER_BLOCK`` at a time); any other target
-    gets its class's ``static_sets`` entry."""
+    ``static_sets`` (one ``mixed_intents_many`` call, batched inside); any
+    other target gets its class's ``static_sets`` entry."""
     targets = sorted(targets, key=lambda t: t[0])
     sets = [dyn for _, _, dyn in targets if dyn is not None]
     # static_sets holds only the classes of the targets: without a dynamic
     # set there may be no vehicle target, and nothing to mix
     if kind == "mixed" and sets:
-        sets = [mixed for block in _blocks(sets) for mixed in
-                mixed_intents_many(block, static_sets["vehicle"], cfg.mix,
-                                   cfg.kmeans)]
+        sets = _mixed(sets, static_sets["vehicle"], cfg.mix, cfg.kmeans)
     sets = iter(sets)
     return [(aid, kind, next(sets).points, "0") if dyn is not None
             else (aid, "static", static_sets[cls].points,
@@ -349,7 +343,7 @@ def filter_dataset(scenarios, cfg: RunConfig = RunConfig()):
                             detect_parked(track)),
                            dynamic_pool(reach_set, track))
     items = [FilteredItem(track, dyn, deviation, parked)
-             for (track, deviation, parked), dyn
+             for track, deviation, parked, dyn
              in _clustered(kept(), cfg.kmeans)]
     assert report.consistent()
     return items, report
@@ -358,12 +352,11 @@ def filter_dataset(scenarios, cfg: RunConfig = RunConfig()):
 def intent_coverage(items, static_set: IntentionPointSet,
                     cfg: RunConfig = RunConfig(), mixes=None
                     ) -> list[list[float]]:
-    """Coverage in m of the intention points of ``filter_dataset`` items:
-    per item, the static set, its dynamic set, then one mixed set per
-    ``MixConfig`` in ``mixes`` (default ``(cfg.mix,)``), in that order. The
-    mixed sets of each mix are clustered in one batch."""
+    """Coverage in m, per ``filter_dataset`` item, of the static set, its
+    dynamic set, then its mixed set of each ``MixConfig`` in ``mixes``
+    (default ``(cfg.mix,)``; one ``mixed_intents_many`` call per mix)."""
     dyns = [it.dynamic for it in items]
-    mixed = [mixed_intents_many(dyns, static_set, mix, cfg.kmeans)
+    mixed = [_mixed(dyns, static_set, mix, cfg.kmeans)
              for mix in ((cfg.mix,) if mixes is None else mixes)]
     return [[coverage(points, agent_frame_endpoint(it.track))
              for points in (static_set, it.dynamic, *sets)]
@@ -372,24 +365,22 @@ def intent_coverage(items, static_set: IntentionPointSet,
 
 def analyze_batch(items, fdes, static_set: IntentionPointSet,
                   cfg: RunConfig = RunConfig()):
-    """Deviation records and coverage of ``filter_dataset`` items, mixed
-    ``_CLUSTER_BLOCK`` at a time: ``(records, rows, skipped)``. ``fdes``
-    maps each model name to the minFDE at 8 s by agent id. A target
-    lacking one of some model counts in ``skipped`` and has no record, and
-    so has a parked one when ``cfg.exclude_parked``; ``rows`` holds
-    ``(agent id, kind, coverage in m)`` for every target and
-    ``intent_coverage`` kind, sorted."""
+    """Deviation records and coverage of ``filter_dataset`` items:
+    ``(records, rows, skipped)``. ``fdes`` maps each model name to the
+    minFDE at 8 s by agent id. A target lacking one of some model counts in
+    ``skipped`` and has no record, and so has a parked one when
+    ``cfg.exclude_parked``; ``rows`` holds ``(agent id, kind, coverage in
+    m)`` for every target and ``intent_coverage`` kind, sorted."""
     records, rows, skipped = [], [], 0
-    for block in _blocks(items):
-        for it, covs in zip(block, intent_coverage(block, static_set, cfg)):
-            aid = it.track.agent_id
-            rows += [(aid, kind, cov) for kind, cov in zip(INTENT_KINDS, covs)]
-            if any(aid not in fde for fde in fdes.values()):
-                skipped += 1
-            elif not (cfg.exclude_parked and it.parked):
-                records.append(DeviationRecord(
-                    aid, it.deviation, {m: fdes[m][aid] for m in sorted(fdes)},
-                    it.parked))
+    for it, covs in zip(items, intent_coverage(items, static_set, cfg)):
+        aid = it.track.agent_id
+        rows += [(aid, kind, cov) for kind, cov in zip(INTENT_KINDS, covs)]
+        if any(aid not in fde for fde in fdes.values()):
+            skipped += 1
+        elif not (cfg.exclude_parked and it.parked):
+            records.append(DeviationRecord(
+                aid, it.deviation, {m: fdes[m][aid] for m in sorted(fdes)},
+                it.parked))
     return records, sorted(rows, key=lambda r: r[:2]), skipped
 
 

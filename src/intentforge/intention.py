@@ -44,13 +44,13 @@ difference, which has no cancellation. A point keeps its label while
 l*l - u2 exceeds the margin, and then the elementwise block gives it the
 same label.
 
-``weighted_kmeans_many`` clusters many pools at once (one per agent in
-the batch commands) and returns for each exactly what ``weighted_kmeans``
-returns for it alone. k-means++ seeding costs per numpy call, not per
-point, on pools of a few hundred points, so it seeds the pools in
-stacks: sorted by coalesced size, cut into runs of at most
-``_SEED_CHUNK`` pools whose largest holds at most twice the points of
-the smallest, each pool padded at the end of its row to the largest
+``weighted_kmeans_many`` clusters many pools (one per agent in the batch
+commands), ``_CLUSTER_BLOCK`` at a time, and returns for each exactly
+what ``weighted_kmeans`` returns for it alone. k-means++ seeding costs
+per numpy call, not per point, on pools of a few hundred points, so it
+seeds a batch in stacks: sorted by coalesced size, cut into runs of at
+most ``_SEED_CHUNK`` pools whose largest holds at most twice the points
+of the smallest, each pool padded at the end of its row to the largest
 with copies of its first point at weight 0. That is exact:
 
 - every pool seeds its generator from ``cfg.seed``, so all pools of a
@@ -83,6 +83,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -100,6 +101,12 @@ _BOUND_MIN_POINTS = 1024
 # than stacks of 32, larger ones gain nothing, and a stack's memory stays
 # bounded
 _SEED_CHUNK = 32
+# pools clustered in one batch at most. A batch holds about 10 KB per
+# pool. k-means++ seeds a batch in size-sorted stacks of up to
+# _SEED_CHUNK pools, which a smaller batch leaves part-filled: the 443
+# dynamic and 443 mixed pools of a 500-scene suite take 29 seeding calls
+# in batches of 128 and 28 in batches of 256 or 512.
+_CLUSTER_BLOCK = 512
 # squared distances within _MARGIN * (2 (pn + max cn) + 1) count as tied
 _MARGIN = 1e-9
 # the largest k KMeansConfig accepts: a pool padded to k points stays
@@ -371,45 +378,50 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
 
 
 def _pad_to_k(pts: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Fewer distinct points than k: repeat the highest-weight points,
-    cycling through them in decreasing weight order."""
+    """At most k distinct points: repeat the highest-weight points,
+    cycling through them in decreasing weight order, up to k."""
     order = np.lexsort((pts[:, 1], pts[:, 0], -weights))
     return np.concatenate([pts, pts[np.resize(order, k - pts.shape[0])]])
 
 
 def _checked_pool(points, weights) -> tuple[np.ndarray, np.ndarray]:
     """One pool as float arrays (n, 2) and (n,), duplicates coalesced;
-    ValueError for a malformed pool."""
+    ValueError for a malformed pool: NaN or inf points, or weighted sums
+    (k-means++ potentials, twice over, or Lloyd's) that could overflow."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (n, 2) array")
-    if weights is None:
-        w = np.ones(pts.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (pts.shape[0],):
-            raise ValueError("weights must match points")
-        if not (np.isfinite(w) & (w > 0)).all():
-            raise ValueError("weights must be finite and > 0")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    w = np.ones(len(pts)) if weights is None \
+        else np.asarray(weights, dtype=np.float64)
+    if w.shape != (len(pts),):
+        raise ValueError("weights must match points")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError("weights must be finite and > 0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        (dx, dy), total = [c.max() - c.min() for c in pts.T], w.sum()
+        bounds = [2.0 * total * (dx * dx + dy * dy), total * abs(pts).max()]
+    if not np.isfinite(bounds).all():
+        raise ValueError("points must be finite and their weighted sums "
+                         "within the float range")
     return _coalesce(pts, w)
 
 
 def weighted_kmeans_many(pools, cfg: KMeansConfig | None = None
                          ) -> list[np.ndarray]:
     """``weighted_kmeans`` of every (points, weights or None) pool, in
-    order, bit for bit. k-means++ seeds the pools in stacks of up to
-    ``_SEED_CHUNK`` pools of similar coalesced size, each padded to the
-    largest of its stack (see the module docstring); Lloyd runs per
-    pool."""
+    order, bit for bit, taken as they come, ``_CLUSTER_BLOCK`` at a time:
+    k-means++ seeds a batch in stacks (see the module docstring)."""
     cfg = cfg or KMeansConfig()
-    pools = [_checked_pool(pts, w) for pts, w in pools]
-    centers: list = [None] * len(pools)
-    for i, (pts, w) in enumerate(pools):
-        if pts.shape[0] <= cfg.k:
-            centers[i] = pts if pts.shape[0] == cfg.k \
-                else _pad_to_k(pts, w, cfg.k)
+    pools = iter(pools)
+    batches = iter(lambda: [_checked_pool(pts, w) for pts, w
+                            in islice(pools, _CLUSTER_BLOCK)], [])
+    return [c for batch in batches for c in _kmeans_batch(batch, cfg)]
+
+
+def _kmeans_batch(pools, cfg: KMeansConfig) -> list[np.ndarray]:
+    """``weighted_kmeans_many`` of one batch of ``_checked_pool`` pools."""
+    centers = [_pad_to_k(pts, w, cfg.k) if len(pts) <= cfg.k else None
+               for pts, w in pools]
     # stable: pools of one size keep their order
     seeded = sorted((i for i, c in enumerate(centers) if c is None),
                     key=lambda i: pools[i][0].shape[0])
@@ -460,11 +472,8 @@ def static_intents(endpoints, object_class: str,
     """Statistical intention points: K-means over ground-truth trajectory
     endpoints (agent frame), computed per object class."""
     cfg = cfg or KMeansConfig()
-    pts = np.asarray(endpoints, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need at least one endpoint")
-    centers = weighted_kmeans(pts, None, cfg)
-    return IntentionPointSet("static", centers, cfg.k, object_class)
+    return IntentionPointSet("static", weighted_kmeans(endpoints, None, cfg),
+                             cfg.k, object_class)
 
 
 def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
@@ -481,7 +490,7 @@ def dynamic_intents_many(pools, cfg: KMeansConfig | None = None
     per ``dynamic_pool``, each equal to its ``dynamic_intents``."""
     cfg = cfg or KMeansConfig()
     return [IntentionPointSet("dynamic", centers, cfg.k) for centers
-            in weighted_kmeans_many([(pool, None) for pool in pools], cfg)]
+            in weighted_kmeans_many(((pool, None) for pool in pools), cfg)]
 
 
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
@@ -501,11 +510,10 @@ def mixed_intents_many(dyns, stat: IntentionPointSet,
     cfg = cfg or KMeansConfig()
     if stat.kind != "static" or any(d.kind != "dynamic" for d in dyns):
         raise ValueError("mixed_intents needs one dynamic and one static set")
-    pools = [(np.concatenate([dyn.points, stat.points], axis=0),
-              np.concatenate([np.full(dyn.points.shape[0], mix.dynamic_weight),
-                              np.full(stat.points.shape[0],
-                                      mix.static_weight)]))
-             for dyn in dyns]
+    pools = ((np.concatenate([dyn.points, stat.points]),
+              np.repeat([mix.dynamic_weight, mix.static_weight],
+                        [len(dyn.points), len(stat.points)]))
+             for dyn in dyns)
     return [IntentionPointSet("mixed", centers, cfg.k)
             for centers in weighted_kmeans_many(pools, cfg)]
 

@@ -561,7 +561,41 @@ def test_intents_malformed_endpoints_row_exits_1(tmp_path, capsys, row):
     assert f"{endpoints}:3: " in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["--kind", "static", "--endpoints", "ENDPOINTS"],
+     "the vehicle endpoints"),
+    (["--kind", "mixed", "--dynamic-weight", "1e308"],
+     "mixed points at dynamic:static weights 1e+308:1"),
+], ids=["static_endpoints_1e200", "mixed_dynamic_weight_1e308"])
+def test_intents_pool_that_could_overflow_exits_1(tmp_path, capsys, argv,
+                                                  names):
+    """A pool whose weighted sums could overflow is refused in one line
+    naming what could not be clustered, and no output is written."""
+    scenes, _ = write_suite(tmp_path, n=20)
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text("class,x,y\nvehicle,1e200,0\nvehicle,-1e200,0\n")
+    out = tmp_path / "o.csv"
+    argv = [str(endpoints) if a == "ENDPOINTS" else a for a in argv]
+    assert main(["intents", str(scenes), *argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot cluster {names}: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 # -- analyze ------------------------------------------------------------------------
+
+def test_analyze_mix_that_could_overflow_exits_1(tmp_path, capsys):
+    scenes, suite = write_suite(tmp_path, n=3)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    out = tmp_path / "out"
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "--dynamic-weight", "1e308",
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot cluster mixed points at "
+                          "dynamic:static weights 1e+308:1: ")
+    assert err.count("\n") == 1 and not out.exists()
+
 
 def test_analyze_perfect_predictions_zero_curve(tmp_path):
     scenes, suite = write_suite(tmp_path, n=6, seed=1)
@@ -1073,8 +1107,9 @@ def test_analyze_frees_reach_sets_as_it_goes(tmp_path, monkeypatch):
 
 
 def test_analyze_worker_flush_keeps_outputs(tmp_path, monkeypatch):
-    """Clustered two pools at a time, the analyze workers flush within
-    their chunks and analyze_batch mixes in blocks of two; the outputs equal
+    """Clustered two pools at a time, the workers of analyze and of intents
+    --kind mixed cluster their dynamic pools in batches within their chunks,
+    and the mixed sets are clustered in batches of two; the outputs equal
     the default run at --jobs 1 and 3."""
     scenes, suite = write_suite(tmp_path, n=7)
     pred = perfect_predictions(tmp_path, suite[:-1], "m")
@@ -1085,10 +1120,19 @@ def test_analyze_worker_flush_keeps_outputs(tmp_path, monkeypatch):
                      "--window", "1", "--jobs", jobs, "-o", str(out)]) == 0
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
-    want = run("default", "1")
-    monkeypatch.setattr(experiments, "_CLUSTER_BLOCK", 2)
+    def run_intents(name, jobs):
+        out, dump = tmp_path / f"{name}.csv", tmp_path / f"{name}_reach.csv"
+        assert main(["intents", str(scenes), "--kind", "mixed",
+                     "--dump-roadgraph", str(dump), "--jobs", jobs,
+                     "-o", str(out)]) == 0
+        return out.read_bytes(), dump.read_bytes()
+
+    want, want_intents = run("default", "1"), run_intents("default", "1")
+    monkeypatch.setattr(intention, "_CLUSTER_BLOCK", 2)
     assert len(want) == 3
     assert run("two1", "1") == run("two3", "3") == want
+    assert (run_intents("two1", "1") == run_intents("two3", "3")
+            == want_intents)
 
 
 @pytest.mark.parametrize("name", ["", "a,b", "a\rb", "a\n", "\r"])

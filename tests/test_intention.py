@@ -512,6 +512,51 @@ def test_weighted_kmeans_many_checks_every_pool():
         weighted_kmeans_many([good, (np.array([[0.0, np.nan]]), None)])
 
 
+def test_weighted_kmeans_many_pulls_one_batch_before_seeding(monkeypatch):
+    """Pools are taken from the iterable a batch at a time: at the first
+    seeding call exactly one batch has been pulled, and the centers equal
+    those of the same pools given as a list."""
+    rng = np.random.default_rng(6)
+    pools = [(rng.uniform(-50.0, 50.0, size=(n, 2)), None)
+             for n in (150, 10, 90, 200, 16, 120, 70)]
+    cfg = KMeansConfig(k=16)
+    pulled, at_seeding = [], []
+    seed = intention._kmeanspp
+
+    def spy(pts, w, k, rng):
+        at_seeding.append(len(pulled))
+        return seed(pts, w, k, rng)
+
+    def counted():
+        for pool in pools:
+            pulled.append(pool)
+            yield pool
+
+    want = weighted_kmeans_many(pools, cfg)
+    monkeypatch.setattr(intention, "_CLUSTER_BLOCK", 3)
+    monkeypatch.setattr(intention, "_kmeanspp", spy)
+    got = weighted_kmeans_many(counted(), cfg)
+    assert at_seeding[0] == 3 and len(pulled) == len(pools)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("weights", [None, "random"])
+def test_weighted_kmeans_refuses_pool_whose_potential_overflows(weights):
+    """150 points on a 0.01 grid scaled by 1e153: total weight times the
+    squared span overflows, so k-means++ potentials could reach inf (which
+    gave duplicate seeds); the pool is refused without a numpy warning."""
+    rng = np.random.default_rng(3)
+    far = np.round(rng.uniform(-1.0, 1.0, size=(150, 2)), 2) * 1e153
+    w = None if weights is None else rng.uniform(0.1, 5.0, len(far))
+    with pytest.raises(ValueError, match="weighted sums within the float"):
+        weighted_kmeans(far, w, KMeansConfig(k=16))
+    # and a pool of two points whose weights sum to inf
+    with pytest.raises(ValueError, match="weighted sums within the float"):
+        weighted_kmeans(far[:2] / 1e153, np.full(2, 1e308))
+
+
 def test_lloyd_matches_whole_block_reference():
     """Lloyd with distance bounds (large pools) and without (small ones)
     ends on bit-identical centers to the elementwise whole-block loop,
