@@ -9,9 +9,10 @@ Usage:
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
-from intentforge.experiments import mixed_ratio_table
+from intentforge.experiments import DataError, mixed_ratio_table
 
 
 def main():
@@ -30,7 +31,10 @@ def main():
     if not all(0 < r < math.inf for r in args.ratios):
         parser.error("--ratios must be finite and > 0")
 
-    rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
+    try:
+        rows = mixed_ratio_table(args.scenes, args.seed, tuple(args.ratios))
+    except DataError as exc:
+        sys.exit(f"error: {exc}")
     lines = ["ratio,scenes,mean_coverage_m"]
     for label, used, mean_cov in rows:
         lines.append(f"{label},{used},{mean_cov:.6f}")

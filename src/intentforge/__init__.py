@@ -17,6 +17,6 @@ from .map_model import (AgentState, AgentTrack, InvariantViolation,
                         parse_scenario, write_scenario)
 from .road_graph import (GraphConfig, ReachabilitySet, RoadGraph, build_graph,
                          reach, travel_time)
-from .scenario_gen import GenSpec, generate, generate_suite
+from .scenario_gen import GenSpec, generate, iter_suite
 
 __version__ = "0.1.0"

@@ -105,21 +105,21 @@ def _csv_blocks(path, header: str):
         raise CsvError(f"{path}: expected header {header!r}")
 
 
-def _csv_lines(path, header: str):
-    """(line number, line) of each line after the first of a text file
-    whose first line is ``header``, read a block at a time."""
+def _csv_rows(path, header: str, width: int):
+    """(line number, fields) of each non-blank line after the first of a
+    text file whose first line is ``header``, read a block at a time.
+    Raises CsvError naming ``file:line`` for a line without ``width``
+    fields."""
     lineno = 1
     for lines in _csv_blocks(path, header):
         for line in lines:
             lineno += 1
-            yield lineno, line
-
-
-def _csv_row(path, lineno: int, line: str, width: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != width:
-        raise CsvError(f"{path}:{lineno}: expected {width} columns")
-    return parts
+            if line.strip():
+                parts = line.split(",")
+                if len(parts) != width:
+                    raise CsvError(f"{path}:{lineno}: expected {width} "
+                                   f"columns")
+                yield lineno, parts
 
 
 def read_endpoints(path) -> dict[str, np.ndarray]:
@@ -127,10 +127,7 @@ def read_endpoints(path) -> dict[str, np.ndarray]:
     ``class,x,y``; blank lines are skipped. Raises CsvError naming
     ``file:line`` for a malformed row."""
     pools: dict[str, list] = {}
-    for i, ln in _csv_lines(path, "class,x,y"):
-        if not ln.strip():
-            continue
-        cls, x, y = _csv_row(path, i, ln, 3)
+    for i, (cls, x, y) in _csv_rows(path, "class,x,y", 3):
         try:
             x, y = float(x), float(y)
         except ValueError as exc:
@@ -145,10 +142,8 @@ def _predictions_walk(path) -> dict[str, PredictionSet]:
     """``read_predictions`` row by row, in any row order: the only reader
     that words a malformed row's message."""
     acc: dict[str, dict[int, dict]] = {}
-    for i, ln in _csv_lines(path, _PREDICTION_HEADER):
-        if not ln.strip():
-            continue
-        aid, mode, conf, step, x, y = _csv_row(path, i, ln, 6)
+    for i, (aid, mode, conf, step, x, y) in _csv_rows(
+            path, _PREDICTION_HEADER, 6):
         try:
             mode, step = int(mode), int(step)
             # a dict, not a tuple: a tuple here raised analyze's peak RSS

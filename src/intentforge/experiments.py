@@ -12,11 +12,11 @@ its track, dynamic intention points, ground-truth deviation and parked
 flag; ``intent_coverage`` scores kept targets' static, dynamic and mixed
 intention points against their ground-truth endpoints, and
 ``analyze_batch`` adds deviation records from per-model minFDEs.
-The experiments back the scripts in scripts/ and keep and score agents
-exactly as ``analyze`` does: the mixed-ratio coverage table (how
-strongly to weight scene-conditioned points against statistical ones
-when pooling) and the coverage proxy comparing static, dynamic, and
-mixed intention sets.
+The experiments back the scripts in scripts/, walk one generated suite
+once through ``scan``, and keep and score agents exactly as ``analyze``
+does: the mixed-ratio coverage table (how strongly to weight
+scene-conditioned points against statistical ones when pooling) and the
+coverage proxy comparing static, dynamic, and mixed intention sets.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
-from .scenario_gen import generate_suite
+from .scenario_gen import iter_suite
 
 
 class DataError(ValueError):
@@ -384,6 +384,17 @@ def analyze_batch(items, fdes, static_set: IntentionPointSet,
     return records, sorted(rows, key=lambda r: r[:2]), skipped
 
 
+def _suite_coverage(n: int, seed: int, behaviors=None, mixes=None):
+    """``intent_coverage`` rows and the ``FilterReport`` of the targets
+    ``filter_dataset`` keeps from one ``iter_suite``, walked once through
+    ``scan``; the static vehicle set is fitted from the scan heads in
+    suite order."""
+    heads, (items, report) = scan(iter_suite(n, seed, behaviors),
+                                  lambda s: s, filter_dataset)
+    static_set = static_sets(heads, ["vehicle"])["vehicle"]
+    return intent_coverage(items, static_set, mixes=mixes), report
+
+
 def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
                       ratios=(1.0, 3.0, 5.0)):
     """Mean coverage of mixed intention points at several dynamic:static
@@ -391,29 +402,24 @@ def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
     synthetic suite.
 
     Returns rows of (ratio label, targets used, mean coverage in m);
-    deterministic in (n_scenes, seed, ratios).
+    deterministic in (n_scenes, seed, ratios). Raises DataError when no
+    target is kept.
     """
-    mixes = [MixConfig(r, 1.0) for r in ratios]
-    suite = generate_suite(n_scenes, seed)
-    static_set = pooled_static(suite)
-    items, _ = filter_dataset(suite)
-    if not items:
-        raise ValueError("no scene produced dynamic intention points")
-    cols = zip(*(row[2:] for row in intent_coverage(items, static_set,
-                                                    mixes=mixes)))
-    n = len(items)
+    rows, _ = _suite_coverage(n_scenes, seed,
+                              mixes=[MixConfig(r, 1.0) for r in ratios])
+    if not rows:
+        raise DataError("no scene produced dynamic intention points")
+    n = len(rows)
     # sum() adds left to right like a running total; np.mean sums pairwise
-    return [(f"{r:g}:1", n, sum(col) / n) for r, col in zip(ratios, cols)]
+    return [(f"{r:g}:1", n, sum(col) / n)
+            for r, col in zip(ratios, zip(*(row[2:] for row in rows)))]
 
 
 def coverage_proxy(n_scenes: int = 1000, seed: int = 0):
     """Per-target coverage of static, dynamic, and mixed sets over the
     targets ``filter_dataset`` keeps from a follow-lane suite (every GT
     endpoint on the road graph); ``skipped`` counts the others."""
-    suite = generate_suite(n_scenes, seed, behaviors=("follow_lane",))
-    static_set = pooled_static(suite)
-    items, report = filter_dataset(suite)
-    cols = list(zip(*intent_coverage(items, static_set))) \
-        or [()] * len(INTENT_KINDS)
+    rows, report = _suite_coverage(n_scenes, seed, ("follow_lane",))
+    cols = list(zip(*rows)) or [()] * len(INTENT_KINDS)
     return ({kind: np.asarray(col) for kind, col in zip(INTENT_KINDS, cols)}
             | {"skipped": report.total - report.remaining})

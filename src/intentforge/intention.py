@@ -301,6 +301,9 @@ def _nearest_two(blk: np.ndarray):
     return lab, best, blk[r, blk.argmin(axis=1)]
 
 
+# rows and margins that overflow to inf or NaN are rebuilt elementwise
+# (see the module docstring), so their warnings say nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
            cfg: KMeansConfig):
     """Weighted Lloyd iterations. Returns (centers, per-iteration weighted

@@ -204,8 +204,6 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     adjacency = graph.adjacency
     while heap:
         t, u = heapq.heappop(heap)
-        if t > cfg.time_budget:
-            break
         if u in dist:
             continue
         dist[u] = t

@@ -399,8 +399,3 @@ def iter_suite(n: int, seed: int = 0, behaviors=None) -> Iterator[Scenario]:
         limit = _q6(rng.uniform(22.0, 35.0) * 0.44704)
         yield generate(GenSpec(template, seed * 1_000_003 + i, limit,
                                behavior))
-
-
-def generate_suite(n: int, seed: int = 0, behaviors=None) -> list[Scenario]:
-    """The scenes of ``iter_suite``, as a list."""
-    return list(iter_suite(n, seed, behaviors))

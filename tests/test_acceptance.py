@@ -28,7 +28,7 @@ from intentforge.map_model import (HISTORY_LEN, LaneNeighbor, LaneSegment,
                                    VectorMap)
 from intentforge.road_graph import (GraphConfig, build_graph, reach,
                                     travel_time)
-from intentforge.scenario_gen import GenSpec, generate, generate_suite
+from intentforge.scenario_gen import GenSpec, generate, iter_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -249,7 +249,7 @@ def test_criterion_8_deviation_mode_bound():
                                    agent_behavior="corner_cut")),
                   generate(GenSpec("uturn_split", seed=0,
                                    agent_behavior="corner_cut"))]
-        scenes += generate_suite(40, seed=8)
+        scenes += iter_suite(40, seed=8)
         checked = 0
         for scenario in scenes:
             track = scenario.track(scenario.tracks_to_predict[0])

@@ -74,6 +74,23 @@ def test_prediction_set_rejects_non_finite(where, bad):
         PredictionSet("a0", traj, conf)
 
 
+@pytest.mark.parametrize("shape, confidences, message", [
+    ((2, 79, 2), [0.5, 0.5], r"trajectories must have shape \(m, 80, 2\)"),
+    ((2, 80, 3), [0.5, 0.5], r"trajectories must have shape \(m, 80, 2\)"),
+    ((0, 80, 2), [], "need 1..6 modes, got 0"),
+    ((7, 80, 2), [0.1] * 7, "need 1..6 modes, got 7"),
+    ((2, 80, 2), [0.5], "one confidence per mode required"),
+    ((1, 80, 2), [1.5], r"confidences must lie in \[0, 1\]"),
+    ((2, 80, 2), [0.5, -0.1], r"confidences must lie in \[0, 1\]"),
+    ((2, 80, 2), [0.6, 0.6], "confidences must sum to <= 1"),
+], ids=["short_trajectory", "three_coordinates", "no_mode", "seven_modes",
+        "one_confidence_for_two_modes", "confidence_above_1",
+        "negative_confidence", "confidences_sum_above_1"])
+def test_prediction_set_refusals(shape, confidences, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        PredictionSet("a0", np.zeros(shape), np.asarray(confidences))
+
+
 def test_min_fde_matches_exhaustive_scan():
     rng = np.random.default_rng(0)
     track = vehicle_track((0, 0), speed=6.0)

@@ -27,7 +27,7 @@ from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
 from intentforge.lane_assoc import associate
 from intentforge.map_model import (SchemaViolation, ScenarioError, VectorMap,
                                    parse_scenario, write_scenario)
-from intentforge.scenario_gen import BEHAVIORS, generate_suite
+from intentforge.scenario_gen import BEHAVIORS, iter_suite
 
 
 def read_csv(path):
@@ -39,7 +39,7 @@ def read_csv(path):
 def write_suite(tmp_path, n=6, seed=0, behaviors=("follow_lane",)):
     d = tmp_path / "scenes"
     d.mkdir(exist_ok=True)
-    suite = generate_suite(n, seed=seed, behaviors=behaviors)
+    suite = list(iter_suite(n, seed=seed, behaviors=behaviors))
     for s in suite:
         (d / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
     return d, suite
@@ -582,6 +582,28 @@ def test_intents_pool_that_could_overflow_exits_1(tmp_path, capsys, argv,
     assert err.count("\n") == 1 and not out.exists()
 
 
+def test_intents_endpoints_far_from_origin_warn_nothing(tmp_path, capsys):
+    """100 vehicle endpoints near x = 1e155 with a span of about 1e152 pass
+    the overflow check; their squared norms overflow inside Lloyd, which
+    rebuilds those rows elementwise, so the run exits 0 with 64 distinct
+    points per agent and an empty stderr."""
+    scenes, suite = write_suite(tmp_path, n=20, behaviors=None)
+    endpoints = tmp_path / "endpoints.csv"
+    endpoints.write_text("class,x,y\n" + "".join(
+        f"vehicle,{1e155 + i * 1e150!r},{i % 10 * 1e150!r}\n"
+        for i in range(100)))
+    out = tmp_path / "o.csv"
+    assert main(["intents", str(scenes), "--kind", "static", "--endpoints",
+                 str(endpoints), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    points = {}
+    for r in rows:
+        points.setdefault(r["agent_id"], set()).add((r["x"], r["y"]))
+    assert len(points) == len(suite)
+    assert {len(p) for p in points.values()} == {64}
+
+
 # -- analyze ------------------------------------------------------------------------
 
 def test_analyze_mix_that_could_overflow_exits_1(tmp_path, capsys):
@@ -779,6 +801,29 @@ def test_analyze_non_finite_prediction_exits_1(tmp_path, capsys, column, rows):
     assert "finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("confidences, message", [
+    ([0.1] * 7, "need 1..6 modes, got 7"),
+    ([1.5], "confidences must lie in [0, 1]"),
+    ([0.6, 0.6], "confidences must sum to <= 1"),
+], ids=["seven_modes", "confidence_above_1", "confidences_sum_above_1"])
+def test_analyze_refused_prediction_set_exits_1(tmp_path, capsys, confidences,
+                                                message):
+    """Well-formed rows whose modes ``PredictionSet`` refuses: one line
+    naming the file and the agent."""
+    scenes, suite = write_suite(tmp_path, n=1)
+    aid = suite[0].tracks_to_predict[0]
+    xy = suite[0].track(aid).future_xy.tolist()
+    pred = tmp_path / "p.csv"
+    pred.write_text("agent_id,mode_idx,confidence,step,x,y\n" + "".join(
+        f"{aid},{mode},{conf},{step},{x:.6f},{y:.6f}\n"
+        for mode, conf in enumerate(confidences)
+        for step, (x, y) in enumerate(xy)))
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {pred}: agent {aid}: {message}\n"
+
+
 # Each mutation leaves one data row malformed in a way the reader rejects.
 _JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126,
                               blacklist_characters=","), max_size=6).filter(
@@ -844,23 +889,25 @@ def test_mutated_csv_exits_1_and_never_raises(tmp_path, data):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.text(st.sampled_from("ab,\n\r\x0b\x0c\x1c\x85\u2028é")),
        st.integers(1, 9))
-def test_csv_lines_equal_splitlines_of_the_whole_file(tmp_path, monkeypatch,
-                                                      body, block):
+def test_csv_blocks_equal_splitlines_of_the_whole_file(tmp_path, monkeypatch,
+                                                       body, block):
     # blocks of a few characters cut the file inside lines and between
     # the two characters of "\r\n"
     monkeypatch.setattr(analysis, "_READ_CHARS", block)
     path = tmp_path / "f.csv"
     path.write_text("h,x\n" + body, newline="")
     want = list(enumerate(path.read_text().splitlines()[1:], start=2))
-    assert list(analysis._csv_lines(path, "h,x")) == want
+    got = (line for lines in analysis._csv_blocks(path, "h,x")
+           for line in lines)
+    assert list(enumerate(got, start=2)) == want
 
 
 @pytest.mark.parametrize("text", ["", "\n", "x,h\n1,2\n"])
-def test_csv_lines_without_the_header_is_a_data_error(tmp_path, text):
+def test_csv_rows_without_the_header_is_a_data_error(tmp_path, text):
     path = tmp_path / "f.csv"
     path.write_text(text)
     with pytest.raises(analysis.CsvError, match="expected header"):
-        list(analysis._csv_lines(path, "h,x"))
+        list(analysis._csv_rows(path, "h,x", 2))
 
 
 # -- the prediction reader's fast path against the row walk -----------------------
@@ -1629,8 +1676,8 @@ def test_errors_and_notes_are_jobs_invariant(tmp_path, capsys):
     wins, then the first duplicate in scenario-id order; dump-roadgraph's
     notes come in scenario-id order. Stderr and exit codes are equal at
     --jobs 1, 2 and 3, and no output file is written on an error."""
-    suite = sorted(generate_suite(5, seed=3) + generate_suite(
-        3, seed=4, behaviors=("offroad_parking",)),
+    suite = sorted([*iter_suite(5, seed=3), *iter_suite(
+        3, seed=4, behaviors=("offroad_parking",))],
                    key=lambda s: s.scenario_id)
     clean = [json.loads(write_scenario(s)) for s in suite]
     names = [f"{len(suite) - i:02d}.json" for i in range(len(suite))]

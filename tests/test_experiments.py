@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from intentforge.experiments import (INTENT_KINDS, RunConfig,
 from intentforge.intention import MixConfig, dynamic_intents, mixed_intents
 from intentforge.map_model import parse_scenario, write_scenario
 from intentforge.road_graph import travel_time
-from intentforge.scenario_gen import GenSpec, generate_suite
+from intentforge.scenario_gen import GenSpec, iter_suite
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -34,7 +35,7 @@ def with_gt_jump(scenario):
 def test_intent_coverage_rows_match_direct_calls():
     """One row per item, in item order, each equal to the coverage of the
     one-agent dynamic_intents and mixed_intents sets."""
-    suite = generate_suite(3, seed=0, behaviors=("follow_lane",))
+    suite = list(iter_suite(3, seed=0, behaviors=("follow_lane",)))
     items, _ = filter_dataset(suite)
     static_set = pooled_static(suite)
     cfg = RunConfig()
@@ -58,12 +59,12 @@ def test_intent_coverage_rows_match_direct_calls():
 
 
 def test_coverage_proxy_skips_what_filter_dataset_excludes(monkeypatch):
-    suite = generate_suite(2, seed=0, behaviors=("follow_lane",))
+    suite = list(iter_suite(2, seed=0, behaviors=("follow_lane",)))
     suite[1] = with_gt_jump(suite[1])
     track = suite[1].track(suite[1].tracks_to_predict[0])
     assert track.gt_endpoint() is not None
     assert experiments.run_scene(suite[1])[0].reach_set is not None
-    monkeypatch.setattr(experiments, "generate_suite",
+    monkeypatch.setattr(experiments, "iter_suite",
                         lambda n, seed, behaviors=None: suite)
     res = experiments.coverage_proxy(2, 0)
     assert res["skipped"] == 1
@@ -71,9 +72,9 @@ def test_coverage_proxy_skips_what_filter_dataset_excludes(monkeypatch):
 
 
 def test_coverage_proxy_keeps_its_keys_when_nothing_is_kept(monkeypatch):
-    suite = [with_gt_jump(generate_suite(1, seed=0,
-                                         behaviors=("follow_lane",))[0])]
-    monkeypatch.setattr(experiments, "generate_suite",
+    suite = [with_gt_jump(next(iter_suite(1, seed=0,
+                                          behaviors=("follow_lane",))))]
+    monkeypatch.setattr(experiments, "iter_suite",
                         lambda n, seed, behaviors=None: suite)
     res = experiments.coverage_proxy(1, 0)
     assert res["skipped"] == 1
@@ -104,6 +105,57 @@ def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--scenes", "3", "--ratios", "1e308"],
+     "error: cannot cluster mixed points at dynamic:static weights "
+     "1e+308:1: points must be finite and their weighted sums within the "
+     "float range"),
+    # the one scene of seed 1 has no target with dynamic intention points
+    (["--scenes", "1", "--seed", "1"],
+     "error: no scene produced dynamic intention points"),
+], ids=["ratio_1e308", "no_dynamic_points"])
+def test_ratio_harness_data_error_exits_1(tmp_path, args, message):
+    res = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ratio_harness.py"), *args,
+         "-o", str(tmp_path / "out.csv")],
+        cwd=REPO, capture_output=True, text=True)
+    assert (res.returncode, res.stderr, res.stdout) == (1, message + "\n", "")
+    assert not (tmp_path / "out.csv").exists()
+
+
+_RATIO_PIN = ("0af234410d6d2d1dcc82f9caf8312f01"
+              "28c829b4b3b8aef818408f4c36047794")
+# script -> (flags, sha256 of the CSV, sha256 of stdout); the ratio
+# harness prints its CSV
+_SCRIPT_PINS = {
+    "coverage_experiment.py": (
+        ["--scenes", "120", "--seed", "0"],
+        ("ab0892fae844ffac373504ac274da49f"
+         "a7aa6788a4a74a070367f8bcd37b7e3a"),
+        ("12ef25e15ccf0429cd4b3ec9d23d1b34"
+         "a7b9b24cbf6c295e1ad04b0a0c8633ac")),
+    "ratio_harness.py": (
+        ["--scenes", "120", "--seed", "0", "--ratios", "1", "3", "5"],
+        _RATIO_PIN, _RATIO_PIN),
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPT_PINS))
+def test_experiment_script_output_bytes_are_pinned(tmp_path, script):
+    """The CSV and stdout bytes of each script over 120 scenes, where the
+    vehicle endpoints outnumber k, so static points are fitted rather than
+    copied from the endpoints. A deliberate change to an experiment
+    updates its pin."""
+    args, csv_pin, stdout_pin = _SCRIPT_PINS[script]
+    out = tmp_path / "out.csv"
+    res = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args,
+         "-o", str(out)], cwd=REPO, capture_output=True)
+    assert (res.returncode, res.stderr) == (0, b"")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_pin
+    assert hashlib.sha256(res.stdout).hexdigest() == stdout_pin
+
+
 # wrong JSON types, refused by every numeric setting
 _NOT_NUMBERS = ["1", None, [1], {}, True, False]
 _NOT_FINITE = [math.nan, math.inf, -math.inf]
@@ -129,7 +181,7 @@ _NUMERIC_SETTINGS = [
       if type(default) in (int, float)),
     ("GenSpec.speed_limit_mps", lambda v: GenSpec("straight", 0, v),
      [0.0, -1.0, HUGE, *_NOT_FINITE], "speed limit must be finite and > 0"),
-    ("generate_suite.n", generate_suite, [0, -1, *_NOT_INTEGERS],
+    ("iter_suite.n", lambda v: next(iter_suite(v)), [0, -1, *_NOT_INTEGERS],
      "n must be an integer >= 1"),
     ("moving_average.window", lambda v: moving_average([1.0, 2.0], v),
      [0, -1, *_NOT_INTEGERS], "window must be an integer >= 1"),

@@ -557,6 +557,22 @@ def test_weighted_kmeans_refuses_pool_whose_potential_overflows(weights):
         weighted_kmeans(far[:2] / 1e153, np.full(2, 1e308))
 
 
+@pytest.mark.parametrize("n", [100, 2 * _BOUND_MIN_POINTS])
+def test_weighted_kmeans_far_from_origin_warns_nothing(n):
+    """A pool near x = 1e155 with a span of about 1e152 passes the
+    overflow check, but its squared norms overflow, so Lloyd's product
+    rows hold inf and NaN and are rebuilt elementwise: the centers are k
+    distinct finite points, and numpy prints no warning (tier-1 turns a
+    RuntimeWarning into an error)."""
+    i = np.arange(n)
+    pts = np.column_stack([1e155 + (i % 64) * 1.5e150,
+                           (i // 64) * 3e150 + (i % 3) * 1e150])
+    assert len(np.unique(pts, axis=0)) == n
+    got = weighted_kmeans(pts, None, KMeansConfig())
+    assert np.isfinite(got).all()
+    assert len(np.unique(got, axis=0)) == KMeansConfig().k
+
+
 def test_lloyd_matches_whole_block_reference():
     """Lloyd with distance bounds (large pools) and without (small ones)
     ends on bit-identical centers to the elementwise whole-block loop,

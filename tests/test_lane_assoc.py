@@ -12,7 +12,7 @@ from intentforge.lane_assoc import (MIN_MOVE_FOR_HEADING, AssocConfig,
                                     lane_heading_at)
 from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
                                    LaneSegment, VectorMap)
-from intentforge.scenario_gen import GenSpec, generate, generate_suite
+from intentforge.scenario_gen import GenSpec, generate, iter_suite
 
 PERMISSIVE_HEADING = AssocConfig(heading_threshold=math.pi)
 PERMISSIVE_PROXIMITY = AssocConfig(proximity_limit=1e6)
@@ -173,6 +173,40 @@ def test_branch_node_must_pass_gates():
     assert all(sid != 2 for sid, _, _ in res.candidates)
 
 
+def test_branch_walk_stops_at_an_entry_ending_beyond_backwards_look():
+    """Segment 1 ends 12 m before the seed's segment 0 starts, so its end
+    lies 14 m upstream of the seed: its sibling exit 2 is a candidate
+    only when backwards_look reaches that far."""
+    vm = VectorMap([seg(0, line_nodes((0, 0), (0, 30)), entries=(1,)),
+                    seg(1, line_nodes((0, -20), (0, -12)), exits=(0, 2)),
+                    seg(2, line_nodes((1.2, -5), (1.2, 30)), entries=(1,))])
+    track = vehicle_track((0.3, 2.0), heading=math.pi / 2, speed=6.0)
+    seed = nearest_on(vm, 0, (0.3, 2.0))
+    assert associate(vm, track).candidates == (seed,)
+    assert associate(vm, track, AssocConfig(backwards_look=20.0)
+                     ).candidates == (seed, nearest_on(vm, 2, (0.3, 2.0)))
+
+
+def test_branch_walk_visits_a_diamond_top_once():
+    """A diamond: segment 3 exits to 1 and 2, which bend apart and both
+    exit to the seed's segment 0, with equal arc lengths. The walk
+    reaches 3 first through 2, the last entry of 0, and tests its sibling
+    1; reached again through 1 with no less arc length, 3 is not walked
+    again, so 2 is never tested as a sibling."""
+    def bend(x):
+        return np.concatenate([line_nodes((0, -4), (x, -2)),
+                               line_nodes((x, -2), (0, 0))[1:]])
+
+    vm = VectorMap([seg(0, line_nodes((0, 0), (0, 30)), entries=(1, 2)),
+                    seg(1, bend(-1.0), exits=(0,), entries=(3,)),
+                    seg(2, bend(1.0), exits=(0,), entries=(3,)),
+                    seg(3, line_nodes((0, -8), (0, -4)), exits=(1, 2))])
+    assert vm.segments[1].total_arc == vm.segments[2].total_arc
+    track = vehicle_track((0.0, 1.0), heading=math.pi / 2, speed=6.0)
+    assert associate(vm, track).candidates == (
+        nearest_on(vm, 0, (0.0, 1.0)), nearest_on(vm, 1, (0.0, 1.0)))
+
+
 @pytest.mark.parametrize("field", ["heading_threshold", "proximity_limit",
                                    "backwards_look"])
 def test_assoc_config_rejects_bad_values(field):
@@ -192,7 +226,7 @@ def test_fallback_result_invariant():
 
 @pytest.fixture(scope="module")
 def suite():
-    return generate_suite(24, seed=11)
+    return list(iter_suite(24, seed=11))
 
 
 def test_candidates_respect_gates(suite):

@@ -15,7 +15,7 @@ from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
                                    MalformedScenario, ScenarioError,
                                    SchemaViolation, VectorMap, parse_scenario,
                                    write_scenario)
-from intentforge.scenario_gen import GenSpec, generate, generate_suite
+from intentforge.scenario_gen import GenSpec, generate, iter_suite
 
 MINIMAL = {
     "scenario_id": "mini",
@@ -212,7 +212,7 @@ def test_parse_matches_per_field_reference_at_each_site():
 
 
 def test_parse_matches_per_field_reference_on_generated_suite():
-    for scenario in generate_suite(20, seed=4):
+    for scenario in iter_suite(20, seed=4):
         data = write_scenario(scenario)
         assert write_scenario(parse_scenario(data)) == data
         assert parse_scenario(data) == parse_scenario_reference(data)

@@ -14,7 +14,7 @@ from intentforge.experiments import run_scene
 from intentforge.map_model import (HISTORY_LEN, AgentTrack, Scenario,
                                    parse_scenario, write_scenario)
 from intentforge.scenario_gen import (SUPPORTED, GenSpec, _q6, generate,
-                                      generate_suite)
+                                      iter_suite)
 
 
 def test_unsupported_combination_rejected():
@@ -66,7 +66,7 @@ def test_generate_distinct_seeds_differ():
 
 
 def test_suite_singleton():
-    assert len(generate_suite(1, seed=4)) == 1
+    assert len(list(iter_suite(1, seed=4))) == 1
 
 
 BAD_SEEDS = [-1, 1.5, True, "0"]
@@ -75,7 +75,7 @@ BAD_SEEDS = [-1, 1.5, True, "0"]
 @pytest.mark.parametrize("seed", BAD_SEEDS)
 def test_suite_rejects_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-        generate_suite(1, seed=seed)
+        next(iter_suite(1, seed=seed))
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS)
@@ -93,13 +93,13 @@ def test_genspec_rejects_bad_speed_limit(limit):
 
 
 def test_suite_deterministic():
-    a = [write_scenario(s) for s in generate_suite(12, seed=9)]
-    b = [write_scenario(s) for s in generate_suite(12, seed=9)]
+    a = [write_scenario(s) for s in iter_suite(12, seed=9)]
+    b = [write_scenario(s) for s in iter_suite(12, seed=9)]
     assert a == b
 
 
 def test_suite_all_validate():
-    suite = generate_suite(100, seed=0)
+    suite = list(iter_suite(100, seed=0))
     assert len(suite) == 100
     ids = set()
     for scenario in suite:
@@ -128,7 +128,7 @@ def test_behavior_labels_are_faithful():
 
 
 def test_suite_behavior_restriction():
-    suite = generate_suite(30, seed=2, behaviors=("follow_lane",))
+    suite = list(iter_suite(30, seed=2, behaviors=("follow_lane",)))
     assert all("follow_lane" in s.scenario_id for s in suite)
 
 
@@ -140,7 +140,7 @@ def test_suite_behavior_restriction():
 def test_suite_rejects_bad_behaviors(behaviors, message):
     # without the check, the template draw never finds a pool and never ends
     with pytest.raises(ValueError, match=message):
-        generate_suite(2, 0, behaviors=behaviors)
+        next(iter_suite(2, 0, behaviors=behaviors))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -156,7 +156,7 @@ def test_tracks_match_per_state_reference(seed, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(scenario_gen, "_states_from_path", record)
-    suite = generate_suite(500, seed)
+    suite = list(iter_suite(500, seed))
     paths = iter(paths)
     for i, scenario in enumerate(suite):
         track, = scenario.tracks
