@@ -60,7 +60,7 @@ def _resolve_config(args) -> RunConfig:
             loaded = json.loads(Path(config_path).read_text())
         except OSError as exc:
             raise DataError(f"cannot read config file: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")

@@ -62,7 +62,7 @@ def class_endpoints(scenario: Scenario) -> dict[str, np.ndarray]:
 
 
 def fit_static(scene_endpoints, object_class: str = "vehicle",
-               cfg: KMeansConfig | None = None) -> IntentionPointSet:
+               cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Statistical intention points from the endpoints of one class in an
     iterable of ``class_endpoints`` results, pooled in that order."""
     pools = [e[object_class] for e in scene_endpoints if object_class in e]
@@ -76,13 +76,13 @@ def fit_static(scene_endpoints, object_class: str = "vehicle",
 
 
 def pooled_static(scenarios, object_class: str = "vehicle",
-                  cfg: KMeansConfig | None = None) -> IntentionPointSet:
+                  cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Statistical intention points from every valid endpoint of the
     given class across a scenario corpus."""
     return fit_static(map(class_endpoints, scenarios), object_class, cfg)
 
 
-def static_sets(heads, classes, cfg: KMeansConfig | None = None,
+def static_sets(heads, classes, cfg: KMeansConfig = KMeansConfig(),
                 endpoints_file=None) -> dict[str, IntentionPointSet]:
     """One statistical point set per object class in ``classes``: from the
     endpoints of a CSV (columns class,x,y; see ``read_endpoints``) when

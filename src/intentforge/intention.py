@@ -409,12 +409,11 @@ def _checked_pool(points, weights) -> tuple[np.ndarray, np.ndarray]:
     return _coalesce(pts, w)
 
 
-def weighted_kmeans_many(pools, cfg: KMeansConfig | None = None
+def weighted_kmeans_many(pools, cfg: KMeansConfig = KMeansConfig()
                          ) -> list[np.ndarray]:
     """``weighted_kmeans`` of every (points, weights or None) pool, in
     order, bit for bit, taken as they come, ``_CLUSTER_BLOCK`` at a time:
     k-means++ seeds a batch in stacks (see the module docstring)."""
-    cfg = cfg or KMeansConfig()
     pools = iter(pools)
     batches = iter(lambda: [_checked_pool(pts, w) for pts, w
                             in islice(pools, _CLUSTER_BLOCK)], [])
@@ -450,7 +449,7 @@ def _kmeans_batch(pools, cfg: KMeansConfig) -> list[np.ndarray]:
 
 
 def weighted_kmeans(points, weights=None,
-                    cfg: KMeansConfig | None = None) -> np.ndarray:
+                    cfg: KMeansConfig = KMeansConfig()) -> np.ndarray:
     """Cluster weighted 2-D points into exactly cfg.k centroids.
 
     Deterministic in (points, weights, cfg.seed); output is sorted
@@ -471,10 +470,9 @@ def to_agent_frame(points, track: AgentTrack) -> np.ndarray:
 
 
 def static_intents(endpoints, object_class: str,
-                   cfg: KMeansConfig | None = None) -> IntentionPointSet:
+                   cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Statistical intention points: K-means over ground-truth trajectory
     endpoints (agent frame), computed per object class."""
-    cfg = cfg or KMeansConfig()
     return IntentionPointSet("static", weighted_kmeans(endpoints, None, cfg),
                              cfg.k, object_class)
 
@@ -487,30 +485,27 @@ def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
     return to_agent_frame(reach_set.positions, track)
 
 
-def dynamic_intents_many(pools, cfg: KMeansConfig | None = None
+def dynamic_intents_many(pools, cfg: KMeansConfig = KMeansConfig()
                          ) -> list[IntentionPointSet]:
     """Scene-conditioned intention points of many agents at once, one set
     per ``dynamic_pool``, each equal to its ``dynamic_intents``."""
-    cfg = cfg or KMeansConfig()
     return [IntentionPointSet("dynamic", centers, cfg.k) for centers
             in weighted_kmeans_many(((pool, None) for pool in pools), cfg)]
 
 
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
-                    cfg: KMeansConfig | None = None) -> IntentionPointSet:
+                    cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Scene-conditioned intention points: K-means over the reachable
     road-graph nodes, transformed into the agent frame."""
     return dynamic_intents_many([dynamic_pool(reach_set, track)], cfg)[0]
 
 
 def mixed_intents_many(dyns, stat: IntentionPointSet,
-                       mix: MixConfig | None = None,
-                       cfg: KMeansConfig | None = None
+                       mix: MixConfig = MixConfig(),
+                       cfg: KMeansConfig = KMeansConfig()
                        ) -> list[IntentionPointSet]:
     """``mixed_intents`` of each dynamic set in ``dyns`` with one static
     set, clustered together."""
-    mix = mix or MixConfig()
-    cfg = cfg or KMeansConfig()
     if stat.kind != "static" or any(d.kind != "dynamic" for d in dyns):
         raise ValueError("mixed_intents needs one dynamic and one static set")
     pools = ((np.concatenate([dyn.points, stat.points]),
@@ -522,8 +517,8 @@ def mixed_intents_many(dyns, stat: IntentionPointSet,
 
 
 def mixed_intents(dyn: IntentionPointSet, stat: IntentionPointSet,
-                  mix: MixConfig | None = None,
-                  cfg: KMeansConfig | None = None) -> IntentionPointSet:
+                  mix: MixConfig = MixConfig(),
+                  cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Pool dynamic and static points (same agent frame) and re-cluster
     with the configured weights (dynamic points emphasized by default)."""
     return mixed_intents_many([dyn], stat, mix, cfg)[0]

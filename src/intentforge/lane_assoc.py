@@ -131,7 +131,7 @@ def _branch_candidates(vmap, seed_sid, seed_idx, point, heading, cfg):
 
 
 def associate(vmap: VectorMap, track: AgentTrack,
-              cfg: AssocConfig | None = None) -> AssociationResult:
+              cfg: AssocConfig = AssocConfig()) -> AssociationResult:
     """Associate a vehicle with its current lane node(s).
 
     Returns the seed (nearest node passing the proximity and heading
@@ -141,7 +141,6 @@ def associate(vmap: VectorMap, track: AgentTrack,
     """
     if track.object_class != "vehicle":
         raise ValueError("lane association is defined for vehicles only")
-    cfg = cfg or AssocConfig()
     point = track.states[HISTORY_LEN - 1, :2]
     heading = derive_heading(track)
 

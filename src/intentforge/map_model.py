@@ -282,8 +282,8 @@ class AgentTrack:
     first HISTORY_LEN rows are the history, the last of them the current
     state, which ``current_state`` also gives as an AgentState. The parser
     and scenario_gen build tracks with ``from_arrays``; the constructor
-    from AgentState lists is kept only as the entry point of the
-    benchmark's ``bigmap_online`` tracks.
+    from AgentState lists builds the benchmark's ``bigmap_online`` tracks
+    and the tests' reference tracks.
     """
 
     def __init__(self, agent_id: str, object_class: str, length_m: float,

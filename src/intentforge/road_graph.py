@@ -46,10 +46,9 @@ class GraphConfig:
 
 
 def travel_time(distance: float, speed_limit: float,
-                cfg: GraphConfig | None = None) -> float:
+                cfg: GraphConfig = GraphConfig()) -> float:
     _number("distance", distance, 0, open_low=False)
     _number("speed limit", speed_limit, 0, open_low=True)
-    cfg = cfg or GraphConfig()
     return distance / (speed_limit + cfg.speed_offset)
 
 
@@ -128,11 +127,11 @@ def _nearest_nodes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def build_graph(vmap: VectorMap, cfg: GraphConfig | None = None) -> RoadGraph:
+def build_graph(vmap: VectorMap,
+                cfg: GraphConfig = GraphConfig()) -> RoadGraph:
     """Build the lane-node graph: intra-segment steps, exit connectors,
     and one lane-change edge per node towards each change-permitted
     neighbor (targeting that neighbor's nearest node)."""
-    cfg = cfg or GraphConfig()
     seg_ids = vmap.node_seg_ids.copy()
     node_indices = vmap.node_indices.copy()
     positions = vmap.node_positions
@@ -185,7 +184,7 @@ class ReachabilitySet:
 
 
 def reach(graph: RoadGraph, starts: AssociationResult,
-          cfg: GraphConfig | None = None) -> ReachabilitySet:
+          cfg: GraphConfig = GraphConfig()) -> ReachabilitySet:
     """Multi-source Dijkstra truncated at the time budget.
 
     Every association candidate starts at time 0. Raises ValueError for
@@ -195,7 +194,6 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     if starts.fallback:
         raise ValueError("fallback association has no reachable set; "
                          "use static intention points for this agent")
-    cfg = cfg or GraphConfig()
     start_nodes = sorted({graph.index_of(sid, ni)
                           for sid, ni, _ in starts.candidates})
     dist: dict[int, float] = {}
@@ -218,11 +216,10 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     sid = graph.seg_ids[idx]
     ni = graph.node_indices[idx]
     order = np.lexsort((ni, sid, times))
-    idx, times = idx[order], times[order]
     return ReachabilitySet(
-        seg_ids=graph.seg_ids[idx].copy(),
-        node_indices=graph.node_indices[idx].copy(),
-        positions=graph.positions[idx].copy(),
-        arrival_times=times,
+        seg_ids=sid[order],
+        node_indices=ni[order],
+        positions=graph.positions[idx[order]],
+        arrival_times=times[order],
         budget=cfg.time_budget,
     )

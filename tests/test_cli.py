@@ -417,6 +417,106 @@ def test_intents_bad_config_exits_2(tmp_path):
                  "--config", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
 
 
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * _DEEP + "]" * _DEEP, "maximum recursion depth exceeded"),
+    ('{"k": ' + "[" * _DEEP + "]" * _DEEP + "}",
+     "maximum recursion depth exceeded"),
+    ('{"k": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+], ids=["deep_array", "deep_value", "long_integer"])
+def test_hostile_config_file_exits_2_with_one_line(tmp_path, capsys, text,
+                                                   message):
+    scenes, _ = write_suite(tmp_path, n=1)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file is not valid JSON: " + message)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def _refusal_inputs(case, tmp_path, monkeypatch):
+    """Writes the files of one case of
+    ``test_documented_refusal_exits_with_one_line`` and returns its
+    command line."""
+    scenes, out = tmp_path / "scenes", ["-o", str(tmp_path / "o")]
+    intents = ["intents", str(scenes), "--kind", "static", *out]
+    config = {"config_bad_json": b"{", "config_not_utf8": b"\xff\xfe",
+              "config_not_object": b"[1]"}
+    if case in config:
+        (tmp_path / "c.json").write_bytes(config[case])
+    if case.startswith("config_"):
+        write_suite(tmp_path, n=1)
+        return [*intents, "--config", str(tmp_path / "c.json")]
+    if case == "env_seed_text":
+        monkeypatch.setenv("INTENTFORGE_SEED", "abc")
+        return ["gen", "--template", "straight", *out]
+    if case == "gen_suite_0":
+        return ["gen", "--suite", "0", *out]
+    if case == "gen_no_template":
+        return ["gen", *out]
+    if case == "no_scene_files":
+        scenes.mkdir()
+        (scenes / "notes.txt").write_text("{}")
+        return intents
+    if case == "scene_not_utf8":
+        scenes.mkdir()
+        (scenes / "s0.json").write_bytes(b"\xff\xfe{}")
+        return intents
+    if case == "endpoints_without_class":
+        write_suite(tmp_path, n=1)
+        (tmp_path / "ep.csv").write_text("class,x,y\ncyclist,1.0,0.0\n")
+        return [*intents, "--endpoints", str(tmp_path / "ep.csv")]
+    # the only target is a pedestrian with an invalid 8 s state
+    scenes.mkdir()
+    track = vehicle_track((10.0, 0.0), object_class="pedestrian",
+                          future_valid=np.arange(80) < 79)
+    (scenes / "s0.json").write_bytes(
+        write_scenario(scenario_of(straight_map(), [track])))
+    return ["intents", str(scenes), "--kind", case.split("_")[-1], *out]
+
+
+# (case, exit code, stderr line): the line is the whole of stderr when it
+# ends in a newline, else its start
+_REFUSALS = [
+    ("config_missing", 1, "error: cannot read config file: [Errno 2] "),
+    ("config_bad_json", 2,
+     "error: config file is not valid JSON: Expecting property name"),
+    ("config_not_utf8", 2, "error: config file is not valid JSON: "),
+    ("config_not_object", 2, "error: config file must hold a JSON object\n"),
+    ("env_seed_text", 2, "error: INTENTFORGE_SEED must be an integer\n"),
+    ("gen_suite_0", 2, "error: --suite must be >= 1\n"),
+    ("gen_no_template", 2,
+     "error: --template is required unless --suite is given\n"),
+    ("no_scene_files", 1, "error: no scenario files found\n"),
+    ("scene_not_utf8", 1, "error: {scenes}/s0.json: not UTF-8: "),
+    ("endpoints_without_class", 1,
+     "error: endpoints file has no rows for class 'vehicle'\n"),
+    ("no_endpoint_static", 1,
+     "error: no valid pedestrian endpoints in the corpus\n"),
+    ("no_endpoint_dynamic", 1,
+     "error: no valid pedestrian endpoints in the corpus\n"),
+]
+
+
+@pytest.mark.parametrize("case, code, line", _REFUSALS,
+                         ids=[case for case, *_ in _REFUSALS])
+def test_documented_refusal_exits_with_one_line(tmp_path, monkeypatch, capsys,
+                                                case, code, line):
+    monkeypatch.delenv("INTENTFORGE_SEED", raising=False)
+    assert main(_refusal_inputs(case, tmp_path, monkeypatch)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(line.format(scenes=tmp_path / "scenes"))
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # every float config key; an int beyond float range must be refused too
 _FLOAT_KEYS = ("heading_threshold", "proximity_limit", "backwards_look",
                "time_budget", "speed_offset", "tolerance", "dynamic_weight",

@@ -181,8 +181,12 @@ _NUMERIC_SETTINGS = [
       if type(default) in (int, float)),
     ("GenSpec.speed_limit_mps", lambda v: GenSpec("straight", 0, v),
      [0.0, -1.0, HUGE, *_NOT_FINITE], "speed limit must be finite and > 0"),
+    ("GenSpec.seed", lambda v: GenSpec("straight", v),
+     [-1, *_NOT_INTEGERS], "seed must be an integer >= 0"),
     ("iter_suite.n", lambda v: next(iter_suite(v)), [0, -1, *_NOT_INTEGERS],
      "n must be an integer >= 1"),
+    ("iter_suite.seed", lambda v: next(iter_suite(1, v)),
+     [-1, *_NOT_INTEGERS], "seed must be an integer >= 0"),
     ("moving_average.window", lambda v: moving_average([1.0, 2.0], v),
      [0, -1, *_NOT_INTEGERS], "window must be an integer >= 1"),
     ("travel_time.distance", lambda v: travel_time(v, 10.0),

@@ -708,25 +708,6 @@ def test_lloyd_matches_reference_near_overflow():
         assert len(got_obj) == len(want_obj), case
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"k": 0}, {"k": True}, {"k": 1.5}, {"k": "64"}, {"k": 2 ** 20 + 1},
-    {"max_iterations": 0}, {"max_iterations": 2.0},
-    {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": -1e-9},
-    {"seed": -1}, {"seed": 1.5},
-], ids=lambda kw: "{}={!r}".format(*next(iter(kw.items()))))
-def test_kmeans_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        KMeansConfig(**kwargs)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-def test_mix_config_rejects_bad_weights(bad):
-    with pytest.raises(ValueError):
-        MixConfig(dynamic_weight=bad)
-    with pytest.raises(ValueError):
-        MixConfig(static_weight=bad)
-
-
 def test_determinism_over_100_randomized_inputs():
     rng = np.random.default_rng(99)
     for i in range(100):
