@@ -52,7 +52,6 @@ class CsvError(ValueError):
 class PredictionSet:
     """Up to 6 predicted trajectories of 80 global-frame points each."""
 
-    agent_id: str
     trajectories: np.ndarray     # (m, 80, 2)
     confidences: np.ndarray      # (m,)
 
@@ -172,7 +171,7 @@ def _predictions_walk(path) -> dict[str, PredictionSet]:
             traj.append([pts[s] for s in range(80)])
             conf.append(modes[mode]["conf"])
         try:
-            out[aid] = PredictionSet(aid, np.asarray(traj), np.asarray(conf))
+            out[aid] = PredictionSet(np.asarray(traj), np.asarray(conf))
         except ValueError as exc:
             raise CsvError(f"{path}: agent {aid}: {exc}") from None
     return out
@@ -196,7 +195,7 @@ def _predictions_fast(path) -> dict[str, PredictionSet] | None:
 
     def flush():
         if aid is not None:
-            out[aid] = PredictionSet(aid, np.stack(trajs), np.array(confs))
+            out[aid] = PredictionSet(np.stack(trajs), np.array(confs))
 
     try:
         for block in _csv_blocks(path, _PREDICTION_HEADER):
@@ -302,6 +301,9 @@ def miss_rate(pred: PredictionSet, gt: AgentTrack, horizon: int) -> int:
     return 0 if hit.any() else 1
 
 
+DEVIATION_MODES = ("node", "polyline")
+
+
 def gt_deviation(gt: AgentTrack, reach_set: ReachabilitySet,
                  mode: str = "node") -> float:
     """Smallest distance from the GT 8 s endpoint to the reachable road
@@ -312,6 +314,8 @@ def gt_deviation(gt: AgentTrack, reach_set: ReachabilitySet,
     segment (isolated reachable nodes still count as points), so
     polyline <= node <= polyline + spacing / 2.
     """
+    if mode not in DEVIATION_MODES:
+        raise ValueError(f"mode must be one of {DEVIATION_MODES}")
     endpoint = gt.gt_endpoint()
     if endpoint is None:
         raise ValueError("ground truth invalid at the 8 s horizon")
@@ -320,8 +324,6 @@ def gt_deviation(gt: AgentTrack, reach_set: ReachabilitySet,
     d_nodes = np.hypot(*(reach_set.positions - endpoint).T)
     if mode == "node":
         return float(d_nodes.min())
-    if mode != "polyline":
-        raise ValueError("mode must be 'node' or 'polyline'")
     best = float(d_nodes.min())
     sid = reach_set.seg_ids
     ni = reach_set.node_indices

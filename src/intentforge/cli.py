@@ -32,13 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CsvError, deviation_curve, min_fde
+from .analysis import DEVIATION_MODES, CsvError, deviation_curve, min_fde
 # benchmark/tracing.py wraps the prediction reader under this name
 from .analysis import read_predictions as _load_prediction_csv
-from .experiments import (DEVIATION_MODES, INTENT_KINDS, DataError,
-                          FilterReport, RunConfig, analyze_batch, corpus_heads,
-                          filter_dataset, intent_rows, intents_batch, scan,
-                          static_sets)
+from .experiments import (INTENT_KINDS, DataError, FilterReport, RunConfig,
+                          analyze_batch, corpus_heads, filter_dataset,
+                          intent_rows, intents_batch, scan, static_sets)
 from .map_model import ScenarioError, _fmt_float, parse_scenario, write_scenario
 from .scenario_gen import BEHAVIORS, TEMPLATES, GenSpec, generate, iter_suite
 

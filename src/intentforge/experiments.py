@@ -26,11 +26,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (DeviationRecord, coverage, detect_parked,
-                       gt_deviation, read_endpoints)
+from .analysis import (DEVIATION_MODES, DeviationRecord, coverage,
+                       detect_parked, gt_deviation, read_endpoints)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_intents_many, dynamic_pool,
-                        mixed_intents_many, static_intents, to_agent_frame)
+                        mixed_intents_many, to_agent_frame, weighted_kmeans)
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
@@ -63,13 +63,14 @@ def class_endpoints(scenario: Scenario) -> dict[str, np.ndarray]:
 
 def fit_static(scene_endpoints, object_class: str = "vehicle",
                cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
-    """Statistical intention points from the endpoints of one class in an
-    iterable of ``class_endpoints`` results, pooled in that order."""
+    """Statistical intention points: K-means over the endpoints of one
+    class in an iterable of ``class_endpoints`` results, in that order."""
     pools = [e[object_class] for e in scene_endpoints if object_class in e]
     if not pools:
         raise DataError(f"no valid {object_class} endpoints in the corpus")
     try:
-        return static_intents(np.concatenate(pools), object_class, cfg)
+        return IntentionPointSet(
+            "static", weighted_kmeans(np.concatenate(pools), None, cfg))
     except ValueError as exc:
         raise DataError(f"cannot cluster the {object_class} endpoints: "
                         f"{exc}") from None
@@ -129,9 +130,6 @@ def corpus_heads(chunks) -> list:
                             f"one scenario")
         seen.add(agent_id)
     return heads
-
-
-DEVIATION_MODES = ("node", "polyline")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
 import numpy as np
 
@@ -142,20 +141,18 @@ class MixConfig:
 
 @dataclass(eq=False)
 class IntentionPointSet:
-    """Exactly k 2-D points in the agent-centric frame (origin at the
-    agent's current position, x-axis along its heading)."""
+    """2-D points in the agent-centric frame (origin at the agent's
+    current position, x-axis along its heading)."""
 
     kind: str
     points: np.ndarray
-    k: int
-    object_class: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in INTENT_KINDS:
             raise ValueError(f"kind must be one of {INTENT_KINDS}")
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.shape != (self.k, 2):
-            raise ValueError(f"expected exactly {self.k} points, got {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+            raise ValueError(f"need a non-empty (n, 2) array, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("intention points must be finite")
         self.points = pts
@@ -469,14 +466,6 @@ def to_agent_frame(points, track: AgentTrack) -> np.ndarray:
     return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
-def static_intents(endpoints, object_class: str,
-                   cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
-    """Statistical intention points: K-means over ground-truth trajectory
-    endpoints (agent frame), computed per object class."""
-    return IntentionPointSet("static", weighted_kmeans(endpoints, None, cfg),
-                             cfg.k, object_class)
-
-
 def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
     """The reachable road-graph nodes of one agent in its agent frame: the
     pool its dynamic intention points are clustered from."""
@@ -489,7 +478,7 @@ def dynamic_intents_many(pools, cfg: KMeansConfig = KMeansConfig()
                          ) -> list[IntentionPointSet]:
     """Scene-conditioned intention points of many agents at once, one set
     per ``dynamic_pool``, each equal to its ``dynamic_intents``."""
-    return [IntentionPointSet("dynamic", centers, cfg.k) for centers
+    return [IntentionPointSet("dynamic", centers) for centers
             in weighted_kmeans_many(((pool, None) for pool in pools), cfg)]
 
 
@@ -512,7 +501,7 @@ def mixed_intents_many(dyns, stat: IntentionPointSet,
               np.repeat([mix.dynamic_weight, mix.static_weight],
                         [len(dyn.points), len(stat.points)]))
              for dyn in dyns)
-    return [IntentionPointSet("mixed", centers, cfg.k)
+    return [IntentionPointSet("mixed", centers)
             for centers in weighted_kmeans_many(pools, cfg)]
 
 

@@ -177,7 +177,6 @@ class ReachabilitySet:
     node_indices: np.ndarray
     positions: np.ndarray
     arrival_times: np.ndarray
-    budget: float
 
     def __len__(self) -> int:
         return int(self.arrival_times.shape[0])
@@ -221,5 +220,4 @@ def reach(graph: RoadGraph, starts: AssociationResult,
         node_indices=ni[order],
         positions=graph.positions[idx[order]],
         arrival_times=times[order],
-        budget=cfg.time_budget,
     )

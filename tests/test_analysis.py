@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from conftest import line_nodes, scenario_of, seg, stationary_track, vehicle_tra
 from intentforge.analysis import (DeviationRecord, PredictionSet, coverage,
                                   detect_parked, deviation_curve, gt_deviation,
                                   min_ade, min_fde, miss_rate, moving_average)
-from intentforge.experiments import (FilterReport, RunConfig,
+from intentforge.experiments import (FilterReport, RunConfig, _implausible_gt,
                                      filter_dataset, run_scene)
-from intentforge.intention import dynamic_intents, to_agent_frame, KMeansConfig
+from intentforge.intention import (IntentionPointSet, KMeansConfig,
+                                   dynamic_intents, to_agent_frame)
 from intentforge.map_model import VectorMap
 from intentforge.road_graph import ReachabilitySet
 
@@ -21,14 +23,14 @@ def reach_of(positions) -> ReachabilitySet:
     n = positions.shape[0]
     return ReachabilitySet(np.zeros(n, dtype=np.int64),
                            np.arange(n, dtype=np.int64),
-                           positions, np.zeros(n), budget=8.0)
+                           positions, np.zeros(n))
 
 
-def pred_of(agent_id, *trajectories, confidences=None) -> PredictionSet:
+def pred_of(*trajectories, confidences=None) -> PredictionSet:
     traj = np.asarray(trajectories, dtype=float)
     if confidences is None:
         confidences = np.full(traj.shape[0], 1.0 / traj.shape[0])
-    return PredictionSet(agent_id, traj, np.asarray(confidences))
+    return PredictionSet(traj, np.asarray(confidences))
 
 
 def gt_modes(track, *offsets):
@@ -40,14 +42,14 @@ def gt_modes(track, *offsets):
 
 def test_min_fde_exact_mode():
     track = vehicle_track((0, 0), speed=6.0)
-    pred = pred_of("a0", *gt_modes(track, (0, 0), (5, 5)))
+    pred = pred_of(*gt_modes(track, (0, 0), (5, 5)))
     for horizon in (3, 5, 8):
         assert min_fde(pred, track, horizon) == 0.0
 
 
 def test_min_fde_picks_best_mode():
     track = vehicle_track((0, 0), speed=6.0)
-    pred = pred_of("a0", *gt_modes(track, (0, 3.0), (0, 1.0)))
+    pred = pred_of(*gt_modes(track, (0, 3.0), (0, 1.0)))
     assert min_fde(pred, track, 8) == pytest.approx(1.0)
 
 
@@ -55,7 +57,7 @@ def test_min_fde_invalid_horizon_state():
     valid = np.ones(80, dtype=bool)
     valid[79] = False
     track = vehicle_track((0, 0), speed=6.0, future_valid=valid)
-    pred = pred_of("a0", *gt_modes(track, (0, 0)))
+    pred = pred_of(*gt_modes(track, (0, 0)))
     with pytest.raises(ValueError):
         min_fde(pred, track, 8)
     assert min_fde(pred, track, 5) == 0.0
@@ -71,7 +73,7 @@ def test_prediction_set_rejects_non_finite(where, bad):
     else:
         conf[1] = bad
     with pytest.raises(ValueError, match="finite"):
-        PredictionSet("a0", traj, conf)
+        PredictionSet(traj, conf)
 
 
 @pytest.mark.parametrize("shape, confidences, message", [
@@ -88,7 +90,7 @@ def test_prediction_set_rejects_non_finite(where, bad):
         "negative_confidence", "confidences_sum_above_1"])
 def test_prediction_set_refusals(shape, confidences, message):
     with pytest.raises(ValueError, match=f"^{message}"):
-        PredictionSet("a0", np.zeros(shape), np.asarray(confidences))
+        PredictionSet(np.zeros(shape), np.asarray(confidences))
 
 
 def test_min_fde_matches_exhaustive_scan():
@@ -96,7 +98,7 @@ def test_min_fde_matches_exhaustive_scan():
     track = vehicle_track((0, 0), speed=6.0)
     for _ in range(20):
         modes = rng.uniform(-50, 50, size=(6, 80, 2))
-        pred = PredictionSet("a0", modes, np.full(6, 1 / 6))
+        pred = PredictionSet(modes, np.full(6, 1 / 6))
         for horizon, step in ((3, 29), (5, 49), (8, 79)):
             gt_pos = track.future_xy[step]
             expected = min(float(np.hypot(*(modes[m, step] - gt_pos)))
@@ -106,12 +108,12 @@ def test_min_fde_matches_exhaustive_scan():
 
 def test_min_ade_exact_mode():
     track = vehicle_track((0, 0), speed=6.0)
-    assert min_ade(pred_of("a0", *gt_modes(track, (0, 0))), track, 8) == 0.0
+    assert min_ade(pred_of(*gt_modes(track, (0, 0))), track, 8) == 0.0
 
 
 def test_min_ade_constant_offset():
     track = vehicle_track((0, 0), speed=6.0)
-    pred = pred_of("a0", *gt_modes(track, (0, 2.0)))
+    pred = pred_of(*gt_modes(track, (0, 2.0)))
     assert min_ade(pred, track, 8) == pytest.approx(2.0)
 
 
@@ -121,7 +123,7 @@ def test_min_ade_matches_exhaustive_scan():
     valid[79] = True
     track = vehicle_track((0, 0), speed=6.0, future_valid=valid)
     modes = rng.uniform(-50, 50, size=(4, 80, 2))
-    pred = PredictionSet("a0", modes, np.full(4, 0.25))
+    pred = PredictionSet(modes, np.full(4, 0.25))
     for horizon, step in ((3, 29), (5, 49), (8, 79)):
         per_mode = []
         for m in range(4):
@@ -136,7 +138,7 @@ def test_min_ade_bounded_by_argmin_mode_max_step():
     track = vehicle_track((0, 0), speed=6.0)
     for _ in range(20):
         modes = rng.uniform(-30, 30, size=(3, 80, 2))
-        pred = PredictionSet("a0", modes, np.full(3, 1 / 3))
+        pred = PredictionSet(modes, np.full(3, 1 / 3))
         ade = min_ade(pred, track, 8)
         best = np.argmin([
             np.hypot(*(modes[m] - track.future_xy).T).mean()
@@ -149,20 +151,20 @@ def test_min_ade_bounded_by_argmin_mode_max_step():
 
 def test_miss_rate_hit_on_exact_endpoint():
     track = vehicle_track((0, 0), speed=6.0)
-    assert miss_rate(pred_of("a0", *gt_modes(track, (0, 0))), track, 8) == 0
+    assert miss_rate(pred_of(*gt_modes(track, (0, 0))), track, 8) == 0
 
 
 def test_miss_rate_all_far():
     track = vehicle_track((0, 0), speed=6.0)
-    pred = pred_of("a0", *gt_modes(track, (50, 0), (0, 50)))
+    pred = pred_of(*gt_modes(track, (50, 0), (0, 50)))
     assert miss_rate(pred, track, 8) == 1
 
 
 def test_miss_rate_boundary_inclusive():
     # heading 0, speed 20 (scale 1): lateral threshold at 8 s is 3.0 m
     track = vehicle_track((0, 0), heading=0.0, speed=20.0)
-    on_edge = pred_of("a0", *gt_modes(track, (0.0, 3.0)))
-    beyond = pred_of("a0", *gt_modes(track, (0.0, 3.0000001)))
+    on_edge = pred_of(*gt_modes(track, (0.0, 3.0)))
+    beyond = pred_of(*gt_modes(track, (0.0, 3.0000001)))
     assert miss_rate(on_edge, track, 8) == 0
     assert miss_rate(beyond, track, 8) == 1
 
@@ -170,10 +172,10 @@ def test_miss_rate_boundary_inclusive():
 def test_miss_rate_speed_scaling():
     # slow agent (scale 0.5): 8 s lateral threshold shrinks to 1.5 m
     slow = vehicle_track((0, 0), heading=0.0, speed=1.0)
-    pred = pred_of("a0", *gt_modes(slow, (0.0, 2.0)))
+    pred = pred_of(*gt_modes(slow, (0.0, 2.0)))
     assert miss_rate(pred, slow, 8) == 1
     fast = vehicle_track((0, 0), heading=0.0, speed=20.0)
-    pred = pred_of("a0", *gt_modes(fast, (0.0, 2.0)))
+    pred = pred_of(*gt_modes(fast, (0.0, 2.0)))
     assert miss_rate(pred, fast, 8) == 0
 
 
@@ -220,7 +222,7 @@ def test_gt_deviation_isolated_nodes_polyline():
     rset = ReachabilitySet(np.zeros(2, dtype=np.int64),
                            np.array([0, 5], dtype=np.int64),
                            np.array([[0.0, 0.0], [10.0, 0.0]]),
-                           np.zeros(2), 8.0)
+                           np.zeros(2))
     track = endpoint_track((5.0, 1.0))
     assert gt_deviation(track, rset, "polyline") == pytest.approx(
         math.hypot(5.0, 1.0))
@@ -432,3 +434,68 @@ def test_dynamic_coverage_bounded_by_cluster_radius():
         endpoint = nodes[rng.integers(len(nodes))]
         cov = coverage(dyn, to_agent_frame(endpoint, track))
         assert cov <= max_radius + 1e-9
+
+
+# -- refusals -------------------------------------------------------------------------
+
+def _moving_pred():
+    track = vehicle_track((0, 0), speed=6.0)
+    return pred_of(*gt_modes(track, (0, 0))), track
+
+
+def _valid_from(step):
+    """A straight track whose future is valid only from ``step`` on."""
+    valid = np.arange(80) >= step
+    return vehicle_track((0, 0), speed=6.0, future_valid=valid)
+
+
+HORIZON_MESSAGE = "horizon must be one of 3, 5, 8 (seconds)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: min_fde(*_moving_pred(), 4), HORIZON_MESSAGE),
+    (lambda: min_ade(*_moving_pred(), 4), HORIZON_MESSAGE),
+    (lambda: miss_rate(*_moving_pred(), 4), HORIZON_MESSAGE),
+    (lambda: min_ade(pred_of(*gt_modes(_valid_from(30), (0, 0))),
+                     _valid_from(30), 3),
+     "no valid ground-truth step up to the horizon"),
+    (lambda: gt_deviation(endpoint_track((1.0, 0.0)),
+                          reach_of(np.empty((0, 2)))),
+     "empty reachability set"),
+    (lambda: gt_deviation(endpoint_track((1.0, 0.0)), lane_reach(), "edge"),
+     "mode must be one of ('node', 'polyline')"),
+    (lambda: moving_average(np.zeros((2, 2)), 1),
+     "values must be one-dimensional"),
+    (lambda: DeviationRecord("a", -1.0), "deviation must be >= 0"),
+    (lambda: deviation_curve([], 1), "no records to analyze"),
+    (lambda: deviation_curve([rec("a0", 0.0, 1.0, model="m"),
+                              rec("a1", 1.0, 1.0, model="n")], 1),
+     "records disagree on the model set"),
+    (lambda: IntentionPointSet("anchor", np.zeros((1, 2))),
+     "kind must be one of ('static', 'dynamic', 'mixed')"),
+    (lambda: IntentionPointSet("static", np.zeros(2)),
+     "need a non-empty (n, 2) array, got (2,)"),
+    (lambda: IntentionPointSet("static", np.zeros((0, 2))),
+     "need a non-empty (n, 2) array, got (0, 2)"),
+    (lambda: IntentionPointSet("static", [[0.0, math.nan]]),
+     "intention points must be finite"),
+], ids=["min_fde_horizon_4", "min_ade_horizon_4", "miss_rate_horizon_4",
+        "min_ade_no_valid_step", "gt_deviation_empty_reach",
+        "gt_deviation_unknown_mode", "moving_average_2d",
+        "negative_deviation", "curve_no_records", "curve_model_sets_differ",
+        "points_unknown_kind", "points_not_n_by_2", "points_empty",
+        "points_non_finite"])
+def test_analysis_refusal_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_track_with_one_valid_future_step_is_parked_and_kept():
+    # the < 2 samples branch of detect_parked and _implausible_gt
+    track = _valid_from(79)
+    assert detect_parked(track) is True
+    assert _implausible_gt(track) is False
+    vm = VectorMap([seg(0, line_nodes((-50, 0), (150, 0)))])
+    items, report = filter_dataset([scenario_of(vm, [track])])
+    assert report == FilterReport(total=1, remaining=1)
+    assert [(it.track.agent_id, it.parked) for it in items] == [("a0", True)]

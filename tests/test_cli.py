@@ -1030,7 +1030,6 @@ def _write_prediction_csv(path, rows, newline="\n"):
 def _assert_same_predictions(got, want):
     assert list(got) == list(want)
     for aid, ps in want.items():
-        assert got[aid].agent_id == aid
         assert np.array_equal(got[aid].trajectories, ps.trajectories)
         assert np.array_equal(got[aid].confidences, ps.confidences)
 
@@ -1376,6 +1375,34 @@ def test_integer_beyond_digit_limit_exits_1_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda o: o["map"]["segments"][3].update(id=2),
+     "duplicate segment id 2"),
+    (lambda o: o["map"]["segments"][1].update(entries=[0, 3]),
+     "segment 1 lists entry 3 but segment 3 does not list exit 1"),
+    (lambda o: o["map"]["segments"][0].update(left={"change_ok": 1, "id": 99}),
+     "segment 0 references unknown left neighbor 99"),
+    (lambda o: o["tracks"].append(o["tracks"][0]),
+     "duplicate agent_id in tracks"),
+    (lambda o: o["tracks_to_predict"].append("nobody"),
+     "tracks_to_predict references unknown agent 'nobody'"),
+], ids=["duplicate_segment_id", "one_sided_entry", "unknown_left_neighbor",
+        "duplicate_agent_id", "unknown_predict_id"])
+def test_inconsistent_scenario_exits_1_with_one_line(tmp_path, capsys, mutate,
+                                                     message):
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--template", "intersection_4way", "--seed", "0",
+                 "-o", str(scenes)]) == 0
+    path = next(scenes.glob("*.json"))
+    obj = json.loads(path.read_bytes())
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(_scene_argv("intents", scenes, tmp_path)) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @settings(max_examples=40, deadline=None,

@@ -10,12 +10,13 @@ from conftest import (coalesce_reference, convex_hull, from_agent_frame,
                       kmeanspp_reference, lloyd_reference, point_in_hull,
                       vehicle_track)
 from intentforge import intention
+from intentforge.experiments import fit_static
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    KMeansConfig, MixConfig, _coalesce,
                                    _kmeanspp, _lloyd,
                                    dynamic_intents, mixed_intents,
-                                   static_intents, to_agent_frame,
-                                   weighted_kmeans, weighted_kmeans_many)
+                                   to_agent_frame, weighted_kmeans,
+                                   weighted_kmeans_many)
 from intentforge.road_graph import ReachabilitySet
 
 
@@ -24,7 +25,7 @@ def reach_of(positions) -> ReachabilitySet:
     n = positions.shape[0]
     return ReachabilitySet(np.zeros(n, dtype=np.int64),
                            np.arange(n, dtype=np.int64),
-                           positions, np.zeros(n), budget=8.0)
+                           positions, np.zeros(n))
 
 
 def lex_sorted(pts):
@@ -105,8 +106,9 @@ def test_static_separated_clusters():
                                    np.arange(8) * 20.0), axis=-1).reshape(-1, 2)
     endpoints = np.concatenate([c + rng.uniform(-0.5, 0.5, size=(6, 2))
                                 for c in centers])
-    got = static_intents(endpoints, "vehicle", KMeansConfig(k=64, seed=0))
-    assert got.kind == "static" and got.object_class == "vehicle"
+    got = fit_static([{"vehicle": endpoints}], "vehicle",
+                     KMeansConfig(k=64, seed=0))
+    assert got.kind == "static"
     for c in centers:
         inside = (np.abs(got.points - c) <= 0.5).all(axis=1)
         assert inside.sum() == 1
@@ -114,19 +116,19 @@ def test_static_separated_clusters():
 
 def test_static_padding_from_few_endpoints():
     pts = np.arange(10, dtype=float).reshape(-1, 1) * [1.0, 0.0]
-    got = static_intents(pts, "cyclist", KMeansConfig(k=64))
+    got = fit_static([{"cyclist": pts}], "cyclist", KMeansConfig(k=64))
     assert got.points.shape == (64, 2)
     assert {tuple(p) for p in got.points} == {tuple(p) for p in pts}
 
 
 def test_static_single_endpoint():
-    got = static_intents(np.array([[5.0, 7.0]]), "pedestrian")
+    got = fit_static([{"pedestrian": np.array([[5.0, 7.0]])}], "pedestrian")
     assert np.array_equal(got.points, np.tile([5.0, 7.0], (64, 1)))
 
 
 def test_static_empty_rejected():
     with pytest.raises(ValueError):
-        static_intents(np.empty((0, 2)), "vehicle")
+        fit_static([{"vehicle": np.empty((0, 2))}], "vehicle")
 
 
 # -- dynamic -------------------------------------------------------------------
@@ -175,8 +177,8 @@ def test_dynamic_empty_reach_rejected():
 def test_mixed_identical_sets_unchanged():
     rng = np.random.default_rng(3)
     pts = lex_sorted(rng.uniform(-40, 40, size=(64, 2)))
-    dyn = IntentionPointSet("dynamic", pts, 64)
-    stat = IntentionPointSet("static", pts.copy(), 64)
+    dyn = IntentionPointSet("dynamic", pts)
+    stat = IntentionPointSet("static", pts.copy())
     for ratio in (1.0, 3.0, 5.0):
         got = mixed_intents(dyn, stat, MixConfig(ratio, 1.0))
         assert np.array_equal(got.points, pts)
@@ -188,8 +190,8 @@ def test_mixed_ratio_equals_replication():
     dpts = lex_sorted(rng.uniform(-40, 40, size=(64, 2)))
     spts = lex_sorted(rng.uniform(-40, 40, size=(64, 2)))
     cfg = KMeansConfig(k=64, seed=7)
-    mixed = mixed_intents(IntentionPointSet("dynamic", dpts, 64),
-                          IntentionPointSet("static", spts, 64),
+    mixed = mixed_intents(IntentionPointSet("dynamic", dpts),
+                          IntentionPointSet("static", spts),
                           MixConfig(3.0, 1.0), cfg)
     replicated = np.concatenate([np.repeat(dpts, 3, axis=0), spts])
     oracle = weighted_kmeans(replicated, None, cfg)
@@ -197,15 +199,15 @@ def test_mixed_ratio_equals_replication():
 
 
 def test_mixed_k1_closed_form():
-    dyn = IntentionPointSet("dynamic", np.array([[8.0, 0.0]]), 1)
-    stat = IntentionPointSet("static", np.array([[0.0, 4.0]]), 1)
+    dyn = IntentionPointSet("dynamic", np.array([[8.0, 0.0]]))
+    stat = IntentionPointSet("static", np.array([[0.0, 4.0]]))
     got = mixed_intents(dyn, stat, MixConfig(3.0, 1.0), KMeansConfig(k=1))
     assert got.points[0] == pytest.approx([6.0, 1.0])
 
 
 def test_mixed_requires_one_dynamic_one_static():
     pts = np.zeros((1, 2))
-    a = IntentionPointSet("dynamic", pts, 1)
+    a = IntentionPointSet("dynamic", pts)
     with pytest.raises(ValueError):
         mixed_intents(a, a)
 
