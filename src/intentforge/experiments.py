@@ -29,8 +29,8 @@ import numpy as np
 from .analysis import (DEVIATION_MODES, DeviationRecord, coverage,
                        detect_parked, gt_deviation, read_endpoints)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
-                        MixConfig, dynamic_intents_many, dynamic_pool,
-                        mixed_intents_many, to_agent_frame, weighted_kmeans)
+                        MixConfig, dynamic_pool, mixed_intents_many,
+                        to_agent_frame, weighted_kmeans, weighted_kmeans_many)
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
@@ -202,16 +202,17 @@ def run_scene(scenario: Scenario,
 def _clustered(entries, cfg: KMeansConfig):
     """``(item tuple, dynamic_pool or None)`` pairs, taken as they come, as
     ``(*item, dynamic set or None)`` tuples in order. The pools feed one
-    ``dynamic_intents_many`` call, which bounds its own batches."""
+    ``weighted_kmeans_many`` call, which bounds its own batches."""
     items = []
 
     def pools():
         for item, pool in entries:
             items.append((item, pool is not None))
             if pool is not None:
-                yield pool
-    sets = iter(dynamic_intents_many(pools(), cfg))
-    return [(*item, next(sets) if pooled else None) for item, pooled in items]
+                yield pool, None
+    sets = iter(weighted_kmeans_many(pools(), cfg))
+    return [(*item, IntentionPointSet("dynamic", next(sets)) if pooled
+             else None) for item, pooled in items]
 
 
 def intents_batch(scenarios, kind: str | None,

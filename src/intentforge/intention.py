@@ -474,19 +474,12 @@ def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
     return to_agent_frame(reach_set.positions, track)
 
 
-def dynamic_intents_many(pools, cfg: KMeansConfig = KMeansConfig()
-                         ) -> list[IntentionPointSet]:
-    """Scene-conditioned intention points of many agents at once, one set
-    per ``dynamic_pool``, each equal to its ``dynamic_intents``."""
-    return [IntentionPointSet("dynamic", centers) for centers
-            in weighted_kmeans_many(((pool, None) for pool in pools), cfg)]
-
-
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
                     cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Scene-conditioned intention points: K-means over the reachable
     road-graph nodes, transformed into the agent frame."""
-    return dynamic_intents_many([dynamic_pool(reach_set, track)], cfg)[0]
+    return IntentionPointSet("dynamic", weighted_kmeans_many(
+        [(dynamic_pool(reach_set, track), None)], cfg)[0])
 
 
 def mixed_intents_many(dyns, stat: IntentionPointSet,

@@ -191,19 +191,16 @@ class VectorMap:
             if not -2**63 <= sid < 2**63:
                 raise InvariantViolation(f"segment id {sid} exceeds 64 bits")
 
-        seg_ids, node_idx, pos = [], [], []
+        seg_ids = [np.empty(0, np.int64)]
+        node_idx = [np.empty(0, np.int64)]
+        pos = [np.empty((0, 2))]
         for sid, seg in self.segments.items():
             seg_ids.append(np.full(seg.n_nodes, sid, dtype=np.int64))
             node_idx.append(np.arange(seg.n_nodes, dtype=np.int64))
             pos.append(seg.nodes)
-        if seg_ids:
-            self.node_seg_ids = np.concatenate(seg_ids)
-            self.node_indices = np.concatenate(node_idx)
-            self.node_positions = np.concatenate(pos, axis=0)
-        else:
-            self.node_seg_ids = np.empty(0, dtype=np.int64)
-            self.node_indices = np.empty(0, dtype=np.int64)
-            self.node_positions = np.empty((0, 2))
+        self.node_seg_ids = np.concatenate(seg_ids)
+        self.node_indices = np.concatenate(node_idx)
+        self.node_positions = np.concatenate(pos, axis=0)
         for arr in (self.node_seg_ids, self.node_indices, self.node_positions):
             arr.flags.writeable = False
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,9 @@ from conftest import HUGE
 from intentforge import experiments
 from intentforge.analysis import coverage, moving_average
 from intentforge.experiments import (INTENT_KINDS, RunConfig,
-                                     agent_frame_endpoint, filter_dataset,
-                                     intent_coverage, pooled_static)
+                                     agent_frame_endpoint, class_endpoints,
+                                     filter_dataset, fit_static,
+                                     intent_coverage)
 from intentforge.intention import MixConfig, dynamic_intents, mixed_intents
 from intentforge.map_model import parse_scenario, write_scenario
 from intentforge.road_graph import travel_time
@@ -37,7 +37,7 @@ def test_intent_coverage_rows_match_direct_calls():
     one-agent dynamic_intents and mixed_intents sets."""
     suite = list(iter_suite(3, seed=0, behaviors=("follow_lane",)))
     items, _ = filter_dataset(suite)
-    static_set = pooled_static(suite)
+    static_set = fit_static(map(class_endpoints, suite))
     cfg = RunConfig()
     m1, m2 = MixConfig(1.0, 1.0), MixConfig(5.0, 1.0)
     assert len(items) == 3
@@ -96,8 +96,7 @@ def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     res = subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *args,
          "-o", str(tmp_path / "out.csv")],
-        cwd=REPO, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        cwd=REPO, capture_output=True, text=True)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.splitlines()[-1].startswith(f"{script}: error: ")
