@@ -125,6 +125,12 @@ def test_gen_bad_speed_limit_exits_2(tmp_path, capsys, value):
     assert not list(out.glob("*.json"))
 
 
+def test_gen_suite(tmp_path):
+    assert main(["gen", "--suite", "5", "--seed", "3",
+                 "-o", str(tmp_path / "s")]) == 0
+    assert len(list((tmp_path / "s").glob("*.json"))) == 5
+
+
 def test_gen_suite_bytes_are_pinned(tmp_path):
     """The 500-scene seed-0 suite, hashed as name + NUL + bytes over the
     sorted files: a change to the generator or the writer that moves one
@@ -234,6 +240,35 @@ def test_intents_dynamic_corridor(tmp_path):
         assert dist <= 1.76
 
 
+def test_intents_offroad_falls_back_to_static(tmp_path):
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--template", "parking_adjacent",
+                 "--behavior", "offroad_parking", "--seed", "0",
+                 "-o", str(scenes)]) == 0
+    # corpus needs at least one valid endpoint pool: add a follow_lane scene
+    assert main(["gen", "--template", "straight", "--seed", "2",
+                 "-o", str(scenes)]) == 0
+    out = tmp_path / "intents.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(out)]) == 0
+    _, rows = read_csv(out)
+    parked = [r for r in rows if "parking" in r["agent_id"]]
+    assert len(parked) == 64
+    assert all(r["kind"] == "static" and r["fallback"] == "1" for r in parked)
+
+
+def test_intents_deterministic_and_jobs_invariant(tmp_path):
+    scenes, _ = write_suite(tmp_path, n=6, seed=4,
+                            behaviors=("follow_lane", "corner_cut"))
+    outs = []
+    for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
+        out = tmp_path / f"{name}.csv"
+        assert main(["intents", str(scenes), "--kind", "mixed",
+                     "--jobs", jobs, "-o", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
 def _dynamic_arch_openblas() -> bool:
     """Whether numpy reports a DYNAMIC_ARCH OpenBLAS, whose kernel
     OPENBLAS_CORETYPE picks; numpy < 1.26 has no ``mode`` to report it."""
@@ -279,6 +314,20 @@ def test_intents_endpoints_file(tmp_path):
     xs = {float(r["x"]) for r in rows}
     assert len(rows) % 64 == 0
     assert all(0 <= x <= 101 for x in xs)
+
+
+def test_intents_dump_roadgraph(tmp_path):
+    scenes = tmp_path / "scenes"
+    assert main(["gen", "--template", "straight", "--seed", "1",
+                 "-o", str(scenes)]) == 0
+    dump = tmp_path / "roadgraph.csv"
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "--dump-roadgraph", str(dump),
+                 "-o", str(tmp_path / "i.csv")]) == 0
+    header, rows = read_csv(dump)
+    assert header == ["scenario_id", "agent_id", "x", "y", "arrival_s"]
+    times = [float(r["arrival_s"]) for r in rows]
+    assert times and min(times) == 0.0 and max(times) <= 8.0
 
 
 def test_intents_static_dump_roadgraph_exits_2_before_reading_scenarios(
@@ -669,6 +718,13 @@ def test_analyze_perfect_predictions_zero_curve(tmp_path):
     assert len(cov) == 6 * 3
 
 
+def test_analyze_window_too_large_exits_2(tmp_path):
+    scenes, suite = write_suite(tmp_path, n=2, seed=2)
+    pred = perfect_predictions(tmp_path, suite, "exact")
+    assert main(["analyze", str(scenes), "--predictions", f"exact={pred}",
+                 "--window", "1000", "-o", str(tmp_path / "out")]) == 2
+
+
 @pytest.mark.parametrize("case, code, message", [
     ("no_predictions", 1, "no records to analyze"),
     ("all_parked", 1, "no records to analyze"),
@@ -769,6 +825,20 @@ def test_analyze_associates_and_builds_graphs_in_run_scene(tmp_path,
                    for s in suite for a in s.tracks_to_predict)
     assert len(associated) == vehicles > 0
     assert 0 < len(graphs) == len(set(graphs)) <= len(suite)
+
+
+def test_analyze_deterministic_outputs(tmp_path):
+    scenes, suite = write_suite(tmp_path, n=5, seed=8)
+    pred = perfect_predictions(tmp_path, suite, "m")
+    blobs = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                     "--window", "2", "-o", str(out)]) == 0
+        blobs.append(tuple((out / f).read_bytes() for f in
+                           ("deviation_curve.csv", "filter_report.csv",
+                            "coverage.csv")))
+    assert blobs[0] == blobs[1]
 
 
 def _edit_row(path, row, column, value):
@@ -1340,6 +1410,17 @@ def test_mutated_scenario_exits_1_and_never_raises(tmp_path, case):
 
 
 # -- dump-roadgraph -------------------------------------------------------------------
+
+def test_dump_roadgraph_subcommand(tmp_path):
+    scenes, _ = write_suite(tmp_path, n=2, seed=9)
+    out = tmp_path / "rg.csv"
+    assert main(["dump-roadgraph", str(scenes), "-o", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == ["scenario_id", "agent_id", "x", "y", "arrival_s"]
+    assert len(rows) > 100
+    keys = [(r["scenario_id"], r["agent_id"], float(r["arrival_s"])) for r in rows]
+    assert keys == sorted(keys)
+
 
 @pytest.mark.parametrize("jobs", ["1", "3"])
 @pytest.mark.parametrize("kind", ["dynamic", "mixed"])

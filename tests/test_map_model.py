@@ -15,7 +15,7 @@ from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
                                    MalformedScenario, ScenarioError,
                                    SchemaViolation, VectorMap, parse_scenario,
                                    write_scenario)
-from intentforge.scenario_gen import iter_suite
+from intentforge.scenario_gen import GenSpec, generate, iter_suite
 
 MINIMAL = {
     "scenario_id": "mini",
@@ -111,6 +111,20 @@ def test_equal_scenarios_serialize_identically():
         return scenario_of(vm, [vehicle_track((5.0, 0.0))])
 
     assert write_scenario(build()) == write_scenario(build())
+
+
+@pytest.mark.parametrize("template,behavior", [
+    ("straight", "follow_lane"),
+    ("uturn_split", "corner_cut"),
+    ("merge", "lane_merge_violation"),
+    ("parking_adjacent", "offroad_parking"),
+])
+def test_generated_scenarios_round_trip(template, behavior):
+    scenario = generate(GenSpec(template, seed=5, agent_behavior=behavior))
+    data = write_scenario(scenario)
+    again = parse_scenario(data)
+    assert again == scenario
+    assert write_scenario(again) == data
 
 
 def test_duplicate_node_rejected():

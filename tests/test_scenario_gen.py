@@ -53,6 +53,11 @@ def test_uturn_corner_cut_realizes_divergence_geometry():
     assert seed_arc <= 10.0
 
 
+def test_generate_deterministic_bytes():
+    spec = GenSpec("merge", seed=123, agent_behavior="lane_merge_violation")
+    assert write_scenario(generate(spec)) == write_scenario(generate(spec))
+
+
 def test_generate_distinct_seeds_differ():
     a = write_scenario(generate(GenSpec("straight", seed=1)))
     b = write_scenario(generate(GenSpec("straight", seed=2)))
@@ -61,6 +66,12 @@ def test_generate_distinct_seeds_differ():
 
 def test_suite_singleton():
     assert len(list(iter_suite(1, seed=4))) == 1
+
+
+def test_suite_deterministic():
+    a = [write_scenario(s) for s in iter_suite(12, seed=9)]
+    b = [write_scenario(s) for s in iter_suite(12, seed=9)]
+    assert a == b
 
 
 def test_suite_all_validate():
