@@ -258,7 +258,9 @@ def min_fde(pred: PredictionSet, gt: AgentTrack, horizon: int) -> float:
     """Minimum over modes of the final displacement at the horizon step."""
     x, y, _ = _horizon_state(gt, horizon)
     pts = pred.trajectories[:, HORIZON_STEP[horizon], :]
-    return float(np.hypot(pts[:, 0] - x, pts[:, 1] - y).min())
+    # a displacement beyond float range is inf, which deviation_curve refuses
+    with np.errstate(over="ignore"):
+        return float(np.hypot(pts[:, 0] - x, pts[:, 1] - y).min())
 
 
 def min_ade(pred: PredictionSet, gt: AgentTrack, horizon: int) -> float:
@@ -353,7 +355,8 @@ def detect_parked(track: AgentTrack) -> bool:
 
 def moving_average(values, window: int) -> np.ndarray:
     """Trailing arithmetic mean over each contiguous window; output length
-    is len(values) - window + 1."""
+    is len(values) - window + 1. Raises OverflowError unless the values
+    and their running sums are finite."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")
@@ -361,8 +364,12 @@ def moving_average(values, window: int) -> np.ndarray:
     if window > x.shape[0]:
         raise ValueError(
             f"window {window} exceeds sequence length {x.shape[0]}")
-    cs = np.concatenate(([0.0], np.cumsum(x)))
-    return (cs[window:] - cs[:-window]) / window
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = np.concatenate(([0.0], np.cumsum(x)))
+        means = (cs[window:] - cs[:-window]) / window
+    if not np.isfinite(means).all():
+        raise OverflowError("values and their running sums must be finite")
+    return means
 
 
 @dataclass
@@ -386,7 +393,8 @@ def deviation_curve(records, window: int):
     moving average. Returns (model_names, rows) where each row is (rank
     index, deviation at that rank, smoothed minFDE per model). Rank
     indices follow the sorted order, so the table serves both the
-    sorted-index and the deviation-keyed view.
+    sorted-index and the deviation-keyed view. Raises OverflowError naming
+    the model whose minFDEs are not finite or sum beyond float range.
     """
     recs = sorted(records, key=lambda r: (r.deviation, r.agent_id))
     if not recs:
@@ -397,8 +405,13 @@ def deviation_curve(records, window: int):
             raise ValueError("records disagree on the model set")
     if window > len(recs):
         raise ValueError(f"window {window} exceeds record count {len(recs)}")
-    smoothed = {m: moving_average([r.min_fde_8s[m] for r in recs], window)
-                for m in models}
+    smoothed = {}
+    for m in models:
+        try:
+            smoothed[m] = moving_average([r.min_fde_8s[m] for r in recs],
+                                         window)
+        except OverflowError as exc:
+            raise OverflowError(f"minFDE of model {m!r}: {exc}") from None
     rows = []
     for i in range(len(recs) - window + 1):
         rank = i + window - 1

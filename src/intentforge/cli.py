@@ -277,11 +277,14 @@ def cmd_analyze(args) -> int:
     if skipped:
         print(f"warning: skipped {skipped} agent(s) lacking predictions "
               f"for every model", file=sys.stderr)
-    # no record left is a fact of the data; a window beyond them, of usage
+    # no record left, or minFDEs beyond float range, are facts of the
+    # data; a window beyond the records is one of usage
     if not records:
         raise DataError("no records to analyze")
     try:
         models, rows = deviation_curve(records, cfg.window)
+    except OverflowError as exc:
+        raise DataError(str(exc)) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -285,7 +285,9 @@ def _implausible_gt(track: AgentTrack) -> bool:
         return False
     xy = track.future_xy[idx]
     dt = np.diff(idx) / 10.0
-    speed = np.hypot(*(xy[1:] - xy[:-1]).T) / dt
+    # a speed beyond float range is inf, implausible too
+    with np.errstate(over="ignore"):
+        speed = np.hypot(*(xy[1:] - xy[:-1]).T) / dt
     return bool((speed > MAX_PLAUSIBLE_SPEED).any())
 
 

@@ -92,13 +92,15 @@ def _nearest_on_segment(vmap: VectorMap, sid: int, point: np.ndarray):
     return i, float(d[i])
 
 
+@np.errstate(over="ignore")
 def _branch_candidates(vmap, seed_sid, seed_idx, point, heading, cfg):
     """Walk upstream from the seed and gather diverging-branch candidates.
 
     At every segment whose end is reached within the arc budget and that
     has multiple exits, the nearest node of each sibling exit (other than
     the lane walked down from) is tested against the proximity and
-    heading gates.
+    heading gates. A gap or distance beyond float range is inf, beyond
+    every budget and limit.
     """
     out = []
     best_spent: dict[int, float] = {}

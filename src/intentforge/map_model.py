@@ -142,7 +142,9 @@ class LaneSegment:
         _number("speed limit", self.speed_limit_mps, 0, open_low=True,
                 error=InvariantViolation(
                     f"segment {self.id}: speed limit must be > 0"))
-        spacing = np.hypot(*(nodes[1:] - nodes[:-1]).T)
+        # a spacing beyond float range is inf, refused below as too wide
+        with np.errstate(over="ignore"):
+            spacing = np.hypot(*(nodes[1:] - nodes[:-1]).T)
         if (spacing <= 0.0).any():
             raise InvariantViolation(f"segment {self.id}: duplicate consecutive nodes")
         if (spacing > MAX_NODE_SPACING).any():
@@ -248,7 +250,9 @@ class VectorMap:
         if radius <= 0:
             raise ValueError("radius must be > 0")
         p = np.asarray(point, dtype=np.float64)
-        d = np.hypot(*(self.node_positions - p).T)
+        # a distance beyond float range is inf, beyond any radius
+        with np.errstate(over="ignore"):
+            d = np.hypot(*(self.node_positions - p).T)
         keep = d <= radius
         d, sid, ni = d[keep], self.node_seg_ids[keep], self.node_indices[keep]
         order = np.lexsort((ni, sid, d))

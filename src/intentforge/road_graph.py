@@ -89,9 +89,11 @@ _REL = 1e-9
 _ABS = 1e-150
 
 
+@np.errstate(over="ignore")
 def _nearest_nodes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Per row of ``src``, the index of its lane-change target in ``dst``
-    by the sorted-axis window search of the module docstring."""
+    by the sorted-axis window search of the module docstring. A squared
+    distance beyond float range is inf, as in the whole block."""
     a = int(np.ptp(dst[:, 1]) > np.ptp(dst[:, 0]))
     order = np.argsort(dst[:, a], kind="stable")
     sa = dst[order, a]
@@ -127,11 +129,13 @@ def _nearest_nodes(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return nearest
 
 
+@np.errstate(over="ignore")
 def build_graph(vmap: VectorMap,
                 cfg: GraphConfig = GraphConfig()) -> RoadGraph:
     """Build the lane-node graph: intra-segment steps, exit connectors,
     and one lane-change edge per node towards each change-permitted
-    neighbor (targeting that neighbor's nearest node)."""
+    neighbor (targeting that neighbor's nearest node). A gap beyond float
+    range takes an inf travel time, beyond every budget."""
     seg_ids = vmap.node_seg_ids.copy()
     node_indices = vmap.node_indices.copy()
     positions = vmap.node_positions

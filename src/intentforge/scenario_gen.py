@@ -72,8 +72,12 @@ class GenSpec:
                 f"behavior {self.agent_behavior!r} is not supported on "
                 f"template {self.template!r}")
         _integer("seed", self.seed, 0)
+        # generate rounds the limit to 6 decimals, and a lane needs it > 0
+        error = ValueError("speed limit must be finite and > 0 at 6 decimals")
         _number("speed limit", self.speed_limit_mps, 0, open_low=True,
-                error=ValueError("speed limit must be finite and > 0"))
+                error=error)
+        if _q6(self.speed_limit_mps) == 0:
+            raise error
 
 
 # -- geometry helpers --------------------------------------------------------
@@ -143,7 +147,9 @@ def _states_from_path(dense: np.ndarray, s0: float, speed: float):
     s0. The path is clamped at its ends (the agent holds position there)."""
     arcs = np.concatenate(([0.0], np.cumsum(np.hypot(*(dense[1:] - dense[:-1]).T))))
     t = np.arange(91)
-    s = np.clip(s0 + speed * 0.1 * (t - 10), 0.0, float(arcs[-1]))
+    # a huge speed overflows to inf, which the clamp turns into the path end
+    with np.errstate(over="ignore"):
+        s = np.clip(s0 + speed * 0.1 * (t - 10), 0.0, float(arcs[-1]))
     xs = np.interp(s, arcs, dense[:, 0])
     ys = np.interp(s, arcs, dense[:, 1])
     pieces = np.clip(np.searchsorted(arcs, s, side="right") - 1,

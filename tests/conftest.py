@@ -16,7 +16,7 @@ from intentforge.map_model import (FUTURE_LEN, HISTORY_LEN, AgentState,
                                    MalformedScenario, Scenario,
                                    SchemaViolation, VectorMap,
                                    write_scenario)
-from intentforge.road_graph import GraphConfig, RoadGraph
+from intentforge.road_graph import GraphConfig, ReachabilitySet, RoadGraph
 from intentforge.scenario_gen import GenSpec, generate
 
 # scripts that tests start as subprocesses import the package from this
@@ -78,6 +78,15 @@ def stationary_track(pos, heading=0.0, agent_id="a0",
     states = state_block(np.tile(pos, (91, 1)), heading, 0.0, True)
     return AgentTrack.from_arrays(agent_id, object_class, 4.8, 2.1,
                                   range(91), states[:11], states[11:])
+
+
+def reach_of(positions) -> ReachabilitySet:
+    """A reach set of the given positions, all on segment 0 at time 0."""
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    return ReachabilitySet(np.zeros(n, dtype=np.int64),
+                           np.arange(n, dtype=np.int64),
+                           positions, np.zeros(n))
 
 
 def scenario_of(vmap, tracks, predict=None, scenario_id="s0") -> Scenario:

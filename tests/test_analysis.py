@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_nodes, scenario_of, seg, stationary_track, vehicle_track
+from conftest import (line_nodes, reach_of, scenario_of, seg, stationary_track,
+                      vehicle_track)
 from intentforge.analysis import (DeviationRecord, PredictionSet, coverage,
                                   detect_parked, deviation_curve, gt_deviation,
                                   min_ade, min_fde, miss_rate, moving_average)
@@ -16,14 +17,6 @@ from intentforge.intention import (IntentionPointSet, KMeansConfig,
                                    dynamic_intents, to_agent_frame)
 from intentforge.map_model import VectorMap
 from intentforge.road_graph import ReachabilitySet
-
-
-def reach_of(positions) -> ReachabilitySet:
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    return ReachabilitySet(np.zeros(n, dtype=np.int64),
-                           np.arange(n, dtype=np.int64),
-                           positions, np.zeros(n))
 
 
 def pred_of(*trajectories, confidences=None) -> PredictionSet:
@@ -488,6 +481,13 @@ HORIZON_MESSAGE = "horizon must be one of 3, 5, 8 (seconds)"
 def test_analysis_refusal_raises_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_gt_jump_beyond_float_range_is_implausible():
+    # its step speed overflows to inf, which the filter drops in silence
+    future = np.stack([np.linspace(0.6, 48, 80), np.zeros(80)], axis=1)
+    future[40:, 0] += 1e308
+    assert _implausible_gt(vehicle_track((0.0, 0.0), future_xy=future))
 
 
 def test_track_with_one_valid_future_step_is_parked_and_kept():

@@ -25,8 +25,8 @@ from intentforge.analysis import coverage
 from intentforge.intention import (KMeansConfig, MixConfig, dynamic_intents,
                                    mixed_intents)
 from intentforge.lane_assoc import associate
-from intentforge.map_model import (SchemaViolation, ScenarioError, VectorMap,
-                                   parse_scenario, write_scenario)
+from intentforge.map_model import (ScenarioError, VectorMap, parse_scenario,
+                                   write_scenario)
 from intentforge.scenario_gen import BEHAVIORS, iter_suite
 
 
@@ -36,23 +36,29 @@ def read_csv(path):
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def write_suite(tmp_path, n=6, seed=0, behaviors=("follow_lane",)):
+def write_suite(tmp_path, n=6, seed=0, behaviors=("follow_lane",),
+                suite=None):
+    """Writes ``suite``, by default ``iter_suite(n, seed, behaviors)``, one
+    file per scene under tmp_path/scenes; returns the directory and suite."""
     d = tmp_path / "scenes"
     d.mkdir(exist_ok=True)
-    suite = list(iter_suite(n, seed=seed, behaviors=behaviors))
+    if suite is None:
+        suite = list(iter_suite(n, seed=seed, behaviors=behaviors))
     for s in suite:
         (d / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
     return d, suite
 
 
-def perfect_predictions(tmp_path, suite, name, offset=(0.0, 0.0)):
+def perfect_predictions(tmp_path, suite, name, offset=(0.0, 0.0),
+                        confidences=(1.0,)):
+    """Ground truth of every target plus ``offset``, once per confidence."""
     lines = ["agent_id,mode_idx,confidence,step,x,y"]
     for scenario in suite:
         for aid in scenario.tracks_to_predict:
-            track = scenario.track(aid)
-            for step, (x, y) in enumerate(track.future_xy.tolist()):
-                x, y = x + offset[0], y + offset[1]
-                lines.append(f"{aid},0,1.0,{step},{x:.6f},{y:.6f}")
+            xy = scenario.track(aid).future_xy + offset
+            lines += [f"{aid},{mode},{conf},{step},{x:.6f},{y:.6f}"
+                      for mode, conf in enumerate(confidences)
+                      for step, (x, y) in enumerate(xy.tolist())]
     path = tmp_path / f"pred_{name}.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -71,25 +77,6 @@ def test_gen_writes_one_deterministic_file(tmp_path):
     parse_scenario(files1[0].read_bytes())  # parses cleanly
 
 
-@pytest.mark.parametrize("argv", [
-    ["intents", "x", "--kind", "static", "--k", "1.5", "-o", "o.csv"],
-    ["intents", "x", "--kind", "static", "--jobs", "x", "-o", "o.csv"],
-    ["intents", "x", "--kind", "static", "--tolerance", "abc", "-o", "o.csv"],
-    ["gen", "--suite", "x", "-o", "out"],
-    ["intents", "x", "--kind", "static", "--no-such-flag", "-o", "o.csv"],
-    ["dump-roadgraph", "x"],
-    ["gen", "--template", "roundabout", "-o", "x"],
-], ids=["k_float", "jobs_text", "tolerance_text", "suite_text",
-        "unknown_option", "missing_out", "unknown_template"])
-def test_malformed_command_line_exits_2_with_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
 def test_gen_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("INTENTFORGE_SEED", "7")
     assert main(["gen", "--template", "straight", "-o",
@@ -101,28 +88,6 @@ def test_gen_env_seed(tmp_path, monkeypatch):
     flag_files = sorted((tmp_path / "flag").glob("*.json"))
     assert [f.name for f in env_files] == [f.name for f in flag_files]
     assert env_files[0].read_bytes() == flag_files[0].read_bytes()
-
-
-@pytest.mark.parametrize("env", [False, True], ids=["flag", "env"])
-def test_gen_negative_seed_exits_2(tmp_path, monkeypatch, capsys, env):
-    argv = ["gen", "--suite", "1", "-o", str(tmp_path / "s")]
-    if env:
-        monkeypatch.setenv("INTENTFORGE_SEED", "-1")
-    else:
-        argv[1:1] = ["--seed", "-1"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config violation") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_gen_bad_speed_limit_exits_2(tmp_path, capsys, value):
-    out = tmp_path / "s"
-    assert main(["gen", "--template", "straight", "--speed-limit", value,
-                 "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: speed limit must be finite and > 0\n"
-    assert not list(out.glob("*.json"))
 
 
 def test_gen_suite(tmp_path):
@@ -201,19 +166,6 @@ def test_command_output_bytes_are_pinned(tmp_path, suite20, case):
     for p in sorted(out.iterdir()):
         h.update(p.name.encode() + b"\0" + p.read_bytes())
     assert h.hexdigest() == _OUTPUT_PINS[case]
-
-
-@pytest.mark.parametrize("flags", [
-    ["--template", "straight"], ["--behavior", "follow_lane"],
-    ["--speed-limit", "13.4112"],
-    ["--speed-limit", "nan", "--behavior", "illegal_uturn"]],
-    ids=["template", "behavior", "speed_limit", "bad_speed_limit"])
-def test_gen_suite_with_per_scene_flags_exits_2(tmp_path, capsys, flags):
-    out = tmp_path / "s"
-    assert main(["gen", "--suite", "2", *flags, "-o", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: --suite takes no --template, --behavior or --speed-limit\n")
-    assert not out.exists()
 
 
 # -- intents ----------------------------------------------------------------------
@@ -330,42 +282,13 @@ def test_intents_dump_roadgraph(tmp_path):
     assert times and min(times) == 0.0 and max(times) <= 8.0
 
 
-def test_intents_static_dump_roadgraph_exits_2_before_reading_scenarios(
-        tmp_path, capsys):
-    # static intents compute no reachable set, so the dump would hold
-    # only its header
-    dump = tmp_path / "roadgraph.csv"
-    assert main(["intents", str(tmp_path / "no_such_dir"), "--kind", "static",
-                 "--dump-roadgraph", str(dump),
-                 "-o", str(tmp_path / "i.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --dump-roadgraph ") and err.count("\n") == 1
-    assert not dump.exists()
-
-
-@pytest.mark.parametrize("dump", ["i.csv", "sub/../i.csv"])
-def test_intents_dump_roadgraph_to_the_output_file_exits_2(tmp_path, capsys,
-                                                            dump):
-    # the reach CSV would replace the intention points
-    (tmp_path / "sub").mkdir()
-    assert main(["intents", str(tmp_path / "no_such_dir"), "--kind", "mixed",
-                 "--dump-roadgraph", str(tmp_path / dump),
-                 "-o", str(tmp_path / "i.csv")]) == 2
-    assert capsys.readouterr().err == \
-        "error: --dump-roadgraph and -o name the same file\n"
-    assert not (tmp_path / "i.csv").exists()
-
-
 @pytest.mark.parametrize("kind", ["dynamic", "mixed"])
 def test_intents_on_a_map_without_segments_fall_back(tmp_path, kind):
     vmap = VectorMap([])
     track = vehicle_track((0.0, 0.0))
     assert vmap.nearest_nodes((0, 0), 5.0) == []
     assert associate(vmap, track).fallback
-    scenes = tmp_path / "scenes"
-    scenes.mkdir()
-    (scenes / "s0.json").write_bytes(
-        write_scenario(scenario_of(vmap, [track])))
+    scenes, _ = write_suite(tmp_path, suite=[scenario_of(vmap, [track])])
     out = tmp_path / "i.csv"
     assert main(["intents", str(scenes), "--kind", kind, "-o", str(out)]) == 0
     _, rows = read_csv(out)
@@ -394,165 +317,408 @@ def test_intents_config_file_changes_association(tmp_path):
     assert all(r["kind"] == "static" and r["fallback"] == "1" for r in rows)
 
 
+# -- the exit-code contract: one table, one harness ---------------------------
+
+class _Inputs:
+    """The inputs of one ``_REFUSALS`` row, written under ``tmp``. Each
+    method writes what it needs and returns a command-line argument or a
+    whole command line; ``names`` holds what the row's stderr text names
+    as ``{scenes}``, ``{scene}``, ``{missing}``, ``{pred}``, ``{aid}`` or
+    ``{ep}``."""
+
+    def __init__(self, tmp, monkeypatch):
+        self.tmp, self.monkeypatch = tmp, monkeypatch
+        self.scenes, self.out = tmp / "scenes", str(tmp / "o")
+        self.missing = str(tmp / "missing")
+        self.names = {"scenes": self.scenes, "missing": self.missing,
+                      "scene": self.scenes / "s.json"}
+
+    def file(self, name, data):
+        path = self.tmp / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        self.names[path.stem] = path
+        return str(path)
+
+    def scene_file(self, data, name="s.json"):
+        self.scenes.mkdir()
+        (self.scenes / name).write_bytes(data)
+        return str(self.scenes)
+
+    def scene(self, *edits):
+        """The seed-0 intersection_4way scene with its JSON object changed
+        by ``edits``; a string "@" is written as OVER_DIGIT_LIMIT."""
+        obj = json.loads(write_scenario(scenario_gen.generate(
+            scenario_gen.GenSpec("intersection_4way"))))
+        for edit in edits:
+            edit(obj)
+        return self.scene_file(
+            json.dumps(obj).replace('"@"', OVER_DIGIT_LIMIT).encode())
+
+    def suite(self, n=1, scenarios=None):
+        _, self.scenarios = write_suite(self.tmp, n, suite=scenarios)
+        return str(self.scenes)
+
+    def predictions(self, edit=None, confidences=(1.0,), of=None, name="m"):
+        """``NAME=PATH`` of ``perfect_predictions`` over the targets of
+        ``of`` (by default the suite); ``edit`` changes its list of lines."""
+        path = perfect_predictions(self.tmp, self.scenarios if of is None
+                                   else of, "m", confidences=confidences)
+        lines = path.read_text().splitlines()
+        if edit:
+            edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        self.names.update(pred=path,
+                          aid=self.scenarios[0].tracks_to_predict[0])
+        return f"{name}={path}"
+
+    def gen(self, *flags, env=None):
+        if env is not None:
+            self.monkeypatch.setenv("INTENTFORGE_SEED", env)
+        return ["gen", *flags, "-o", self.out]
+
+    def intents(self, *flags, kind="static", scenes=None):
+        return ["intents", scenes or self.suite(), "--kind", kind, *flags,
+                "-o", self.out]
+
+    def analyze(self, *flags, n=1, scenarios=None, **predictions):
+        return ["analyze", self.suite(n, scenarios), "--predictions",
+                self.predictions(**predictions), "--window", "1", *flags,
+                "-o", self.out]
+
+
+def _set(*path, value):
+    """An edit of a scene's JSON object: ``value`` at ``path``."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+def _cells(rows, columns, value):
+    """An edit of a prediction file's lines: ``value`` in ``columns`` of
+    the lines that the slice ``rows`` picks."""
+    def edit(lines):
+        for i in range(len(lines))[rows]:
+            parts = lines[i].split(",")
+            for column in columns:
+                parts[column] = value
+            lines[i] = ",".join(parts)
+    return edit
+
+
+def _on_scene(command, *edits):
+    if command == "intents":
+        return lambda c: c.intents(kind="dynamic", scenes=c.scene(*edits))
+    return lambda c: ["dump-roadgraph", c.scene(*edits), "-o", c.out]
+
+
+# each command refused before it reads the (missing) scenarios
+_BEFORE_SCENES = {
+    "intents": lambda c, *f: c.intents(*f, kind="mixed", scenes=c.missing),
+    "analyze": lambda c, *f: ["analyze", c.missing, "--predictions",
+                              "m=p.csv", *f, "-o", c.out],
+    "dump_roadgraph": lambda c, *f: ["dump-roadgraph", c.missing, *f,
+                                     "-o", c.out]}
 _DEEP = 100_000
-
-
-@pytest.mark.parametrize("text, message", [
-    ("[" * _DEEP + "]" * _DEEP, "maximum recursion depth exceeded"),
-    ('{"k": ' + "[" * _DEEP + "]" * _DEEP + "}",
-     "maximum recursion depth exceeded"),
-    ('{"k": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),
-], ids=["deep_array", "deep_value", "long_integer"])
-def test_hostile_config_file_exits_2_with_one_line(tmp_path, capsys, text,
-                                                   message):
-    scenes, _ = write_suite(tmp_path, n=1)
-    cfg = tmp_path / "c.json"
-    cfg.write_text(text)
-    out = tmp_path / "o.csv"
-    assert main(["intents", str(scenes), "--kind", "dynamic",
-                 "--config", str(cfg), "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config file is not valid JSON: " + message)
-    assert err.count("\n") == 1
-    assert not out.exists()
-
-
-def _refusal_inputs(case, tmp_path, monkeypatch):
-    """Writes the files of one case of
-    ``test_documented_refusal_exits_with_one_line`` and returns its
-    command line."""
-    scenes, out = tmp_path / "scenes", ["-o", str(tmp_path / "o")]
-    intents = ["intents", str(scenes), "--kind", "static", *out]
-    config = {"config_bad_json": b"{", "config_not_utf8": b"\xff\xfe",
-              "config_not_object": b"[1]", "config_unknown_key": b'{"x": 1}'}
-    if case in config:
-        (tmp_path / "c.json").write_bytes(config[case])
-    if case.startswith("config_"):
-        write_suite(tmp_path, n=1)
-        return [*intents, "--config", str(tmp_path / "c.json")]
-    if case == "env_seed_text":
-        monkeypatch.setenv("INTENTFORGE_SEED", "abc")
-        return ["gen", "--template", "straight", *out]
-    if case == "gen_suite_0":
-        return ["gen", "--suite", "0", *out]
-    if case == "gen_no_template":
-        return ["gen", *out]
-    if case == "no_such_scenes":
-        return intents
-    if case == "no_scene_files":
-        scenes.mkdir()
-        (scenes / "notes.txt").write_text("{}")
-        return intents
-    if case == "scene_not_utf8":
-        scenes.mkdir()
-        (scenes / "s0.json").write_bytes(b"\xff\xfe{}")
-        return intents
-    if case == "endpoints_without_class":
-        write_suite(tmp_path, n=1)
-        (tmp_path / "ep.csv").write_text("class,x,y\ncyclist,1.0,0.0\n")
-        return [*intents, "--endpoints", str(tmp_path / "ep.csv")]
-    # the only target is a pedestrian with an invalid 8 s state
-    scenes.mkdir()
-    track = vehicle_track((10.0, 0.0), object_class="pedestrian",
-                          future_valid=np.arange(80) < 79)
-    (scenes / "s0.json").write_bytes(
-        write_scenario(scenario_of(straight_map(), [track])))
-    return ["intents", str(scenes), "--kind", case.split("_")[-1], *out]
-
-
-# (case, exit code, stderr line): the line is the whole of stderr when it
-# ends in a newline, else its start
-_REFUSALS = [
-    ("config_missing", 1, "error: cannot read config file: [Errno 2] "),
-    ("config_bad_json", 2,
-     "error: config file is not valid JSON: Expecting property name"),
-    ("config_not_utf8", 2, "error: config file is not valid JSON: "),
-    ("config_not_object", 2, "error: config file must hold a JSON object\n"),
-    ("config_unknown_key", 2, "error: unknown config key 'x'\n"),
-    ("env_seed_text", 2, "error: INTENTFORGE_SEED must be an integer\n"),
-    ("gen_suite_0", 2, "error: --suite must be >= 1\n"),
-    ("gen_no_template", 2,
-     "error: --template is required unless --suite is given\n"),
-    ("no_such_scenes", 1,
-     "error: no such scenario file or directory: {scenes}\n"),
-    ("no_scene_files", 1, "error: no scenario files found\n"),
-    ("scene_not_utf8", 1, "error: {scenes}/s0.json: not UTF-8: "),
-    ("endpoints_without_class", 1,
-     "error: endpoints file has no rows for class 'vehicle'\n"),
-    ("no_endpoint_static", 1,
-     "error: no valid pedestrian endpoints in the corpus\n"),
-    ("no_endpoint_dynamic", 1,
-     "error: no valid pedestrian endpoints in the corpus\n"),
-]
-
-
-@pytest.mark.parametrize("case, code, line", _REFUSALS,
-                         ids=[case for case, *_ in _REFUSALS])
-def test_documented_refusal_exits_with_one_line(tmp_path, monkeypatch, capsys,
-                                                case, code, line):
-    monkeypatch.delenv("INTENTFORGE_SEED", raising=False)
-    assert main(_refusal_inputs(case, tmp_path, monkeypatch)) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(line.format(scenes=tmp_path / "scenes"))
-    assert captured.err.count("\n") == 1
-    assert not (tmp_path / "o").exists()
-
-
 # every float config key; an int beyond float range must be refused too
 _FLOAT_KEYS = ("heading_threshold", "proximity_limit", "backwards_look",
                "time_budget", "speed_offset", "tolerance", "dynamic_weight",
                "static_weight")
+# (case, flags or a config object): exit 2 with "config violation: <key>"
+_BAD_CONFIG = [
+    ("config_k_string", {"k": "64"}),
+    ("time_budget_nan", ["--time-budget", "nan"]),
+    ("tolerance_nan", ["--tolerance", "nan"]),
+    ("max_iterations_0", ["--max-iterations", "0"]),
+    ("dynamic_weight_inf", ["--dynamic-weight", "inf"]),
+    ("seed_negative", ["--seed", "-1"]),
+    ("proximity_limit_inf", ["--proximity-limit", "inf"]),
+    ("config_deviation_mode", {"deviation_mode": "bogus"}),
+    ("config_exclude_parked_string", {"exclude_parked": "false"}),
+    ("config_window_float", {"window": 7500.9}),
+    ("config_window_zero", {"window": 0}),
+    ("config_proximity_limit_true", {"proximity_limit": True}),
+    ("config_time_budget_false", {"time_budget": False}),
+    ("config_dynamic_weight_true", {"dynamic_weight": True}),
+    ("config_tolerance_false", {"tolerance": False}),
+    *((f"config_{key}_beyond_float", {key: 10 ** 400}) for key in _FLOAT_KEYS),
+    ("config_tolerance_string", {"tolerance": "1"}),
+    ("config_speed_offset_null", {"speed_offset": None}),
+    ("config_time_budget_list", {"time_budget": [1]}),
+    ("config_dynamic_weight_object", {"dynamic_weight": {}}),
+]
 
 
-@pytest.mark.parametrize("extra", [
-    {"k": "64"},
-    ["--time-budget", "nan"],
-    ["--tolerance", "nan"],
-    ["--max-iterations", "0"],
-    ["--dynamic-weight", "inf"],
-    ["--seed", "-1"],
-    ["--proximity-limit", "inf"],
-    {"deviation_mode": "bogus"},
-    {"exclude_parked": "false"},
-    {"window": 7500.9},
-    {"window": 0},
-    {"proximity_limit": True},
-    {"time_budget": False},
-    {"dynamic_weight": True},
-    {"tolerance": False},
-    *({key: 10 ** 400} for key in _FLOAT_KEYS),
-    {"tolerance": "1"},
-    {"speed_offset": None},
-    {"time_budget": [1]},
-    {"dynamic_weight": {}},
-], ids=["config_k_string", "time_budget_nan", "tolerance_nan",
-        "max_iterations_0", "dynamic_weight_inf", "seed_negative",
-        "proximity_limit_inf", "config_deviation_mode",
-        "config_exclude_parked_string", "config_window_float",
-        "config_window_zero", "config_proximity_limit_true",
-        "config_time_budget_false", "config_dynamic_weight_true",
-        "config_tolerance_false",
-        *(f"config_{key}_beyond_float" for key in _FLOAT_KEYS),
-        "config_tolerance_string", "config_speed_offset_null",
-        "config_time_budget_list", "config_dynamic_weight_object"])
-def test_intents_bad_config_value_exits_2_with_one_line(tmp_path, capsys,
-                                                        extra):
-    scenes, _ = write_suite(tmp_path, n=1)
-    key = None
-    if isinstance(extra, dict):
-        [key] = extra
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(extra))
-        extra = ["--config", str(cfg)]
-    out = tmp_path / "o.csv"
-    assert main(["intents", str(scenes), "--kind", "mixed", *extra,
-                 "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: config violation") and err.count("\n") == 1
-    if key is not None:
-        assert err.startswith(f"error: config violation: {key} must be ")
-    assert not out.exists()
+def _bad_config(case, extra):
+    key = next(iter(extra)) if isinstance(extra, dict) else \
+        extra[0][2:].replace("-", "_")
+    return (case, 2, f"error: config violation: {key} must be ",
+            lambda c: c.intents(*(["--config", c.file("c.json", json.dumps(
+                extra))] if isinstance(extra, dict) else extra),
+                kind="mixed"))
+
+
+_PARKED = [scenario_of(straight_map(), [stationary_track(
+    (20.0 + 10 * i, 0.0), agent_id=f"p{i}")], scenario_id=f"s{i}")
+    for i in range(2)]
+# the only target is a pedestrian with an invalid 8 s state
+_PEDESTRIAN = [scenario_of(straight_map(), [vehicle_track(
+    (10.0, 0.0), object_class="pedestrian", future_valid=np.arange(80) < 79)])]
+_NOT_JSON = "error: config file is not valid JSON: "
+_UNCLUSTERABLE = (": points must be finite and their weighted sums within the "
+                  "float range\n")
+_MIXED_1E308 = ("error: cannot cluster mixed points at dynamic:static "
+                "weights 1e+308:1" + _UNCLUSTERABLE)
+_NAME_RULE = "must be non-empty and hold no comma or line break\n"
+_FINITE_SUMS = ("error: minFDE of model 'm': values and their running sums "
+                "must be finite\n")
+
+# (case, exit code, stderr text, build): the text is the whole of stderr
+# when it ends in a newline, else its start; build(_Inputs) writes the
+# inputs and returns the command line
+_REFUSALS = [
+    *((f"argv_{case}", 2, f"error: argument {flag}: invalid {kind} value: "
+       f"'{value}'\n", lambda c, a=(flag, value): c.intents(
+           *a, scenes=c.missing))
+      for case, flag, kind, value in [("k_float", "--k", "int", "1.5"),
+                                      ("jobs_text", "--jobs", "int", "x"),
+                                      ("tolerance_text", "--tolerance",
+                                       "float", "abc")]),
+    ("argv_suite_text", 2, "error: argument --suite: invalid int value: 'x'\n",
+     lambda c: c.gen("--suite", "x")),
+    ("argv_unknown_option", 2,
+     "error: unrecognized arguments: --no-such-flag\n",
+     lambda c: c.intents("--no-such-flag", scenes=c.missing)),
+    ("argv_missing_out", 2,
+     "error: the following arguments are required: -o/--out\n",
+     lambda c: ["dump-roadgraph", c.missing]),
+    ("argv_unknown_template", 2,
+     "error: argument --template: invalid choice: 'roundabout' (choose from ",
+     lambda c: c.gen("--template", "roundabout")),
+    # gen
+    *((f"gen_seed_negative_{source}", 2,
+       "error: config violation: seed must be an integer >= 0\n", build)
+      for source, build in [
+          ("flag", lambda c: c.gen("--suite", "1", "--seed", "-1")),
+          ("env", lambda c: c.gen("--suite", "1", env="-1"))]),
+    ("env_seed_text", 2, "error: INTENTFORGE_SEED must be an integer\n",
+     lambda c: c.gen("--template", "straight", env="abc")),
+    *((f"gen_speed_limit_{value}", 2,
+       "error: speed limit must be finite and > 0 at 6 decimals\n",
+       lambda c, value=value: c.gen("--template", "straight",
+                                    "--speed-limit", value))
+      for value in ["nan", "inf", "0", "-1", "4e-7", "5e-7", "1e-300"]),
+    *((f"gen_suite_with_{case}", 2,
+       "error: --suite takes no --template, --behavior or --speed-limit\n",
+       lambda c, flags=flags: c.gen("--suite", "2", *flags))
+      for case, flags in [
+          ("template", ["--template", "straight"]),
+          ("behavior", ["--behavior", "follow_lane"]),
+          ("speed_limit", ["--speed-limit", "13.4112"]),
+          ("bad_speed_limit",
+           ["--speed-limit", "nan", "--behavior", "illegal_uturn"])]),
+    ("gen_suite_0", 2, "error: --suite must be >= 1\n",
+     lambda c: c.gen("--suite", "0")),
+    ("gen_no_template", 2,
+     "error: --template is required unless --suite is given\n",
+     lambda c: c.gen()),
+    # config files and values
+    ("config_missing", 1, "error: cannot read config file: [Errno 2] "
+     "No such file or directory: '{missing}'\n",
+     lambda c: c.intents("--config", c.missing)),
+    *((case, 2, line, lambda c, text=text: c.intents(
+        "--config", c.file("c.json", text)))
+      for case, text, line in [
+          ("config_bad_json", "{", _NOT_JSON + "Expecting property name"),
+          ("config_not_utf8", b"\xff\xfe", _NOT_JSON),
+          ("config_not_object", "[1]",
+           "error: config file must hold a JSON object\n"),
+          ("config_unknown_key", '{"x": 1}',
+           "error: unknown config key 'x'\n"),
+          ("config_deep_array", "[" * _DEEP + "]" * _DEEP,
+           _NOT_JSON + "maximum recursion depth exceeded"),
+          ("config_deep_value", '{"k": ' + "[" * _DEEP + "]" * _DEEP + "}",
+           _NOT_JSON + "maximum recursion depth exceeded"),
+          ("config_long_integer", '{"k": 1' + "0" * 5000 + "}",
+           _NOT_JSON + "Exceeds the limit (4300 digits)")]),
+    *(_bad_config(case, extra) for case, extra in _BAD_CONFIG),
+    *((f"{command}_jobs_{jobs}", 2, "error: --jobs must be >= 1\n",
+       lambda c, command=command, jobs=jobs: _BEFORE_SCENES[command](
+           c, "--jobs", jobs))
+      for command in _BEFORE_SCENES for jobs in ("0", "-4")),
+    # scenario files
+    ("no_such_scenes", 1,
+     "error: no such scenario file or directory: {missing}\n",
+     lambda c: c.intents(scenes=c.missing)),
+    ("no_scene_files", 1, "error: no scenario files found\n",
+     lambda c: c.intents(scenes=c.scene_file(b"{}", "notes.txt"))),
+    ("scene_not_utf8", 1, "error: {scene}: not UTF-8: ",
+     lambda c: c.intents(scenes=c.scene_file(b"\xff\xfe{}"))),
+    *((f"scene_{case}", 1, "error: {scene}: " + message + "\n",
+       _on_scene("intents", edit)) for case, edit, message in [
+        ("duplicate_segment_id", _set("map", "segments", 3, "id", value=2),
+         "duplicate segment id 2"),
+        ("one_sided_entry",
+         _set("map", "segments", 1, "entries", value=[0, 3]),
+         "segment 1 lists entry 3 but segment 3 does not list exit 1"),
+        ("unknown_left_neighbor", _set("map", "segments", 0, "left",
+                                       value={"change_ok": 1, "id": 99}),
+         "segment 0 references unknown left neighbor 99"),
+        ("duplicate_agent_id", lambda o: o["tracks"].append(o["tracks"][0]),
+         "duplicate agent_id in tracks"),
+        ("unknown_predict_id",
+         lambda o: o["tracks_to_predict"].append("nobody"),
+         "tracks_to_predict references unknown agent 'nobody'"),
+        ("node_spacing_beyond_float", _set("map", "segments", 6, "nodes",
+                                           value=[[1e308, 0], [-1e308, 0]]),
+         "segment 6: node spacing exceeds 2.0 m")]),
+    *(row for command in ("dump_roadgraph", "intents") for row in [
+        *((f"{command}_{field}_beyond_float", 1,
+           f"error: {{scene}}: {where}: number out of float range\n",
+           _on_scene(command, _set(*path, value=HUGE)))
+          for field, where, path in [
+              ("node", "map.segments[0].nodes[0][0]",
+               ("map", "segments", 0, "nodes", 0, 0)),
+              ("length_m", "tracks[0].length_m", ("tracks", 0, "length_m"))]),
+        (f"{command}_width_m_beyond_digit_limit", 1,
+         "error: {scene}: invalid JSON: ",
+         _on_scene(command, _set("tracks", 0, "width_m", value="@"))),
+        # an id is a field of every output CSV: it would split a row
+        *((f"{command}_{field}_with_{char_name}", 1,
+           f"error: {{scene}}: {where}: expected no comma or line break\n",
+           _on_scene(command, *(_set(*p, value=f"x{char}y") for p in paths)))
+          for field, where, paths in [
+              ("scenario_id", "scenario_id", [("scenario_id",)]),
+              ("agent_id", "tracks[0].agent_id",
+               [("tracks", 0, "agent_id"), ("tracks_to_predict", 0)])]
+          for char_name, char in [("comma", ","), ("CR", "\r"),
+                                  ("LF", "\n")])]),
+    # intents
+    ("intents_static_dump_roadgraph", 2,
+     "error: --dump-roadgraph needs --kind dynamic or mixed: static intents "
+     "compute no reachable set\n",
+     lambda c: c.intents("--dump-roadgraph", str(c.tmp / "r.csv"),
+                         scenes=c.missing)),
+    # the reach CSV would replace the intention points
+    *((f"dump_roadgraph_{case}", 2,
+       "error: --dump-roadgraph and -o name the same file\n",
+       lambda c, dump=dump: _BEFORE_SCENES["intents"](
+           c, "--dump-roadgraph", str(c.tmp / dump)))
+      for case, dump in [("is_out", "o"), ("resolves_to_out", "sub/../o")]),
+    *((f"endpoints_{case}", 1, message, lambda c, rows=rows: c.intents(
+        "--endpoints", c.file("ep.csv", "class,x,y\n" + rows)))
+      for case, rows, message in [
+          ("without_class", "cyclist,1.0,0.0\n",
+           "error: endpoints file has no rows for class 'vehicle'\n"),
+          ("two_columns", "vehicle,5.0,0.0\nvehicle,1.0\n",
+           "error: {ep}:3: expected 3 columns\n"),
+          ("non_numeric_x", "vehicle,5.0,0.0\nvehicle,east,0.0\n",
+           "error: {ep}:3: could not convert string to float: 'east'\n"),
+          ("non_finite_x", "vehicle,5.0,0.0\nvehicle,nan,0.0\n",
+           "error: {ep}:3: x and y must be finite\n")]),
+    *((f"no_endpoint_{kind}", 1,
+       "error: no valid pedestrian endpoints in the corpus\n",
+       lambda c, kind=kind: c.intents(kind=kind,
+                                      scenes=c.suite(scenarios=_PEDESTRIAN)))
+      for kind in ("static", "dynamic")),
+    # pools whose weighted sums could overflow
+    ("cluster_static_endpoints_1e200", 1,
+     "error: cannot cluster the vehicle endpoints" + _UNCLUSTERABLE,
+     lambda c: c.intents("--endpoints", c.file(
+         "ep.csv", "class,x,y\nvehicle,1e200,0\nvehicle,-1e200,0\n"),
+         scenes=c.suite(20))),
+    ("cluster_mixed_dynamic_weight_1e308", 1, _MIXED_1E308,
+     lambda c: c.intents("--dynamic-weight", "1e308", kind="mixed",
+                         scenes=c.suite(20))),
+    ("analyze_cluster_mixed_dynamic_weight_1e308", 1, _MIXED_1E308,
+     lambda c: c.analyze("--dynamic-weight", "1e308", n=3)),
+    # analyze
+    *((f"predictions_{case}", 2, line,
+       lambda c, specs=specs: ["analyze", c.missing, *(
+           a for spec in specs for a in ("--predictions", spec)), "-o", c.out])
+      for case, specs, line in [
+          ("absent", [],
+           "error: at least one --predictions NAME=PATH is required\n"),
+          ("no_path", ["m"], "error: --predictions expects NAME=PATH\n"),
+          ("bad_name", ["a,b=p.csv"],
+           "error: prediction model name 'a,b' " + _NAME_RULE),
+          ("duplicate_name", ["m=p.csv", "m=q.csv"],
+           "error: duplicate prediction model name 'm'\n")]),
+    *((f"model_name_{case}", 2,
+       f"error: prediction model name {name!r} " + _NAME_RULE,
+       lambda c, name=name: c.analyze(name=name))
+      for case, name in [("empty", ""), ("comma", "a,b"), ("cr", "a\rb"),
+                         ("lf", "a\n"), ("only_cr", "\r")]),
+    ("analyze_window_1000", 2, "error: window 1000 exceeds record count 2\n",
+     lambda c: c.analyze("--window", "1000", n=2)),
+    # no record left is a data error; a window beyond them, a usage error
+    ("analyze_no_predictions", 1,
+     "warning: skipped 2 agent(s) lacking predictions for every model\n"
+     "error: no records to analyze\n",
+     lambda c: c.analyze(scenarios=_PARKED, of=[])),
+    ("analyze_all_parked", 1, "error: no records to analyze\n",
+     lambda c: c.analyze("--exclude-parked", scenarios=_PARKED)),
+    ("analyze_window_beyond_records", 2,
+     "error: window 3 exceeds record count 2\n",
+     lambda c: c.analyze("--window", "3", scenarios=_PARKED)),
+    ("prediction_mode_idx_fraction", 1,
+     "error: {pred}:3: invalid literal for int() with base 10: '1.5'\n",
+     lambda c: c.analyze(edit=_cells(slice(2, 3), [1], "1.5"))),
+    ("prediction_duplicate_row", 1,
+     "error: {pred}:3: duplicate row for agent {aid} mode 0 step 0\n",
+     lambda c: c.analyze(edit=lambda lines: lines.insert(2, lines[1]))),
+    ("prediction_confidence_changes", 1,
+     "error: {pred}:3: confidence 0.5 differs from 1.0 on earlier rows of "
+     "agent {aid} mode 0\n",
+     lambda c: c.analyze(edit=_cells(slice(2, 3), [2], "0.5"))),
+    *((f"prediction_nan_{case}", 1, "error: {pred}: agent {aid}: "
+       "trajectories and confidences must be finite\n",
+       lambda c, edit=edit: c.analyze(edit=edit))
+      for case, edit in [("confidence", _cells(slice(1, 81), [2], "nan")),
+                         ("x", _cells(slice(5, 6), [4], "nan"))]),
+    # well-formed rows whose modes PredictionSet refuses
+    *((f"prediction_{case}", 1, "error: {pred}: agent {aid}: " + message,
+       lambda c, conf=conf: c.analyze(confidences=conf))
+      for case, conf, message in [
+          ("seven_modes", [0.1] * 7, "need 1..6 modes, got 7\n"),
+          ("confidence_above_1", [1.5], "confidences must lie in [0, 1]\n"),
+          ("confidences_sum_above_1", [0.6, 0.6],
+           "confidences must sum to <= 1\n")]),
+    # minFDEs whose running sum overflows, or one that is inf itself
+    ("analyze_minfde_sum_overflow", 1, _FINITE_SUMS,
+     lambda c: c.analyze("--window", "2", n=6,
+                         edit=_cells(slice(1, None), [4], "1e308"))),
+    ("analyze_minfde_not_finite", 1, _FINITE_SUMS,
+     lambda c: c.analyze("--window", "2", n=6,
+                         edit=_cells(slice(1, 81), [4, 5], "1.7e308"))),
+]
+
+
+@pytest.mark.parametrize("code, text, build", [r[1:] for r in _REFUSALS],
+                         ids=[case for case, *_ in _REFUSALS])
+def test_documented_refusal_exits_with_one_line(tmp_path, monkeypatch, capsys,
+                                                code, text, build):
+    """The exit code, whether main returns it or argparse raises it; an
+    empty stdout; stderr equal to the row's text, or starting with it in
+    one line, and one ``error:`` line; and no file beyond the inputs."""
+    monkeypatch.delenv("INTENTFORGE_SEED", raising=False)
+    inputs = _Inputs(tmp_path, monkeypatch)
+    argv = build(inputs)
+    written = sorted(tmp_path.rglob("*"))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    text = text.format(**inputs.names)
+    assert (rc, out) == (code, "")
+    if text.endswith("\n"):
+        assert err == text
+    else:
+        assert err.startswith(text) and err.count("\n") == 1
+    assert sum(ln.startswith("error: ") for ln in err.split("\n")) == 1
+    assert sorted(tmp_path.rglob("*")) == written
 
 
 # any JSON value: every type, ints of any size, and the floats beyond
@@ -630,41 +796,6 @@ def test_intents_padded_pools_bytes_are_pinned(tmp_path):
         "e9c79c448dc4d1cbbcb8b86f41c3458ace4cb744cb6429372873495f1318334a")
 
 
-@pytest.mark.parametrize("row", [
-    "vehicle,1.0", "vehicle,east,0.0", "vehicle,nan,0.0",
-], ids=["two_columns", "non_numeric_x", "non_finite_x"])
-def test_intents_malformed_endpoints_row_exits_1(tmp_path, capsys, row):
-    scenes, _ = write_suite(tmp_path, n=1)
-    endpoints = tmp_path / "endpoints.csv"
-    endpoints.write_text(f"class,x,y\nvehicle,5.0,0.0\n{row}\n")
-    assert main(["intents", str(scenes), "--kind", "static",
-                 "--endpoints", str(endpoints),
-                 "-o", str(tmp_path / "o.csv")]) == 1
-    err = capsys.readouterr().err
-    assert f"{endpoints}:3: " in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv, names", [
-    (["--kind", "static", "--endpoints", "ENDPOINTS"],
-     "the vehicle endpoints"),
-    (["--kind", "mixed", "--dynamic-weight", "1e308"],
-     "mixed points at dynamic:static weights 1e+308:1"),
-], ids=["static_endpoints_1e200", "mixed_dynamic_weight_1e308"])
-def test_intents_pool_that_could_overflow_exits_1(tmp_path, capsys, argv,
-                                                  names):
-    """A pool whose weighted sums could overflow is refused in one line
-    naming what could not be clustered, and no output is written."""
-    scenes, _ = write_suite(tmp_path, n=20)
-    endpoints = tmp_path / "endpoints.csv"
-    endpoints.write_text("class,x,y\nvehicle,1e200,0\nvehicle,-1e200,0\n")
-    out = tmp_path / "o.csv"
-    argv = [str(endpoints) if a == "ENDPOINTS" else a for a in argv]
-    assert main(["intents", str(scenes), *argv, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot cluster {names}: ")
-    assert err.count("\n") == 1 and not out.exists()
-
-
 def test_intents_endpoints_far_from_origin_warn_nothing(tmp_path, capsys):
     """100 vehicle endpoints near x = 1e155 with a span of about 1e152 pass
     the overflow check; their squared norms overflow inside Lloyd, which
@@ -689,19 +820,6 @@ def test_intents_endpoints_far_from_origin_warn_nothing(tmp_path, capsys):
 
 # -- analyze ------------------------------------------------------------------------
 
-def test_analyze_mix_that_could_overflow_exits_1(tmp_path, capsys):
-    scenes, suite = write_suite(tmp_path, n=3)
-    pred = perfect_predictions(tmp_path, suite, "m")
-    out = tmp_path / "out"
-    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
-                 "--window", "1", "--dynamic-weight", "1e308",
-                 "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot cluster mixed points at "
-                          "dynamic:static weights 1e+308:1: ")
-    assert err.count("\n") == 1 and not out.exists()
-
-
 def test_analyze_perfect_predictions_zero_curve(tmp_path):
     scenes, suite = write_suite(tmp_path, n=6, seed=1)
     pred = perfect_predictions(tmp_path, suite, "exact")
@@ -718,53 +836,14 @@ def test_analyze_perfect_predictions_zero_curve(tmp_path):
     assert len(cov) == 6 * 3
 
 
-def test_analyze_window_too_large_exits_2(tmp_path):
-    scenes, suite = write_suite(tmp_path, n=2, seed=2)
-    pred = perfect_predictions(tmp_path, suite, "exact")
-    assert main(["analyze", str(scenes), "--predictions", f"exact={pred}",
-                 "--window", "1000", "-o", str(tmp_path / "out")]) == 2
-
-
-@pytest.mark.parametrize("case, code, message", [
-    ("no_predictions", 1, "no records to analyze"),
-    ("all_parked", 1, "no records to analyze"),
-    ("window", 2, "window 3 exceeds record count 2")],
-    ids=["no_predictions", "all_parked", "window"])
-def test_analyze_exit_codes_without_records(tmp_path, capsys, case, code,
-                                             message):
-    """No record left, from missing predictions or --exclude-parked, is a
-    data error; a window beyond the records is a usage error."""
-    scenes = tmp_path / "scenes"
-    scenes.mkdir()
-    suite = [scenario_of(straight_map(), [stationary_track(
-        (20.0 + 10 * i, 0.0), agent_id=f"p{i}")], scenario_id=f"s{i}")
-        for i in range(2)]
-    for s in suite:
-        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
-    pred = perfect_predictions(
-        tmp_path, [] if case == "no_predictions" else suite, "m")
-    out = tmp_path / "out"
-    argv = ["analyze", str(scenes), "--predictions", f"m={pred}",
-            "--window", "3" if case == "window" else "1", "-o", str(out)]
-    assert main(argv + (["--exclude-parked"] if case == "all_parked"
-                        else [])) == code
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1] == f"error: {message}"
-    assert sum(line.startswith("error: ") for line in err) == 1
-    assert not out.exists()
-
-
 def test_analyze_exclude_parked_drops_only_parked_records(tmp_path):
     """One parked and one moving agent: --exclude-parked drops one of the
     two curve rows, and both agents still pass the filter."""
-    scenes = tmp_path / "scenes"
-    scenes.mkdir()
-    suite = [scenario_of(straight_map(), [track], scenario_id=f"s{i}")
-             for i, track in enumerate([
-                 stationary_track((20.0, 0.0), agent_id="parked"),
-                 vehicle_track((20.0, 0.0), agent_id="moving")])]
-    for s in suite:
-        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
+    scenes, suite = write_suite(tmp_path, suite=[
+        scenario_of(straight_map(), [track], scenario_id=f"s{i}")
+        for i, track in enumerate([
+            stationary_track((20.0, 0.0), agent_id="parked"),
+            vehicle_track((20.0, 0.0), agent_id="moving")])])
     pred = perfect_predictions(tmp_path, suite, "m")
     for flags, n_rows in (([], 2), (["--exclude-parked"], 1)):
         out = tmp_path / f"out{n_rows}"
@@ -839,72 +918,6 @@ def test_analyze_deterministic_outputs(tmp_path):
                            ("deviation_curve.csv", "filter_report.csv",
                             "coverage.csv")))
     assert blobs[0] == blobs[1]
-
-
-def _edit_row(path, row, column, value):
-    lines = path.read_text().splitlines()
-    parts = lines[row].split(",")
-    parts[column] = value
-    lines[row] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("column, value, message", [
-    (1, "1.5", ":3: invalid literal for int()"),
-    (None, None, ":3: duplicate row"),
-    (2, "0.5", ":3: confidence 0.5 differs from 1.0"),
-], ids=["mode_idx_fraction", "duplicate_row", "confidence_changes"])
-def test_analyze_malformed_prediction_row_exits_1(tmp_path, capsys, column,
-                                                  value, message):
-    scenes, suite = write_suite(tmp_path, n=1)
-    pred = perfect_predictions(tmp_path, suite, "m")
-    if column is None:  # step 0 of mode 0 again, on line 3
-        lines = pred.read_text().splitlines()
-        lines.insert(2, lines[1])
-        pred.write_text("\n".join(lines) + "\n")
-    else:
-        _edit_row(pred, 2, column, value)
-    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
-                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert f"{pred}{message}" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("column, rows", [(2, range(1, 81)), (4, [5])],
-                         ids=["confidence", "x"])
-def test_analyze_non_finite_prediction_exits_1(tmp_path, capsys, column, rows):
-    scenes, suite = write_suite(tmp_path, n=1)
-    pred = perfect_predictions(tmp_path, suite, "m")
-    for row in rows:
-        _edit_row(pred, row, column, "nan")
-    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
-                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert f"agent {suite[0].tracks_to_predict[0]}: " in err
-    assert "finite" in err and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("confidences, message", [
-    ([0.1] * 7, "need 1..6 modes, got 7"),
-    ([1.5], "confidences must lie in [0, 1]"),
-    ([0.6, 0.6], "confidences must sum to <= 1"),
-], ids=["seven_modes", "confidence_above_1", "confidences_sum_above_1"])
-def test_analyze_refused_prediction_set_exits_1(tmp_path, capsys, confidences,
-                                                message):
-    """Well-formed rows whose modes ``PredictionSet`` refuses: one line
-    naming the file and the agent."""
-    scenes, suite = write_suite(tmp_path, n=1)
-    aid = suite[0].tracks_to_predict[0]
-    xy = suite[0].track(aid).future_xy.tolist()
-    pred = tmp_path / "p.csv"
-    pred.write_text("agent_id,mode_idx,confidence,step,x,y\n" + "".join(
-        f"{aid},{mode},{conf},{step},{x:.6f},{y:.6f}\n"
-        for mode, conf in enumerate(confidences)
-        for step, (x, y) in enumerate(xy)))
-    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
-                 "--window", "1", "-o", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {pred}: agent {aid}: {message}\n"
 
 
 # Each mutation leaves one data row malformed in a way the reader rejects.
@@ -1264,30 +1277,6 @@ def test_analyze_worker_flush_keeps_outputs(tmp_path, monkeypatch):
             == want_intents)
 
 
-@pytest.mark.parametrize("name", ["", "a,b", "a\rb", "a\n", "\r"])
-def test_analyze_bad_model_name_exits_2(tmp_path, capsys, name):
-    scenes, suite = write_suite(tmp_path, n=1)
-    pred = perfect_predictions(tmp_path, suite, "m")
-    out = tmp_path / "out"
-    assert main(["analyze", str(scenes), "--predictions", f"{name}={pred}",
-                 "--window", "1", "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: prediction model name")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("predictions", [
-    [], ["m"], ["a,b=p.csv"], ["m=p.csv", "m=q.csv"]],
-    ids=["absent", "no_path", "bad_name", "duplicate_name"])
-def test_analyze_usage_errors_come_before_reading_scenarios(
-        tmp_path, capsys, predictions):
-    argv = ["analyze", str(tmp_path / "missing"), "-o", str(tmp_path / "o")]
-    for spec in predictions:
-        argv += ["--predictions", spec]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 # -- malformed scenario files -----------------------------------------------------
 
 def _scene_argv(command, scenes, tmp_path, endpoints=None):
@@ -1297,95 +1286,6 @@ def _scene_argv(command, scenes, tmp_path, endpoints=None):
         if endpoints:
             argv += ["--endpoints", str(endpoints)]
     return argv
-
-
-@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
-@pytest.mark.parametrize("field, where", [
-    ("node", "map.segments[0].nodes[0][0]"),
-    ("length_m", "tracks[0].length_m"),
-])
-def test_integer_beyond_float_range_exits_1_with_one_line(
-        tmp_path, capsys, command, field, where):
-    scenes, _ = write_suite(tmp_path, n=1)
-    path = next(scenes.glob("*.json"))
-    obj = json.loads(path.read_bytes())
-    if field == "node":
-        obj["map"]["segments"][0]["nodes"][0][0] = HUGE
-    else:
-        obj["tracks"][0]["length_m"] = HUGE
-    path.write_text(json.dumps(obj))
-    assert main(_scene_argv(command, scenes, tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith(f"error: {path}: {where}: number out of float range")
-
-
-@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
-@pytest.mark.parametrize("field", ["scenario_id", "agent_id"])
-@pytest.mark.parametrize("char", [",", "\r", "\n"], ids=["comma", "CR", "LF"])
-def test_id_with_comma_or_line_break_exits_1_with_one_line(
-        tmp_path, capsys, command, field, char):
-    # an id is a field of every output CSV: it would split a row
-    scenes, _ = write_suite(tmp_path, n=1)
-    path = next(scenes.glob("*.json"))
-    obj = json.loads(path.read_bytes())
-    bad = f"x{char}y"
-    if field == "scenario_id":
-        obj["scenario_id"], where = bad, "scenario_id"
-    else:
-        i = [t["agent_id"] for t in obj["tracks"]].index(
-            obj["tracks_to_predict"][0])
-        obj["tracks"][i]["agent_id"] = obj["tracks_to_predict"][0] = bad
-        where = f"tracks[{i}].agent_id"
-    path.write_text(json.dumps(obj))
-    with pytest.raises(SchemaViolation):
-        parse_scenario(path.read_bytes())
-    assert main(_scene_argv(command, scenes, tmp_path)) == 1
-    assert capsys.readouterr().err == \
-        f"error: {path}: {where}: expected no comma or line break\n"
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["dump-roadgraph", "intents"])
-def test_integer_beyond_digit_limit_exits_1_with_one_line(tmp_path, capsys,
-                                                           command):
-    scenes, _ = write_suite(tmp_path, n=1)
-    path = next(scenes.glob("*.json"))
-    obj = json.loads(path.read_bytes())
-    obj["tracks"][0]["width_m"] = "@"
-    path.write_text(json.dumps(obj).replace('"@"', OVER_DIGIT_LIMIT))
-    assert main(_scene_argv(command, scenes, tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith(f"error: {path}: invalid JSON: ")
-
-
-@pytest.mark.parametrize("mutate, message", [
-    (lambda o: o["map"]["segments"][3].update(id=2),
-     "duplicate segment id 2"),
-    (lambda o: o["map"]["segments"][1].update(entries=[0, 3]),
-     "segment 1 lists entry 3 but segment 3 does not list exit 1"),
-    (lambda o: o["map"]["segments"][0].update(left={"change_ok": 1, "id": 99}),
-     "segment 0 references unknown left neighbor 99"),
-    (lambda o: o["tracks"].append(o["tracks"][0]),
-     "duplicate agent_id in tracks"),
-    (lambda o: o["tracks_to_predict"].append("nobody"),
-     "tracks_to_predict references unknown agent 'nobody'"),
-], ids=["duplicate_segment_id", "one_sided_entry", "unknown_left_neighbor",
-        "duplicate_agent_id", "unknown_predict_id"])
-def test_inconsistent_scenario_exits_1_with_one_line(tmp_path, capsys, mutate,
-                                                     message):
-    scenes = tmp_path / "scenes"
-    assert main(["gen", "--template", "intersection_4way", "--seed", "0",
-                 "-o", str(scenes)]) == 0
-    path = next(scenes.glob("*.json"))
-    obj = json.loads(path.read_bytes())
-    mutate(obj)
-    path.write_text(json.dumps(obj))
-    capsys.readouterr()
-    assert main(_scene_argv("intents", scenes, tmp_path)) == 1
-    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
-    assert not (tmp_path / "out.csv").exists()
 
 
 @settings(max_examples=40, deadline=None,
@@ -1648,16 +1548,12 @@ def test_intents_without_vehicle_targets_write_static_fallbacks(
     """Only vehicles get a reach set: scenes whose targets are all
     pedestrians or cyclists give every target its class's static points,
     flagged as fallbacks, with no vehicle set to mix with."""
-    scenes = tmp_path / "scenes"
-    scenes.mkdir()
-    suite = [scenario_of(straight_map(), [
+    scenes, suite = write_suite(tmp_path, suite=[scenario_of(straight_map(), [
         vehicle_track((20.0 + 10 * i, 0.0), speed=1.5, agent_id=f"{cls}{i}",
                       object_class=cls),
         vehicle_track((60.0, 0.0), agent_id=f"car{i}")],
         predict=[f"{cls}{i}"], scenario_id=f"s{i}")
-        for i, cls in enumerate(["pedestrian", "cyclist", "pedestrian"])]
-    for s in suite:
-        (scenes / f"{s.scenario_id}.json").write_bytes(write_scenario(s))
+        for i, cls in enumerate(["pedestrian", "cyclist", "pedestrian"])])
     out = tmp_path / "intents.csv"
     assert main(["intents", str(scenes), "--kind", kind, "--jobs", jobs,
                  "-o", str(out)]) == 0
@@ -1671,18 +1567,6 @@ def test_intents_without_vehicle_targets_write_static_fallbacks(
                  for j, (x, y) in enumerate(static.points)]
     assert [tuple(r.values()) for r in rows] == sorted(want,
                                                        key=lambda r: r[0])
-
-
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-@pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
-def test_jobs_below_one_exits_2_before_reading_scenarios(tmp_path, capsys,
-                                                         command, jobs):
-    missing = str(tmp_path / "no_such_dir")
-    argv = {"intents": ["intents", missing, "--kind", "mixed"],
-            "analyze": ["analyze", missing, "--predictions", "m=p.csv"],
-            "dump-roadgraph": ["dump-roadgraph", missing]}[command]
-    assert main([*argv, "--jobs", jobs, "-o", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
 
 
 def test_pmap_starts_no_more_workers_than_items(tmp_path, monkeypatch):

@@ -178,8 +178,10 @@ _NUMERIC_SETTINGS = [
        None)
       for key, default in RunConfig.config_keys().items()
       if type(default) in (int, float)),
+    # a limit that rounds to 0 at 6 decimals too
     ("GenSpec.speed_limit_mps", lambda v: GenSpec("straight", 0, v),
-     [0.0, -1.0, HUGE, *_NOT_FINITE], "speed limit must be finite and > 0"),
+     [0.0, -1.0, HUGE, *_NOT_FINITE, 4e-7, 5e-7, 1e-300],
+     "speed limit must be finite and > 0 at 6 decimals"),
     ("GenSpec.seed", lambda v: GenSpec("straight", v),
      [-1, *_NOT_INTEGERS], "seed must be an integer >= 0"),
     ("iter_suite.n", lambda v: next(iter_suite(v)), [0, -1, *_NOT_INTEGERS],

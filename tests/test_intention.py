@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (coalesce_reference, convex_hull, from_agent_frame,
                       kmeanspp_reference, lloyd_reference, point_in_hull,
-                      vehicle_track)
+                      reach_of, vehicle_track)
 from intentforge import intention
 from intentforge.experiments import fit_static
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
@@ -17,15 +17,6 @@ from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    dynamic_intents, mixed_intents,
                                    to_agent_frame, weighted_kmeans,
                                    weighted_kmeans_many)
-from intentforge.road_graph import ReachabilitySet
-
-
-def reach_of(positions) -> ReachabilitySet:
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    return ReachabilitySet(np.zeros(n, dtype=np.int64),
-                           np.arange(n, dtype=np.int64),
-                           positions, np.zeros(n))
 
 
 def lex_sorted(pts):

@@ -235,6 +235,22 @@ def test_parse_integer_beyond_range_is_schema_violation(mutate, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("field", ["scenario_id", "agent_id"])
+@pytest.mark.parametrize("char", [",", "\r", "\n"], ids=["comma", "CR", "LF"])
+def test_id_with_comma_or_line_break_is_schema_violation(field, char):
+    # an id is a field of every output CSV: it would split a row
+    obj = json.loads(json.dumps(MINIMAL))
+    if field == "scenario_id":
+        obj["scenario_id"], where = f"x{char}y", "scenario_id"
+    else:
+        obj["tracks"][0]["agent_id"] = obj["tracks_to_predict"][0] = \
+            f"x{char}y"
+        where = "tracks[0].agent_id"
+    with pytest.raises(SchemaViolation) as err:
+        parse_scenario(json.dumps(obj).encode())
+    assert str(err.value) == f"{where}: expected no comma or line break"
+
+
 def test_segment_id_beyond_64_bits_is_invariant_violation():
     obj = json.loads(json.dumps(MINIMAL))
     obj["map"]["segments"][0]["id"] = 2 ** 63

@@ -6,12 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (graph_edges, line_nodes, n_edges, random_road_graph,
-                      reach_oracle, road_graph_reference, scenario_of, seg,
-                      stationary_track, straight_map, vehicle_track)
+                      reach_csv_reference, reach_oracle, road_graph_reference,
+                      scenario_of, seg, stationary_track, straight_map,
+                      vehicle_track)
 from intentforge import experiments
+from intentforge.cli import main
 from intentforge.experiments import run_scene
-from intentforge.lane_assoc import AssociationResult
-from intentforge.map_model import LaneNeighbor, LaneSegment, VectorMap
+from intentforge.lane_assoc import AssociationResult, associate
+from intentforge.map_model import (LaneNeighbor, LaneSegment, VectorMap,
+                                   write_scenario)
 from intentforge.road_graph import (GraphConfig, RoadGraph, build_graph,
                                     reach, travel_time)
 from intentforge.scenario_gen import iter_suite
@@ -163,7 +166,8 @@ def test_lane_change_targets_equal_the_whole_block(lanes):
         LaneSegment(1, b, MPS_30MPH, right=LaneNeighbor(0, True)),
     ])
     with np.errstate(over="ignore"):
-        assert build_graph(vm).adjacency == road_graph_reference(vm)
+        want = road_graph_reference(vm)
+    assert build_graph(vm).adjacency == want
 
 
 def test_criterion_9_map_graph_equals_the_whole_block():
@@ -174,6 +178,55 @@ def test_criterion_9_map_graph_equals_the_whole_block():
         for i in range(10)])
     assert vm.n_nodes == 10_000
     assert build_graph(vm).adjacency == road_graph_reference(vm)
+
+
+def _along_y(seg_id, x, y0, y1, **links):
+    return seg(seg_id, line_nodes((x, y0), (x, y1)), **links)
+
+
+# (lanes along +y, x of an agent standing at y = 0.5 heading +y, the nodes
+# it reaches): the distances between lanes far apart overflow to inf,
+# beyond any radius, arc budget or time budget
+_FAR_APART = {
+    "exit": ([_along_y(0, 1e308, 0, 0.5, exits=[1]),
+              _along_y(1, -1e308, 0, 0.5, entries=[0])], 1e308, [(0, 1)]),
+    "entry": ([_along_y(0, -1e308, 0, 0.5, exits=[1]),
+               _along_y(1, 1e308, 0, 0.5, entries=[0])], 1e308, [(1, 1)]),
+    "sibling_exit": ([_along_y(0, 1e308, -1, 0, exits=[1, 2]),
+                      _along_y(1, 1e308, 0, 1, entries=[0]),
+                      _along_y(2, -1e308, 0, 0.5, entries=[0])], 1e308,
+                     [(1, 1), (1, 2)]),
+    "neighbor": ([_along_y(0, 0.0, 0, 0.5, left=LaneNeighbor(1, True)),
+                  _along_y(1, 1e200, 0, 0.5, right=LaneNeighbor(0, True))],
+                 0.0, [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAR_APART))
+def test_lanes_far_apart_run_without_warnings(tmp_path, capsys, case):
+    """Association, the graph build and the commands on such a map warn
+    nothing: the graph equals the whole-block reference, the agent reaches
+    only its own lane, and dump-roadgraph writes that reach set."""
+    segments, x, reached = _FAR_APART[case]
+    vm = VectorMap(segments)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = road_graph_reference(vm)
+    graph = build_graph(vm)
+    assert graph.adjacency == want
+    track = stationary_track((x, 0.5), heading=math.pi / 2)
+    rs = reach(graph, associate(vm, track))
+    assert list(zip(rs.seg_ids.tolist(), rs.node_indices.tolist())) == reached
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    (scenes / "s0.json").write_bytes(write_scenario(scenario_of(vm, [track])))
+    dump, intents = tmp_path / "r.csv", tmp_path / "i.csv"
+    assert main(["dump-roadgraph", str(scenes), "-o", str(dump)]) == 0
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(intents)]) == 0
+    assert capsys.readouterr().err == ""
+    assert dump.read_text() == reach_csv_reference(
+        [("s0", "a0", rs.positions, rs.arrival_times)])
+    assert intents.read_text().count(",dynamic,") == 64
 
 
 # -- reach ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import (point_to_polyline_distance, states_from_path_reference,
                       stationary_states_reference, write_scenario_reference)
 from intentforge import scenario_gen
 from intentforge.analysis import gt_deviation
+from intentforge.cli import main
 from intentforge.experiments import run_scene
 from intentforge.map_model import (HISTORY_LEN, AgentTrack, Scenario,
                                    parse_scenario, write_scenario)
@@ -62,6 +63,22 @@ def test_generate_distinct_seeds_differ():
     a = write_scenario(generate(GenSpec("straight", seed=1)))
     b = write_scenario(generate(GenSpec("straight", seed=2)))
     assert a != b
+
+
+@pytest.mark.parametrize("template", sorted(SUPPORTED))
+def test_huge_speed_limit_holds_the_agent_at_the_path_end(tmp_path, capsys,
+                                                          template):
+    """At a speed limit of 1e308 the follow_lane agent's arc lengths
+    overflow to inf, which the clamp at the path end takes in silence: the
+    scene is written, it parses, and its future stands at one point."""
+    out = tmp_path / "s"
+    assert main(["gen", "--template", template, "--speed-limit", "1e308",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    [path] = out.glob("*.json")
+    scenario = parse_scenario(path.read_bytes())
+    future = scenario.track(scenario.tracks_to_predict[0]).future_xy
+    assert (future == future[-1]).all()
 
 
 def test_suite_singleton():
