@@ -7,6 +7,7 @@ Usage:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +27,21 @@ def main():
         parser.error("--seed must be >= 0")
 
     result = coverage_proxy(args.scenes, args.seed)
+    if args.out:
+        lines = ["scene,static_m,dynamic_m,mixed_m"]
+        for i in range(len(result["static"])):
+            lines.append(f"{i},{result['static'][i]:.6f},"
+                         f"{result['dynamic'][i]:.6f},{result['mixed'][i]:.6f}")
+        try:
+            Path(args.out).write_text("\n".join(lines) + "\n")
+        except OSError as exc:
+            sys.exit(f"error: {exc}")
     for kind in INTENT_KINDS:
         vals = result[kind]
         print(f"{kind:8s} mean={vals.mean():.3f} m  "
               f"median={np.median(vals):.3f} m  max={vals.max():.3f} m")
     if result["skipped"]:
         print(f"skipped {result['skipped']} scene(s)")
-    if args.out:
-        lines = ["scene,static_m,dynamic_m,mixed_m"]
-        for i in range(len(result["static"])):
-            lines.append(f"{i},{result['static'][i]:.6f},"
-                         f"{result['dynamic'][i]:.6f},{result['mixed'][i]:.6f}")
-        Path(args.out).write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,10 @@ def main():
     lines = ["ratio,scenes,mean_coverage_m"]
     for label, used, mean_cov in rows:
         lines.append(f"{label},{used},{mean_cov:.6f}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    try:
+        Path(args.out).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        sys.exit(f"error: {exc}")
     for line in lines:
         print(line)
 

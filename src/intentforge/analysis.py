@@ -421,8 +421,6 @@ def deviation_curve(records, window: int):
 
 
 def coverage(points, gt_endpoint) -> float:
-    """Distance from the agent-frame GT endpoint to the nearest intention
-    point; a desk-scale proxy for anchor quality."""
-    pts = points.points if hasattr(points, "points") else np.asarray(points)
-    p = np.asarray(gt_endpoint, dtype=np.float64)
-    return float(np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]).min())
+    """Distance from the agent-frame GT endpoint to the nearest of the
+    ``(n, 2)`` intention ``points``; a desk-scale proxy for anchor quality."""
+    return float(np.hypot(*(points - np.asarray(gt_endpoint, float)).T).min())

@@ -8,12 +8,12 @@ line; INTENTFORGE_SEED overrides the default seed when --seed is absent.
 A batch command cuts the sorted scenario files into ``min(--jobs,
 count)`` contiguous chunks. Each worker parses its own files one at a
 time into an ``experiments`` batch function and returns small results,
-which the main process puts in scenario-id order and finishes. Each
-output file is written, one block of lines at a time, to a temporary
-file beside it; all are renamed once every one is written, so none is
-left behind on exit 1 or 2. CSV output uses 6-decimal fixed floats and a
-fixed row order: reruns with identical inputs, config and seed are
-byte-identical at any --jobs.
+which the main process puts in scenario-id order and finishes. Every
+output file, a scene or a CSV, is written to a temporary file beside it
+(a CSV one block of lines at a time); all are renamed once every one is
+written, so none is left behind on exit 1 or 2. CSV output uses 6-decimal
+fixed floats and a fixed row order: reruns with identical inputs, config
+and seed are byte-identical at any --jobs.
 """
 
 from __future__ import annotations
@@ -118,28 +118,29 @@ def _scan_all(args, work):
 
 @contextlib.contextmanager
 def _outputs():
-    """Yields ``temp(path)``: a new temporary file beside ``path``, to be
+    """Yields ``temp(path)``: a temporary path beside ``path``, to be
     written in its place. All are renamed to their paths when the block
-    ends without error, and removed otherwise. An error names ``path``."""
-    pairs = []
+    ends without error, and removed otherwise. Errors name ``path``."""
+    pairs = {}
 
     def temp(path):
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-        try:
-            if Path(path).is_dir():
-                raise IsADirectoryError(errno.EISDIR, "Is a directory")
-            tmp.open("w").close()
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-        pairs.append((tmp, path))
+        pairs[str(tmp)] = str(path)
         return tmp
     try:
         yield temp
-        for tmp, path in pairs:
+        for tmp, path in pairs.items():
             os.replace(tmp, path)
+        pairs.clear()
+    except OSError as exc:
+        if exc.filename not in pairs:
+            raise
+        raise OSError(exc.errno, exc.strerror, pairs[exc.filename]) from None
     finally:
-        for tmp, _ in pairs:
-            tmp.unlink(missing_ok=True)
+        for tmp in pairs:
+            Path(tmp).unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows):
@@ -177,9 +178,10 @@ def cmd_gen(args) -> int:
     # each scene is serialized as it comes, and files are written 64 at a
     # time: a file written between two scenes slows generation by ~10 %
     texts = ((s.scenario_id, write_scenario(s)) for s in scenarios)
-    for block in iter(lambda: list(islice(texts, 64)), []):
-        for sid, text in block:
-            (out_dir / f"{sid}.json").write_bytes(text)
+    with _outputs() as temp:
+        for block in iter(lambda: list(islice(texts, 64)), []):
+            for sid, text in block:
+                temp(out_dir / f"{sid}.json").write_bytes(text)
     print(f"wrote {args.suite or 1} scenario file(s) to {out_dir}")
     return 0
 

@@ -359,7 +359,7 @@ def intent_coverage(items, static_set: IntentionPointSet,
     dyns = [it.dynamic for it in items]
     mixed = [_mixed(dyns, static_set, mix, cfg.kmeans)
              for mix in ((cfg.mix,) if mixes is None else mixes)]
-    return [[coverage(points, agent_frame_endpoint(it.track))
+    return [[coverage(points.points, agent_frame_endpoint(it.track))
              for points in (static_set, it.dynamic, *sets)]
             for it, *sets in zip(items, *mixed)]
 

@@ -97,8 +97,8 @@ def _arc(center, radius, a0, a1) -> np.ndarray:
         [np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _cubic(p0, p1, p2, p3, n=200) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n + 1)[:, None]
+def _cubic(p0, p1, p2, p3) -> np.ndarray:
+    t = np.linspace(0.0, 1.0, 201)[:, None]   # 200 steps
     p0, p1, p2, p3 = (np.asarray(p) for p in (p0, p1, p2, p3))
     return ((1 - t) ** 3 * p0 + 3 * (1 - t) ** 2 * t * p1
             + 3 * (1 - t) * t ** 2 * p2 + t ** 3 * p3)
@@ -114,9 +114,9 @@ def _chain(*parts) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _resample(dense: np.ndarray, spacing: float = SPACING) -> np.ndarray:
+def _resample(dense: np.ndarray) -> np.ndarray:
     arcs = np.concatenate(([0.0], np.cumsum(np.hypot(*(dense[1:] - dense[:-1]).T))))
-    n = max(1, round(float(arcs[-1]) / spacing))
+    n = max(1, round(float(arcs[-1]) / SPACING))
     target = np.linspace(0.0, float(arcs[-1]), n + 1)
     return np.stack([np.interp(target, arcs, dense[:, 0]),
                      np.interp(target, arcs, dense[:, 1])], axis=1)

@@ -425,7 +425,7 @@ def test_dynamic_coverage_bounded_by_cluster_radius():
     max_radius = float(d.min(axis=1).max())
     for _ in range(20):
         endpoint = nodes[rng.integers(len(nodes))]
-        cov = coverage(dyn, to_agent_frame(endpoint, track))
+        cov = coverage(dyn.points, to_agent_frame(endpoint, track))
         assert cov <= max_radius + 1e-9
 
 

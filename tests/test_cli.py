@@ -64,18 +64,111 @@ def perfect_predictions(tmp_path, suite, name, offset=(0.0, 0.0),
     return path
 
 
+# -- the output contract: one table, one harness ------------------------------
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """What the ``_OUTPUTS`` rows name: ``s20``, ``gen --suite 20 --seed
+    0``, with prediction files ``s20_exact`` and ``s20_shifted``; ``s3``,
+    three follow-lane scenes of seed 0; and ``s40``, seven scenes of seed
+    40 cut into uneven chunks at --jobs 2 and 3, with off-road scenes in
+    two chunks and prediction file ``s40_pred`` missing the last scene."""
+    root = tmp_path_factory.mktemp("corpora")
+    s20 = root / "s20"
+    assert main(["gen", "--suite", "20", "--seed", "0", "-o", str(s20)]) == 0
+    suite = [parse_scenario(p.read_bytes())
+             for p in sorted(s20.glob("*.json"))]
+    names = {"s20": s20,
+             "s20_exact": perfect_predictions(root, suite, "exact"),
+             "s20_shifted": perfect_predictions(root, suite, "shifted",
+                                                (1.5, -0.5))}
+    for name, n, seed, behaviors in [
+            ("s3", 3, 0, ("follow_lane",)),
+            ("s40", 7, 40, ("follow_lane", "offroad_parking"))]:
+        (root / name).mkdir()
+        names[name], suite = write_suite(root / name, n, seed, behaviors)
+    names["s40_pred"] = perfect_predictions(root / "s40", suite[:-1], "m")
+    return names
+
+
+_ROADGRAPH_PIN = ("e02fe8bc9d8e7476157cf41fca99662a"
+                  "8c371b3aab8802470907bbe6ab257156")
+
+
+def _notes(*seeds):
+    """dump-roadgraph's stderr over off-road parking scenes of these seeds."""
+    return "".join(f"note: parking_adjacent-offroad_parking-s{seed}#0 has no "
+                   f"lane association; skipped\n" for seed in seeds)
+
+
+# (case, command line, stdout, stderr, pin): the words of the command line
+# and stdout are formatted with the ``corpora`` names and ``out``, the
+# directory the command writes into; the pin is the sha256 of name + NUL +
+# bytes over the sorted files of ``out``.
+_OUTPUTS = [
+    ("gen_template", "gen --template uturn_split --seed 0 -o {out}",
+     "wrote 1 scenario file(s) to {out}\n", "",
+     "5340e4d9e2f5cf8bac944470d8a56a4ff65df05291637d643333648c2ddc27ef"),
+    ("gen_suite_500", "gen --suite 500 --seed 0 -o {out}",
+     "wrote 500 scenario file(s) to {out}\n", "",
+     "98b1e2d1b3e7661aadabc5a67e139e95a0c135d9b82782ee95bec6c2ea137e8f"),
+    ("s20_intents_static", "intents {s20} --kind static -o {out}/intents.csv",
+     "", "",
+     "a7b31dc62001ccb0c875302815ef1ef6fc0b8e8f0e6a5c43454415fb8496cde5"),
+    ("s20_intents_dynamic", "intents {s20} --kind dynamic "
+     "-o {out}/intents.csv", "", "",
+     "1a69641e66d521ae8c126aa4c11e3b3daddb000b1f43e7a6207bf125d512ba77"),
+    ("s20_intents_mixed", "intents {s20} --kind mixed -o {out}/intents.csv",
+     "", "",
+     "c6836ec78fb6c49dfe0fe33431466010a2bbf71b85498c1583e8a398db3e4efe"),
+    ("s20_dump_roadgraph", "dump-roadgraph {s20} -o {out}/roadgraph.csv",
+     "", _notes(13, 3), _ROADGRAPH_PIN),
+    *((f"s20_intents_{kind}_dump_roadgraph",
+       f"intents {{s20}} --kind {kind} --dump-roadgraph {{out}}/roadgraph.csv "
+       f"-o {{out}}.csv", "", "", _ROADGRAPH_PIN)
+      for kind in ("dynamic", "mixed")),
+    ("s20_analyze", "analyze {s20} --predictions exact={s20_exact} "
+     "--predictions shifted={s20_shifted} --window 1 -o {out}", "", "",
+     "10e3c5e604d3a8e8371018ac3c488a39e61fd828fd75a3ace073582a2477e8c5"),
+    # --k 5000 pads every dynamic pool: the extra rows cycle through the
+    # distinct points in decreasing weight order
+    ("s3_intents_padded_pools", "intents {s3} --kind dynamic --k 5000 "
+     "-o {out}/o.csv", "", "",
+     "ccce85f2de49898c8094220001db58d081466713490015750f8637f70002d6e1"),
+    ("s40_intents_mixed", "intents {s40} --kind mixed -o {out}/i.csv", "", "",
+     "537d1e79799f01c35c8a8716ae2649e2011e9e437d1da83395dda931e3f0dec0"),
+    ("s40_analyze", "analyze {s40} --predictions m={s40_pred} --window 1 "
+     "-o {out}", "", "warning: skipped 1 agent(s) lacking predictions for "
+     "every model\n",
+     "19931a3faae69713aa74be780615fe24b9bdd0b256d8aab44d4f27e04856f1dc"),
+    ("s40_dump_roadgraph", "dump-roadgraph {s40} -o {out}/rg.csv", "",
+     _notes(40000120, 40000121, 40000122, 40000124),
+     "f401f40be583da79d19e6bd02a44c4f5af60d6eeafc4972d741dca5512fef428"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, stderr, pin",
+                         [r[1:] for r in _OUTPUTS],
+                         ids=[case for case, *_ in _OUTPUTS])
+def test_command_output_is_pinned_at_any_jobs(tmp_path, capsys, corpora,
+                                              argv, stdout, stderr, pin):
+    """Exit 0, the row's stdout and stderr, and output bytes equal to its
+    pin; a batch command does the same at --jobs 1, 2 and 3. A deliberate
+    output change updates its pin."""
+    for jobs in [None] if argv.startswith("gen") else ["1", "2", "3"]:
+        out = tmp_path / f"out{jobs}"
+        out.mkdir()
+        names = {**corpora, "out": out}
+        args = [a.format(**names) for a in argv.split()]
+        assert main(args + (["--jobs", jobs] if jobs else [])) == 0
+        assert capsys.readouterr() == (stdout.format(**names), stderr)
+        h = hashlib.sha256()
+        for p in sorted(out.iterdir()):
+            h.update(p.name.encode() + b"\0" + p.read_bytes())
+        assert h.hexdigest() == pin
+
+
 # -- gen ------------------------------------------------------------------------
-
-def test_gen_writes_one_deterministic_file(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["gen", "--template", "uturn_split", "--seed", "0",
-                     "-o", str(out)]) == 0
-    files1 = sorted(out1.glob("*.json"))
-    assert len(files1) == 1
-    assert files1[0].read_bytes() == (out2 / files1[0].name).read_bytes()
-    parse_scenario(files1[0].read_bytes())  # parses cleanly
-
 
 def test_gen_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("INTENTFORGE_SEED", "7")
@@ -88,84 +181,6 @@ def test_gen_env_seed(tmp_path, monkeypatch):
     flag_files = sorted((tmp_path / "flag").glob("*.json"))
     assert [f.name for f in env_files] == [f.name for f in flag_files]
     assert env_files[0].read_bytes() == flag_files[0].read_bytes()
-
-
-def test_gen_suite(tmp_path):
-    assert main(["gen", "--suite", "5", "--seed", "3",
-                 "-o", str(tmp_path / "s")]) == 0
-    assert len(list((tmp_path / "s").glob("*.json"))) == 5
-
-
-def test_gen_suite_bytes_are_pinned(tmp_path):
-    """The 500-scene seed-0 suite, hashed as name + NUL + bytes over the
-    sorted files: a change to the generator or the writer that moves one
-    byte of any scene shows here."""
-    out = tmp_path / "s"
-    assert main(["gen", "--suite", "500", "--seed", "0", "-o", str(out)]) == 0
-    h = hashlib.sha256()
-    for p in sorted(out.glob("*.json")):
-        h.update(p.name.encode() + b"\0" + p.read_bytes())
-    assert h.hexdigest() == ("98b1e2d1b3e7661aadabc5a67e139e95"
-                             "a0c135d9b82782ee95bec6c2ea137e8f")
-
-
-@pytest.fixture(scope="module")
-def suite20(tmp_path_factory):
-    """``gen --suite 20 --seed 0`` and two prediction files over it."""
-    root = tmp_path_factory.mktemp("suite20")
-    scenes = root / "scenes"
-    assert main(["gen", "--suite", "20", "--seed", "0",
-                 "-o", str(scenes)]) == 0
-    suite = [parse_scenario(p.read_bytes())
-             for p in sorted(scenes.glob("*.json"))]
-    exact = perfect_predictions(root, suite, "exact")
-    shifted = perfect_predictions(root, suite, "shifted", (1.5, -0.5))
-    return scenes, [f"exact={exact}", f"shifted={shifted}"]
-
-
-# sha256 over the sorted output files, each hashed as name + NUL + bytes
-# (the scheme of test_gen_suite_bytes_are_pinned)
-_ROADGRAPH_PIN = ("e02fe8bc9d8e7476157cf41fca99662a"
-                  "8c371b3aab8802470907bbe6ab257156")
-_OUTPUT_PINS = {
-    "intents_static": ("a7b31dc62001ccb0c875302815ef1ef6"
-                       "fc0b8e8f0e6a5c43454415fb8496cde5"),
-    "intents_dynamic": ("1a69641e66d521ae8c126aa4c11e3b3d"
-                        "addb000b1f43e7a6207bf125d512ba77"),
-    "intents_mixed": ("c6836ec78fb6c49dfe0fe33431466010"
-                      "a2bbf71b85498c1583e8a398db3e4efe"),
-    "dump_roadgraph": _ROADGRAPH_PIN,
-    "intents_dump_roadgraph": _ROADGRAPH_PIN,
-    "analyze": ("10e3c5e604d3a8e8371018ac3c488a39"
-                "e61fd828fd75a3ace073582a2477e8c5"),
-}
-
-
-@pytest.mark.parametrize("case", list(_OUTPUT_PINS))
-def test_command_output_bytes_are_pinned(tmp_path, suite20, case):
-    """Every command's output bytes over the 20-scene seed-0 suite at
-    --jobs 1. A deliberate output change updates its pin."""
-    scenes, predictions = suite20
-    out = tmp_path / "out"
-    out.mkdir()
-    if case.startswith("intents_") and case != "intents_dump_roadgraph":
-        argv = ["intents", str(scenes), "--kind", case[len("intents_"):],
-                "-o", str(out / "intents.csv")]
-    elif case == "dump_roadgraph":
-        argv = ["dump-roadgraph", str(scenes), "-o", str(out / "roadgraph.csv")]
-    elif case == "intents_dump_roadgraph":
-        argv = ["intents", str(scenes), "--kind", "dynamic",
-                "--dump-roadgraph", str(out / "roadgraph.csv"),
-                "-o", str(tmp_path / "intents.csv")]
-    else:
-        argv = ["analyze", str(scenes), "--window", "1", "-o", str(out)]
-        for p in predictions:
-            argv += ["--predictions", p]
-    assert main([*argv, "--jobs", "1"]) == 0
-    h = hashlib.sha256()
-    for p in sorted(out.iterdir()):
-        h.update(p.name.encode() + b"\0" + p.read_bytes())
-    assert h.hexdigest() == _OUTPUT_PINS[case]
 
 
 # -- intents ----------------------------------------------------------------------
@@ -190,35 +205,6 @@ def test_intents_dynamic_corridor(tmp_path):
         p = from_agent_frame((float(row["x"]), float(row["y"])), track)
         dist = min(point_to_polyline_distance(p, nodes) for nodes in lanes)
         assert dist <= 1.76
-
-
-def test_intents_offroad_falls_back_to_static(tmp_path):
-    scenes = tmp_path / "scenes"
-    assert main(["gen", "--template", "parking_adjacent",
-                 "--behavior", "offroad_parking", "--seed", "0",
-                 "-o", str(scenes)]) == 0
-    # corpus needs at least one valid endpoint pool: add a follow_lane scene
-    assert main(["gen", "--template", "straight", "--seed", "2",
-                 "-o", str(scenes)]) == 0
-    out = tmp_path / "intents.csv"
-    assert main(["intents", str(scenes), "--kind", "dynamic",
-                 "-o", str(out)]) == 0
-    _, rows = read_csv(out)
-    parked = [r for r in rows if "parking" in r["agent_id"]]
-    assert len(parked) == 64
-    assert all(r["kind"] == "static" and r["fallback"] == "1" for r in parked)
-
-
-def test_intents_deterministic_and_jobs_invariant(tmp_path):
-    scenes, _ = write_suite(tmp_path, n=6, seed=4,
-                            behaviors=("follow_lane", "corner_cut"))
-    outs = []
-    for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
-        out = tmp_path / f"{name}.csv"
-        assert main(["intents", str(scenes), "--kind", "mixed",
-                     "--jobs", jobs, "-o", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -268,20 +254,6 @@ def test_intents_endpoints_file(tmp_path):
     assert all(0 <= x <= 101 for x in xs)
 
 
-def test_intents_dump_roadgraph(tmp_path):
-    scenes = tmp_path / "scenes"
-    assert main(["gen", "--template", "straight", "--seed", "1",
-                 "-o", str(scenes)]) == 0
-    dump = tmp_path / "roadgraph.csv"
-    assert main(["intents", str(scenes), "--kind", "dynamic",
-                 "--dump-roadgraph", str(dump),
-                 "-o", str(tmp_path / "i.csv")]) == 0
-    header, rows = read_csv(dump)
-    assert header == ["scenario_id", "agent_id", "x", "y", "arrival_s"]
-    times = [float(r["arrival_s"]) for r in rows]
-    assert times and min(times) == 0.0 and max(times) <= 8.0
-
-
 @pytest.mark.parametrize("kind", ["dynamic", "mixed"])
 def test_intents_on_a_map_without_segments_fall_back(tmp_path, kind):
     vmap = VectorMap([])
@@ -323,8 +295,8 @@ class _Inputs:
     """The inputs of one ``_REFUSALS`` row, written under ``tmp``. Each
     method writes what it needs and returns a command-line argument or a
     whole command line; ``names`` holds what the row's stderr text names
-    as ``{scenes}``, ``{scene}``, ``{missing}``, ``{pred}``, ``{aid}`` or
-    ``{ep}``."""
+    as ``{scenes}``, ``{scene}``, ``{missing}``, ``{pred}``, ``{aid}``,
+    ``{ep}`` or ``{busy}``."""
 
     def __init__(self, tmp, monkeypatch):
         self.tmp, self.monkeypatch = tmp, monkeypatch
@@ -371,9 +343,12 @@ class _Inputs:
                           aid=self.scenarios[0].tracks_to_predict[0])
         return f"{name}={path}"
 
-    def gen(self, *flags, env=None):
+    def gen(self, *flags, env=None, busy=None):
         if env is not None:
             self.monkeypatch.setenv("INTENTFORGE_SEED", env)
+        if busy is not None:   # a directory where gen would write a scene
+            self.names["busy"] = Path(self.out) / busy
+            self.names["busy"].mkdir(parents=True)
         return ["gen", *flags, "-o", self.out]
 
     def intents(self, *flags, kind="static", scenes=None):
@@ -523,6 +498,11 @@ _REFUSALS = [
     ("gen_no_template", 2,
      "error: --template is required unless --suite is given\n",
      lambda c: c.gen()),
+    # the third scene of the suite: no scene file is left behind
+    ("gen_suite_scene_path_is_a_directory", 1,
+     "error: [Errno 21] Is a directory: '{busy}'\n",
+     lambda c: c.gen("--suite", "3", "--seed", "0",
+                     busy="intersection_4way-corner_cut-s2.json")),
     # config files and values
     ("config_missing", 1, "error: cannot read config file: [Errno 2] "
      "No such file or directory: '{missing}'\n",
@@ -783,19 +763,6 @@ def test_intents_huge_k_exits_2_quickly(tmp_path, capsys, source):
     assert not out.exists()
 
 
-def test_intents_padded_pools_bytes_are_pinned(tmp_path):
-    """--k 5000 pads every dynamic pool of the suite: the extra rows cycle
-    through the distinct points in decreasing weight order."""
-    scenes, _ = write_suite(tmp_path, n=3, seed=0)
-    out = tmp_path / "o.csv"
-    assert main(["intents", str(scenes), "--kind", "dynamic", "--k", "5000",
-                 "-o", str(out)]) == 0
-    data = out.read_bytes()
-    assert data.count(b"\n") == 1 + 3 * 5000
-    assert hashlib.sha256(data).hexdigest() == (
-        "e9c79c448dc4d1cbbcb8b86f41c3458ace4cb744cb6429372873495f1318334a")
-
-
 def test_intents_endpoints_far_from_origin_warn_nothing(tmp_path, capsys):
     """100 vehicle endpoints near x = 1e155 with a span of about 1e152 pass
     the overflow check; their squared norms overflow inside Lloyd, which
@@ -904,20 +871,6 @@ def test_analyze_associates_and_builds_graphs_in_run_scene(tmp_path,
                    for s in suite for a in s.tracks_to_predict)
     assert len(associated) == vehicles > 0
     assert 0 < len(graphs) == len(set(graphs)) <= len(suite)
-
-
-def test_analyze_deterministic_outputs(tmp_path):
-    scenes, suite = write_suite(tmp_path, n=5, seed=8)
-    pred = perfect_predictions(tmp_path, suite, "m")
-    blobs = []
-    for name in ("o1", "o2"):
-        out = tmp_path / name
-        assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
-                     "--window", "2", "-o", str(out)]) == 0
-        blobs.append(tuple((out / f).read_bytes() for f in
-                           ("deviation_curve.csv", "filter_report.csv",
-                            "coverage.csv")))
-    assert blobs[0] == blobs[1]
 
 
 # Each mutation leaves one data row malformed in a way the reader rejects.
@@ -1311,31 +1264,6 @@ def test_mutated_scenario_exits_1_and_never_raises(tmp_path, case):
 
 # -- dump-roadgraph -------------------------------------------------------------------
 
-def test_dump_roadgraph_subcommand(tmp_path):
-    scenes, _ = write_suite(tmp_path, n=2, seed=9)
-    out = tmp_path / "rg.csv"
-    assert main(["dump-roadgraph", str(scenes), "-o", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["scenario_id", "agent_id", "x", "y", "arrival_s"]
-    assert len(rows) > 100
-    keys = [(r["scenario_id"], r["agent_id"], float(r["arrival_s"])) for r in rows]
-    assert keys == sorted(keys)
-
-
-@pytest.mark.parametrize("jobs", ["1", "3"])
-@pytest.mark.parametrize("kind", ["dynamic", "mixed"])
-def test_dump_roadgraph_matches_intents_dump(tmp_path, kind, jobs):
-    scenes, _ = write_suite(tmp_path, n=6, seed=1,
-                            behaviors=("follow_lane", "offroad_parking"))
-    dump, intents_dump = tmp_path / "rg.csv", tmp_path / "intents_rg.csv"
-    assert main(["dump-roadgraph", str(scenes), "--jobs", jobs,
-                 "-o", str(dump)]) == 0
-    assert main(["intents", str(scenes), "--kind", kind, "--jobs", jobs,
-                 "--dump-roadgraph", str(intents_dump),
-                 "-o", str(tmp_path / "i.csv")]) == 0
-    assert dump.read_bytes() == intents_dump.read_bytes()
-
-
 # in arrival order: arrival times that print alike while the raw (x, y)
 # order is reversed, x of 0.0, -0.0 and -1e-9, and two targets of one
 # scene listed out of id order
@@ -1457,33 +1385,6 @@ def test_reach_csv_is_streamed(tmp_path, monkeypatch):
     assert peaks[0] < out.stat().st_size
 
 
-@pytest.mark.parametrize("command", ["intents", "analyze", "dump-roadgraph"])
-def test_outputs_and_stderr_jobs_invariant(tmp_path, capsys, command):
-    # 7 scenes cut into uneven chunks at --jobs 2 and 3; off-road scenes in
-    # two of the chunks, so dump-roadgraph's notes come from several
-    # workers, and one scene without predictions, so analyze warns
-    scenes, suite = write_suite(tmp_path, n=7, seed=40,
-                                behaviors=("follow_lane", "offroad_parking"))
-    pred = perfect_predictions(tmp_path, suite[:-1], "m")
-    seen = []
-    for jobs in ("1", "2", "3"):
-        out = tmp_path / f"out{jobs}"
-        out.mkdir()
-        argv = {"intents": ["intents", str(scenes), "--kind", "mixed",
-                            "-o", str(out / "i.csv")],
-                "analyze": ["analyze", str(scenes), "--predictions",
-                            f"m={pred}", "--window", "1", "-o", str(out)],
-                "dump-roadgraph": ["dump-roadgraph", str(scenes),
-                                   "-o", str(out / "rg.csv")]}[command]
-        assert main([*argv, "--jobs", jobs]) == 0
-        seen.append((capsys.readouterr().err,
-                     {f.name: f.read_bytes() for f in out.iterdir()}))
-    assert seen[0] == seen[1] == seen[2]
-    assert seen[0][0] or command == "intents"
-    if command == "dump-roadgraph":
-        assert seen[0][0].count("note: ") == 4
-
-
 def test_batched_outputs_equal_one_agent_calls_at_any_jobs(tmp_path):
     """intents and analyze cluster the agents of a run together; their
     rows equal one-agent dynamic_intents / mixed_intents calls, and --jobs
@@ -1515,7 +1416,7 @@ def test_batched_outputs_equal_one_agent_calls_at_any_jobs(tmp_path):
     for track, *_ in experiments.filter_dataset(suite)[0]:
         end = experiments.agent_frame_endpoint(track)
         dyn = dynamic_intents(reach_sets[track.agent_id], track, kcfg)
-        cov += [[track.agent_id, kind, fmt(coverage(points, end))]
+        cov += [[track.agent_id, kind, fmt(coverage(points.points, end))]
                 for kind, points in (
                     ("static", static), ("dynamic", dyn),
                     ("mixed", mixed_intents(dyn, static, mix, kcfg)))]

@@ -46,9 +46,11 @@ def test_intent_coverage_rows_match_direct_calls():
         [(track, _, reach_set)] = experiments.run_scene(scenario)
         endpoint = agent_frame_endpoint(track)
         dyn = dynamic_intents(reach_set, track, cfg.kmeans)
-        mixed = [coverage(mixed_intents(dyn, static_set, m, cfg.kmeans),
-                          endpoint) for m in (m1, m2, cfg.mix)]
-        base = [coverage(static_set, endpoint), coverage(dyn, endpoint)]
+        mixed = [coverage(mixed_intents(dyn, static_set, m,
+                                        cfg.kmeans).points, endpoint)
+                 for m in (m1, m2, cfg.mix)]
+        base = [coverage(static_set.points, endpoint),
+                coverage(dyn.points, endpoint)]
         want_mixes.append(base + mixed[:2])
         want_default.append(base + mixed[2:])
     assert intent_coverage(items, static_set, cfg,
@@ -104,22 +106,42 @@ def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--scenes", "3", "--ratios", "1e308"],
-     "error: cannot cluster mixed points at dynamic:static weights "
+# (case, script, flags, -o under tmp_path, stderr text): "dir" is a
+# directory; "{out}" in the text is the -o path
+_SCRIPT_ERRORS = [
+    ("ratio_1e308", "ratio_harness.py", ["--scenes", "3", "--ratios", "1e308"],
+     "out.csv", "error: cannot cluster mixed points at dynamic:static weights "
      "1e+308:1: points must be finite and their weighted sums within the "
      "float range"),
     # the one scene of seed 1 has no target with dynamic intention points
-    (["--scenes", "1", "--seed", "1"],
-     "error: no scene produced dynamic intention points"),
-], ids=["ratio_1e308", "no_dynamic_points"])
-def test_ratio_harness_data_error_exits_1(tmp_path, args, message):
+    ("no_dynamic_points", "ratio_harness.py", ["--scenes", "1", "--seed", "1"],
+     "out.csv", "error: no scene produced dynamic intention points"),
+    *((f"{script[:-3]}_out_{case}", script, ["--scenes", "2", "--seed", "0"],
+       out, message)
+      for script in ("coverage_experiment.py", "ratio_harness.py")
+      for case, out, message in [
+          ("missing_directory", "missing/out.csv",
+           "error: [Errno 2] No such file or directory: '{out}'"),
+          ("is_a_directory", "dir", "error: [Errno 21] Is a directory: "
+           "'{out}'")]),
+]
+
+
+@pytest.mark.parametrize("script, args, out, message",
+                         [r[1:] for r in _SCRIPT_ERRORS],
+                         ids=[case for case, *_ in _SCRIPT_ERRORS])
+def test_experiment_script_error_exits_1(tmp_path, script, args, out,
+                                         message):
+    """Exit 1, one ``error:`` line, an empty stdout and no new file."""
+    out = tmp_path / out
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
     res = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "ratio_harness.py"), *args,
-         "-o", str(tmp_path / "out.csv")],
-        cwd=REPO, capture_output=True, text=True)
-    assert (res.returncode, res.stderr, res.stdout) == (1, message + "\n", "")
-    assert not (tmp_path / "out.csv").exists()
+        [sys.executable, str(REPO / "scripts" / script), *args,
+         "-o", str(out)], cwd=REPO, capture_output=True, text=True)
+    assert (res.returncode, res.stderr, res.stdout) == (
+        1, message.format(out=out) + "\n", "")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 _RATIO_PIN = ("0af234410d6d2d1dcc82f9caf8312f01"

@@ -700,11 +700,3 @@ def test_lloyd_matches_reference_near_overflow():
         assert np.array_equal(got, want, equal_nan=True), case
         assert len(got_obj) == len(want_obj), case
 
-
-def test_determinism_over_100_randomized_inputs():
-    rng = np.random.default_rng(99)
-    for i in range(100):
-        pts = rng.uniform(-200, 200, size=(rng.integers(1, 150), 2))
-        cfg = KMeansConfig(k=64, seed=i)
-        assert np.array_equal(weighted_kmeans(pts, None, cfg),
-                              weighted_kmeans(pts, None, cfg))
