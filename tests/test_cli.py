@@ -295,15 +295,15 @@ class _Inputs:
     """The inputs of one ``_REFUSALS`` row, written under ``tmp``. Each
     method writes what it needs and returns a command-line argument or a
     whole command line; ``names`` holds what the row's stderr text names
-    as ``{scenes}``, ``{scene}``, ``{missing}``, ``{pred}``, ``{aid}``,
-    ``{ep}`` or ``{busy}``."""
+    as ``{scenes}``, ``{scene}``, ``{missing}``, ``{out}``, ``{pred}``,
+    ``{aid}``, ``{ep}`` or ``{busy}``."""
 
     def __init__(self, tmp, monkeypatch):
         self.tmp, self.monkeypatch = tmp, monkeypatch
         self.scenes, self.out = tmp / "scenes", str(tmp / "o")
         self.missing = str(tmp / "missing")
         self.names = {"scenes": self.scenes, "missing": self.missing,
-                      "scene": self.scenes / "s.json"}
+                      "out": self.out, "scene": self.scenes / "s.json"}
 
     def file(self, name, data):
         path = self.tmp / name
@@ -343,17 +343,27 @@ class _Inputs:
                           aid=self.scenarios[0].tracks_to_predict[0])
         return f"{name}={path}"
 
-    def gen(self, *flags, env=None, busy=None):
+    def busy(self, path, file=False):
+        """A directory, or with ``file`` an empty file, at ``path``, where
+        a command would write; returns ``self`` to build the command."""
+        self.names["busy"] = path = Path(path)
+        if file:
+            path.write_bytes(b"")
+        else:
+            path.mkdir(parents=True)
+        return self
+
+    def gen(self, *flags, env=None):
         if env is not None:
             self.monkeypatch.setenv("INTENTFORGE_SEED", env)
-        if busy is not None:   # a directory where gen would write a scene
-            self.names["busy"] = Path(self.out) / busy
-            self.names["busy"].mkdir(parents=True)
         return ["gen", *flags, "-o", self.out]
 
-    def intents(self, *flags, kind="static", scenes=None):
+    def intents(self, *flags, kind="static", scenes=None, out=None):
         return ["intents", scenes or self.suite(), "--kind", kind, *flags,
-                "-o", self.out]
+                "-o", out or self.out]
+
+    def dump_roadgraph(self, out=None):
+        return ["dump-roadgraph", self.suite(), "-o", out or self.out]
 
     def analyze(self, *flags, n=1, scenarios=None, **predictions):
         return ["analyze", self.suite(n, scenarios), "--predictions",
@@ -501,8 +511,8 @@ _REFUSALS = [
     # the third scene of the suite: no scene file is left behind
     ("gen_suite_scene_path_is_a_directory", 1,
      "error: [Errno 21] Is a directory: '{busy}'\n",
-     lambda c: c.gen("--suite", "3", "--seed", "0",
-                     busy="intersection_4way-corner_cut-s2.json")),
+     lambda c: c.busy(f"{c.out}/intersection_4way-corner_cut-s2.json").gen(
+         "--suite", "3", "--seed", "0")),
     # config files and values
     ("config_missing", 1, "error: cannot read config file: [Errno 2] "
      "No such file or directory: '{missing}'\n",
@@ -672,6 +682,37 @@ _REFUSALS = [
     ("analyze_minfde_not_finite", 1, _FINITE_SUMS,
      lambda c: c.analyze("--window", "2", n=6,
                          edit=_cells(slice(1, 81), [4, 5], "1.7e308"))),
+    # outputs that cannot be written: the error names the output path, and
+    # no output, of the failed one or of the others, is left behind
+    ("gen_template_scene_path_is_a_directory", 1,
+     "error: [Errno 21] Is a directory: '{busy}'\n",
+     lambda c: c.busy(f"{c.out}/straight-follow_lane-s0.json").gen(
+         "--template", "straight")),
+    ("gen_out_is_a_file", 1, "error: [Errno 17] File exists: '{out}'\n",
+     lambda c: c.busy(c.out, file=True).gen("--template", "straight")),
+    ("analyze_out_is_a_file", 1, "error: [Errno 17] File exists: '{out}'\n",
+     lambda c: c.busy(c.out, file=True).analyze()),
+    *((f"analyze_{name}_is_a_directory", 1,
+       "error: [Errno 21] Is a directory: '{busy}'\n",
+       lambda c, name=name: c.busy(f"{c.out}/{name}.csv").analyze())
+      for name in ("deviation_curve", "filter_report", "coverage")),
+    *((f"{command}_out_is_a_directory", 1,
+       "error: [Errno 21] Is a directory: '{out}'\n",
+       lambda c, build=build: build(c.busy(c.out)))
+      for command, build in [("intents", _Inputs.intents),
+                             ("dump_roadgraph", _Inputs.dump_roadgraph)]),
+    *((f"{case}_missing_directory", 1,
+       "error: [Errno 2] No such file or directory: '{missing}/r.csv'\n",
+       lambda c, build=build: build(c, f"{c.missing}/r.csv"))
+      for case, build in [
+          ("intents_out", lambda c, path: c.intents(out=path)),
+          ("intents_dump_roadgraph", lambda c, path: c.intents(
+              "--dump-roadgraph", path, kind="dynamic")),
+          ("dump_roadgraph_out", _Inputs.dump_roadgraph)]),
+    ("intents_dump_roadgraph_is_a_directory", 1,
+     "error: [Errno 21] Is a directory: '{busy}'\n",
+     lambda c: c.busy(c.tmp / "r").intents(
+         "--dump-roadgraph", str(c.tmp / "r"), kind="dynamic")),
 ]
 
 
