@@ -273,7 +273,8 @@ def cmd_analyze(args) -> int:
                    in _load_prediction_csv(path).items() if aid in tracks}
             for name, path in paths.items()}
 
-    static = static_sets(heads, ["vehicle"], cfg.kmeans)["vehicle"]
+    static = static_sets(heads, ["vehicle"], cfg.kmeans,
+                         args.endpoints)["vehicle"]
     records, cov_rows, skipped = analyze_batch(items, fdes, static, cfg)
     report = FilterReport(*map(sum, zip(*(astuple(r) for _, r in results))))
     if skipped:
@@ -383,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("scenarios", nargs="+")
     p_an.add_argument("--predictions", action="append", default=[],
                       metavar="NAME=PATH")
+    p_an.add_argument("--endpoints",
+                      help="CSV (class,x,y) of endpoints for static points")
     p_an.add_argument("-o", "--out", required=True, help="output directory")
     _add_config_flags(p_an, analysis=True)
     p_an.set_defaults(func=cmd_analyze)

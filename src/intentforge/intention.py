@@ -68,12 +68,21 @@ with copies of its first point at weight 0. That is exact:
   padded pool adds exact zeros in another pairwise order. Any order of
   summing n terms >= 0 errs by at most (n - 1) 2**-53 (1 + O(n 2**-53))
   times the exact sum, so two orders differ by less than 4 n 2**-53
-  times the larger sum. Where every candidate at another point exceeds the best
-  by more than that margin, the unpadded sums pick the same point.
-  Elsewhere, NaN and inf included, the pool sums its unpadded rows,
-  which are contiguous and of its own length. Candidates drawn at one
-  point have identical rows, so ``argmin``'s first-index rule keeps the
-  earliest of them either way.
+  times the larger sum. Where every candidate at another point exceeds
+  the best by more than that margin, the unpadded sums pick the same
+  point. Elsewhere, NaN and inf included, the pool sums its unpadded
+  rows, which are contiguous and of its own length. Candidates drawn at
+  one point have identical rows, so ``argmin``'s first-index rule keeps
+  the earliest of them either way.
+
+A stack whose real points all weigh 1.0 (every reach-set pool:
+``dynamic_intents`` passes no weights) draws from the squared distances
+themselves and sums the candidate block itself, with no weight products.
+That is exact too: fl(1.0 * v) = v for every float, inf and NaN
+included, and a padding term is 0 in both forms (its distance is held at
+0, and min(D, 0) = 0), so the draws, the potentials, the tie rule and
+the padded re-sum see the same bits. A stack with any other weight keeps
+the products.
 
 Lloyd runs per pool, unchanged.
 """
@@ -180,23 +189,23 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
     return points[first[order]], np.bincount(labels, weights=weights)
 
 
-def _pick(keys: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+def _pick(keys: np.ndarray, query: np.ndarray, u: np.ndarray,
+          starts: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from a stack of B cumulative weight rows, held as
-    the imaginary parts of ``keys`` (B, n) whose real parts are the row
-    numbers; row r ends at index ``last[r]``. Returns (T, B): for each of
-    the T uniforms ``u`` and each row, the first index whose cumulative
-    weight exceeds u * total, clipped to ``last[r]`` against round-off.
-    numpy orders complex numbers by real, then imaginary part, so rows
-    that never decrease make one sorted array, and one
-    ``searchsorted(side="right")`` counts each row's entries <= u * total.
-    Entries past ``last[r]`` hold the total, so they cannot lower a clipped
-    count."""
-    b, n = keys.shape
-    rows = np.arange(b)
-    query = np.empty((u.size, b), dtype=complex)
-    query.real = rows
-    query.imag = keys.imag[rows, last] * u[:, None]
-    idx = np.searchsorted(keys.ravel(), query, side="right") - rows * n
+    the imaginary parts of the raveled ``keys`` (B n,) whose real parts are
+    the row numbers; row r starts at ``starts[r]`` = r n and ends at index
+    ``last[r]`` of its row. ``query`` (T, B) is a buffer whose real parts
+    hold the row numbers. Returns (T, B): for each of the T uniforms ``u``
+    and each row, the first index whose cumulative weight exceeds u *
+    total, clipped to ``last[r]`` against round-off. numpy orders complex
+    numbers by real, then imaginary part, so rows that never decrease make
+    one sorted array, and one ``searchsorted(side="right")`` counts each
+    row's entries <= u * total. Entries past ``last[r]`` hold the total, so
+    they cannot lower a clipped count."""
+    query = query[:u.size]
+    np.multiply(keys.imag[starts + last], u[:, None], out=query.imag)
+    idx = np.searchsorted(keys, query, side="right")
+    idx -= starts
     return np.minimum(idx, last, out=idx)
 
 
@@ -228,14 +237,20 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     run of zero weights marks padding, which no draw picks. Each step
     scores all candidates of every pool in one ``(n_trials, B, n)`` block
     of elementwise squared distances from contiguous x and y columns, in
-    buffers allocated once.
+    buffers allocated once. A stack of unit weights skips the weight
+    products (see the module docstring).
     """
     w = weights if pts.ndim == 3 else weights[None]
     b, n = w.shape
     n_trials = 2 + int(math.log(k)) if k > 1 else 1
     rows = np.arange(b)
+    starts = rows * n
     last = n - 1 - (w[:, ::-1] > 0).argmax(axis=1)
-    padded = last < n - 1
+    padded = np.flatnonzero(last < n - 1)
+    pad = np.arange(n) > last[:, None]
+    # unit weights on every real point: w * v is v bit for bit, and 0 on
+    # padding either way, so the weighted rows are d2 and blk themselves
+    unit = ((w == 1.0) | pad).all()
     # two summation orders of at most n terms >= 0 differ by less than
     # this share of the larger sum
     tol = 4 * n * 2.0 ** -53
@@ -243,9 +258,12 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     y = np.ascontiguousarray(pts[..., 1]).reshape(b, n)
     keys = np.empty((b, n), dtype=complex)
     keys.real = rows[:, None]
+    flat = keys.ravel()
+    query = np.empty((n_trials, b), dtype=complex)
+    query.real = rows
     chosen = np.empty((b, k), dtype=np.intp)
     w.cumsum(axis=1, out=keys.imag)
-    first = _pick(keys, rng.random(1), last)[0]
+    first = _pick(flat, query, rng.random(1), starts, last)[0]
     chosen[:, 0] = first
     d2 = x - x[rows, first, None]
     d2 *= d2
@@ -253,31 +271,31 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     dy *= dy
     d2 += dy
     # padding keeps distance 0, so its weighted terms are exactly 0
-    d2[np.arange(n) > last[:, None]] = 0.0
+    d2[pad] = 0.0
     blk = np.empty((n_trials, b, n))
     tmp = np.empty((n_trials, b, n))
     pot = np.empty((n_trials, b))
     for step in range(1, k):
-        np.multiply(w, d2, out=tmp[0])
-        tmp[0].cumsum(axis=1, out=keys.imag)
-        cand = _pick(keys, rng.random(n_trials), last)
+        drawn = d2 if unit else np.multiply(w, d2, out=tmp[0])
+        drawn.cumsum(axis=1, out=keys.imag)
+        cand = _pick(flat, query, rng.random(n_trials), starts, last)
         np.subtract(x, x[rows, cand][..., None], out=blk)
         np.multiply(blk, blk, out=blk)
         np.subtract(y, y[rows, cand][..., None], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(blk, tmp, out=blk)
         np.minimum(blk, d2, out=blk)
-        np.multiply(blk, w, out=tmp)
-        tmp.sum(axis=2, out=pot)
+        terms = blk if unit else np.multiply(blk, w, out=tmp)
+        terms.sum(axis=2, out=pot)
         best = pot.argmin(axis=0)
-        if padded.any():
+        if padded.size:
             # a padded pool's best candidate stands if every candidate at
             # another point exceeds it by more than the margin; NaN and inf
             # fail the test, and the pool sums its unpadded rows instead
             clear = ((cand == cand[best, rows])
                      | (pot - pot[best, rows] > tol * pot)).all(axis=0)
-            for i in np.flatnonzero(padded & ~clear):
-                best[i] = tmp[:, i, :last[i] + 1].sum(axis=1).argmin()
+            for i in padded[~clear[padded]]:
+                best[i] = terms[:, i, :last[i] + 1].sum(axis=1).argmin()
         chosen[:, step] = cand[best, rows]
         d2[:] = blk[best, rows]
     centers = np.stack([x[rows[:, None], chosen], y[rows[:, None], chosen]],
@@ -385,10 +403,12 @@ def _pad_to_k(pts: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
 
 
 def _checked_pool(points, weights) -> tuple[np.ndarray, np.ndarray]:
-    """One pool as float arrays (n, 2) and (n,), duplicates coalesced;
-    ValueError for a malformed pool: NaN or inf points, or weighted sums
-    (k-means++ potentials, twice over, or Lloyd's) that could overflow."""
-    pts = np.asarray(points, dtype=np.float64)
+    """One pool as C-contiguous float arrays (n, 2) and (n,), duplicates
+    coalesced; ValueError for a malformed pool: NaN or inf points, or
+    weighted sums (k-means++ potentials, twice over, or Lloyd's) that could
+    overflow."""
+    # C order: _coalesce views each row of two floats as one complex
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty (n, 2) array")
     w = np.ones(len(pts)) if weights is None \

@@ -72,7 +72,8 @@ def corpora(tmp_path_factory):
     0``, with prediction files ``s20_exact`` and ``s20_shifted``; ``s3``,
     three follow-lane scenes of seed 0; and ``s40``, seven scenes of seed
     40 cut into uneven chunks at --jobs 2 and 3, with off-road scenes in
-    two chunks and prediction file ``s40_pred`` missing the last scene."""
+    two chunks, prediction file ``s40_pred`` missing the last scene and
+    ``s40_endpoints``, the endpoints of those seven scenes as a CSV."""
     root = tmp_path_factory.mktemp("corpora")
     s20 = root / "s20"
     assert main(["gen", "--suite", "20", "--seed", "0", "-o", str(s20)]) == 0
@@ -88,6 +89,11 @@ def corpora(tmp_path_factory):
         (root / name).mkdir()
         names[name], suite = write_suite(root / name, n, seed, behaviors)
     names["s40_pred"] = perfect_predictions(root / "s40", suite[:-1], "m")
+    names["s40_endpoints"] = root / "s40" / "endpoints.csv"
+    names["s40_endpoints"].write_text("class,x,y\n" + "".join(
+        f"{cls},{x!r},{y!r}\n" for scenario in suite for cls, xy
+        in experiments.class_endpoints(scenario).items()
+        for x, y in xy.tolist()))
     return names
 
 
@@ -141,6 +147,10 @@ _OUTPUTS = [
      "-o {out}", "", "warning: skipped 1 agent(s) lacking predictions for "
      "every model\n",
      "19931a3faae69713aa74be780615fe24b9bdd0b256d8aab44d4f27e04856f1dc"),
+    # static and mixed coverage from the endpoints of another suite
+    ("s20_analyze_endpoints", "analyze {s20} --predictions exact={s20_exact} "
+     "--endpoints {s40_endpoints} --window 1 -o {out}", "", "",
+     "263c773fa4193ab6a99a427c02098fa38b73c8de177e2fb82846e64aca9f3f05"),
     ("s40_dump_roadgraph", "dump-roadgraph {s40} -o {out}/rg.csv", "",
      _notes(40000120, 40000121, 40000122, 40000124),
      "f401f40be583da79d19e6bd02a44c4f5af60d6eeafc4972d741dca5512fef428"),
@@ -640,6 +650,17 @@ _REFUSALS = [
        lambda c, name=name: c.analyze(name=name))
       for case, name in [("empty", ""), ("comma", "a,b"), ("cr", "a\rb"),
                          ("lf", "a\n"), ("only_cr", "\r")]),
+    *((f"analyze_endpoints_{case}", 1, message,
+       lambda c, build=build: c.analyze("--endpoints", build(c)))
+      for case, build, message in [
+          ("missing", lambda c: c.missing,
+           "error: cannot read {missing}: [Errno 2] No such file or "
+           "directory: '{missing}'\n"),
+          ("wrong_header", lambda c: c.file("ep.csv", "x,y\n1.0,0.0\n"),
+           "error: {ep}: expected header 'class,x,y'\n"),
+          ("without_vehicle", lambda c: c.file(
+              "ep.csv", "class,x,y\ncyclist,1.0,0.0\n"),
+           "error: endpoints file has no rows for class 'vehicle'\n")]),
     ("analyze_window_1000", 2, "error: window 1000 exceeds record count 2\n",
      lambda c: c.analyze("--window", "1000", n=2)),
     # no record left is a data error; a window beyond them, a usage error
@@ -1555,8 +1576,8 @@ def test_option_strings_and_config_keys_are_pinned():
                          "--speed-limit", "--suite"},
         "intents": common | _CONFIG_FLAGS | {"--kind", "--endpoints",
                                              "--dump-roadgraph"},
-        "analyze": common | _CONFIG_FLAGS | {"--predictions", "--window",
-                                             "--deviation-mode",
+        "analyze": common | _CONFIG_FLAGS | {"--predictions", "--endpoints",
+                                             "--window", "--deviation-mode",
                                              "--exclude-parked"},
         "dump-roadgraph": common | _CONFIG_FLAGS,
     }

@@ -89,6 +89,20 @@ def test_padding_repeats_highest_weight():
     assert by_point[(0.0, 0.0)] == 1
 
 
+def test_fortran_ordered_pool_gives_the_c_pool_centers():
+    """A pool need not be C-contiguous: its Fortran-ordered and
+    transposed copies give the centers of the C-ordered pool."""
+    rng = np.random.default_rng(3)
+    pts = np.round(rng.uniform(-50.0, 50.0, size=(300, 2)), 0)
+    w = rng.uniform(0.1, 5.0, size=300)
+    cfg = KMeansConfig(k=16)
+    for weights in (None, w):
+        want = weighted_kmeans(pts, weights, cfg)
+        for pool in (np.asfortranarray(pts), pts.T.copy().T):
+            assert not pool.flags.c_contiguous
+            assert np.array_equal(weighted_kmeans(pool, weights, cfg), want)
+
+
 # -- static --------------------------------------------------------------------
 
 def test_static_separated_clusters():
@@ -352,11 +366,11 @@ def _padded_stack(pools):
 def test_kmeanspp_padded_stack_matches_per_candidate_reference():
     """Pools of different coalesced sizes, padded into one stack, each pick
     the reference's centers for the unpadded pool: lane rows and rounded
-    coordinates (tied potentials), unit and random weights, and a pool so
-    far out that its first weighted potential overflows to inf. The
-    reference run on a padded row, which sums each potential over the
-    padding, picks other centers for some pools: there the near-tie
-    re-sum of the unpadded row decided."""
+    coordinates (tied potentials), unit and random weights, a pool so far
+    out that its first weighted potential overflows to inf, and unit-weight
+    pools stacked with a weighted one. The reference run on a padded row,
+    which sums each potential over the padding, picks other centers for
+    some pools: there the near-tie re-sum of the unpadded row decided."""
     rng = np.random.default_rng(2)
     compared = resummed = 0
     cases = itertools.product((7, 64), (False, True), ("lanes", "rounded"),
@@ -393,6 +407,20 @@ def test_kmeanspp_padded_stack_matches_per_candidate_reference():
         pts, w = pools[0]
         assert math.isinf((w * ((pts - got[0, 0]) ** 2).sum(axis=1)).sum())
     assert len(np.unique(got[0], axis=0)) == 16
+
+    # unit-weight lane pools, the first among them, stacked with a weighted
+    # one: the stack keeps the weight products
+    pools = []
+    for unit in (True, False, True):
+        pts = _seeding_input(rng, "lanes", int(rng.integers(100, 200)))
+        pools.append(_coalesce(pts, np.ones(len(pts)) if unit
+                               else rng.uniform(0.1, 5.0, len(pts))))
+    stack, weights = _padded_stack(pools)
+    assert (pools[0][1] == 1.0).all() and (pools[1][1] != 1.0).any()
+    got = _kmeanspp(stack, weights, 16, np.random.default_rng(2))
+    for row, (pts, w) in zip(got, pools):
+        want = kmeanspp_reference(pts, w, 16, np.random.default_rng(2))
+        assert np.array_equal(row, want)
 
 
 def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_one_call(
