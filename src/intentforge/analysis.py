@@ -137,6 +137,15 @@ def read_endpoints(path) -> dict[str, np.ndarray]:
     return {cls: np.asarray(xy) for cls, xy in pools.items()}
 
 
+def check_prediction_header(path) -> None:
+    """Raise ``read_predictions``'s CsvError unless ``path`` opens and its
+    first line is the prediction header. Reads no further than the first
+    block that holds a line after the header."""
+    for lines in _csv_blocks(path, _PREDICTION_HEADER):
+        if lines:
+            return
+
+
 def _predictions_walk(path) -> dict[str, PredictionSet]:
     """``read_predictions`` row by row, in any row order: the only reader
     that words a malformed row's message."""

@@ -8,7 +8,9 @@ line; INTENTFORGE_SEED overrides the default seed when --seed is absent.
 A batch command cuts the sorted scenario files into ``min(--jobs,
 count)`` contiguous chunks. Each worker parses its own files one at a
 time into an ``experiments`` batch function and returns small results,
-which the main process puts in scenario-id order and finishes. Every
+which the main process puts in scenario-id order and finishes. The
+``--endpoints`` file is read, and each ``--predictions`` file opened and
+its header checked, before any scene is read. Every
 output file, a scene or a CSV, is written to a temporary file beside it
 (a CSV one block of lines at a time); all are renamed once every one is
 written, so none is left behind on exit 1 or 2. CSV output uses 6-decimal
@@ -32,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import DEVIATION_MODES, CsvError, deviation_curve, min_fde
+from .analysis import (DEVIATION_MODES, CsvError, check_prediction_header,
+                       deviation_curve, min_fde, read_endpoints)
 # benchmark/tracing.py wraps the prediction reader under this name
 from .analysis import read_predictions as _load_prediction_csv
 from .experiments import (INTENT_KINDS, DataError, FilterReport, RunConfig,
@@ -223,11 +226,12 @@ def cmd_intents(args) -> int:
                          "static intents compute no reachable set")
     if dump and Path(dump).resolve() == Path(args.out).resolve():
         raise UsageError("--dump-roadgraph and -o name the same file")
+    pools = read_endpoints(args.endpoints) if args.endpoints else None
     heads, results = _scan_all(args, partial(
         intents_batch, kind=args.kind, cfg=cfg, dump=bool(dump)))
     targets = [t for chunk, _, _ in results for t in chunk]
     static = static_sets(heads, sorted({t[1] for t in targets}), cfg.kmeans,
-                         args.endpoints)
+                         pools)
     rows = intent_rows(targets, args.kind, static, cfg)
     with _outputs() as temp:
         _write_csv(temp(args.out),
@@ -265,6 +269,9 @@ def _prediction_paths(specs) -> dict[str, str]:
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     paths = _prediction_paths(args.predictions)
+    pools = read_endpoints(args.endpoints) if args.endpoints else None
+    for path in paths.values():
+        check_prediction_header(path)
     heads, results = _scan_all(args, partial(filter_dataset, cfg=cfg))
     items = [it for kept, _ in results for it in kept]
     tracks = {it.track.agent_id: it.track for it in items}
@@ -273,8 +280,7 @@ def cmd_analyze(args) -> int:
                    in _load_prediction_csv(path).items() if aid in tracks}
             for name, path in paths.items()}
 
-    static = static_sets(heads, ["vehicle"], cfg.kmeans,
-                         args.endpoints)["vehicle"]
+    static = static_sets(heads, ["vehicle"], cfg.kmeans, pools)["vehicle"]
     records, cov_rows, skipped = analyze_batch(items, fdes, static, cfg)
     report = FilterReport(*map(sum, zip(*(astuple(r) for _, r in results))))
     if skipped:

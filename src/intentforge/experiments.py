@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (DEVIATION_MODES, DeviationRecord, coverage,
-                       detect_parked, gt_deviation, read_endpoints)
+                       detect_parked, gt_deviation)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
                         MixConfig, dynamic_pool, mixed_intents_many,
                         to_agent_frame, weighted_kmeans, weighted_kmeans_many)
@@ -84,12 +84,11 @@ def pooled_static(scenarios, object_class: str = "vehicle",
 
 
 def static_sets(heads, classes, cfg: KMeansConfig = KMeansConfig(),
-                endpoints_file=None) -> dict[str, IntentionPointSet]:
+                pools=None) -> dict[str, IntentionPointSet]:
     """One statistical point set per object class in ``classes``: from the
-    endpoints of a CSV (columns class,x,y; see ``read_endpoints``) when
-    ``endpoints_file`` is given, else from ``fit_static`` of the endpoints
+    endpoint arrays by class ``pools`` (``analysis.read_endpoints`` of an
+    endpoints file) when given, else from ``fit_static`` of the endpoints
     in the ``scan`` heads ``heads``."""
-    pools = read_endpoints(endpoints_file) if endpoints_file else None
     sets = {}
     for cls in classes:
         if pools is not None and cls not in pools:
@@ -359,9 +358,10 @@ def intent_coverage(items, static_set: IntentionPointSet,
     dyns = [it.dynamic for it in items]
     mixed = [_mixed(dyns, static_set, mix, cfg.kmeans)
              for mix in ((cfg.mix,) if mixes is None else mixes)]
-    return [[coverage(points.points, agent_frame_endpoint(it.track))
+    ends = (agent_frame_endpoint(it.track) for it in items)
+    return [[coverage(points.points, end)
              for points in (static_set, it.dynamic, *sets)]
-            for it, *sets in zip(items, *mixed)]
+            for end, it, *sets in zip(ends, items, *mixed)]
 
 
 def analyze_batch(items, fdes, static_set: IntentionPointSet,

@@ -1,10 +1,10 @@
 """Lane association: match a vehicle to the lane node(s) it travels on.
 
 Pure functions over an immutable map; safe for concurrent per-agent use.
-Candidate selection applies, in order: a proximity limit, a heading
-alignment gate, nearest-node seeding, and an upstream walk that adds the
-nearest node of each diverging sibling lane found within the arc-length
-budget. When no node survives, the result is an explicit fallback (the
+The seed is the first lane node, by (distance, segment id, node index),
+that passes both the proximity limit and the heading gate; an upstream
+walk from it adds the nearest node of each diverging sibling lane within
+the arc-length budget. A result without candidates is a fallback (the
 caller then uses statistical intention points instead).
 """
 
@@ -33,17 +33,14 @@ class AssocConfig:
 
 @dataclass(frozen=True)
 class AssociationResult:
-    """Candidate lane nodes as (segment id, node index, distance) tuples.
-
-    ``fallback`` is true iff no candidate exists.
-    """
+    """Candidate lane nodes as (segment id, node index, distance) tuples."""
 
     candidates: tuple[tuple[int, int, float], ...]
-    fallback: bool
 
-    def __post_init__(self):
-        if self.fallback != (len(self.candidates) == 0):
-            raise ValueError("fallback must hold exactly when candidates is empty")
+    @property
+    def fallback(self) -> bool:
+        """No candidates: the agent has no lane association."""
+        return not self.candidates
 
 
 def angular_difference(a: float, b: float) -> float:
@@ -136,26 +133,26 @@ def associate(vmap: VectorMap, track: AgentTrack,
               cfg: AssocConfig = AssocConfig()) -> AssociationResult:
     """Associate a vehicle with its current lane node(s).
 
-    Returns the seed (nearest node passing the proximity and heading
-    gates) plus any diverging-branch nodes found by the upstream walk,
-    deduplicated and sorted by distance. fallback=True when nothing
-    qualifies.
+    Returns the seed (the first node by distance, segment id, node index
+    passing both gates) plus any diverging-branch nodes found by the
+    upstream walk, deduplicated and sorted by distance; no candidates,
+    a ``fallback``, when no node qualifies.
     """
     if track.object_class != "vehicle":
         raise ValueError("lane association is defined for vehicles only")
     point = track.states[HISTORY_LEN - 1, :2]
     heading = derive_heading(track)
 
-    pool = vmap.nearest_nodes(point, cfg.proximity_limit)
-    aligned = [c for c in pool if _passes(vmap, *c, heading, cfg)]
-    if not aligned:
-        return AssociationResult((), fallback=True)
+    # nearest_nodes sorts by (distance, segment id, node index)
+    seed = next((c for c in vmap.nearest_nodes(point, cfg.proximity_limit)
+                 if _passes(vmap, *c, heading, cfg)), None)
+    if seed is None:
+        return AssociationResult(())
 
-    seed = aligned[0]  # pool is sorted by (distance, segment id, node index)
     found = {(seed[0], seed[1]): seed[2]}
     for sid, ni, d in _branch_candidates(vmap, seed[0], seed[1], point,
                                          heading, cfg):
         found.setdefault((sid, ni), d)
     ordered = sorted(((sid, ni, d) for (sid, ni), d in found.items()),
                      key=lambda c: (c[2], c[0], c[1]))
-    return AssociationResult(tuple(ordered), fallback=False)
+    return AssociationResult(tuple(ordered))

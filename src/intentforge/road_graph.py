@@ -136,8 +136,6 @@ def build_graph(vmap: VectorMap,
     and one lane-change edge per node towards each change-permitted
     neighbor (targeting that neighbor's nearest node). A gap beyond float
     range takes an inf travel time, beyond every budget."""
-    seg_ids = vmap.node_seg_ids.copy()
-    node_indices = vmap.node_indices.copy()
     positions = vmap.node_positions
     base: dict[int, int] = {}
     offset = 0
@@ -166,7 +164,8 @@ def build_graph(vmap: VectorMap,
             targets = (base[neighbor.segment_id] + nearest).tolist()
             for i, (v, w) in enumerate(zip(targets, (gaps / denom).tolist())):
                 adjacency[b + i].append((v, w))
-    return RoadGraph(seg_ids, node_indices, positions, adjacency)
+    return RoadGraph(vmap.node_seg_ids, vmap.node_indices, positions,
+                     adjacency)
 
 
 @dataclass(eq=False)

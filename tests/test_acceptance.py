@@ -111,8 +111,7 @@ def test_criterion_2_reachability_oracle_equivalence():
 
 def _assoc(node_indices):
     from intentforge.lane_assoc import AssociationResult
-    return AssociationResult(tuple((0, i, 0.0) for i in node_indices),
-                             fallback=False)
+    return AssociationResult(tuple((0, i, 0.0) for i in node_indices))
 
 
 def test_criterion_3_closed_form_reach_horizon():

@@ -661,6 +661,20 @@ _REFUSALS = [
           ("without_vehicle", lambda c: c.file(
               "ep.csv", "class,x,y\ncyclist,1.0,0.0\n"),
            "error: endpoints file has no rows for class 'vehicle'\n")]),
+    # input files are read, or checked, before any (here missing) scene
+    *((f"{command}_endpoints_{case}_before_scenes", 1, message,
+       lambda c, command=command, build=build: _BEFORE_SCENES[command](
+           c, "--endpoints", build(c)))
+      for command in ("intents", "analyze") for case, build, message in [
+          ("missing", lambda c: c.missing,
+           "error: cannot read {missing}: [Errno 2] No such file or "
+           "directory: '{missing}'\n"),
+          ("wrong_header", lambda c: c.file("ep.csv", "x,y\n1.0,0.0\n"),
+           "error: {ep}: expected header 'class,x,y'\n")]),
+    ("analyze_predictions_wrong_header_before_scenes", 1,
+     "error: {p}: expected header 'agent_id,mode_idx,confidence,step,x,y'\n",
+     lambda c: ["analyze", c.missing, "--predictions",
+                "m=" + c.file("p.csv", "x,y\n1.0,0.0\n"), "-o", c.out]),
     ("analyze_window_1000", 2, "error: window 1000 exceeds record count 2\n",
      lambda c: c.analyze("--window", "1000", n=2)),
     # no record left is a data error; a window beyond them, a usage error

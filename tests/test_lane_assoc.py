@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import line_nodes, seg, stationary_track, vehicle_track
 from intentforge.lane_assoc import (MIN_MOVE_FOR_HEADING, AssocConfig,
-                                    AssociationResult, angular_difference,
-                                    associate, derive_heading,
-                                    lane_heading_at)
+                                    angular_difference, associate,
+                                    derive_heading, lane_heading_at)
 from intentforge.map_model import (HISTORY_LEN, AgentState, AgentTrack,
                                    LaneSegment, VectorMap)
 from intentforge.scenario_gen import GenSpec, generate, iter_suite
@@ -205,13 +204,6 @@ def test_branch_walk_visits_a_diamond_top_once():
     track = vehicle_track((0.0, 1.0), heading=math.pi / 2, speed=6.0)
     assert associate(vm, track).candidates == (
         nearest_on(vm, 0, (0.0, 1.0)), nearest_on(vm, 1, (0.0, 1.0)))
-
-
-def test_fallback_result_invariant():
-    with pytest.raises(ValueError):
-        AssociationResult((), fallback=False)
-    with pytest.raises(ValueError):
-        AssociationResult(((0, 1, 0.5),), fallback=True)
 
 
 # -- properties over randomized scenes ----------------------------------------

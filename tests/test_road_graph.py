@@ -24,8 +24,7 @@ OFFSET_15MPH = 6.7056
 
 
 def starts_at(*nodes) -> AssociationResult:
-    return AssociationResult(tuple((sid, ni, 0.0) for sid, ni in nodes),
-                             fallback=False)
+    return AssociationResult(tuple((sid, ni, 0.0) for sid, ni in nodes))
 
 
 # -- travel_time ---------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_reach_requires_candidates():
     vm = VectorMap([seg(0, [[0, 0], [1, 0]])])
     graph = build_graph(vm)
     with pytest.raises(ValueError):
-        reach(graph, AssociationResult((), fallback=True))
+        reach(graph, AssociationResult(()))
 
 
 def test_reach_closed_form_horizon():
