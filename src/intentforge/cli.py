@@ -209,13 +209,12 @@ def _reach_block(sid, aid, positions, times) -> str:
     return "".join(lines)
 
 
-def _write_reach_csv(path, results):
-    """Reachability CSV of the reach sets of ``intents_batch`` results, in
+def _write_reach_csv(path, records):
+    """Reachability CSV of the reach sets of ``intents_batch`` records, in
     (scenario id, agent id) order, one block per reach set."""
-    reach_sets = sorted((r for _, sets, _ in results for r in sets),
-                        key=lambda r: r[:2])
     _write_csv(path, ("scenario_id", "agent_id", "x", "y", "arrival_s"),
-               (_reach_block(*r) for r in reach_sets))
+               (_reach_block(sid, aid, *reach) for sid, aid, _, reach, _
+                in sorted(records, key=lambda r: r[:2]) if reach is not None))
 
 
 def cmd_intents(args) -> int:
@@ -229,10 +228,10 @@ def cmd_intents(args) -> int:
     pools = read_endpoints(args.endpoints) if args.endpoints else None
     heads, results = _scan_all(args, partial(
         intents_batch, kind=args.kind, cfg=cfg, dump=bool(dump)))
-    targets = [t for chunk, _, _ in results for t in chunk]
-    static = static_sets(heads, sorted({t[1] for t in targets}), cfg.kmeans,
+    records = [r for chunk in results for r in chunk]
+    static = static_sets(heads, sorted({r[2] for r in records}), cfg.kmeans,
                          pools)
-    rows = intent_rows(targets, args.kind, static, cfg)
+    rows = intent_rows(records, args.kind, static, cfg)
     with _outputs() as temp:
         _write_csv(temp(args.out),
                    ("agent_id", "kind", "idx", "x", "y", "fallback"),
@@ -240,7 +239,7 @@ def cmd_intents(args) -> int:
                             for i, (x, y) in enumerate((points + 0.0).tolist()))
                     for aid, kind, points, fb in rows))
         if dump:
-            _write_reach_csv(temp(dump), results)
+            _write_reach_csv(temp(dump), records)
     return 0
 
 
@@ -321,13 +320,15 @@ def cmd_dump_roadgraph(args) -> int:
     cfg = _resolve_config(args)
     _, results = _scan_all(args, partial(intents_batch, kind=None, cfg=cfg,
                                          dump=True))
+    records = [r for chunk in results for r in chunk]
+    # a vehicle without a reach set fell back
+    fell_back = [r[:2] for r in records if r[2] == "vehicle" and r[3] is None]
     # stable: a scene's agents keep their order
-    for _, agent_id in sorted((f for _, _, fell_back in results
-                               for f in fell_back), key=lambda f: f[0]):
+    for _, agent_id in sorted(fell_back, key=lambda f: f[0]):
         print(f"note: {agent_id} has no lane association; skipped",
               file=sys.stderr)
     with _outputs() as temp:
-        _write_reach_csv(temp(args.out), results)
+        _write_reach_csv(temp(args.out), records)
     return 0
 
 
@@ -405,13 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(func, args) -> int:
+    """``func(args)``, with a refusal printed as one ``error:`` line and
+    returned as exit code 2 (usage) or 1; the scripts run through it too."""
     try:
-        return args.func(args)
+        return func(args)
     except (UsageError, DataError, ScenarioError, CsvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@
 a ``RunConfig``. The batch commands take scenes one at a time through
 ``scan``, keep only small per-scene results and finish in one process:
 ``intents_batch`` runs ``run_scene`` over many scenes for ``intents`` and
-``dump-roadgraph``, and ``intent_rows`` turns its targets into rows once
+``dump-roadgraph``, and ``intent_rows`` turns its records into rows once
 ``static_sets`` are fitted from every scene's ``class_endpoints``.
 ``filter_dataset`` sorts ``run_scene``'s results into the targets that
 ``analyze`` keeps and the ones it excludes, and reduces each kept one to
@@ -218,31 +218,24 @@ def intents_batch(scenarios, kind: str | None,
                   cfg: RunConfig = RunConfig(), dump: bool = False):
     """``run_scene`` over many scenes (none when ``kind`` is static), with
     the dynamic intention points of their reach sets ``_clustered``.
-    Returns three lists in scene order: ``(agent id, object class, dynamic
-    set or None)`` of every target, each set None when ``kind`` is None;
-    when ``dump``, ``(scenario id, agent id, positions, arrival times)`` of
-    every reach set; and ``(scenario id, agent id)`` of every vehicle whose
-    association fell back."""
-    reach_sets, fell_back = [], []
-
+    Returns one record per target, in scene order: ``(scenario id, agent
+    id, object class, reach, dynamic set or None)``. ``reach`` is the
+    ``(positions, arrival times)`` of the target's reach set when ``dump``
+    is set and it has one, else None; the set is None when ``kind`` is
+    None."""
     def targets():
         for scenario in scenarios:
-            sid = scenario.scenario_id
-            if kind == "static":
-                results = [AgentResult(scenario.track(a), None, None)
-                           for a in scenario.tracks_to_predict]
-            else:
-                results = run_scene(scenario, cfg)
-            for track, assoc, reach_set in results:
-                if assoc is not None and assoc.fallback:
-                    fell_back.append((sid, track.agent_id))
-                if reach_set is not None and dump:
-                    reach_sets.append((sid, track.agent_id, reach_set.positions,
-                                       reach_set.arrival_times))
-                yield ((track.agent_id, track.object_class),
+            results = run_scene(scenario, cfg) if kind != "static" else (
+                AgentResult(scenario.track(a), None, None)
+                for a in scenario.tracks_to_predict)
+            for track, _, reach_set in results:
+                reach = None if reach_set is None or not dump else (
+                    reach_set.positions, reach_set.arrival_times)
+                yield ((scenario.scenario_id, track.agent_id,
+                        track.object_class, reach),
                        None if reach_set is None or kind is None
                        else dynamic_pool(reach_set, track))
-    return _clustered(targets(), cfg.kmeans), reach_sets, fell_back
+    return _clustered(targets(), cfg.kmeans)
 
 
 def _mixed(dyns, static_set, mix: MixConfig, cfg: KMeansConfig):
@@ -255,15 +248,15 @@ def _mixed(dyns, static_set, mix: MixConfig, cfg: KMeansConfig):
                         f": {exc}") from None
 
 
-def intent_rows(targets, kind: str, static_sets,
+def intent_rows(records, kind: str, static_sets,
                 cfg: RunConfig = RunConfig()):
     """``(agent id, kind, points, fallback flag)`` rows of ``intents_batch``
-    targets, sorted by agent id. A target with a dynamic set gets it, or,
+    records, sorted by agent id. A target with a dynamic set gets it, or,
     when ``kind`` is mixed, its mix with the vehicle entry of
     ``static_sets`` (one ``mixed_intents_many`` call, batched inside); any
     other target gets its class's ``static_sets`` entry."""
-    targets = sorted(targets, key=lambda t: t[0])
-    sets = [dyn for _, _, dyn in targets if dyn is not None]
+    records = sorted(records, key=lambda r: r[1])
+    sets = [dyn for *_, dyn in records if dyn is not None]
     # static_sets holds only the classes of the targets: without a dynamic
     # set there may be no vehicle target, and nothing to mix
     if kind == "mixed" and sets:
@@ -272,7 +265,7 @@ def intent_rows(targets, kind: str, static_sets,
     return [(aid, kind, next(sets).points, "0") if dyn is not None
             else (aid, "static", static_sets[cls].points,
                   "0" if kind == "static" else "1")
-            for aid, cls, dyn in targets]
+            for _, aid, cls, _, dyn in records]
 
 
 MAX_PLAUSIBLE_SPEED = 60.0   # m/s between consecutive valid GT samples

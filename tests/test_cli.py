@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -28,6 +29,9 @@ from intentforge.lane_assoc import associate
 from intentforge.map_model import (ScenarioError, VectorMap, parse_scenario,
                                    write_scenario)
 from intentforge.scenario_gen import BEHAVIORS, iter_suite
+from test_experiments import _SCRIPT_PINS
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -468,10 +472,47 @@ _MIXED_1E308 = ("error: cannot cluster mixed points at dynamic:static "
 _NAME_RULE = "must be non-empty and hold no comma or line break\n"
 _FINITE_SUMS = ("error: minFDE of model 'm': values and their running sums "
                 "must be finite\n")
+# the refusals of every script
+_EVERY_SCRIPT = [
+    *((f"{flag[2:]}_{case}", 2, f"error: {flag} must be {rule}\n",
+       lambda c, a=(flag, value): [*a, "-o", c.out])
+      for flag, case, value, rule in [("--scenes", "0", "0", ">= 1"),
+                                      ("--scenes", "negative", "-1", ">= 1"),
+                                      ("--seed", "negative", "-1", ">= 0")]),
+    ("scenes_text", 2, "error: argument --scenes: invalid int value: 'x'\n",
+     lambda c: ["--scenes", "x", "-o", c.out]),
+    ("unknown_option", 2, "error: unrecognized arguments: --bogus\n",
+     lambda c: ["--bogus", "-o", c.out]),
+    ("out_missing_directory", 1,
+     "error: [Errno 2] No such file or directory: '{missing}/r.csv'\n",
+     lambda c: ["--scenes", "2", "-o", f"{c.missing}/r.csv"]),
+    ("out_is_a_directory", 1, "error: [Errno 21] Is a directory: '{out}'\n",
+     lambda c: ["--scenes", "2", "-o", c.busy(c.out).out]),
+]
+# script -> its (case, exit code, stderr text, build) rows beside
+# _EVERY_SCRIPT, where build returns the script's flags; each is a
+# _REFUSALS row "<stem>_<case>"
+_SCRIPT_REFUSALS = {
+    "coverage_experiment.py": [],
+    "ratio_harness.py": [
+        *((f"ratios_{case}", 2, "error: --ratios must be finite and > 0\n",
+           lambda c, ratios=ratios: ["--ratios", *ratios, "-o", c.out])
+          for case, ratios in [("0", ["0"]), ("nan", ["3", "nan"])]),
+        ("ratios_1e308", 1, _MIXED_1E308,
+         lambda c: ["--scenes", "3", "--ratios", "1e308", "-o", c.out]),
+        # the one scene of seed 1 has no target with dynamic intention points
+        ("no_dynamic_points", 1,
+         "error: no scene produced dynamic intention points\n",
+         lambda c: ["--scenes", "1", "--seed", "1", "-o", c.out]),
+        ("missing_out", 2,
+         "error: the following arguments are required: -o/--out\n",
+         lambda c: [])],
+}
 
 # (case, exit code, stderr text, build): the text is the whole of stderr
 # when it ends in a newline, else its start; build(_Inputs) writes the
-# inputs and returns the command line
+# inputs and returns the command line, which runs a script when it starts
+# with the script's path
 _REFUSALS = [
     *((f"argv_{case}", 2, f"error: argument {flag}: invalid {kind} value: "
        f"'{value}'\n", lambda c, a=(flag, value): c.intents(
@@ -748,6 +789,11 @@ _REFUSALS = [
      "error: [Errno 21] Is a directory: '{busy}'\n",
      lambda c: c.busy(c.tmp / "r").intents(
          "--dump-roadgraph", str(c.tmp / "r"), kind="dynamic")),
+    # the experiment scripts
+    *((f"{script[:-3]}_{case}", code, text,
+       lambda c, script=script, build=build: [f"scripts/{script}", *build(c)])
+      for script, rows in _SCRIPT_REFUSALS.items()
+      for case, code, text, build in (*_EVERY_SCRIPT, *rows)),
 ]
 
 
@@ -755,15 +801,19 @@ _REFUSALS = [
                          ids=[case for case, *_ in _REFUSALS])
 def test_documented_refusal_exits_with_one_line(tmp_path, monkeypatch, capsys,
                                                 code, text, build):
-    """The exit code, whether main returns it or argparse raises it; an
-    empty stdout; stderr equal to the row's text, or starting with it in
-    one line, and one ``error:`` line; and no file beyond the inputs."""
+    """The exit code, whether the CLI's or a script's main returns it or
+    argparse raises it; an empty stdout; stderr equal to the row's text,
+    or starting with it in one line, and one ``error:`` line; and no file
+    beyond the inputs."""
     monkeypatch.delenv("INTENTFORGE_SEED", raising=False)
     inputs = _Inputs(tmp_path, monkeypatch)
     argv = build(inputs)
+    entry = main
+    if argv[0].startswith("scripts/"):
+        entry, argv = runpy.run_path(str(REPO / argv[0]))["main"], argv[1:]
     written = sorted(tmp_path.rglob("*"))
     try:
-        rc = main(argv)
+        rc = entry(argv)
     except SystemExit as exc:
         rc = exc.code
     out, err = capsys.readouterr()
@@ -775,6 +825,12 @@ def test_documented_refusal_exits_with_one_line(tmp_path, monkeypatch, capsys,
         assert err.startswith(text) and err.count("\n") == 1
     assert sum(ln.startswith("error: ") for ln in err.split("\n")) == 1
     assert sorted(tmp_path.rglob("*")) == written
+
+
+def test_every_script_has_an_output_pin_and_refusal_rows():
+    """A new script joins both contract harnesses."""
+    scripts = sorted(p.name for p in (REPO / "scripts").glob("*.py"))
+    assert sorted(_SCRIPT_PINS) == sorted(_SCRIPT_REFUSALS) == scripts
 
 
 # any JSON value: every type, ints of any size, and the floats beyond
@@ -1355,8 +1411,8 @@ _TIED_SETS = [("s1", "b", _TIED_XY, _TIED_TIMES),
 
 def test_reach_writer_matches_global_sort_on_tied_rows(tmp_path):
     out = tmp_path / "rg.csv"
-    cli._write_reach_csv(out, [([], _TIED_SETS[:2], []),
-                               ([], _TIED_SETS[2:], [])])
+    cli._write_reach_csv(out, [(sid, aid, "vehicle", reach, None)
+                               for sid, aid, *reach in _TIED_SETS])
     want = reach_csv_reference(_TIED_SETS)
     assert out.read_text() == want
     # the tied rows are reordered, and -0.000000 is printed for -1e-9 only
@@ -1377,7 +1433,8 @@ def test_reach_writer_matches_global_sort_on_random_ties(tmp_path, rows):
     times = np.array([r[0] + r[1] for r in rows])
     positions = np.array([r[2:] for r in rows])
     sets = [("s", "a", positions, times)]
-    cli._write_reach_csv(tmp_path / "rg.csv", [([], sets, [])])
+    cli._write_reach_csv(tmp_path / "rg.csv",
+                         [("s", "a", "vehicle", (positions, times), None)])
     assert (tmp_path / "rg.csv").read_text() == reach_csv_reference(sets)
 
 

@@ -84,66 +84,6 @@ def test_coverage_proxy_keeps_its_keys_when_nothing_is_kept(monkeypatch):
         assert res[kind].shape == (0,)
 
 
-@pytest.mark.parametrize("script, args", [
-    ("ratio_harness.py", ["--scenes", "0"]),
-    ("ratio_harness.py", ["--seed", "-1"]),
-    ("ratio_harness.py", ["--ratios", "0"]),
-    ("coverage_experiment.py", ["--scenes", "-1"]),
-    ("coverage_experiment.py", ["--scenes", "0"]),
-    ("coverage_experiment.py", ["--seed", "-1"]),
-    ("ratio_harness.py", ["--scenes", "-1"]),
-    ("ratio_harness.py", ["--ratios", "3", "nan"]),
-])
-def test_experiment_script_bad_flag_exits_2(tmp_path, script, args):
-    res = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args,
-         "-o", str(tmp_path / "out.csv")],
-        cwd=REPO, capture_output=True, text=True)
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    assert res.stderr.splitlines()[-1].startswith(f"{script}: error: ")
-    assert f"error: {args[0]} must be" in res.stderr.splitlines()[-1]
-    assert not (tmp_path / "out.csv").exists()
-
-
-# (case, script, flags, -o under tmp_path, stderr text): "dir" is a
-# directory; "{out}" in the text is the -o path
-_SCRIPT_ERRORS = [
-    ("ratio_1e308", "ratio_harness.py", ["--scenes", "3", "--ratios", "1e308"],
-     "out.csv", "error: cannot cluster mixed points at dynamic:static weights "
-     "1e+308:1: points must be finite and their weighted sums within the "
-     "float range"),
-    # the one scene of seed 1 has no target with dynamic intention points
-    ("no_dynamic_points", "ratio_harness.py", ["--scenes", "1", "--seed", "1"],
-     "out.csv", "error: no scene produced dynamic intention points"),
-    *((f"{script[:-3]}_out_{case}", script, ["--scenes", "2", "--seed", "0"],
-       out, message)
-      for script in ("coverage_experiment.py", "ratio_harness.py")
-      for case, out, message in [
-          ("missing_directory", "missing/out.csv",
-           "error: [Errno 2] No such file or directory: '{out}'"),
-          ("is_a_directory", "dir", "error: [Errno 21] Is a directory: "
-           "'{out}'")]),
-]
-
-
-@pytest.mark.parametrize("script, args, out, message",
-                         [r[1:] for r in _SCRIPT_ERRORS],
-                         ids=[case for case, *_ in _SCRIPT_ERRORS])
-def test_experiment_script_error_exits_1(tmp_path, script, args, out,
-                                         message):
-    """Exit 1, one ``error:`` line, an empty stdout and no new file."""
-    out = tmp_path / out
-    (tmp_path / "dir").mkdir()
-    before = sorted(tmp_path.rglob("*"))
-    res = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script), *args,
-         "-o", str(out)], cwd=REPO, capture_output=True, text=True)
-    assert (res.returncode, res.stderr, res.stdout) == (
-        1, message.format(out=out) + "\n", "")
-    assert sorted(tmp_path.rglob("*")) == before
-
-
 _RATIO_PIN = ("0af234410d6d2d1dcc82f9caf8312f01"
               "28c829b4b3b8aef818408f4c36047794")
 # script -> (flags, sha256 of the CSV, sha256 of stdout); the ratio
