@@ -107,7 +107,9 @@ _BOUND_MIN_POINTS = 1024
 # k-means++ seeds at most this many pools in one size-sorted, padded
 # stack: stacks of 16 seed the pools of a 500-scene suite ~20 % slower
 # than stacks of 32, larger ones gain nothing, and a stack's memory stays
-# bounded
+# bounded. A stack's largest pool holds at most twice the points of its
+# smallest, so that a batch mixing small and large reach sets does not pad
+# every small pool to the largest
 _SEED_CHUNK = 32
 # pools clustered in one batch at most. A batch holds about 10 KB per
 # pool. k-means++ seeds a batch in size-sorted stacks of up to
@@ -170,23 +172,18 @@ class IntentionPointSet:
 def _coalesce(points: np.ndarray, weights: np.ndarray):
     """Merge exact duplicate points, summing weights, keeping first-seen order.
 
-    Each point is keyed by one complex number x + iy, which numpy orders by
-    x, then y; ``+ 0.0`` turns -0.0 into 0.0, so the two compare as one
-    point. A stable sort heads each run of equal points with their first
+    Each point is keyed by one complex number x + iy; ``+ 0.0`` turns -0.0
+    into 0.0, so the two compare as one point. ``np.unique`` sorts stably
+    when it returns indices, so ``first`` holds each point's first
     occurrence, which is kept as given; ``bincount`` adds the weights of a
     point in input order."""
     keyed = (points + 0.0).view(complex).ravel()
-    by_xy = np.argsort(keyed, kind="stable")
-    ranked = keyed[by_xy]
-    head = np.ones(by_xy.size, dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    first = by_xy[head]
+    _, first, labels = np.unique(keyed, return_index=True,
+                                 return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    labels = np.empty_like(by_xy)
-    labels[by_xy] = rank[np.cumsum(head) - 1]
-    return points[first[order]], np.bincount(labels, weights=weights)
+    return points[first[order]], np.bincount(rank[labels], weights=weights)
 
 
 def _pick(keys: np.ndarray, query: np.ndarray, u: np.ndarray,

@@ -375,8 +375,11 @@ class AgentTrack:
         return f"AgentTrack({self.agent_id!r}, {self.object_class!r})"
 
 
-@dataclass(eq=False)
+@dataclass
 class Scenario:
+    """A lane map, tracks sorted by agent id and the sorted ids to predict;
+    equal when all four fields are, and unhashable."""
+
     scenario_id: str
     vector_map: VectorMap
     tracks: list[AgentTrack]
@@ -397,14 +400,6 @@ class Scenario:
 
     def track(self, agent_id: str) -> AgentTrack:
         return self._by_id[agent_id]
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (self.scenario_id == other.scenario_id
-                and self.tracks_to_predict == other.tracks_to_predict
-                and self.tracks == other.tracks
-                and self.vector_map == other.vector_map)
 
 
 # -- parsing ---------------------------------------------------------------

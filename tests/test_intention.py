@@ -423,12 +423,19 @@ def test_kmeanspp_padded_stack_matches_per_candidate_reference():
         assert np.array_equal(row, want)
 
 
-def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_one_call(
-        monkeypatch):
-    """Pools of three coalesced sizes are seeded in one _kmeanspp call, as
-    padded rows of one stack, and each still equals its one-pool call. The
-    benchmark times seeding by wrapping _kmeanspp, so seeding through any
-    other function would hide its time."""
+@pytest.mark.parametrize("sizes, shapes", [
+    ((150, 100, 190), [(3, 190, 2)]),
+    # 260 > 2 * 100: the largest pool is seeded alone, so that the others
+    # are not padded to its size
+    ((100, 130, 260), [(2, 130, 2), (1, 260, 2)]),
+], ids=["one-stack", "twice-the-smallest"])
+def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_stacks(
+        monkeypatch, sizes, shapes):
+    """Pools of three coalesced sizes are seeded in size-sorted stacks, one
+    _kmeanspp call each, as padded rows; a stack's largest pool holds at
+    most twice the points of its smallest. Each pool still equals its
+    one-pool call. The benchmark times seeding by wrapping _kmeanspp, so
+    seeding through any other function would hide its time."""
     calls = []
     seed = intention._kmeanspp
 
@@ -438,13 +445,12 @@ def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_one_call(
 
     monkeypatch.setattr(intention, "_kmeanspp", spy)
     rng = np.random.default_rng(4)
-    sizes = (150, 100, 190)
     pools = [(rng.uniform(-50.0, 50.0, size=(n, 2)), None) for n in sizes]
     cfg = KMeansConfig(k=16)
     got = weighted_kmeans_many(pools, cfg)
-    [(stack, weights)] = calls
-    assert stack.shape == (3, max(sizes), 2)
-    for row, w, n in zip(stack, weights, sorted(sizes)):
+    assert [stack.shape for stack, _ in calls] == shapes
+    rows = [row for call in calls for row in zip(*call)]
+    for (row, w), n in zip(rows, sorted(sizes)):
         assert (w[:n] > 0).all() and (w[n:] == 0).all()
         assert (row[n:] == row[0]).all()
     for out, (pts, _) in zip(got, pools):
@@ -487,6 +493,19 @@ def test_coalesce_matches_dict_reference(points, seed):
     assert np.array_equal(got_pts, want_pts)
     assert np.array_equal(np.signbit(got_pts), np.signbit(want_pts))
     assert np.array_equal(got_w, want_w)
+
+
+def test_coalesce_sums_weights_left_to_right():
+    """A merged weight is the running sum in input order, as the dict
+    reference adds it: 1.0 then eight 2**-53 stays 1.0 at every step,
+    where numpy's pairwise sum of the same nine weights gives
+    1.0000000000000009."""
+    w = np.array([1.0] + [2.0 ** -53] * 4 + [3.0] + [2.0 ** -53] * 4)
+    pts = np.array([[1.0, 2.0]] * 5 + [[0.0, 0.0]] + [[1.0, 2.0]] * 4)
+    got_pts, got_w = _coalesce(pts, w)
+    want_pts, want_w = coalesce_reference(pts, w)
+    assert np.array_equal(got_pts, want_pts)
+    assert got_w.tolist() == want_w.tolist() == [1.0, 3.0]
 
 
 def _pool(points, weighted, seed):

@@ -387,7 +387,7 @@ def _maps_and_query(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_maps_and_query())
-def test_spatial_index_equivalence_property(case):
+def test_nearest_nodes_matches_scan_on_random_maps(case):
     vm, point, radius = case
     assert vm.nearest_nodes(point, radius) == _scan(vm, point, radius)
 
