@@ -29,8 +29,8 @@ import numpy as np
 from .analysis import (DEVIATION_MODES, DeviationRecord, coverage,
                        detect_parked, gt_deviation)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
-                        MixConfig, dynamic_pool, mixed_intents_many,
-                        to_agent_frame, weighted_kmeans, weighted_kmeans_many)
+                        MixConfig, dynamic_pool, dynamic_sets,
+                        mixed_intents_many, to_agent_frame, weighted_kmeans)
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
@@ -201,15 +201,15 @@ def run_scene(scenario: Scenario,
 def _clustered(entries, cfg: KMeansConfig):
     """``(item tuple, dynamic_pool or None)`` pairs, taken as they come, as
     ``(*item, dynamic set or None)`` tuples in order. The pools feed one
-    ``weighted_kmeans_many`` call, which bounds its own batches."""
+    ``dynamic_sets`` call, which clusters each as it comes."""
     items = []
 
     def pools():
         for item, pool in entries:
             items.append((item, pool is not None))
             if pool is not None:
-                yield pool, None
-    sets = iter(weighted_kmeans_many(pools(), cfg))
+                yield pool
+    sets = iter(dynamic_sets(pools(), cfg))
     return [(*item, IntentionPointSet("dynamic", next(sets)) if pooled
              else None) for item, pooled in items]
 
@@ -389,8 +389,7 @@ def _suite_coverage(n: int, seed: int, behaviors=None, mixes=None):
     return intent_coverage(items, static_set, mixes=mixes), report
 
 
-def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
-                      ratios=(1.0, 3.0, 5.0)):
+def mixed_ratio_table(n_scenes: int, seed: int, ratios):
     """Mean coverage of mixed intention points at several dynamic:static
     weight ratios over the targets ``filter_dataset`` keeps from one
     synthetic suite.
@@ -409,7 +408,7 @@ def mixed_ratio_table(n_scenes: int = 500, seed: int = 0,
             for r, col in zip(ratios, zip(*(row[2:] for row in rows)))]
 
 
-def coverage_proxy(n_scenes: int = 1000, seed: int = 0):
+def coverage_proxy(n_scenes: int, seed: int):
     """Per-target coverage of static, dynamic, and mixed sets over the
     targets ``filter_dataset`` keeps from a follow-lane suite (every GT
     endpoint on the road graph); ``skipped`` counts the others."""

@@ -1,15 +1,25 @@
 """Intention point generation: static, dynamic, and mixed sets.
 
 All three flavors reduce a weighted 2-D point pool to exactly k points
-with a deterministic weighted K-means (k-means++ seeding from a fixed
-seed, Lloyd updates, lexicographically sorted output). Exact duplicate
-points are coalesced into a single sample with summed weight before
-clustering, which makes integer sample weights bit-identical to
-replicating the points (same seed).
+with a deterministic weighted K-means (a seeding, Lloyd updates,
+lexicographically sorted output). Exact duplicate points are coalesced
+into a single sample with summed weight before clustering, which makes
+integer sample weights bit-identical to replicating the points (same
+seed).
 
-Pools smaller than k cannot be clustered into k distinct centers; they
-are padded by cycling through the distinct points in decreasing weight
-order (dead-end roads can yield tiny reachable sets).
+A pool of at most k distinct points is its own set of centers, padded
+to k by cycling through its points in decreasing weight order (dead-end
+roads can yield tiny reachable sets).
+
+Static and mixed pools are seeded by weighted k-means++ from a fixed
+seed, ``cfg.seed``. Dynamic pools (``dynamic_sets``) are seeded in lane
+order, with no random draw, so ``cfg.seed`` does not move them. A
+``dynamic_pool`` lists its reach set by (segment id, node index): a few
+polylines of lane nodes 0.5 m apart, end to end, in which a node that
+two lanes share coalesces into one point of weight 2. Seed j is the
+first point whose cumulative weight reaches (j + 0.5) / k of the total,
+moved where needed so that the seeds are k distinct points in order: k
+points evenly spaced along the lanes, which Lloyd then moves.
 
 Lloyd labels each point with the first nearest center of the (n, k)
 block of squared distances computed elementwise, (x - cx)**2 + (y -
@@ -44,53 +54,32 @@ difference, which has no cancellation. A point keeps its label while
 l*l - u2 exceeds the margin, and then the elementwise block gives it the
 same label.
 
-``weighted_kmeans_many`` clusters many pools (one per agent in the batch
-commands), ``_CLUSTER_BLOCK`` at a time, and returns for each exactly
-what ``weighted_kmeans`` returns for it alone. k-means++ seeding costs
-per numpy call, not per point, on pools of a few hundred points, so it
-seeds a batch in stacks: sorted by coalesced size, cut into runs of at
-most ``_SEED_CHUNK`` pools whose largest holds at most twice the points
-of the smallest, each pool padded at the end of its row to the largest
-with copies of its first point at weight 0. That is exact:
+``weighted_kmeans_many`` clusters many static or mixed pools (one mixed
+pool per agent in the batch commands), ``_CLUSTER_BLOCK`` at a time, and
+returns for each exactly what ``weighted_kmeans`` returns for it alone.
+k-means++ seeding costs per numpy call, not per point, on pools of a few
+hundred points, so it seeds pools of one coalesced size together, in
+stacks of at most ``_SEED_CHUNK``. That is exact:
 
 - every pool seeds its generator from ``cfg.seed``, so all pools of a
   stack share one stream of uniforms;
-- a draw counts the cumulative weights <= u * total, which equals
-  ``searchsorted(side="right")`` because the cumulative weights never
-  decrease. Each pool reads its total at its own last point and clips
-  the count there; its padding stays at distance 0, so the cumulative
-  weights past its last point equal the total and never lower the
-  count;
+- a draw counts the cumulative weights <= u * total of its own row,
+  which equals ``searchsorted(side="right")`` because the cumulative
+  weights never decrease;
 - each candidate distance is computed elementwise, so it does not depend
   on the other pools and candidates that share its block;
-- each potential is the sum of one contiguous row. A pool of the
-  stack's size adds its own row in the same pairwise order as alone. A
-  padded pool adds exact zeros in another pairwise order. Any order of
-  summing n terms >= 0 errs by at most (n - 1) 2**-53 (1 + O(n 2**-53))
-  times the exact sum, so two orders differ by less than 4 n 2**-53
-  times the larger sum. Where every candidate at another point exceeds
-  the best by more than that margin, the unpadded sums pick the same
-  point. Elsewhere, NaN and inf included, the pool sums its unpadded
-  rows, which are contiguous and of its own length. Candidates drawn at
+- each potential is the sum of one contiguous row of the pool's own
+  length, added in the same pairwise order as alone. Candidates drawn at
   one point have identical rows, so ``argmin``'s first-index rule keeps
   the earliest of them either way.
 
-A stack whose real points all weigh 1.0 (every reach-set pool:
-``dynamic_intents`` passes no weights) draws from the squared distances
-themselves and sums the candidate block itself, with no weight products.
-That is exact too: fl(1.0 * v) = v for every float, inf and NaN
-included, and a padding term is 0 in both forms (its distance is held at
-0, and min(D, 0) = 0), so the draws, the potentials, the tie rule and
-the padded re-sum see the same bits. A stack with any other weight keeps
-the products.
-
-Lloyd runs per pool, unchanged.
+Lloyd runs per pool.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -104,18 +93,15 @@ INTENT_KINDS = ("static", "dynamic", "mixed")
 # Lloyd keeps distance bounds on pools of at least this many points (see
 # above); smaller pools recompute every row, which costs less there.
 _BOUND_MIN_POINTS = 1024
-# k-means++ seeds at most this many pools in one size-sorted, padded
-# stack: stacks of 16 seed the pools of a 500-scene suite ~20 % slower
-# than stacks of 32, larger ones gain nothing, and a stack's memory stays
-# bounded. A stack's largest pool holds at most twice the points of its
-# smallest, so that a batch mixing small and large reach sets does not pad
-# every small pool to the largest
+# k-means++ seeds at most this many pools of one size in one stack:
+# stacks of 16 seed the pools of a 500-scene suite ~20 % slower than
+# stacks of 32, larger ones gain nothing, and a stack's memory stays
+# bounded
 _SEED_CHUNK = 32
 # pools clustered in one batch at most. A batch holds about 10 KB per
-# pool. k-means++ seeds a batch in size-sorted stacks of up to
-# _SEED_CHUNK pools, which a smaller batch leaves part-filled: the 443
-# dynamic and 443 mixed pools of a 500-scene suite take 29 seeding calls
-# in batches of 128 and 28 in batches of 256 or 512.
+# pool. k-means++ seeds a batch in stacks of up to _SEED_CHUNK pools of
+# one size: over a 500-scene suite, the 443 mixed pools, all of 128
+# points, take 14 seeding calls, and the static fit one more.
 _CLUSTER_BLOCK = 512
 # squared distances within _MARGIN * (2 (pn + max cn) + 1) count as tied
 _MARGIN = 1e-9
@@ -142,12 +128,19 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class MixConfig:
+    """Mixed points weigh each dynamic point dynamic_weight / static_weight
+    and each static point 1, so only the ratio matters; it must be a
+    finite normal float."""
+
     dynamic_weight: float = 3.0
     static_weight: float = 1.0
 
     def __post_init__(self):
         _number("dynamic_weight", self.dynamic_weight, 0, open_low=True)
         _number("static_weight", self.static_weight, 0, open_low=True)
+        _number("dynamic_weight / static_weight",
+                self.dynamic_weight / self.static_weight,
+                sys.float_info.min, open_low=False)
 
 
 @dataclass(eq=False)
@@ -187,23 +180,22 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
 
 
 def _pick(keys: np.ndarray, query: np.ndarray, u: np.ndarray,
-          starts: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from a stack of B cumulative weight rows, held as
-    the imaginary parts of the raveled ``keys`` (B n,) whose real parts are
-    the row numbers; row r starts at ``starts[r]`` = r n and ends at index
-    ``last[r]`` of its row. ``query`` (T, B) is a buffer whose real parts
-    hold the row numbers. Returns (T, B): for each of the T uniforms ``u``
-    and each row, the first index whose cumulative weight exceeds u *
-    total, clipped to ``last[r]`` against round-off. numpy orders complex
-    numbers by real, then imaginary part, so rows that never decrease make
-    one sorted array, and one ``searchsorted(side="right")`` counts each
-    row's entries <= u * total. Entries past ``last[r]`` hold the total, so
-    they cannot lower a clipped count."""
+          starts: np.ndarray, n: int) -> np.ndarray:
+    """Inverse-CDF draws from a stack of B cumulative weight rows of n
+    entries, held as the imaginary parts of the raveled ``keys`` (B n,)
+    whose real parts are the row numbers; row r starts at ``starts[r]`` =
+    r n. ``query`` (T, B) is a buffer whose real parts hold the row
+    numbers. Returns (T, B): for each of the T uniforms ``u`` and each
+    row, the first index whose cumulative weight exceeds u * total,
+    clipped to n - 1 against round-off. numpy orders complex numbers by
+    real, then imaginary part, so rows that never decrease make one sorted
+    array, and one ``searchsorted(side="right")`` counts each row's
+    entries <= u * total."""
     query = query[:u.size]
-    np.multiply(keys.imag[starts + last], u[:, None], out=query.imag)
+    np.multiply(keys.imag[starts + n - 1], u[:, None], out=query.imag)
     idx = np.searchsorted(keys, query, side="right")
     idx -= starts
-    return np.minimum(idx, last, out=idx)
+    return np.minimum(idx, n - 1, out=idx)
 
 
 def _to_centers(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -228,29 +220,17 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     the earliest candidate drawn (``argmin`` returns the first minimum).
 
     ``pts`` (n, 2) and ``weights`` (n,) are one pool; a stack (B, n, 2) and
-    (B, n) seeds each pool as if alone, with the same draws from ``rng``,
-    and returns (B, k, 2) (see the module docstring). A pool of fewer than
-    n points is padded at the end of its row, with weight 0: a trailing
-    run of zero weights marks padding, which no draw picks. Each step
-    scores all candidates of every pool in one ``(n_trials, B, n)`` block
-    of elementwise squared distances from contiguous x and y columns, in
-    buffers allocated once. A stack of unit weights skips the weight
-    products (see the module docstring).
+    (B, n) of pools of one size seeds each pool as if alone, with the same
+    draws from ``rng``, and returns (B, k, 2) (see the module docstring).
+    Each step scores all candidates of every pool in one ``(n_trials, B,
+    n)`` block of elementwise squared distances from contiguous x and y
+    columns, in buffers allocated once.
     """
     w = weights if pts.ndim == 3 else weights[None]
     b, n = w.shape
     n_trials = 2 + int(math.log(k)) if k > 1 else 1
     rows = np.arange(b)
     starts = rows * n
-    last = n - 1 - (w[:, ::-1] > 0).argmax(axis=1)
-    padded = np.flatnonzero(last < n - 1)
-    pad = np.arange(n) > last[:, None]
-    # unit weights on every real point: w * v is v bit for bit, and 0 on
-    # padding either way, so the weighted rows are d2 and blk themselves
-    unit = ((w == 1.0) | pad).all()
-    # two summation orders of at most n terms >= 0 differ by less than
-    # this share of the larger sum
-    tol = 4 * n * 2.0 ** -53
     x = np.ascontiguousarray(pts[..., 0]).reshape(b, n)
     y = np.ascontiguousarray(pts[..., 1]).reshape(b, n)
     keys = np.empty((b, n), dtype=complex)
@@ -260,39 +240,27 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     query.real = rows
     chosen = np.empty((b, k), dtype=np.intp)
     w.cumsum(axis=1, out=keys.imag)
-    first = _pick(flat, query, rng.random(1), starts, last)[0]
+    first = _pick(flat, query, rng.random(1), starts, n)[0]
     chosen[:, 0] = first
     d2 = x - x[rows, first, None]
     d2 *= d2
     dy = y - y[rows, first, None]
     dy *= dy
     d2 += dy
-    # padding keeps distance 0, so its weighted terms are exactly 0
-    d2[pad] = 0.0
     blk = np.empty((n_trials, b, n))
     tmp = np.empty((n_trials, b, n))
     pot = np.empty((n_trials, b))
     for step in range(1, k):
-        drawn = d2 if unit else np.multiply(w, d2, out=tmp[0])
-        drawn.cumsum(axis=1, out=keys.imag)
-        cand = _pick(flat, query, rng.random(n_trials), starts, last)
+        np.multiply(w, d2, out=tmp[0]).cumsum(axis=1, out=keys.imag)
+        cand = _pick(flat, query, rng.random(n_trials), starts, n)
         np.subtract(x, x[rows, cand][..., None], out=blk)
         np.multiply(blk, blk, out=blk)
         np.subtract(y, y[rows, cand][..., None], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(blk, tmp, out=blk)
         np.minimum(blk, d2, out=blk)
-        terms = blk if unit else np.multiply(blk, w, out=tmp)
-        terms.sum(axis=2, out=pot)
+        np.multiply(blk, w, out=tmp).sum(axis=2, out=pot)
         best = pot.argmin(axis=0)
-        if padded.size:
-            # a padded pool's best candidate stands if every candidate at
-            # another point exceeds it by more than the margin; NaN and inf
-            # fail the test, and the pool sums its unpadded rows instead
-            clear = ((cand == cand[best, rows])
-                     | (pot - pot[best, rows] > tol * pot)).all(axis=0)
-            for i in padded[~clear[padded]]:
-                best[i] = terms[:, i, :last[i] + 1].sum(axis=1).argmin()
         chosen[:, step] = cand[best, rows]
         d2[:] = blk[best, rows]
     centers = np.stack([x[rows[:, None], chosen], y[rows[:, None], chosen]],
@@ -438,27 +406,26 @@ def _kmeans_batch(pools, cfg: KMeansConfig) -> list[np.ndarray]:
     """``weighted_kmeans_many`` of one batch of ``_checked_pool`` pools."""
     centers = [_pad_to_k(pts, w, cfg.k) if len(pts) <= cfg.k else None
                for pts, w in pools]
-    # stable: pools of one size keep their order
-    seeded = sorted((i for i, c in enumerate(centers) if c is None),
-                    key=lambda i: pools[i][0].shape[0])
-    sizes = [pools[i][0].shape[0] for i in seeded]
-    at = 0
-    while at < len(seeded):
-        end = min(at + _SEED_CHUNK, bisect_right(sizes, 2 * sizes[at]))
-        stack, n = seeded[at:end], sizes[end - 1]
-        pts = np.empty((len(stack), n, 2))
-        w = np.zeros((len(stack), n))
-        for row, i in enumerate(stack):
-            m = sizes[at + row]
-            pts[row, :m], w[row, :m] = pools[i]
-            pts[row, m:] = pools[i][0][0]
-        seeds = _kmeanspp(pts, w, cfg.k, np.random.default_rng(cfg.seed))
-        for i, init in zip(stack, seeds):
-            centers[i], _ = _lloyd(*pools[i], init, cfg)
-        at = end
-    out = [c[np.lexsort((c[:, 1], c[:, 0]))] for c in centers]
-    for c in out:
-        c.flags.writeable = False
+    # pools of one size, in order, keyed by that size
+    sizes: dict[int, list[int]] = {}
+    for i, c in enumerate(centers):
+        if c is None:
+            sizes.setdefault(len(pools[i][0]), []).append(i)
+    for same in sizes.values():
+        for at in range(0, len(same), _SEED_CHUNK):
+            stack = same[at:at + _SEED_CHUNK]
+            pts, w = zip(*(pools[i] for i in stack))
+            seeds = _kmeanspp(np.stack(pts), np.stack(w), cfg.k,
+                              np.random.default_rng(cfg.seed))
+            for i, init in zip(stack, seeds):
+                centers[i], _ = _lloyd(*pools[i], init, cfg)
+    return [_frozen(c) for c in centers]
+
+
+def _frozen(centers: np.ndarray) -> np.ndarray:
+    """The centers sorted lexicographically by (x, y), read-only."""
+    out = centers[np.lexsort((centers[:, 1], centers[:, 0]))]
+    out.flags.writeable = False
     return out
 
 
@@ -484,19 +451,44 @@ def to_agent_frame(points, track: AgentTrack) -> np.ndarray:
 
 
 def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
-    """The reachable road-graph nodes of one agent in its agent frame: the
-    pool its dynamic intention points are clustered from."""
+    """The reachable road-graph nodes of one agent in its agent frame, in
+    lane order, sorted by (segment id, node index): the pool its dynamic
+    intention points are clustered from."""
     if len(reach_set) == 0:
         raise ValueError("empty reachability set; fall back to static points")
-    return to_agent_frame(reach_set.positions, track)
+    order = np.lexsort((reach_set.node_indices, reach_set.seg_ids))
+    return to_agent_frame(reach_set.positions[order], track)
+
+
+def dynamic_sets(pools, cfg: KMeansConfig = KMeansConfig()
+                 ) -> list[np.ndarray]:
+    """The dynamic intention points of every ``dynamic_pool`` in
+    ``pools``, in order, each taken as it comes: K-means seeded in lane
+    order (see the module docstring), sorted lexicographically by (x, y).
+    Deterministic in (pool, cfg.k, cfg.max_iterations, cfg.tolerance)."""
+    out = []
+    j = np.arange(cfg.k)
+    for pool in pools:
+        pts, w = _checked_pool(pool, None)
+        if len(pts) <= cfg.k:
+            centers = _pad_to_k(pts, w, cfg.k)
+        else:
+            cum = np.cumsum(w)
+            first = np.searchsorted(cum, cum[-1] * ((j + 0.5) / cfg.k))
+            # strictly increasing: j plus a nondecreasing offset <= n - k
+            seeds = np.minimum(np.maximum.accumulate(first - j),
+                               len(pts) - cfg.k) + j
+            centers, _ = _lloyd(pts, w, pts[seeds], cfg)
+        out.append(_frozen(centers))
+    return out
 
 
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
                     cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
     """Scene-conditioned intention points: K-means over the reachable
     road-graph nodes, transformed into the agent frame."""
-    return IntentionPointSet("dynamic", weighted_kmeans_many(
-        [(dynamic_pool(reach_set, track), None)], cfg)[0])
+    return IntentionPointSet("dynamic", dynamic_sets(
+        [dynamic_pool(reach_set, track)], cfg)[0])
 
 
 def mixed_intents_many(dyns, stat: IntentionPointSet,
@@ -508,7 +500,7 @@ def mixed_intents_many(dyns, stat: IntentionPointSet,
     if stat.kind != "static" or any(d.kind != "dynamic" for d in dyns):
         raise ValueError("mixed_intents needs one dynamic and one static set")
     pools = ((np.concatenate([dyn.points, stat.points]),
-              np.repeat([mix.dynamic_weight, mix.static_weight],
+              np.repeat([mix.dynamic_weight / mix.static_weight, 1.0],
                         [len(dyn.points), len(stat.points)]))
              for dyn in dyns)
     return [IntentionPointSet("mixed", centers)

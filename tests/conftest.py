@@ -344,6 +344,30 @@ def lloyd_reference(pts, weights, centers, cfg):
     return centers, objectives
 
 
+def lane_order_reference(pool, cfg) -> np.ndarray:
+    """Dynamic intention points of one pool of more than k distinct points,
+    given in lane order, in plain Python: the pool coalesced; seed j at the
+    first point whose running weight sum reaches (j + 0.5) / k of the
+    total, then at least one past seed j - 1 and at most n - k + j, so
+    that the k seeds are distinct and in order; Lloyd from those seeds;
+    sorted by (x, y). ``intention.dynamic_sets`` must return the same bits."""
+    pts, weights = coalesce_reference(np.asarray(pool, dtype=float),
+                                      np.ones(len(pool)))
+    n, k = len(pts), cfg.k
+    cum, total = [], 0.0
+    for w in weights.tolist():
+        total += w
+        cum.append(total)
+    seeds = []
+    for j in range(k):
+        target = total * ((j + 0.5) / k)
+        first = next(i for i, c in enumerate(cum) if c >= target)
+        seeds.append(first if not seeds else max(first, seeds[-1] + 1))
+    seeds = [min(i, n - k + j) for j, i in enumerate(seeds)]
+    centers, _ = lloyd_reference(pts, weights, pts[seeds], cfg)
+    return centers[np.lexsort((centers[:, 1], centers[:, 0]))]
+
+
 # -- per-state track generator and per-row writer --------------------------------
 
 def _q6_reference(x) -> float:

@@ -103,6 +103,8 @@ def corpora(tmp_path_factory):
 
 _ROADGRAPH_PIN = ("e02fe8bc9d8e7476157cf41fca99662a"
                   "8c371b3aab8802470907bbe6ab257156")
+_MIXED_PIN = ("85b6adc7b445400fd70edcbf3620beaf"
+              "659349f60c2966af15a30980eeeff1e7")
 
 
 def _notes(*seeds):
@@ -127,10 +129,12 @@ _OUTPUTS = [
      "a7b31dc62001ccb0c875302815ef1ef6fc0b8e8f0e6a5c43454415fb8496cde5"),
     ("s20_intents_dynamic", "intents {s20} --kind dynamic "
      "-o {out}/intents.csv", "", "",
-     "1a69641e66d521ae8c126aa4c11e3b3daddb000b1f43e7a6207bf125d512ba77"),
+     "854e4be5b808642b7d9089084b95fedd23983a9067488b0cd44dc57587040963"),
     ("s20_intents_mixed", "intents {s20} --kind mixed -o {out}/intents.csv",
-     "", "",
-     "c6836ec78fb6c49dfe0fe33431466010a2bbf71b85498c1583e8a398db3e4efe"),
+     "", "", _MIXED_PIN),
+    # mixed points depend only on the dynamic:static weight ratio
+    ("s20_intents_mixed_9_3", "intents {s20} --kind mixed --dynamic-weight 9 "
+     "--static-weight 3 -o {out}/intents.csv", "", "", _MIXED_PIN),
     ("s20_dump_roadgraph", "dump-roadgraph {s20} -o {out}/roadgraph.csv",
      "", _notes(13, 3), _ROADGRAPH_PIN),
     *((f"s20_intents_{kind}_dump_roadgraph",
@@ -139,22 +143,22 @@ _OUTPUTS = [
       for kind in ("dynamic", "mixed")),
     ("s20_analyze", "analyze {s20} --predictions exact={s20_exact} "
      "--predictions shifted={s20_shifted} --window 1 -o {out}", "", "",
-     "10e3c5e604d3a8e8371018ac3c488a39e61fd828fd75a3ace073582a2477e8c5"),
+     "6440325d57506cb0c22ec7ae93d7ac57c64e06c3fb62096efd26ce3609e9b93e"),
     # --k 5000 pads every dynamic pool: the extra rows cycle through the
     # distinct points in decreasing weight order
     ("s3_intents_padded_pools", "intents {s3} --kind dynamic --k 5000 "
      "-o {out}/o.csv", "", "",
      "ccce85f2de49898c8094220001db58d081466713490015750f8637f70002d6e1"),
     ("s40_intents_mixed", "intents {s40} --kind mixed -o {out}/i.csv", "", "",
-     "537d1e79799f01c35c8a8716ae2649e2011e9e437d1da83395dda931e3f0dec0"),
+     "ddeb08b56330809544c0720699addbb3861e8fcd285eabc7784101d0742a844f"),
     ("s40_analyze", "analyze {s40} --predictions m={s40_pred} --window 1 "
      "-o {out}", "", "warning: skipped 1 agent(s) lacking predictions for "
      "every model\n",
-     "19931a3faae69713aa74be780615fe24b9bdd0b256d8aab44d4f27e04856f1dc"),
+     "193b3690f321e457c491c082fbfb62ad26cddb4479818f608a0b8f9efa401087"),
     # static and mixed coverage from the endpoints of another suite
     ("s20_analyze_endpoints", "analyze {s20} --predictions exact={s20_exact} "
      "--endpoints {s40_endpoints} --window 1 -o {out}", "", "",
-     "263c773fa4193ab6a99a427c02098fa38b73c8de177e2fb82846e64aca9f3f05"),
+     "891c3c7307c288f0422d5912c658a3ce9be82382198a04856775515aef59f680"),
     ("s40_dump_roadgraph", "dump-roadgraph {s40} -o {out}/rg.csv", "",
      _notes(40000120, 40000121, 40000122, 40000124),
      "f401f40be583da79d19e6bd02a44c4f5af60d6eeafc4972d741dca5512fef428"),
@@ -674,6 +678,11 @@ _REFUSALS = [
                          scenes=c.suite(20))),
     ("analyze_cluster_mixed_dynamic_weight_1e308", 1, _MIXED_1E308,
      lambda c: c.analyze("--dynamic-weight", "1e308", n=3)),
+    # the weight ratio 1e-308 is below the smallest normal float
+    ("mix_ratio_subnormal", 2, "error: config violation: dynamic_weight / "
+     "static_weight must be a finite number >= 2.2250738585072014e-308\n",
+     lambda c: c.intents("--dynamic-weight", "1", "--static-weight", "1e308",
+                         kind="mixed")),
     # analyze
     *((f"predictions_{case}", 2, line,
        lambda c, specs=specs: ["analyze", c.missing, *(
@@ -1286,6 +1295,36 @@ def test_benchmark_wrap_targets_keep_their_names(tmp_path, monkeypatch):
                          * len(suite[0].tracks_to_predict))]
 
 
+def test_seeding_and_lloyd_run_through_the_wrapped_names(tmp_path,
+                                                         monkeypatch):
+    """benchmark/tracing.py times intention.kmeanspp_s and lloyd_s by
+    rebinding intention._kmeanspp and intention._lloyd, as done here, so a
+    call through any other name would leave its time out: intents --kind
+    dynamic calls _lloyd once per reach pool of more than k points and
+    once per k-means++ seeding, which only the static fit does."""
+    calls = {"_kmeanspp": [], "_lloyd": []}
+    for name, seen in calls.items():
+        def spy(pts, *args, fn=getattr(intention, name), seen=seen):
+            seen.append(pts)
+            return fn(pts, *args)
+        monkeypatch.setattr(intention, name, spy)
+    scenes, suite = write_suite(tmp_path, n=20, behaviors=None)
+    assert main(["intents", str(scenes), "--kind", "dynamic", "--k", "8",
+                 "-o", str(tmp_path / "i.csv")]) == 0
+    reach_pools = [
+        intention._coalesce(intention.dynamic_pool(rs, track),
+                            np.ones(len(rs)))[0]
+        for scenario in suite for track, _, rs in experiments.run_scene(
+            scenario) if rs is not None]
+    above = [p for p in reach_pools if len(p) > 8]
+    # the static fit is one vehicle pool, seeded as a stack of one
+    [(static,)] = calls["_kmeanspp"]
+    assert above and len(static) > 8
+    # the command takes the scenes in file name order
+    assert sorted(p.tobytes() for p in calls["_lloyd"]) == sorted(
+        p.tobytes() for p in above + [static])
+
+
 def test_analyze_holds_one_prediction_file_at_a_time(tmp_path, monkeypatch):
     """analyze keeps only the minFDEs of each prediction file it reads: at
     every read, no prediction set of an earlier file is alive."""
@@ -1603,7 +1642,7 @@ def test_intents_without_vehicle_targets_write_static_fallbacks(
                                                        key=lambda r: r[0])
 
 
-def test_pmap_starts_no_more_workers_than_items(tmp_path, monkeypatch):
+def test_scan_all_starts_no_more_workers_than_files(tmp_path, monkeypatch):
     started = []
 
     class RecordingPool:

@@ -84,17 +84,17 @@ def test_coverage_proxy_keeps_its_keys_when_nothing_is_kept(monkeypatch):
         assert res[kind].shape == (0,)
 
 
-_RATIO_PIN = ("0af234410d6d2d1dcc82f9caf8312f01"
-              "28c829b4b3b8aef818408f4c36047794")
+_RATIO_PIN = ("ee8c865b6872e14f28e8c6dac63f6674"
+              "121573628febbd226632be21cec7e4d6")
 # script -> (flags, sha256 of the CSV, sha256 of stdout); the ratio
 # harness prints its CSV
 _SCRIPT_PINS = {
     "coverage_experiment.py": (
         ["--scenes", "120", "--seed", "0"],
-        ("ab0892fae844ffac373504ac274da49f"
-         "a7aa6788a4a74a070367f8bcd37b7e3a"),
-        ("12ef25e15ccf0429cd4b3ec9d23d1b34"
-         "a7b9b24cbf6c295e1ad04b0a0c8633ac")),
+        ("7fb769b6277c7d5c9da0f1b55b5f25e2"
+         "143fb8072a27d2cf5946cc74a594c290"),
+        ("77eb4075d9256d19f1af324df00a9435"
+         "10fe13ed5987a8e639319003a079f546")),
     "ratio_harness.py": (
         ["--scenes", "120", "--seed", "0", "--ratios", "1", "3", "5"],
         _RATIO_PIN, _RATIO_PIN),

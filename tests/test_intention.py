@@ -7,16 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (coalesce_reference, convex_hull, from_agent_frame,
-                      kmeanspp_reference, lloyd_reference, point_in_hull,
-                      reach_of, vehicle_track)
+                      kmeanspp_reference, lane_order_reference, line_nodes,
+                      lloyd_reference, point_in_hull, reach_of, seg,
+                      straight_map, vehicle_track)
 from intentforge import intention
 from intentforge.experiments import fit_static
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    KMeansConfig, MixConfig, _coalesce,
-                                   _kmeanspp, _lloyd,
-                                   dynamic_intents, mixed_intents,
+                                   _kmeanspp, _lloyd, dynamic_intents,
+                                   dynamic_pool, dynamic_sets, mixed_intents,
                                    to_agent_frame, weighted_kmeans,
                                    weighted_kmeans_many)
+from intentforge.lane_assoc import associate
+from intentforge.map_model import LaneNeighbor, VectorMap
+from intentforge.road_graph import ReachabilitySet, build_graph, reach
 
 
 def lex_sorted(pts):
@@ -175,6 +179,73 @@ def test_dynamic_empty_reach_rejected():
     track = vehicle_track((0.0, 0.0))
     with pytest.raises(ValueError):
         dynamic_intents(reach_of(np.empty((0, 2))), track)
+
+
+def test_dynamic_pool_is_in_lane_order():
+    rng = np.random.default_rng(5)
+    seg_ids, nodes = [2, 0, 1, 0, 2, 1], [0, 3, 1, 0, 1, 0]
+    positions = rng.uniform(-50.0, 50.0, size=(6, 2))
+    track = vehicle_track((1.0, 2.0), heading=0.4)
+    rset = ReachabilitySet(np.array(seg_ids), np.array(nodes), positions,
+                           np.zeros(6))
+    order = sorted(range(6), key=lambda i: (seg_ids[i], nodes[i]))
+    assert order == [3, 1, 5, 2, 0, 4]
+    assert np.array_equal(dynamic_pool(rset, track),
+                          to_agent_frame(positions[order], track))
+
+
+def _two_lane_fork():
+    """Two parallel lanes that may change into each other, each continued
+    by one more segment whose first node is the last node of the lane: a
+    reach set interleaves the lanes by arrival time and holds each
+    junction twice."""
+    left, right = LaneNeighbor(1, True), LaneNeighbor(0, True)
+    return VectorMap([
+        seg(0, line_nodes((0, 0), (30, 0)), exits=[2], left=left),
+        seg(1, line_nodes((0, 3.5), (30, 3.5)), exits=[3], right=right),
+        seg(2, line_nodes((30, 0), (60, -10)), entries=[0]),
+        seg(3, line_nodes((30, 3.5), (70, 3.5)), entries=[1])])
+
+
+def test_dynamic_intents_match_lane_order_reference_at_junctions():
+    vmap = _two_lane_fork()
+    track = vehicle_track((2.0, 0.0), speed=8.0)
+    rset = reach(build_graph(vmap), associate(vmap, track))
+    order = sorted(range(len(rset)), key=lambda i: (
+        int(rset.seg_ids[i]), int(rset.node_indices[i])))
+    assert order != list(range(len(rset)))
+    pool = to_agent_frame(rset.positions[order], track)
+    _, w = _coalesce(pool, np.ones(len(pool)))
+    assert (w == 2.0).sum() == 2 and len(w) > 64
+    for cfg in (KMeansConfig(), KMeansConfig(k=7, seed=3)):
+        got = dynamic_intents(rset, track, cfg)
+        assert np.array_equal(got.points, lane_order_reference(pool, cfg))
+
+
+def test_dynamic_sets_keep_seeds_distinct_on_heavy_points():
+    """A pool whose points 10 and 99 carry 41 and 31 of its 170 weight:
+    several quantiles fall on each, and the seeds still step through
+    distinct points, the last ones held back from the pool's end."""
+    line = np.column_stack([np.arange(100.0), np.zeros(100)])
+    pool = np.concatenate([line, np.repeat(line[[10, 99]], [40, 30], axis=0)])
+    cfg = KMeansConfig(k=16)
+    pts, w = _coalesce(pool, np.ones(len(pool)))
+    cum = np.cumsum(w)
+    first = np.searchsorted(cum, cum[-1] * ((np.arange(16) + 0.5) / 16))
+    assert len(set(first.tolist())) < 12 and (first == 99).sum() > 1
+    got = dynamic_sets([pool], cfg)[0]
+    assert np.array_equal(got, lane_order_reference(pool, cfg))
+    assert len(np.unique(got, axis=0)) == 16
+
+
+def test_dynamic_intents_of_a_small_reach_set_pad_like_weighted_kmeans():
+    track = vehicle_track((1.0, 0.0), speed=1.0)
+    vmap = straight_map(length=20.0)
+    rset = reach(build_graph(vmap), associate(vmap, track))
+    assert 1 < len(rset) < 64
+    pool = dynamic_pool(rset, track)
+    assert np.array_equal(dynamic_intents(rset, track).points,
+                          weighted_kmeans(pool))
 
 
 # -- mixed ---------------------------------------------------------------------
@@ -351,96 +422,22 @@ def test_kmeanspp_stacked_matches_per_candidate_reference():
     assert compared >= 400 and max(map(len, stacks.values())) > 2
 
 
-def _padded_stack(pools):
-    """Pools stacked as weighted_kmeans_many stacks them: each padded at the
-    end of its row to the largest, with copies of its first point at
-    weight 0."""
-    n = max(len(pts) for pts, _ in pools)
-    stack, weights = np.empty((len(pools), n, 2)), np.zeros((len(pools), n))
-    for row, (pts, w) in enumerate(pools):
-        stack[row, :len(pts)], weights[row, :len(pts)] = pts, w
-        stack[row, len(pts):] = pts[0]
-    return stack, weights
-
-
-def test_kmeanspp_padded_stack_matches_per_candidate_reference():
-    """Pools of different coalesced sizes, padded into one stack, each pick
-    the reference's centers for the unpadded pool: lane rows and rounded
-    coordinates (tied potentials), unit and random weights, a pool so far
-    out that its first weighted potential overflows to inf, and unit-weight
-    pools stacked with a weighted one. The reference run on a padded row,
-    which sums each potential over the padding, picks other centers for
-    some pools: there the near-tie re-sum of the unpadded row decided."""
-    rng = np.random.default_rng(2)
-    compared = resummed = 0
-    cases = itertools.product((7, 64), (False, True), ("lanes", "rounded"),
-                              range(3))
-    for seed, (k, weighted, layout, _) in enumerate(cases):
-        pools = []
-        base = int(rng.integers(100, 300))
-        for _ in range(6):
-            pts = _seeding_input(rng, layout, int(base * rng.uniform(1, 2)))
-            w = rng.uniform(0.1, 5.0, len(pts)) if weighted \
-                else np.ones(len(pts))
-            pools.append(_coalesce(pts, w))
-        stack, weights = _padded_stack(pools)
-        assert len({len(pts) for pts, _ in pools}) > 1
-        got = _kmeanspp(stack, weights, k, np.random.default_rng(seed))
-        for row, (pts, w), padded, pad_w in zip(got, pools, stack, weights):
-            want = kmeanspp_reference(pts, w, k, np.random.default_rng(seed))
-            assert np.array_equal(row, want), (seed, len(pts))
-            compared += 1
-            resummed += not np.array_equal(want, kmeanspp_reference(
-                padded, pad_w, k, np.random.default_rng(seed)))
-    assert compared == 144 and resummed > 0
-
-    # 0.01 grid coordinates scaled until sum(w * d2) overflows
-    far = np.round(rng.uniform(-1.0, 1.0, size=(150, 2)), 2) * 9e152
-    pools = [_coalesce(far, rng.uniform(0.1, 5.0, len(far))),
-             _coalesce(_seeding_input(rng, "rounded", 220), np.ones(220))]
-    stack, weights = _padded_stack(pools)
-    with np.errstate(all="ignore"):
-        got = _kmeanspp(stack, weights, 16, np.random.default_rng(1))
-        for row, (pts, w) in zip(got, pools):
-            want = kmeanspp_reference(pts, w, 16, np.random.default_rng(1))
-            assert np.array_equal(row, want)
-        pts, w = pools[0]
-        assert math.isinf((w * ((pts - got[0, 0]) ** 2).sum(axis=1)).sum())
-    assert len(np.unique(got[0], axis=0)) == 16
-
-    # unit-weight lane pools, the first among them, stacked with a weighted
-    # one: the stack keeps the weight products
-    pools = []
-    for unit in (True, False, True):
-        pts = _seeding_input(rng, "lanes", int(rng.integers(100, 200)))
-        pools.append(_coalesce(pts, np.ones(len(pts)) if unit
-                               else rng.uniform(0.1, 5.0, len(pts))))
-    stack, weights = _padded_stack(pools)
-    assert (pools[0][1] == 1.0).all() and (pools[1][1] != 1.0).any()
-    got = _kmeanspp(stack, weights, 16, np.random.default_rng(2))
-    for row, (pts, w) in zip(got, pools):
-        want = kmeanspp_reference(pts, w, 16, np.random.default_rng(2))
-        assert np.array_equal(row, want)
-
-
 @pytest.mark.parametrize("sizes, shapes", [
-    ((150, 100, 190), [(3, 190, 2)]),
-    # 260 > 2 * 100: the largest pool is seeded alone, so that the others
-    # are not padded to its size
-    ((100, 130, 260), [(2, 130, 2), (1, 260, 2)]),
-], ids=["one-stack", "twice-the-smallest"])
-def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_stacks(
+    ((100, 130, 100), [(2, 100, 2), (1, 130, 2)]),
+    ((100,) * 33, [(32, 100, 2), (1, 100, 2)]),
+], ids=["equal-size", "chunked"])
+def test_weighted_kmeans_many_seeds_pools_of_one_size_in_stacks(
         monkeypatch, sizes, shapes):
-    """Pools of three coalesced sizes are seeded in size-sorted stacks, one
-    _kmeanspp call each, as padded rows; a stack's largest pool holds at
-    most twice the points of its smallest. Each pool still equals its
-    one-pool call. The benchmark times seeding by wrapping _kmeanspp, so
-    seeding through any other function would hide its time."""
+    """Pools of one coalesced size are seeded together, in order, in
+    stacks of at most _SEED_CHUNK, one _kmeanspp call each. Each pool
+    still equals its one-pool call. The benchmark times seeding by
+    wrapping _kmeanspp, so seeding through any other function would hide
+    its time."""
     calls = []
     seed = intention._kmeanspp
 
     def spy(pts, w, k, rng):
-        calls.append((pts, w))
+        calls.append(pts)
         return seed(pts, w, k, rng)
 
     monkeypatch.setattr(intention, "_kmeanspp", spy)
@@ -448,11 +445,11 @@ def test_weighted_kmeans_many_seeds_pools_of_three_sizes_in_stacks(
     pools = [(rng.uniform(-50.0, 50.0, size=(n, 2)), None) for n in sizes]
     cfg = KMeansConfig(k=16)
     got = weighted_kmeans_many(pools, cfg)
-    assert [stack.shape for stack, _ in calls] == shapes
-    rows = [row for call in calls for row in zip(*call)]
-    for (row, w), n in zip(rows, sorted(sizes)):
-        assert (w[:n] > 0).all() and (w[n:] == 0).all()
-        assert (row[n:] == row[0]).all()
+    assert [stack.shape for stack in calls] == shapes
+    # grouped by size, sizes in first-seen order, pools in order
+    by_size = sorted(range(len(sizes)), key=lambda i: sizes.index(sizes[i]))
+    for row, i in zip((row for stack in calls for row in stack), by_size):
+        assert np.array_equal(row, pools[i][0])
     for out, (pts, _) in zip(got, pools):
         assert np.array_equal(out, weighted_kmeans(pts, None, cfg))
 
