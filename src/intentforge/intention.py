@@ -169,10 +169,16 @@ def _coalesce(points: np.ndarray, weights: np.ndarray):
     into 0.0, so the two compare as one point. ``np.unique`` sorts stably
     when it returns indices, so ``first`` holds each point's first
     occurrence, which is kept as given; ``bincount`` adds the weights of a
-    point in input order."""
+    point in input order. A pool with as many keys as points has no
+    duplicate and is returned as given, not copied: gathering it in
+    first-seen order is the identity, and ``bincount`` adds each positive,
+    finite weight to 0.0, which leaves it unchanged. Callers only read
+    a pool."""
     keyed = (points + 0.0).view(complex).ravel()
     _, first, labels = np.unique(keyed, return_index=True,
                                  return_inverse=True)
+    if first.size == len(points):
+        return points, weights
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -268,11 +274,10 @@ def _kmeanspp(pts: np.ndarray, weights: np.ndarray, k: int,
     return centers if pts.ndim == 3 else centers[0]
 
 
-def _nearest_two(blk: np.ndarray):
+def _nearest_two(blk: np.ndarray, r: np.ndarray):
     """Per row: the first column holding the row minimum, that minimum, and
     the smallest value in any other column (inf when there is none).
-    Overwrites the minima in ``blk``."""
-    r = np.arange(blk.shape[0])
+    ``r`` is ``np.arange(len(blk))``. Overwrites the minima in ``blk``."""
     lab = blk.argmin(axis=1)
     best = blk[r, lab]
     blk[r, lab] = np.inf
@@ -307,7 +312,7 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     aug = np.column_stack([pts, pn, np.ones(n)])
     cols = np.ones((4, k))
     pn2 = 2.0 * pn
-    rows = np.arange(n)
+    rows = every = np.arange(n)
     labels = np.zeros(n, dtype=np.intp)
     d2 = np.empty(n)      # squared distance to the own center
     lower = np.empty(n)   # bound below the distance to every other center
@@ -323,12 +328,13 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
         cols[3] = cn
         blk = (aug if rows.size == n
                else np.take(aug, rows, axis=0)) @ cols
-        lab, best, second = _nearest_two(np.maximum(blk, 0.0, out=blk))
+        lab, best, second = _nearest_two(np.maximum(blk, 0.0, out=blk),
+                                         every[:rows.size])
         # near ties take their elementwise rows
         tied = np.flatnonzero(~(second - best > margin))
         if tied.size:
             lab[tied], best[tied], second[tied] = _nearest_two(
-                _to_centers(pts[rows[tied]], centers).T)
+                _to_centers(pts[rows[tied]], centers).T, every[:tied.size])
         if bounded:
             lower[rows] = np.sqrt(np.maximum(second - margin, 0.0))
         labels[rows] = lab
@@ -337,10 +343,11 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
         sw = np.bincount(labels, weights=weights, minlength=k)
         sx = np.bincount(labels, weights=wx, minlength=k)
         sy = np.bincount(labels, weights=wy, minlength=k)
+        # an empty cluster keeps its copied center
         new_centers = centers.copy()
         occupied = sw > 0
-        new_centers[occupied, 0] = sx[occupied] / sw[occupied]
-        new_centers[occupied, 1] = sy[occupied] / sw[occupied]
+        np.divide(sx, sw, out=new_centers[:, 0], where=occupied)
+        np.divide(sy, sw, out=new_centers[:, 1], where=occupied)
         moved = ((new_centers - centers) ** 2).sum(axis=1)
         shift = math.sqrt(float(moved.max()))
         centers = new_centers
@@ -353,10 +360,14 @@ def _lloyd(pts: np.ndarray, weights: np.ndarray, centers: np.ndarray,
             far = int(moved.argmax())
             fastest = moved[far]
             moved[far] = 0.0
-            lower -= np.where(labels == far, moved.max(), fastest)
+            drop = np.full(k, fastest)
+            drop[far] = moved.max()
+            lower -= drop[labels]
             np.maximum(lower, 0.0, out=lower)
-            diff = pts - np.take(centers, labels, axis=0)
-            d2 = np.einsum("ij,ij->i", diff, diff)
+            diff = np.take(centers, labels, axis=0)
+            np.subtract(pts, diff, out=diff)
+            diff *= diff
+            d2 = diff[:, 0] + diff[:, 1]
     return centers, objectives
 
 

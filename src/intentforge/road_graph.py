@@ -202,16 +202,29 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     heap = [(0.0, u) for u in start_nodes]
     heapq.heapify(heap)
     adjacency = graph.adjacency
-    while heap:
+    budget = cfg.time_budget
+    # each settled node's first relaxed edge is pushed and the next entry
+    # popped in one heappushpop, which hands that edge straight back when
+    # it is the smallest: the same entries are popped in the same order
+    t, u = heapq.heappop(heap)
+    while True:
+        if u not in dist:
+            dist[u] = t
+            first = None
+            for v, w in adjacency[u]:
+                if v not in dist:
+                    tv = t + w
+                    if tv <= budget:
+                        if first is None:
+                            first = (tv, v)
+                        else:
+                            heapq.heappush(heap, (tv, v))
+            if first is not None:
+                t, u = heapq.heappushpop(heap, first)
+                continue
+        if not heap:
+            break
         t, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = t
-        for v, w in adjacency[u]:
-            if v not in dist:
-                tv = t + w
-                if tv <= cfg.time_budget:
-                    heapq.heappush(heap, (tv, v))
 
     idx = np.fromiter(dist.keys(), dtype=np.int64, count=len(dist))
     times = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))

@@ -45,6 +45,27 @@ def straight_map(length=100.0, spacing=0.5, limit=13.4112) -> VectorMap:
     return VectorMap([seg(0, line_nodes((0, 0), (length, 0), spacing), limit)])
 
 
+def parallel_lanes(n_lanes, n_nodes) -> VectorMap:
+    """``n_lanes`` straight lanes of ``n_nodes`` nodes 0.5 m apart along x,
+    3.5 m apart in y, each free to change into its neighbors both ways:
+    the map of criterion 9 and ``bigmap_online`` (10 lanes of 1,000 nodes),
+    scaled. Its identical lanes tie many arrival times exactly."""
+    length = 0.5 * (n_nodes - 1)
+    return VectorMap([
+        seg(i, line_nodes((0, 3.5 * i), (length, 3.5 * i)),
+            left=LaneNeighbor(i + 1, True) if i + 1 < n_lanes else None,
+            right=LaneNeighbor(i - 1, True) if i else None)
+        for i in range(n_lanes)])
+
+
+# (start nodes, time budget) queries on parallel_lanes(6, 400): from lane
+# ends and middles, one with two starts; the first three reach at least
+# 1,024 nodes, which Lloyd clusters with distance bounds
+PARALLEL_LANE_QUERIES = [
+    (((0, 0),), 8.0), (((2, 40),), 8.0), (((5, 120), (1, 121)), 6.0),
+    (((3, 250),), 8.0), (((2, 200),), 2.5), (((4, 7),), 0.8)]
+
+
 def state_block(xy, heading, speed, valid) -> np.ndarray:
     """Rows (x, y, heading, speed, valid) laid out like
     ``AgentTrack.states``, one per row of ``xy``."""

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (convex_hull, line_nodes, point_in_hull,
-                      random_road_graph, reach_oracle, vehicle_track)
+from conftest import (convex_hull, line_nodes, parallel_lanes,
+                      point_in_hull, random_road_graph, reach_oracle,
+                      vehicle_track)
 from test_cli import perfect_predictions, write_suite
 
 from intentforge.analysis import (DeviationRecord, deviation_curve,
@@ -24,8 +25,7 @@ from intentforge.experiments import coverage_proxy, filter_dataset, run_scene
 from intentforge.intention import (KMeansConfig, _coalesce, _kmeanspp,
                                    _lloyd, dynamic_intents, weighted_kmeans)
 from intentforge.lane_assoc import AssocConfig, associate
-from intentforge.map_model import (HISTORY_LEN, LaneNeighbor, LaneSegment,
-                                   VectorMap)
+from intentforge.map_model import HISTORY_LEN, LaneSegment, VectorMap
 from intentforge.road_graph import (GraphConfig, build_graph, reach,
                                     travel_time)
 from intentforge.scenario_gen import GenSpec, generate, iter_suite
@@ -268,14 +268,7 @@ def test_criterion_8_deviation_mode_bound():
 def test_criterion_9_performance_budget():
     with criterion(9, "dynamic intents for one agent on a 10,000-node map "
                       "< 100 ms median; 8-agent scene pipeline < 1 s"):
-        segments = []
-        for i in range(10):
-            left = LaneNeighbor(i + 1, True) if i < 9 else None
-            right = LaneNeighbor(i - 1, True) if i > 0 else None
-            segments.append(LaneSegment(i, line_nodes((0, 3.5 * i),
-                                                      (499.5, 3.5 * i)),
-                                        13.4112, (), (), left, right))
-        vmap = VectorMap(segments)
+        vmap = parallel_lanes(10, 1000)
         assert vmap.n_nodes == 10_000
         graph = build_graph(vmap)
         track = vehicle_track((250.0, 17.5), heading=0.0, speed=10.0)

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (coalesce_reference, convex_hull, from_agent_frame,
-                      kmeanspp_reference, lane_order_reference, line_nodes,
-                      lloyd_reference, point_in_hull, reach_of, seg,
+from conftest import (PARALLEL_LANE_QUERIES, coalesce_reference,
+                      convex_hull, from_agent_frame, kmeanspp_reference,
+                      lane_order_reference, line_nodes, lloyd_reference,
+                      parallel_lanes, point_in_hull, reach_of, seg,
                       straight_map, vehicle_track)
 from intentforge import intention
 from intentforge.experiments import fit_static
@@ -18,9 +19,10 @@ from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    dynamic_pool, dynamic_sets, mixed_intents,
                                    to_agent_frame, weighted_kmeans,
                                    weighted_kmeans_many)
-from intentforge.lane_assoc import associate
+from intentforge.lane_assoc import AssociationResult, associate
 from intentforge.map_model import LaneNeighbor, VectorMap
-from intentforge.road_graph import ReachabilitySet, build_graph, reach
+from intentforge.road_graph import (GraphConfig, ReachabilitySet, build_graph,
+                                    reach)
 
 
 def lex_sorted(pts):
@@ -220,6 +222,26 @@ def test_dynamic_intents_match_lane_order_reference_at_junctions():
     for cfg in (KMeansConfig(), KMeansConfig(k=7, seed=3)):
         got = dynamic_intents(rset, track, cfg)
         assert np.array_equal(got.points, lane_order_reference(pool, cfg))
+
+
+@pytest.mark.parametrize("starts,budget", PARALLEL_LANE_QUERIES[:3])
+def test_dynamic_intents_match_lane_order_reference_on_parallel_lanes(
+        starts, budget):
+    """Reach pools of at least ``_BOUND_MIN_POINTS`` points on identical
+    lanes, where Lloyd keeps distance bounds and many rows tie: the points
+    equal the plain-Python reference bit for bit."""
+    graph = build_graph(parallel_lanes(6, 400))
+    rset = reach(graph, AssociationResult(
+        tuple((sid, ni, 0.0) for sid, ni in starts)),
+        GraphConfig(time_budget=budget))
+    track = vehicle_track(graph.positions[graph.index_of(*starts[0])])
+    order = sorted(range(len(rset)), key=lambda i: (
+        int(rset.seg_ids[i]), int(rset.node_indices[i])))
+    pool = to_agent_frame(rset.positions[order], track)
+    assert len(pool) >= _BOUND_MIN_POINTS
+    cfg = KMeansConfig()
+    assert np.array_equal(dynamic_intents(rset, track, cfg).points,
+                          lane_order_reference(pool, cfg))
 
 
 def test_dynamic_sets_keep_seeds_distinct_on_heavy_points():
@@ -482,6 +504,10 @@ grid_coord = st.one_of(st.integers(-30, 30).map(lambda v: v / 10.0),
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(grid_coord, grid_coord), min_size=1, max_size=300),
        st.integers(0, 2 ** 32 - 1))
+# no duplicate: the pool comes back as given
+@example([(0.1, -0.0), (-0.0, 0.2), (0.3, 0.1), (0.1, 0.5)], 7)
+# the only duplicate is -0.0 against 0.0, which still merge
+@example([(0.5, 0.0), (-0.0, 1.5), (0.0, 1.5), (2.0, -3.0)], 8)
 def test_coalesce_matches_dict_reference(points, seed):
     pts = np.asarray(points, dtype=float)
     w = np.random.default_rng(seed).uniform(0.1, 5.0, size=pts.shape[0])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (graph_edges, line_nodes, n_edges, random_road_graph,
+from conftest import (PARALLEL_LANE_QUERIES, graph_edges, line_nodes,
+                      n_edges, parallel_lanes, random_road_graph,
                       reach_csv_reference, reach_oracle, road_graph_reference,
                       scenario_of, seg, stationary_track, straight_map,
                       vehicle_track)
@@ -271,6 +272,23 @@ def test_reach_matches_oracle_on_random_graphs():
         assert {int(i) for i in got.node_indices} == set(expected)
         for ni, t in zip(got.node_indices, got.arrival_times):
             assert abs(t - expected[int(ni)]) <= 1e-9
+
+
+@pytest.mark.parametrize("starts,budget", PARALLEL_LANE_QUERIES)
+def test_reach_equals_oracle_exactly_on_parallel_lanes(starts, budget):
+    """Identical lanes tie many arrival times exactly, where the random
+    graphs above have few ties: every time equals the oracle's path sum
+    bit for bit, and the entries stay sorted by (time, segment, node)."""
+    graph = build_graph(parallel_lanes(6, 400))
+    got = reach(graph, starts_at(*starts), GraphConfig(time_budget=budget))
+    expected = reach_oracle(graph.adjacency,
+                            [graph.index_of(*s) for s in starts], budget)
+    times = got.arrival_times.tolist()
+    assert len(set(times)) < 0.9 * len(times)
+    assert {graph.index_of(int(s), int(n)): t for s, n, t in zip(
+        got.seg_ids, got.node_indices, times)} == expected
+    keys = list(zip(times, got.seg_ids.tolist(), got.node_indices.tolist()))
+    assert keys == sorted(keys)
 
 
 def test_reach_sorted_by_arrival():
