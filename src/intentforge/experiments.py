@@ -29,8 +29,8 @@ import numpy as np
 from .analysis import (DEVIATION_MODES, DeviationRecord, coverage,
                        detect_parked, gt_deviation)
 from .intention import (INTENT_KINDS, IntentionPointSet, KMeansConfig,
-                        MixConfig, dynamic_pool, dynamic_sets,
-                        mixed_intents_many, to_agent_frame, weighted_kmeans)
+                        MixConfig, dynamic_intents, mixed_intents_many,
+                        to_agent_frame, weighted_kmeans)
 from .lane_assoc import AssocConfig, AssociationResult, associate
 from .map_model import AgentTrack, Scenario, _integer
 from .road_graph import GraphConfig, ReachabilitySet, build_graph, reach
@@ -198,44 +198,29 @@ def run_scene(scenario: Scenario,
     return out
 
 
-def _clustered(entries, cfg: KMeansConfig):
-    """``(item tuple, dynamic_pool or None)`` pairs, taken as they come, as
-    ``(*item, dynamic set or None)`` tuples in order. The pools feed one
-    ``dynamic_sets`` call, which clusters each as it comes."""
-    items = []
-
-    def pools():
-        for item, pool in entries:
-            items.append((item, pool is not None))
-            if pool is not None:
-                yield pool
-    sets = iter(dynamic_sets(pools(), cfg))
-    return [(*item, IntentionPointSet("dynamic", next(sets)) if pooled
-             else None) for item, pooled in items]
-
-
 def intents_batch(scenarios, kind: str | None,
                   cfg: RunConfig = RunConfig(), dump: bool = False):
     """``run_scene`` over many scenes (none when ``kind`` is static), with
-    the dynamic intention points of their reach sets ``_clustered``.
-    Returns one record per target, in scene order: ``(scenario id, agent
-    id, object class, reach, dynamic set or None)``. ``reach`` is the
+    the ``dynamic_intents`` of each reach set as its scene comes. Returns
+    one record per target, in scene order: ``(scenario id, agent id,
+    object class, reach, dynamic set or None)``. ``reach`` is the
     ``(positions, arrival times)`` of the target's reach set when ``dump``
     is set and it has one, else None; the set is None when ``kind`` is
     None."""
-    def targets():
-        for scenario in scenarios:
-            results = run_scene(scenario, cfg) if kind != "static" else (
-                AgentResult(scenario.track(a), None, None)
-                for a in scenario.tracks_to_predict)
-            for track, _, reach_set in results:
-                reach = None if reach_set is None or not dump else (
-                    reach_set.positions, reach_set.arrival_times)
-                yield ((scenario.scenario_id, track.agent_id,
-                        track.object_class, reach),
-                       None if reach_set is None or kind is None
-                       else dynamic_pool(reach_set, track))
-    return _clustered(targets(), cfg.kmeans)
+    records = []
+    for scenario in scenarios:
+        results = run_scene(scenario, cfg) if kind != "static" else (
+            AgentResult(scenario.track(a), None, None)
+            for a in scenario.tracks_to_predict)
+        for track, _, reach_set in results:
+            reach = None if reach_set is None or not dump else (
+                reach_set.positions, reach_set.arrival_times)
+            records.append((scenario.scenario_id, track.agent_id,
+                            track.object_class, reach,
+                            None if reach_set is None or kind is None
+                            else dynamic_intents(reach_set, track,
+                                                 cfg.kmeans)))
+    return records
 
 
 def _mixed(dyns, static_set, mix: MixConfig, cfg: KMeansConfig):
@@ -314,30 +299,26 @@ def filter_dataset(scenarios, cfg: RunConfig = RunConfig()):
     non-vehicles, vehicles without a valid lane association, and tracks
     with an invalid 8 s endpoint or implausible GT (inter-step speed
     above 60 m/s). Each kept target becomes a ``FilteredItem`` as it
-    comes, its dynamic intention points ``_clustered``. Returns the kept
-    items in scene order and the ``FilterReport``.
+    comes, with its ``dynamic_intents``. Returns the kept items in scene
+    order and the ``FilterReport``.
     """
     report = FilterReport()
-
-    def kept():
-        for scenario in scenarios:
-            for track, assoc, reach_set in run_scene(scenario, cfg):
-                report.total += 1
-                if assoc is None:
-                    report.excluded_non_vehicle += 1
-                elif reach_set is None:
-                    report.excluded_no_dynamic += 1
-                elif track.gt_endpoint() is None or _implausible_gt(track):
-                    report.excluded_invalid_gt += 1
-                else:
-                    report.remaining += 1
-                    yield ((track, gt_deviation(track, reach_set,
-                                                cfg.deviation_mode),
-                            detect_parked(track)),
-                           dynamic_pool(reach_set, track))
-    items = [FilteredItem(track, dyn, deviation, parked)
-             for track, deviation, parked, dyn
-             in _clustered(kept(), cfg.kmeans)]
+    items = []
+    for scenario in scenarios:
+        for track, assoc, reach_set in run_scene(scenario, cfg):
+            report.total += 1
+            if assoc is None:
+                report.excluded_non_vehicle += 1
+            elif reach_set is None:
+                report.excluded_no_dynamic += 1
+            elif track.gt_endpoint() is None or _implausible_gt(track):
+                report.excluded_invalid_gt += 1
+            else:
+                report.remaining += 1
+                deviation = gt_deviation(track, reach_set, cfg.deviation_mode)
+                items.append(FilteredItem(
+                    track, dynamic_intents(reach_set, track, cfg.kmeans),
+                    deviation, detect_parked(track)))
     assert report.consistent()
     return items, report
 

@@ -12,7 +12,7 @@ to k by cycling through its points in decreasing weight order (dead-end
 roads can yield tiny reachable sets).
 
 Static and mixed pools are seeded by weighted k-means++ from a fixed
-seed, ``cfg.seed``. Dynamic pools (``dynamic_sets``) are seeded in lane
+seed, ``cfg.seed``. Dynamic pools (``dynamic_intents``) are seeded in lane
 order, with no random draw, so ``cfg.seed`` does not move them. A
 ``dynamic_pool`` lists its reach set by (segment id, node index): a few
 polylines of lane nodes 0.5 m apart, end to end, in which a node that
@@ -471,35 +471,25 @@ def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
     return to_agent_frame(reach_set.positions[order], track)
 
 
-def dynamic_sets(pools, cfg: KMeansConfig = KMeansConfig()
-                 ) -> list[np.ndarray]:
-    """The dynamic intention points of every ``dynamic_pool`` in
-    ``pools``, in order, each taken as it comes: K-means seeded in lane
-    order (see the module docstring), sorted lexicographically by (x, y).
-    Deterministic in (pool, cfg.k, cfg.max_iterations, cfg.tolerance)."""
-    out = []
-    j = np.arange(cfg.k)
-    for pool in pools:
-        pts, w = _checked_pool(pool, None)
-        if len(pts) <= cfg.k:
-            centers = _pad_to_k(pts, w, cfg.k)
-        else:
-            cum = np.cumsum(w)
-            first = np.searchsorted(cum, cum[-1] * ((j + 0.5) / cfg.k))
-            # strictly increasing: j plus a nondecreasing offset <= n - k
-            seeds = np.minimum(np.maximum.accumulate(first - j),
-                               len(pts) - cfg.k) + j
-            centers, _ = _lloyd(pts, w, pts[seeds], cfg)
-        out.append(_frozen(centers))
-    return out
-
-
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
                     cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
-    """Scene-conditioned intention points: K-means over the reachable
-    road-graph nodes, transformed into the agent frame."""
-    return IntentionPointSet("dynamic", dynamic_sets(
-        [dynamic_pool(reach_set, track)], cfg)[0])
+    """Scene-conditioned intention points: K-means over the
+    ``dynamic_pool`` of the reachable road-graph nodes in the agent frame,
+    seeded in lane order (see the module docstring), sorted
+    lexicographically by (x, y). Deterministic in (reach set, track,
+    cfg.k, cfg.max_iterations, cfg.tolerance)."""
+    pts, w = _checked_pool(dynamic_pool(reach_set, track), None)
+    if len(pts) <= cfg.k:
+        centers = _pad_to_k(pts, w, cfg.k)
+    else:
+        j = np.arange(cfg.k)
+        cum = np.cumsum(w)
+        first = np.searchsorted(cum, cum[-1] * ((j + 0.5) / cfg.k))
+        # strictly increasing: j plus a nondecreasing offset <= n - k
+        seeds = np.minimum(np.maximum.accumulate(first - j),
+                           len(pts) - cfg.k) + j
+        centers, _ = _lloyd(pts, w, pts[seeds], cfg)
+    return IntentionPointSet("dynamic", _frozen(centers))
 
 
 def mixed_intents_many(dyns, stat: IntentionPointSet,

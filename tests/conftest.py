@@ -371,7 +371,8 @@ def lane_order_reference(pool, cfg) -> np.ndarray:
     first point whose running weight sum reaches (j + 0.5) / k of the
     total, then at least one past seed j - 1 and at most n - k + j, so
     that the k seeds are distinct and in order; Lloyd from those seeds;
-    sorted by (x, y). ``intention.dynamic_sets`` must return the same bits."""
+    sorted by (x, y). ``intention.dynamic_intents`` must return the same
+    bits for a reach set listed in that order."""
     pts, weights = coalesce_reference(np.asarray(pool, dtype=float),
                                       np.ones(len(pool)))
     n, k = len(pts), cfg.k

@@ -1325,6 +1325,35 @@ def test_seeding_and_lloyd_run_through_the_wrapped_names(tmp_path,
         p.tobytes() for p in above + [static])
 
 
+def test_dynamic_points_run_through_the_wrapped_name(tmp_path, monkeypatch):
+    """benchmark/tracing.py times intention.dynamic_s by rebinding
+    dynamic_intents on every module that holds it, as done here: intents
+    --kind dynamic calls it once per target with a reach set, and analyze
+    once per target it keeps."""
+    seen, fn = [], intention.dynamic_intents
+
+    def spy(reach_set, track, *args):
+        seen.append(track.agent_id)
+        return fn(reach_set, track, *args)
+    for module in (analysis, cli, experiments, intention):
+        if getattr(module, "dynamic_intents", None) is fn:
+            monkeypatch.setattr(module, "dynamic_intents", spy)
+    scenes, suite = write_suite(tmp_path, n=20, behaviors=None)
+    assert main(["intents", str(scenes), "--kind", "dynamic",
+                 "-o", str(tmp_path / "i.csv")]) == 0
+    reached = sorted(track.agent_id for scenario in suite
+                     for track, _, rs in experiments.run_scene(scenario)
+                     if rs is not None)
+    assert reached and sorted(seen) == reached
+    kept = sorted(it.track.agent_id
+                  for it in experiments.filter_dataset(suite)[0])
+    seen.clear()
+    pred = perfect_predictions(tmp_path, suite, "m")
+    assert main(["analyze", str(scenes), "--predictions", f"m={pred}",
+                 "--window", "1", "-o", str(tmp_path / "o")]) == 0
+    assert kept and sorted(seen) == kept
+
+
 def test_analyze_holds_one_prediction_file_at_a_time(tmp_path, monkeypatch):
     """analyze keeps only the minFDEs of each prediction file it reads: at
     every read, no prediction set of an earlier file is alive."""
@@ -1374,9 +1403,9 @@ def test_analyze_frees_reach_sets_as_it_goes(tmp_path, monkeypatch):
 
 def test_analyze_worker_flush_keeps_outputs(tmp_path, monkeypatch):
     """Clustered two pools at a time, the workers of analyze and of intents
-    --kind mixed cluster their dynamic pools in batches within their chunks,
-    and the mixed sets are clustered in batches of two; the outputs equal
-    the default run at --jobs 1 and 3."""
+    --kind mixed cluster their mixed sets in batches of two within their
+    chunks (dynamic pools are clustered one at a time either way); the
+    outputs equal the default run at --jobs 1 and 3."""
     scenes, suite = write_suite(tmp_path, n=7)
     pred = perfect_predictions(tmp_path, suite[:-1], "m")
 

@@ -16,7 +16,7 @@ from intentforge.experiments import fit_static
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    KMeansConfig, MixConfig, _coalesce,
                                    _kmeanspp, _lloyd, dynamic_intents,
-                                   dynamic_pool, dynamic_sets, mixed_intents,
+                                   dynamic_pool, mixed_intents,
                                    to_agent_frame, weighted_kmeans,
                                    weighted_kmeans_many)
 from intentforge.lane_assoc import AssociationResult, associate
@@ -244,10 +244,12 @@ def test_dynamic_intents_match_lane_order_reference_on_parallel_lanes(
                           lane_order_reference(pool, cfg))
 
 
-def test_dynamic_sets_keep_seeds_distinct_on_heavy_points():
-    """A pool whose points 10 and 99 carry 41 and 31 of its 170 weight:
-    several quantiles fall on each, and the seeds still step through
-    distinct points, the last ones held back from the pool's end."""
+def test_dynamic_intents_keep_seeds_distinct_on_heavy_points():
+    """A reach set whose points 10 and 99 carry 41 and 31 of its 170
+    weight: several quantiles fall on each, and the seeds still step
+    through distinct points, the last ones held back from the pool's end.
+    The agent stands at the origin facing +x, so its frame is the
+    identity."""
     line = np.column_stack([np.arange(100.0), np.zeros(100)])
     pool = np.concatenate([line, np.repeat(line[[10, 99]], [40, 30], axis=0)])
     cfg = KMeansConfig(k=16)
@@ -255,7 +257,8 @@ def test_dynamic_sets_keep_seeds_distinct_on_heavy_points():
     cum = np.cumsum(w)
     first = np.searchsorted(cum, cum[-1] * ((np.arange(16) + 0.5) / 16))
     assert len(set(first.tolist())) < 12 and (first == 99).sum() > 1
-    got = dynamic_sets([pool], cfg)[0]
+    got = dynamic_intents(reach_of(pool), vehicle_track((0.0, 0.0)),
+                          cfg).points
     assert np.array_equal(got, lane_order_reference(pool, cfg))
     assert len(np.unique(got, axis=0)) == 16
 
