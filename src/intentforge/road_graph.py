@@ -22,6 +22,17 @@ absolute one a da**2 that underflows to 0; and fl(pa +- r) rounds
 monotonically, so it cuts off no coordinate inside the exact window. The
 window holds the node that set ub, so it is never empty, and it holds
 every node of least d2, among which the least index is taken.
+
+The graph is stored as flat lists indexed by node, one per kind of edge:
+the step to the next node of the segment, the lane change to the left and
+to the right neighbor, and a sparse mapping of the other edges, which holds
+the exit connectors. A missing step has a NaN travel time, so
+t + w <= budget never admits it (no real travel time is NaN), and a missing
+lane change a None target, which ``reach`` tests before it reads the time:
+most nodes of a small map have no lane change. ``reach`` returns the same
+arrival times whatever the order in which it relaxes a node's edges:
+fl(a + w) is monotone in a and at least a for w >= 0, so each node's time
+is the least left-to-right float sum over its paths.
 """
 
 from __future__ import annotations
@@ -57,14 +68,23 @@ class RoadGraph:
     """Directed graph over every lane node of a map.
 
     Node i is identified by (seg_ids[i], node_indices[i]) and sits at
-    positions[i]. adjacency[i] lists (target node, travel time) pairs;
-    weights are >= 0, zero only for coincident connector endpoints.
+    positions[i]. Its edges are the step to node i + 1, of travel time
+    step_time[i]; the lane changes to left_node[i] and right_node[i], of
+    travel times left_time[i] and right_time[i]; and the (target node,
+    travel time) pairs of other_edges.get(i, ()). A missing step has a NaN
+    time, and a missing lane change a None target (and a NaN time). Times
+    are >= 0, zero only for coincident connector endpoints.
     """
 
     seg_ids: np.ndarray
     node_indices: np.ndarray
     positions: np.ndarray
-    adjacency: list[list[tuple[int, float]]]
+    step_time: list[float]
+    left_node: list[int | None]
+    left_time: list[float]
+    right_node: list[int | None]
+    right_time: list[float]
+    other_edges: dict[int, list[tuple[int, float]]]
 
     @property
     def n_nodes(self) -> int:
@@ -138,34 +158,38 @@ def build_graph(vmap: VectorMap,
     range takes an inf travel time, beyond every budget."""
     positions = vmap.node_positions
     base: dict[int, int] = {}
-    offset = 0
+    n = 0
     for sid, seg in vmap.segments.items():
-        base[sid] = offset
-        offset += seg.n_nodes
+        base[sid] = n
+        n += seg.n_nodes
 
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(offset)]
+    step = np.full(n, np.nan)
+    left: list[int | None] = [None] * n
+    right: list[int | None] = [None] * n
+    left_time, right_time = np.full((2, n), np.nan)
+    other: dict[int, list[tuple[int, float]]] = {}
     for sid, seg in vmap.segments.items():
         b = base[sid]
-        limit = seg.speed_limit_mps
-        denom = limit + cfg.speed_offset
-        for i, w in enumerate((np.diff(seg.arc_offsets) / denom).tolist()):
-            adjacency[b + i].append((b + i + 1, w))
         last = b + seg.n_nodes - 1
-        for exit_id in seg.exit_ids:
-            target = base[exit_id]
-            gap = float(np.hypot(*(positions[target] - positions[last])))
-            adjacency[last].append((target, gap / denom))
-        for neighbor in (seg.left, seg.right):
+        denom = seg.speed_limit_mps + cfg.speed_offset
+        step[b:last] = np.diff(seg.arc_offsets) / denom
+        if seg.exit_ids:
+            other[last] = [
+                (base[e], float(np.hypot(*(positions[base[e]]
+                                           - positions[last]))) / denom)
+                for e in seg.exit_ids]
+        for neighbor, to, times in ((seg.left, left, left_time),
+                                    (seg.right, right, right_time)):
             if neighbor is None or not neighbor.change_ok:
                 continue
-            other = vmap.segments[neighbor.segment_id]
-            nearest = _nearest_nodes(seg.nodes, other.nodes)
-            gaps = np.hypot(*(other.nodes[nearest] - seg.nodes).T)
-            targets = (base[neighbor.segment_id] + nearest).tolist()
-            for i, (v, w) in enumerate(zip(targets, (gaps / denom).tolist())):
-                adjacency[b + i].append((v, w))
+            lane = vmap.segments[neighbor.segment_id].nodes
+            nearest = _nearest_nodes(seg.nodes, lane)
+            gaps = np.hypot(*(lane[nearest] - seg.nodes).T)
+            to[b:last + 1] = (base[neighbor.segment_id] + nearest).tolist()
+            times[b:last + 1] = gaps / denom
     return RoadGraph(vmap.node_seg_ids, vmap.node_indices, positions,
-                     adjacency)
+                     step.tolist(), left, left_time.tolist(), right,
+                     right_time.tolist(), other)
 
 
 @dataclass(eq=False)
@@ -201,26 +225,34 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     dist: dict[int, float] = {}
     heap = [(0.0, u) for u in start_nodes]
     heapq.heapify(heap)
-    adjacency = graph.adjacency
+    step, other = graph.step_time, graph.other_edges
+    left, left_time = graph.left_node, graph.left_time
+    right, right_time = graph.right_node, graph.right_time
     budget = cfg.time_budget
-    # each settled node's first relaxed edge is pushed and the next entry
-    # popped in one heappushpop, which hands that edge straight back when
-    # it is the smallest: the same entries are popped in the same order
+    # a settled node's step is pushed and the next entry popped in one
+    # heappushpop, which hands the step straight back when it is the
+    # smallest: the same entries are popped in the same order. A NaN time
+    # fails every `<= budget`, so a missing step is skipped
     t, u = heapq.heappop(heap)
     while True:
         if u not in dist:
             dist[u] = t
-            first = None
-            for v, w in adjacency[u]:
-                if v not in dist:
+            if (v := left[u]) is not None and v not in dist:
+                tv = t + left_time[u]
+                if tv <= budget:
+                    heapq.heappush(heap, (tv, v))
+            if (v := right[u]) is not None and v not in dist:
+                tv = t + right_time[u]
+                if tv <= budget:
+                    heapq.heappush(heap, (tv, v))
+            if u in other:
+                for v, w in other[u]:
                     tv = t + w
-                    if tv <= budget:
-                        if first is None:
-                            first = (tv, v)
-                        else:
-                            heapq.heappush(heap, (tv, v))
-            if first is not None:
-                t, u = heapq.heappushpop(heap, first)
+                    if tv <= budget and v not in dist:
+                        heapq.heappush(heap, (tv, v))
+            tv = t + step[u]
+            if tv <= budget and u + 1 not in dist:
+                t, u = heapq.heappushpop(heap, (tv, u + 1))
                 continue
         if not heap:
             break

@@ -143,15 +143,44 @@ def from_agent_frame(point, track: AgentTrack) -> np.ndarray:
     return np.array([cur.x + c * x - s * y, cur.y + s * x + c * y])
 
 
+def graph_adjacency(graph: RoadGraph) -> list[list[tuple[int, float]]]:
+    """Each node's (target, travel time) edges, read from the flat lists of
+    ``graph`` in the order of ``road_graph_reference``: the step, the other
+    edges (exits), then the left and the right lane change. A missing lane
+    change has a NaN time as well as a None target."""
+    adjacency = []
+    for u in range(graph.n_nodes):
+        w = graph.step_time[u]
+        edges = [] if math.isnan(w) else [(u + 1, w)]
+        edges += graph.other_edges.get(u, [])
+        for v, w in ((graph.left_node[u], graph.left_time[u]),
+                     (graph.right_node[u], graph.right_time[u])):
+            assert (v is None) == math.isnan(w), (u, v, w)
+            if v is not None:
+                edges.append((v, w))
+        adjacency.append(edges)
+    return adjacency
+
+
 def graph_edges(graph: RoadGraph):
     """Every (source, target, travel time) edge of a road graph."""
-    for u, nbrs in enumerate(graph.adjacency):
+    for u, nbrs in enumerate(graph_adjacency(graph)):
         for v, w in nbrs:
             yield u, v, w
 
 
 def n_edges(graph: RoadGraph) -> int:
-    return sum(len(a) for a in graph.adjacency)
+    return sum(len(a) for a in graph_adjacency(graph))
+
+
+def other_edges_graph(seg_ids, node_indices, positions,
+                      other_edges) -> RoadGraph:
+    """A road graph with no steps or lane changes: every edge is in
+    ``other_edges``, as on an arbitrary graph."""
+    n = len(positions)
+    return RoadGraph(seg_ids, node_indices, positions, [math.nan] * n,
+                     [None] * n, [math.nan] * n, [None] * n, [math.nan] * n,
+                     other_edges)
 
 
 def road_graph_reference(vmap: VectorMap, cfg: GraphConfig | None = None):
@@ -207,8 +236,8 @@ def reach_oracle(adjacency, starts, budget) -> dict[int, float]:
 def random_road_graph(rng, n_nodes, avg_out=1.8,
                       zero_weight_fraction=0.05) -> RoadGraph:
     positions = rng.uniform(-100, 100, size=(n_nodes, 2))
-    adjacency = []
-    for _ in range(n_nodes):
+    other = {}
+    for u in range(n_nodes):
         deg = rng.poisson(avg_out)
         nbrs = []
         for _ in range(deg):
@@ -216,9 +245,11 @@ def random_road_graph(rng, n_nodes, avg_out=1.8,
             w = 0.0 if rng.random() < zero_weight_fraction \
                 else float(rng.uniform(0.05, 2.5))
             nbrs.append((v, w))
-        adjacency.append(nbrs)
-    return RoadGraph(np.zeros(n_nodes, dtype=np.int64),
-                     np.arange(n_nodes, dtype=np.int64), positions, adjacency)
+        if nbrs:
+            other[u] = nbrs
+    return other_edges_graph(np.zeros(n_nodes, dtype=np.int64),
+                             np.arange(n_nodes, dtype=np.int64), positions,
+                             other)
 
 
 def _cross2(a, b) -> float:

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (convex_hull, line_nodes, parallel_lanes,
-                      point_in_hull, random_road_graph, reach_oracle,
-                      vehicle_track)
+from conftest import (convex_hull, graph_adjacency, line_nodes,
+                      parallel_lanes, point_in_hull, random_road_graph,
+                      reach_oracle, vehicle_track)
 from test_cli import perfect_predictions, write_suite
 
 from intentforge.analysis import (DeviationRecord, deviation_curve,
@@ -102,7 +102,7 @@ def test_criterion_2_reachability_oracle_equivalence():
             starts = sorted(rng.choice(n, size=k, replace=False).tolist())
             budget = float(rng.uniform(0.3, 4.0))
             got = reach(graph, _assoc(starts), GraphConfig(time_budget=budget))
-            expected = reach_oracle(graph.adjacency, starts, budget)
+            expected = reach_oracle(graph_adjacency(graph), starts, budget)
             assert {int(i) for i in got.node_indices} == set(expected)
             for ni, t in zip(got.node_indices, got.arrival_times):
                 assert abs(t - expected[int(ni)]) <= 1e-9

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (PARALLEL_LANE_QUERIES, graph_edges, line_nodes,
-                      n_edges, parallel_lanes, random_road_graph,
-                      reach_csv_reference, reach_oracle, road_graph_reference,
-                      scenario_of, seg, stationary_track, straight_map,
-                      vehicle_track)
+from conftest import (PARALLEL_LANE_QUERIES, graph_adjacency, graph_edges,
+                      line_nodes, n_edges, other_edges_graph, parallel_lanes,
+                      random_road_graph, reach_csv_reference, reach_oracle,
+                      road_graph_reference, scenario_of, seg,
+                      stationary_track, straight_map, vehicle_track)
 from intentforge import experiments
 from intentforge.cli import main
 from intentforge.experiments import run_scene
 from intentforge.lane_assoc import AssociationResult, associate
 from intentforge.map_model import (LaneNeighbor, LaneSegment, VectorMap,
                                    write_scenario)
-from intentforge.road_graph import (GraphConfig, RoadGraph, build_graph,
-                                    reach, travel_time)
-from intentforge.scenario_gen import iter_suite
+from intentforge.road_graph import (GraphConfig, build_graph, reach,
+                                    travel_time)
+from intentforge.scenario_gen import TEMPLATES, GenSpec, generate, iter_suite
 
 MPS_30MPH = 13.4112
 OFFSET_15MPH = 6.7056
@@ -26,6 +26,22 @@ OFFSET_15MPH = 6.7056
 
 def starts_at(*nodes) -> AssociationResult:
     return AssociationResult(tuple((sid, ni, 0.0) for sid, ni in nodes))
+
+
+def _reach_equals_oracle(graph, starts, budget):
+    """``reach`` from the (segment, node) ``starts``, checked against the
+    oracle: every arrival time equals the oracle's path sum bit for bit,
+    and the entries are sorted by (time, segment, node)."""
+    got = reach(graph, starts_at(*starts), GraphConfig(time_budget=budget))
+    expected = reach_oracle(graph_adjacency(graph),
+                            [graph.index_of(*s) for s in starts], budget)
+    times = got.arrival_times.tolist()
+    assert len(times) == len(expected)
+    assert {graph.index_of(int(s), int(n)): t for s, n, t in zip(
+        got.seg_ids, got.node_indices, times)} == expected
+    keys = list(zip(times, got.seg_ids.tolist(), got.node_indices.tolist()))
+    assert keys == sorted(keys)
+    return got
 
 
 # -- travel_time ---------------------------------------------------------------
@@ -48,7 +64,7 @@ def test_travel_time_hand_computed():
 def test_single_two_node_segment_one_edge():
     graph = build_graph(VectorMap([seg(0, [[0, 0], [1, 0]])]))
     assert n_edges(graph) == 1
-    assert graph.adjacency[0] == [(1, travel_time(1.0, MPS_30MPH))]
+    assert graph_adjacency(graph)[0] == [(1, travel_time(1.0, MPS_30MPH))]
 
 
 def test_exit_connector_is_one_way():
@@ -59,9 +75,14 @@ def test_exit_connector_is_one_way():
     graph = build_graph(vm)
     last_a = graph.index_of(0, 20)
     first_b = graph.index_of(1, 0)
-    weights = dict(graph.adjacency[last_a])
+    adjacency = graph_adjacency(graph)
+    assert adjacency == road_graph_reference(vm)
+    weights = dict(adjacency[last_a])
     assert weights.get(first_b) == 0.0  # coincident endpoints
-    assert all(v != last_a for v, _ in graph.adjacency[first_b])
+    assert all(v != last_a for v, _ in adjacency[first_b])
+    got = _reach_equals_oracle(graph, [(0, 20)], 0.5)
+    assert list(zip(got.arrival_times.tolist()[:2], got.seg_ids.tolist(),
+                    got.node_indices.tolist())) == [(0.0, 0, 20), (0.0, 1, 0)]
 
 
 def test_index_of_finds_every_node_and_rejects_unknown():
@@ -69,8 +90,9 @@ def test_index_of_finds_every_node_and_rejects_unknown():
                     seg(1, line_nodes((0, 3.5), (4, 3.5)))])
     graph = build_graph(vm)
     perm = np.random.default_rng(0).permutation(graph.n_nodes)
-    shuffled = RoadGraph(graph.seg_ids[perm], graph.node_indices[perm],
-                         graph.positions[perm], [[] for _ in perm])
+    shuffled = other_edges_graph(graph.seg_ids[perm],
+                                 graph.node_indices[perm],
+                                 graph.positions[perm], {})
     for g in (graph, shuffled):
         for i, (s, n) in enumerate(zip(g.seg_ids, g.node_indices)):
             assert g.index_of(int(s), int(n)) == i
@@ -100,7 +122,7 @@ def test_parallel_lanes_lane_change_edges():
         gap = float(np.hypot(*(graph.positions[v] - graph.positions[u])))
         assert gap == pytest.approx(math.hypot(0.25, 3.5))
         assert w == pytest.approx(travel_time(gap, MPS_30MPH))
-    assert graph.adjacency == road_graph_reference(VectorMap([a, b]))
+    assert graph_adjacency(graph) == road_graph_reference(VectorMap([a, b]))
 
 
 def _lane(origin, step, n) -> np.ndarray:
@@ -167,7 +189,7 @@ def test_lane_change_targets_equal_the_whole_block(lanes):
     ])
     with np.errstate(over="ignore"):
         want = road_graph_reference(vm)
-    assert build_graph(vm).adjacency == want
+    assert graph_adjacency(build_graph(vm)) == want
 
 
 def test_criterion_9_map_graph_equals_the_whole_block():
@@ -177,7 +199,41 @@ def test_criterion_9_map_graph_equals_the_whole_block():
             right=LaneNeighbor(i - 1, True) if i > 0 else None)
         for i in range(10)])
     assert vm.n_nodes == 10_000
-    assert build_graph(vm).adjacency == road_graph_reference(vm)
+    assert graph_adjacency(build_graph(vm)) == road_graph_reference(vm)
+
+
+def test_step_ends_at_the_segment_end():
+    """Consecutive segment ids number the second lane's first node right
+    after the first lane's last; with no exit between them no budget
+    steps across, up to the largest float."""
+    vm = VectorMap([seg(0, line_nodes((0, 0), (5, 0))),
+                    seg(1, line_nodes((5.5, 0), (10, 0)))])
+    graph = build_graph(vm)
+    assert graph_adjacency(graph) == road_graph_reference(vm)
+    assert graph.index_of(1, 0) == graph.index_of(0, 10) + 1
+    for start in [(0, 10), (0, 0)]:
+        got = _reach_equals_oracle(graph, [start], 1.7e308)
+        assert set(got.seg_ids.tolist()) == {0}
+        assert got.node_indices.tolist()[-1] == 10
+
+
+def test_last_node_with_exits_and_a_lane_change():
+    vm = VectorMap([
+        seg(0, line_nodes((0, 0), (10, 0)), exits=(1, 2),
+            left=LaneNeighbor(3, True)),
+        seg(1, line_nodes((10, 0), (20, 0)), entries=(0,)),
+        seg(2, line_nodes((10.5, -0.5), (20, -5)), entries=(0,)),
+        seg(3, line_nodes((0, 3.5), (10, 3.5)), right=LaneNeighbor(0, True)),
+    ])
+    graph = build_graph(vm)
+    adjacency = graph_adjacency(graph)
+    assert adjacency == road_graph_reference(vm)
+    last = graph.index_of(0, 20)
+    assert [(int(graph.seg_ids[v]), int(graph.node_indices[v]))
+            for v, _ in adjacency[last]] == [(1, 0), (2, 0), (3, 20)]
+    for budget in (0.05, 1.0, 8.0):
+        got = _reach_equals_oracle(graph, [(0, 0)], budget)
+    assert set(got.seg_ids.tolist()) == {0, 1, 2, 3}
 
 
 def _along_y(seg_id, x, y0, y1, **links):
@@ -212,7 +268,7 @@ def test_lanes_far_apart_run_without_warnings(tmp_path, capsys, case):
     with np.errstate(over="ignore", invalid="ignore"):
         want = road_graph_reference(vm)
     graph = build_graph(vm)
-    assert graph.adjacency == want
+    assert graph_adjacency(graph) == want
     track = stationary_track((x, 0.5), heading=math.pi / 2)
     rs = reach(graph, associate(vm, track))
     assert list(zip(rs.seg_ids.tolist(), rs.node_indices.tolist())) == reached
@@ -268,7 +324,7 @@ def test_reach_matches_oracle_on_random_graphs():
         budget = float(rng.uniform(0.2, 4.0))
         got = reach(graph, starts_at(*((0, s) for s in starts)),
                     GraphConfig(time_budget=budget))
-        expected = reach_oracle(graph.adjacency, starts, budget)
+        expected = reach_oracle(graph_adjacency(graph), starts, budget)
         assert {int(i) for i in got.node_indices} == set(expected)
         for ni, t in zip(got.node_indices, got.arrival_times):
             assert abs(t - expected[int(ni)]) <= 1e-9
@@ -277,18 +333,29 @@ def test_reach_matches_oracle_on_random_graphs():
 @pytest.mark.parametrize("starts,budget", PARALLEL_LANE_QUERIES)
 def test_reach_equals_oracle_exactly_on_parallel_lanes(starts, budget):
     """Identical lanes tie many arrival times exactly, where the random
-    graphs above have few ties: every time equals the oracle's path sum
-    bit for bit, and the entries stay sorted by (time, segment, node)."""
+    graphs above have few ties."""
     graph = build_graph(parallel_lanes(6, 400))
-    got = reach(graph, starts_at(*starts), GraphConfig(time_budget=budget))
-    expected = reach_oracle(graph.adjacency,
-                            [graph.index_of(*s) for s in starts], budget)
-    times = got.arrival_times.tolist()
-    assert len(set(times)) < 0.9 * len(times)
-    assert {graph.index_of(int(s), int(n)): t for s, n, t in zip(
-        got.seg_ids, got.node_indices, times)} == expected
-    keys = list(zip(times, got.seg_ids.tolist(), got.node_indices.tolist()))
-    assert keys == sorted(keys)
+    times = _reach_equals_oracle(graph, starts, budget).arrival_times
+    assert len(set(times.tolist())) < 0.9 * len(times)
+
+
+def test_reach_equals_oracle_exactly_on_every_template():
+    """One generated map per template covers forks, merges, intersections
+    and lane changes: each graph equals the reference, and reach from
+    every segment's first node equals the oracle bit for bit."""
+    kinds = set()
+    for template in TEMPLATES:
+        vm = generate(GenSpec(template, seed=1)).vector_map
+        graph = build_graph(vm)
+        assert graph_adjacency(graph) == road_graph_reference(vm)
+        for sid, s in vm.segments.items():
+            kinds |= {name for name, present in [
+                ("fork", len(s.exit_ids) > 1), ("merge", len(s.entry_ids) > 1),
+                ("lane change", s.left is not None and s.left.change_ok)]
+                if present}
+            _reach_equals_oracle(graph, [(sid, 0)], GraphConfig().time_budget)
+        _reach_equals_oracle(graph, [(sid, 0) for sid in vm.segments], 3.0)
+    assert kinds == {"fork", "merge", "lane change"}
 
 
 def test_reach_sorted_by_arrival():
