@@ -339,8 +339,6 @@ def gt_deviation(gt: AgentTrack, reach_set: ReachabilitySet,
     sid = reach_set.seg_ids
     ni = reach_set.node_indices
     pos = reach_set.positions
-    order = np.lexsort((ni, sid))
-    sid, ni, pos = sid[order], ni[order], pos[order]
     consecutive = (sid[1:] == sid[:-1]) & (ni[1:] == ni[:-1] + 1)
     if consecutive.any():
         a = pos[:-1][consecutive]

@@ -192,9 +192,13 @@ def cmd_gen(args) -> int:
 # -- intents -----------------------------------------------------------------
 
 def _reach_block(sid, aid, positions, times) -> str:
-    """The reach CSV lines of one reach set, in the (arrival_s, x, y)
-    order of their printed values. Rows come in arrival order and rounding
-    keeps it, so only rows that print one arrival time are reordered."""
+    """The reach CSV lines of one reach set, its rows in any order: sorted
+    by the (arrival_s, x, y) values they print, and rows that print equal
+    values (0.000000 and -0.000000) by their text. The rows are sorted by
+    arrival time first, an order that rounding keeps, so only rows that
+    print one arrival time are sorted again."""
+    order = times.argsort(kind="stable")
+    positions, times = positions[order], times[order]
     fmt = f"{sid},{aid},".replace("%", "%%") + "%.6f,%.6f,%.6f\n"
     lines = [fmt % tuple(row) for row in
              (np.column_stack([positions, times]) + 0.0).tolist()]
@@ -204,8 +208,8 @@ def _reach_block(sid, aid, positions, times) -> str:
     runs = np.split(ties, np.flatnonzero(np.diff(ties) > 1) + 1)
     for run in runs if ties else []:
         a, b = run[0], run[-1] + 2
-        lines[a:b] = sorted(lines[a:b], key=lambda ln: tuple(
-            map(float, ln.rsplit(",", 3)[1:3])))
+        lines[a:b] = sorted(lines[a:b], key=lambda ln: (
+            *map(float, ln.rsplit(",", 3)[1:3]), ln))
     return "".join(lines)
 
 

@@ -13,13 +13,13 @@ roads can yield tiny reachable sets).
 
 Static and mixed pools are seeded by weighted k-means++ from a fixed
 seed, ``cfg.seed``. Dynamic pools (``dynamic_intents``) are seeded in lane
-order, with no random draw, so ``cfg.seed`` does not move them. A
-``dynamic_pool`` lists its reach set by (segment id, node index): a few
-polylines of lane nodes 0.5 m apart, end to end, in which a node that
-two lanes share coalesces into one point of weight 2. Seed j is the
-first point whose cumulative weight reaches (j + 0.5) / k of the total,
-moved where needed so that the seeds are k distinct points in order: k
-points evenly spaced along the lanes, which Lloyd then moves.
+order, with no random draw, so ``cfg.seed`` does not move them. A reach
+set lists its nodes by (segment id, node index): a few polylines of lane
+nodes 0.5 m apart, end to end, in which a node that two lanes share
+coalesces into one point of weight 2. Seed j is the first point whose
+cumulative weight reaches (j + 0.5) / k of the total, moved where needed
+so that the seeds are k distinct points in order: k points evenly spaced
+along the lanes, which Lloyd then moves.
 
 Lloyd labels each point with the first nearest center of the (n, k)
 block of squared distances computed elementwise, (x - cx)**2 + (y -
@@ -461,24 +461,16 @@ def to_agent_frame(points, track: AgentTrack) -> np.ndarray:
     return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
 
 
-def dynamic_pool(reach_set: ReachabilitySet, track: AgentTrack) -> np.ndarray:
-    """The reachable road-graph nodes of one agent in its agent frame, in
-    lane order, sorted by (segment id, node index): the pool its dynamic
-    intention points are clustered from."""
-    if len(reach_set) == 0:
-        raise ValueError("empty reachability set; fall back to static points")
-    order = np.lexsort((reach_set.node_indices, reach_set.seg_ids))
-    return to_agent_frame(reach_set.positions[order], track)
-
-
 def dynamic_intents(reach_set: ReachabilitySet, track: AgentTrack,
                     cfg: KMeansConfig = KMeansConfig()) -> IntentionPointSet:
-    """Scene-conditioned intention points: K-means over the
-    ``dynamic_pool`` of the reachable road-graph nodes in the agent frame,
-    seeded in lane order (see the module docstring), sorted
-    lexicographically by (x, y). Deterministic in (reach set, track,
-    cfg.k, cfg.max_iterations, cfg.tolerance)."""
-    pts, w = _checked_pool(dynamic_pool(reach_set, track), None)
+    """Scene-conditioned intention points: K-means over the reachable
+    road-graph nodes in the agent frame, in the reach set's lane order and
+    seeded along it (see the module docstring), sorted lexicographically by
+    (x, y). Deterministic in (reach set, track, cfg.k, cfg.max_iterations,
+    cfg.tolerance)."""
+    if len(reach_set) == 0:
+        raise ValueError("empty reachability set; fall back to static points")
+    pts, w = _checked_pool(to_agent_frame(reach_set.positions, track), None)
     if len(pts) <= cfg.k:
         centers = _pad_to_k(pts, w, cfg.k)
     else:

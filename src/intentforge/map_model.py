@@ -245,7 +245,8 @@ class VectorMap:
         over every node.
 
         Sorted by Euclidean distance, ties broken by (segment id, node
-        index).
+        index): the order of the flat node arrays, which a stable sort
+        keeps.
         """
         if radius <= 0:
             raise ValueError("radius must be > 0")
@@ -255,7 +256,7 @@ class VectorMap:
             d = np.hypot(*(self.node_positions - p).T)
         keep = d <= radius
         d, sid, ni = d[keep], self.node_seg_ids[keep], self.node_indices[keep]
-        order = np.lexsort((ni, sid, d))
+        order = np.argsort(d, kind="stable")
         return [(int(sid[i]), int(ni[i]), float(d[i])) for i in order]
 
     def __eq__(self, other):

@@ -196,8 +196,9 @@ def build_graph(vmap: VectorMap,
 class ReachabilitySet:
     """Lane nodes reachable within the budget, with optimal arrival times.
 
-    Entries are sorted by (arrival time, segment id, node index); start
-    nodes appear with time 0.
+    Entries are sorted by (segment id, node index): lane order, in which
+    a segment's reachable nodes are consecutive and run along the lane.
+    Start nodes appear with time 0.
     """
 
     seg_ids: np.ndarray
@@ -262,7 +263,7 @@ def reach(graph: RoadGraph, starts: AssociationResult,
     times = np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
     sid = graph.seg_ids[idx]
     ni = graph.node_indices[idx]
-    order = np.lexsort((ni, sid, times))
+    order = np.lexsort((ni, sid))
     return ReachabilitySet(
         seg_ids=sid[order],
         node_indices=ni[order],

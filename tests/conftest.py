@@ -357,14 +357,15 @@ def fmt_float_reference(x) -> str:
 
 def reach_csv_reference(reach_sets) -> str:
     """The reach CSV text of ``(scenario id, agent id, positions, arrival
-    times)`` sets in any order, as one list of formatted rows sorted on
-    their values read back: the writer that ``cli._write_reach_csv`` must
-    reproduce byte for byte."""
+    times)`` sets with their rows in any order, as one list of formatted
+    rows sorted on their values read back, and rows whose values read back
+    equal (0.000000 and -0.000000) on their text: the writer that
+    ``cli._write_reach_csv`` must reproduce byte for byte."""
     rows = [(sid, aid, *map(fmt_float_reference, (x, y, t)))
             for sid, aid, positions, times in reach_sets
             for (x, y), t in zip(positions.tolist(), times.tolist())]
     rows.sort(key=lambda r: (r[0], r[1], float(r[4]), float(r[2]),
-                             float(r[3])))
+                             float(r[3]), r))
     return "".join(",".join(r) + "\n" for r in [
         ("scenario_id", "agent_id", "x", "y", "arrival_s"), *rows])
 

@@ -1312,7 +1312,7 @@ def test_seeding_and_lloyd_run_through_the_wrapped_names(tmp_path,
     assert main(["intents", str(scenes), "--kind", "dynamic", "--k", "8",
                  "-o", str(tmp_path / "i.csv")]) == 0
     reach_pools = [
-        intention._coalesce(intention.dynamic_pool(rs, track),
+        intention._coalesce(intention.to_agent_frame(rs.positions, track),
                             np.ones(len(rs)))[0]
         for scenario in suite for track, _, rs in experiments.run_scene(
             scenario) if rs is not None]
@@ -1489,21 +1489,41 @@ def test_reach_writer_matches_global_sort_on_tied_rows(tmp_path):
                                           for _, _, xy, _ in _TIED_SETS)
 
 
+def test_reach_writer_takes_rows_in_any_order(tmp_path):
+    """A reach set lists its rows in lane order, not in the CSV's arrival
+    order: every order of the rows of ``_TIED_SETS`` writes the same bytes,
+    those of the rows in arrival order."""
+    out = tmp_path / "rg.csv"
+    want = reach_csv_reference(_TIED_SETS)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        cli._write_reach_csv(out, [
+            (sid, aid, "vehicle", (xy[order], times[order]), None)
+            for sid, aid, xy, times in _TIED_SETS
+            for order in [rng.permutation(len(times))]])
+        assert out.read_text() == want
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5]),
                           st.sampled_from([0.0, 1e-7, 4e-7, 5e-7, 6e-7]),
                           st.sampled_from([0.0, -0.0, -1e-9, 1.0, 1.0000003]),
                           st.sampled_from([0.0, -0.0, 2.0, -1e-9])),
-                min_size=1, max_size=40))
-def test_reach_writer_matches_global_sort_on_random_ties(tmp_path, rows):
-    rows = sorted(rows, key=lambda r: r[0] + r[1])   # arrival order
+                min_size=1, max_size=40), st.data())
+def test_reach_writer_matches_global_sort_on_random_ties(tmp_path, rows,
+                                                         data):
+    """The rows in arrival order and in a drawn order write the bytes of
+    the reference."""
     times = np.array([r[0] + r[1] for r in rows])
     positions = np.array([r[2:] for r in rows])
     sets = [("s", "a", positions, times)]
-    cli._write_reach_csv(tmp_path / "rg.csv",
-                         [("s", "a", "vehicle", (positions, times), None)])
-    assert (tmp_path / "rg.csv").read_text() == reach_csv_reference(sets)
+    want = reach_csv_reference(sets)
+    for order in (times.argsort(kind="stable"),
+                  data.draw(st.permutations(range(len(rows))))):
+        cli._write_reach_csv(tmp_path / "rg.csv", [
+            ("s", "a", "vehicle", (positions[order], times[order]), None)])
+        assert (tmp_path / "rg.csv").read_text() == want
 
 
 def _two_target_scene(scenes):
@@ -1536,7 +1556,9 @@ def test_dump_roadgraph_matches_global_sort(tmp_path, jobs):
         f"{sid},{aid},{fmt_float_reference(x)},{fmt_float_reference(y)},"
         f"{fmt_float_reference(t)}\n"
         for sid, aid, positions, times in sorted(sets, key=lambda r: r[:2])
-        for (x, y), t in zip(positions.tolist(), times.tolist()))
+        for order in [times.argsort(kind="stable")]
+        for (x, y), t in zip(positions[order].tolist(),
+                             times[order].tolist()))
     assert want.partition("\n")[2] != in_arrival_order
 
 

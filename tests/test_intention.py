@@ -16,13 +16,11 @@ from intentforge.experiments import fit_static
 from intentforge.intention import (_BOUND_MIN_POINTS, IntentionPointSet,
                                    KMeansConfig, MixConfig, _coalesce,
                                    _kmeanspp, _lloyd, dynamic_intents,
-                                   dynamic_pool, mixed_intents,
-                                   to_agent_frame, weighted_kmeans,
-                                   weighted_kmeans_many)
+                                   mixed_intents, to_agent_frame,
+                                   weighted_kmeans, weighted_kmeans_many)
 from intentforge.lane_assoc import AssociationResult, associate
 from intentforge.map_model import LaneNeighbor, VectorMap
-from intentforge.road_graph import (GraphConfig, ReachabilitySet, build_graph,
-                                    reach)
+from intentforge.road_graph import GraphConfig, build_graph, reach
 
 
 def lex_sorted(pts):
@@ -183,23 +181,10 @@ def test_dynamic_empty_reach_rejected():
         dynamic_intents(reach_of(np.empty((0, 2))), track)
 
 
-def test_dynamic_pool_is_in_lane_order():
-    rng = np.random.default_rng(5)
-    seg_ids, nodes = [2, 0, 1, 0, 2, 1], [0, 3, 1, 0, 1, 0]
-    positions = rng.uniform(-50.0, 50.0, size=(6, 2))
-    track = vehicle_track((1.0, 2.0), heading=0.4)
-    rset = ReachabilitySet(np.array(seg_ids), np.array(nodes), positions,
-                           np.zeros(6))
-    order = sorted(range(6), key=lambda i: (seg_ids[i], nodes[i]))
-    assert order == [3, 1, 5, 2, 0, 4]
-    assert np.array_equal(dynamic_pool(rset, track),
-                          to_agent_frame(positions[order], track))
-
-
 def _two_lane_fork():
     """Two parallel lanes that may change into each other, each continued
-    by one more segment whose first node is the last node of the lane: a
-    reach set interleaves the lanes by arrival time and holds each
+    by one more segment whose first node is the last node of the lane:
+    arrival order interleaves the lanes, and a reach set holds each
     junction twice."""
     left, right = LaneNeighbor(1, True), LaneNeighbor(0, True)
     return VectorMap([
@@ -213,10 +198,11 @@ def test_dynamic_intents_match_lane_order_reference_at_junctions():
     vmap = _two_lane_fork()
     track = vehicle_track((2.0, 0.0), speed=8.0)
     rset = reach(build_graph(vmap), associate(vmap, track))
-    order = sorted(range(len(rset)), key=lambda i: (
-        int(rset.seg_ids[i]), int(rset.node_indices[i])))
-    assert order != list(range(len(rset)))
-    pool = to_agent_frame(rset.positions[order], track)
+    keys = list(zip(rset.seg_ids.tolist(), rset.node_indices.tolist()))
+    assert keys == sorted(keys)
+    # arrival order would interleave the lanes
+    assert (np.diff(rset.arrival_times) < 0).any()
+    pool = to_agent_frame(rset.positions, track)
     _, w = _coalesce(pool, np.ones(len(pool)))
     assert (w == 2.0).sum() == 2 and len(w) > 64
     for cfg in (KMeansConfig(), KMeansConfig(k=7, seed=3)):
@@ -268,7 +254,7 @@ def test_dynamic_intents_of_a_small_reach_set_pad_like_weighted_kmeans():
     vmap = straight_map(length=20.0)
     rset = reach(build_graph(vmap), associate(vmap, track))
     assert 1 < len(rset) < 64
-    pool = dynamic_pool(rset, track)
+    pool = to_agent_frame(rset.positions, track)
     assert np.array_equal(dynamic_intents(rset, track).points,
                           weighted_kmeans(pool))
 

@@ -367,6 +367,19 @@ def test_nearest_nodes_keeps_node_whose_distance_rounds_to_radius():
         == [(0, 0, 1.0)]
 
 
+def test_nearest_nodes_breaks_exact_ties_by_segment_then_node():
+    """Nodes at exactly 1 m across three segments given out of id order:
+    ties come by (segment id, node index)."""
+    vm = VectorMap([seg(7, [[0.0, 1.0], [-1.0, 0.0]]),
+                    seg(2, [[1.0, 0.0], [0.0, -1.0], [0.5, -0.5]]),
+                    seg(5, [[-1.0, 0.0], [0.0, 1.0]])])
+    got = vm.nearest_nodes((0.0, 0.0), 1.0)
+    assert got == _scan(vm, (0.0, 0.0), 1.0)
+    assert got == [(2, 2, math.hypot(0.5, 0.5))] + [
+        (sid, ni, 1.0) for sid, ni in [(2, 0), (2, 1), (5, 0), (5, 1),
+                                       (7, 0), (7, 1)]]
+
+
 @st.composite
 def _maps_and_query(draw):
     n_segs = draw(st.integers(1, 4))

@@ -31,7 +31,7 @@ def starts_at(*nodes) -> AssociationResult:
 def _reach_equals_oracle(graph, starts, budget):
     """``reach`` from the (segment, node) ``starts``, checked against the
     oracle: every arrival time equals the oracle's path sum bit for bit,
-    and the entries are sorted by (time, segment, node)."""
+    and the entries are in lane order, by (segment, node)."""
     got = reach(graph, starts_at(*starts), GraphConfig(time_budget=budget))
     expected = reach_oracle(graph_adjacency(graph),
                             [graph.index_of(*s) for s in starts], budget)
@@ -39,7 +39,7 @@ def _reach_equals_oracle(graph, starts, budget):
     assert len(times) == len(expected)
     assert {graph.index_of(int(s), int(n)): t for s, n, t in zip(
         got.seg_ids, got.node_indices, times)} == expected
-    keys = list(zip(times, got.seg_ids.tolist(), got.node_indices.tolist()))
+    keys = list(zip(got.seg_ids.tolist(), got.node_indices.tolist()))
     assert keys == sorted(keys)
     return got
 
@@ -81,8 +81,9 @@ def test_exit_connector_is_one_way():
     assert weights.get(first_b) == 0.0  # coincident endpoints
     assert all(v != last_a for v, _ in adjacency[first_b])
     got = _reach_equals_oracle(graph, [(0, 20)], 0.5)
-    assert list(zip(got.arrival_times.tolist()[:2], got.seg_ids.tolist(),
-                    got.node_indices.tolist())) == [(0.0, 0, 20), (0.0, 1, 0)]
+    assert list(zip(got.seg_ids.tolist()[:3],
+                    got.node_indices.tolist())) == [(0, 20), (1, 0), (1, 1)]
+    assert got.arrival_times.tolist()[:2] == [0.0, 0.0]
 
 
 def test_index_of_finds_every_node_and_rejects_unknown():
@@ -358,12 +359,25 @@ def test_reach_equals_oracle_exactly_on_every_template():
     assert kinds == {"fork", "merge", "lane change"}
 
 
-def test_reach_sorted_by_arrival():
+def test_reach_in_lane_order_on_a_shuffled_graph():
+    """A template map's graph with its nodes renumbered at random, so that
+    node ids follow no lane: reach lists the same entries as on the
+    original graph, bit for bit, in (segment, node) order."""
     rng = np.random.default_rng(5)
-    graph = random_road_graph(rng, 60)
-    got = reach(graph, starts_at((0, 0)), GraphConfig(time_budget=3.0))
-    keys = list(zip(got.arrival_times, got.seg_ids, got.node_indices))
-    assert keys == sorted(keys)
+    vm = generate(GenSpec("intersection_4way", seed=2)).vector_map
+    graph = build_graph(vm)
+    perm = rng.permutation(graph.n_nodes)
+    new = np.argsort(perm)
+    shuffled = other_edges_graph(
+        graph.seg_ids[perm], graph.node_indices[perm], graph.positions[perm],
+        {int(new[u]): [(int(new[v]), w) for v, w in edges]
+         for u, edges in enumerate(graph_adjacency(graph)) if edges})
+    starts = [(sid, 0) for sid in vm.segments]
+    want = _reach_equals_oracle(graph, starts, 3.0)
+    got = _reach_equals_oracle(shuffled, starts, 3.0)
+    assert set(want.seg_ids.tolist()) == set(vm.segments)
+    for name in ("seg_ids", "node_indices", "positions", "arrival_times"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_budget_monotonicity():
