@@ -221,9 +221,7 @@ def test_dynamic_intents_match_lane_order_reference_on_parallel_lanes(
         tuple((sid, ni, 0.0) for sid, ni in starts)),
         GraphConfig(time_budget=budget))
     track = vehicle_track(graph.positions[graph.index_of(*starts[0])])
-    order = sorted(range(len(rset)), key=lambda i: (
-        int(rset.seg_ids[i]), int(rset.node_indices[i])))
-    pool = to_agent_frame(rset.positions[order], track)
+    pool = to_agent_frame(rset.positions, track)
     assert len(pool) >= _BOUND_MIN_POINTS
     cfg = KMeansConfig()
     assert np.array_equal(dynamic_intents(rset, track, cfg).points,
